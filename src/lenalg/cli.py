@@ -202,7 +202,7 @@ def _cmd_identities(args):
     results["flexible"] = is_flexible(A)
     if field.characteristic() != 2:
         results["jordan"] = is_jordan(A)
-    results["power-associative(<=6)"] = is_power_associative_upto(
+    results[f"power-associative(<={args.degree})"] = is_power_associative_upto(
         A, args.degree, budget=args.budget, seed=0)
     report = decide_length_one(A)
     law_rows = None
@@ -310,8 +310,7 @@ def _cmd_make(args):
 
 
 def _cmd_verify_cert(args):
-    data = json.loads(_read_source(args.file))
-    ok = verify_report_dict(data)
+    ok = verify_report_dict(_read_source(args.file))
     if args.json:
         sys.stdout.write(json.dumps({"certificate_valid": ok}) + "\n")
     else:

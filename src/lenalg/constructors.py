@@ -87,9 +87,8 @@ def symmetrized(A):
     for i in range(n):
         row = []
         for j in range(n):
-            p = A.mul(A.basis_vector(i), A.basis_vector(j))
-            q = A.mul(A.basis_vector(j), A.basis_vector(i))
-            row.append(tuple(field.halve(field.add(a, b)) for a, b in zip(p, q)))
+            row.append(tuple(field.halve(field.add(a, b))
+                             for a, b in zip(A.table[i][j], A.table[j][i])))
         table.append(tuple(row))
     return Algebra(field=field, table=tuple(table), one=A.one)
 

@@ -146,14 +146,14 @@ def verify_special_witness(A, w):
     if len(w.mu) != n - 1 or len(w.beta) != n - 1:
         return False
     for i in range(1, n):
-        sq = B.mul(B.basis_vector(i), B.basis_vector(i))
+        sq = B.table[i][i]
         if sq != vec_scale(field, w.mu[i - 1], e0):
             return False
     for i in range(1, n):
         for j in range(1, n):
             if i == j:
                 continue
-            p = B.mul(B.basis_vector(i), B.basis_vector(j))
+            p = B.table[i][j]
             expected = vec_scale(field, w.alpha[i - 1][j - 1], e0)
             expected = vec_add(field, expected,
                                vec_scale(field, w.beta[j - 1], B.basis_vector(i)))
@@ -217,7 +217,7 @@ def verify_char2_witness(A, w):
     deltas, pat = _char2_pattern(w.form, field, w.beta, n)
     zero = field.zero
     for i in range(1, n):
-        sq = B.mul(B.basis_vector(i), B.basis_vector(i))
+        sq = B.table[i][i]
         if any(sq[k] != zero for k in range(1, n) if k != i):
             return False
         if sq[i] != deltas[i - 1]:
@@ -228,7 +228,7 @@ def verify_char2_witness(A, w):
         for j in range(1, n):
             if i == j:
                 continue
-            p = B.mul(B.basis_vector(i), B.basis_vector(j))
+            p = B.table[i][j]
             if any(p[k] != zero for k in range(1, n) if k not in (i, j)):
                 return False
             s_exp, t_exp = pat(i, j)
@@ -288,7 +288,7 @@ def _read_squares(B):
     zero = field.zero
     out = []
     for i in range(1, n):
-        sq = B.mul(B.basis_vector(i), B.basis_vector(i))
+        sq = B.table[i][i]
         bad = [k for k in range(1, n) if k != i and sq[k] != zero]
         if bad:
             return StepFail(
@@ -346,7 +346,7 @@ def _read_special(B):
     zero = field.zero
     mu = []
     for i in range(1, n):
-        sq = B.mul(B.basis_vector(i), B.basis_vector(i))
+        sq = B.table[i][i]
         if any(sq[k] != zero for k in range(1, n)):
             raise ValueError("basis is not canonical: a square leaves F*1")
         mu.append(sq[0])
@@ -357,7 +357,7 @@ def _read_special(B):
         for j in range(1, n):
             if i == j:
                 continue
-            p = B.mul(B.basis_vector(i), B.basis_vector(j))
+            p = B.table[i][j]
             bad = [k for k in range(1, n) if k not in (i, j) and p[k] != zero]
             if bad:
                 return StepFail(
@@ -483,7 +483,7 @@ def _char2_inner(B):
     path.append("rescale δ∈{0,1}")
     if n == 2:
         form = "type-i" if deltas[0] == field.zero else "type-ii"
-        sq = B2.mul(B2.basis_vector(1), B2.basis_vector(1))
+        sq = B2.table[1][1]
         local = _LocalWitness(
             change=rescale, form=form, beta=(field.zero,),
             square_constants=(sq[0],), product_constants=((field.zero,),),
@@ -518,7 +518,7 @@ def _read_products(B):
         for j in range(1, n):
             if i == j:
                 continue
-            p = B.mul(B.basis_vector(i), B.basis_vector(j))
+            p = B.table[i][j]
             bad = [k for k in range(1, n) if k not in (i, j) and p[k] != zero]
             if bad:
                 return StepFail(
@@ -549,13 +549,13 @@ def _finish_dim3(B2, rescale, u, v, s_shift, t_shift, form, path):
     deltas_check, pat = _char2_pattern(form, field, (), 3)
     zero = field.zero
     for i in (1, 2):
-        sq = B4.mul(B4.basis_vector(i), B4.basis_vector(i))
+        sq = B4.table[i][i]
         if any(sq[k] != zero for k in (1, 2) if k != i) or sq[i] != deltas_check[i - 1]:
             raise AssemblyError(f"dim-3 form {form}: square pattern mismatch")
         sq_consts.append(sq[0])
     prod_consts = [[zero, zero], [zero, zero]]
     for (i, j) in ((1, 2), (2, 1)):
-        p = B4.mul(B4.basis_vector(i), B4.basis_vector(j))
+        p = B4.table[i][j]
         s_exp, t_exp = pat(i, j)
         if p[i] != s_exp or p[j] != t_exp:
             raise AssemblyError(f"dim-3 form {form}: product pattern mismatch")
@@ -786,7 +786,7 @@ def _char2_dim_ge4(B2, rescale, deltas, s, t, path):
     sq_consts = []
     final_delta = None
     for i in range(1, n):
-        sq = B3.mul(B3.basis_vector(i), B3.basis_vector(i))
+        sq = B3.table[i][i]
         if any(sq[k] != zero for k in range(1, n) if k != i):
             raise AssemblyError("homogenized square left its line")
         d = sq[i]

@@ -110,17 +110,21 @@ def _parse_vector(field, obj, n, path):
     return tuple(_parse_scalar(field, s, f"{path}[{i}]") for i, s in enumerate(obj))
 
 
-def parse_document(source):
-    """Parse JSON text (or an already-loaded dict) into an AlgebraDocument."""
+def _load_object(source, what):
+    """JSON text (or already-loaded data) that must hold a JSON object."""
     if isinstance(source, (str, bytes)):
         try:
-            data = json.loads(source)
+            source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"not valid JSON: {exc}")
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise SchemaError("$", "document must be a JSON object")
+    if not isinstance(source, dict):
+        raise SchemaError("$", f"{what} must be a JSON object")
+    return source
+
+
+def parse_document(source):
+    """Parse JSON text (or an already-loaded dict) into an AlgebraDocument."""
+    data = _load_object(source, "document")
     unknown = set(data) - {"field", "dim", "one", "adjoin_identity", "table",
                            "metadata"}
     if unknown:
@@ -300,14 +304,23 @@ def render_report(report, A, metadata=None):
 
 
 def verify_report_dict(data):
-    """Re-verify the certificate embedded in a report dict.
+    """Re-verify the certificate embedded in a report (JSON text or dict).
 
     Decision certificates re-verify directly; length certificates re-verify
-    by recomputing the reported quantity from the recorded set.
+    by recomputing the reported quantity from the recorded set.  A report
+    that is not a JSON object with an embedded algebra document raises
+    SchemaError; errors inside that document carry the `algebra.` prefix.
     """
     from .length import length_of_algebra, length_of_set
 
-    doc = parse_document(data["algebra"])
+    data = _load_object(data, "report")
+    if not isinstance(data.get("algebra"), dict):
+        raise SchemaError("algebra", "report has no embedded algebra document")
+    try:
+        doc = parse_document(data["algebra"])
+    except SchemaError as exc:
+        inner = "" if exc.path == "$" else "." + exc.path
+        raise type(exc)(f"algebra{inner}", exc.message) from None
     A = doc.algebra
     field = A.field
     kind = data.get("kind")

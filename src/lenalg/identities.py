@@ -52,8 +52,7 @@ def is_commutative(A):
     n = A.dim
     for i in range(n):
         for j in range(i + 1, n):
-            d = vec_sub(A.field, A.mul(A.basis_vector(i), A.basis_vector(j)),
-                        A.mul(A.basis_vector(j), A.basis_vector(i)))
+            d = vec_sub(A.field, A.table[i][j], A.table[j][i])
             if not vec_is_zero(A.field, d):
                 return IdentityVerdict(
                     name="commutative", holds=False,
@@ -65,14 +64,13 @@ def is_commutative(A):
 def is_associative(A):
     """(e_i e_j) e_k = e_i (e_j e_k) on all basis triples (trilinear)."""
     n = A.dim
+    basis = [A.basis_vector(k) for k in range(n)]
     for i in range(n):
-        ei = A.basis_vector(i)
+        ei = basis[i]
         for j in range(n):
-            ej = A.basis_vector(j)
-            pij = A.mul(ei, ej)
+            pij = A.table[i][j]
             for k in range(n):
-                ek = A.basis_vector(k)
-                d = vec_sub(A.field, A.mul(pij, ek), A.mul(ei, A.mul(ej, ek)))
+                d = vec_sub(A.field, A.mul(pij, basis[k]), A.mul(ei, A.table[j][k]))
                 if not vec_is_zero(A.field, d):
                     return IdentityVerdict(
                         name="associative", holds=False,

@@ -7,17 +7,27 @@ import pytest
 
 from lenalg import (
     algebra,
+    canonicalize,
     change_basis,
     complete_to_basis_with_one,
     find_identity,
+    generate_length_one,
     make_field,
     make_fixture,
     make_matrix_algebra,
+    square_step,
     unital_hull,
     with_identity_first,
 )
 from lenalg.errors import InvalidIdentity
-from lenalg.linalg import BasisChange, random_invertible, vec_add, vec_scale
+from lenalg.fields import PrimeField
+from lenalg.linalg import (
+    BasisChange,
+    random_invertible,
+    vec_add,
+    vec_mat,
+    vec_scale,
+)
 
 from tests.corpus import random_unital_algebra, random_vector
 
@@ -143,3 +153,62 @@ def test_with_identity_first():
     assert change.matrix[0] == A.one
     # completion is deterministic
     assert complete_to_basis_with_one(A).matrix == change.matrix
+
+
+def _reference_change_basis(A, change):
+    """The definition of a basis change: n^2 full products, then the inverse."""
+    rows = change.matrix
+    n = A.dim
+    return tuple(
+        tuple(vec_mat(A.field, A.mul(rows[i], rows[j]), change.inverse)
+              for j in range(n))
+        for i in range(n))
+
+
+def _changes(F, n):
+    """(label, algebra, change): dense, identity-first and canonical shift."""
+    A = random_unital_algebra(F, n, seed=n)
+    yield "dense", A, random_invertible(F, n, random.Random(f"dense|{n}"))
+    yield "identity-first", A, complete_to_basis_with_one(A)
+    if n >= 2 and F.characteristic() != 2:
+        Y = generate_length_one(F, n, seed=n, mode="special", hide=True)
+        basis = complete_to_basis_with_one(Y).matrix
+        gammas = [g for (_, g) in square_step(Y, basis)]
+        yield "shift", Y, canonicalize(Y, basis, gammas)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F5", "GF4", "GF9"])
+def test_change_basis_matches_reference(field_name):
+    F = make_field(field_name)
+    for n in range(1, 8):
+        for label, A, change in _changes(F, n):
+            B = change_basis(A, change)
+            assert B.table == _reference_change_basis(A, change), (label, n)
+            assert B.one == change.to_new(A.one)
+
+
+class _CountingF5(PrimeField):
+    """F5 that counts its multiplications."""
+
+    def __init__(self):
+        super().__init__(5)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def test_change_basis_cost_is_quartic():
+    # Three mode products of at most n^4 multiplications each plus the
+    # image of the identity; n^2 full products would take about n^5.
+    F = _CountingF5()
+    n = 8
+    A = random_unital_algebra(F, n, seed=0)
+    change = random_invertible(F, n, random.Random(0))
+    F.muls = 0
+    B = change_basis(A, change)
+    fast = F.muls
+    F.muls = 0
+    assert B.table == _reference_change_basis(A, change)
+    assert fast <= 3 * n ** 4 + n ** 2 < F.muls

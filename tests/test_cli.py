@@ -139,6 +139,32 @@ def test_bad_document_is_error(tmp_path, capsys):
     assert "SchemaError" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("{not json", "$"),
+    ("[1, 2]", "$"),
+    ('{"kind": "length-one-decision", "verdict": true}', "algebra"),
+    ('{"kind": "length-one-decision", "algebra": {"field": "Q"}}', "algebra.dim"),
+])
+def test_verify_cert_malformed_report_is_error(tmp_path, capsys, text, where):
+    bad = tmp_path / "report.json"
+    bad.write_text(text)
+    assert main(["verify-cert", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[SchemaError]: {where}: ")
+    assert "Traceback" not in err
+
+
+def test_identities_degree_label(fixture_file, capsys):
+    path = fixture_file("remark-repaired")
+    assert main(["identities", path, "--degree", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "power-associative(<=3): holds" in out
+    assert "<=6" not in out
+    assert main(["identities", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "power-associative(<=6)" in data["identities"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lenalg", "--version"],
