@@ -61,7 +61,6 @@ from .fields import (
     PrimeField,
     Rationals,
     field_make,
-    halve,
     make_field,
 )
 from .generate import (

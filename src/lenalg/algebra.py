@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidIdentity
-from .linalg import BasisChange, rref, span, unit_vec, vec_mat
+from .linalg import BasisChange, identity_matrix, rref, span, unit_vec, vec_mat
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,8 @@ def change_basis(A, change):
     if change.dim != n:
         raise DimensionMismatch("basis change has wrong dimension")
     field = A.field
+    if change.matrix == identity_matrix(field, n):
+        return A  # Algebra is immutable, so the same table can be shared
     zero, add, mul = field.zero, field.add, field.mul
 
     def nonzero(v):

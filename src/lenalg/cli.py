@@ -310,7 +310,7 @@ def _cmd_make(args):
 
 
 def _cmd_verify_cert(args):
-    ok = verify_report_dict(_read_source(args.file))
+    ok = verify_report_dict(_read_source(args.file), budget=args.budget)
     if args.json:
         sys.stdout.write(json.dumps({"certificate_valid": ok}) + "\n")
     else:

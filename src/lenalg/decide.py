@@ -7,21 +7,24 @@ literally against the claimed law, and every "no" carries a concrete pair
 before the verdict is returned.  An exhaustive pair oracle (finite fields)
 provides a fully independent second route used by the test suite.
 
-Branches:
+`decide_length_one` is one pipeline composed of the public steps, run on A
+conjugated so that its identity is the first basis vector:
 
 * dimension 1: the algebra is the scalar line, exact length 0 (verdict yes,
   meaning length <= 1).
-* characteristic != 2: check squares of a basis, shift to a basis whose
-  non-identity vectors square into F*1, then check the pairwise law
-  a_i a_j = alpha_ij 1 + beta_j a_i - beta_i a_j with one beta per vector.
-  The pairwise check has three parts: membership of each product in
+* characteristic != 2: `square_step` checks that squares of the basis lie in
+  span{1, a_i}; `canonicalize` shifts to the basis a_i - (gamma_i/2) 1, whose
+  non-identity vectors square into F*1; `special_step` checks the pairwise
+  law a_i a_j = alpha_ij 1 + beta_j a_i - beta_i a_j with one beta per
+  vector.  The pairwise check has three parts: membership of each product in
   span{1, a_i, a_j}, each anticommutator a_i a_j + a_j a_i landing in F*1,
   and the partner-independence of each beta_i.  The last part is implied by
   neither of the first two at dimension >= 4; when only it fails the report
   carries a "gloss-definition-divergence" flag.
-* characteristic 2: squares are congruent to gamma_i b_i modulo F*1; after
-  rescaling, gamma becomes delta in {0, 1}.  Dimension 3 over the two-element
-  field uses the like-indexed relation
+* characteristic 2: `char2_decide` matches the table against the normal
+  forms.  Squares are congruent to gamma_i b_i modulo F*1; after rescaling,
+  gamma becomes delta in {0, 1}.  Dimension 3 over the two-element field
+  uses the like-indexed relation
   beta_2 + beta_2* + delta_2 = beta_3 + beta_3* + delta_3 and lands in one of
   four normal forms (the fourth covers square-type multiset {0,1,1}, which
   the first three cannot represent); over a proper extension the crossed
@@ -30,15 +33,20 @@ Branches:
   partner-independence of the two product coefficients plus
   beta_i + beta_i* = delta_i, homogenizes mixed squares, and lands in the
   all-zero-squares or all-idempotent form.
+
+A step that fails returns a StepFail whose pair is mapped back to A's
+coordinates and becomes the "no" certificate; `_char2_pattern` alone knows
+the char-2 normal forms, and each witness is read off the final table and
+checked against them before it is returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .algebra import change_basis, with_identity_first
+from .algebra import change_basis, complete_to_basis_with_one, with_identity_first
 from .errors import (
     AssemblyError,
     BudgetExceeded,
@@ -131,6 +139,8 @@ class OracleResult:
 
 def verify_violation(A, w):
     """True when the recorded pair genuinely violates the span condition."""
+    if len(w.left) != A.dim or len(w.right) != A.dim:
+        return False
     sp = span(A.field, [A.one, w.left, w.right])
     return not sp.contains(A.mul(w.left, w.right))
 
@@ -138,12 +148,12 @@ def verify_violation(A, w):
 def verify_special_witness(A, w):
     """Re-multiply the transformed table and compare with the claimed law."""
     field = A.field
+    n = A.dim
+    if w.change.dim != n or not _sized(n - 1, w.alpha, w.mu, w.beta, *w.alpha):
+        return False
     B = change_basis(A, w.change)
-    n = B.dim
     e0 = unit_vec(field, n, 0)
     if B.one != e0:
-        return False
-    if len(w.mu) != n - 1 or len(w.beta) != n - 1:
         return False
     for i in range(1, n):
         sq = B.table[i][i]
@@ -203,10 +213,11 @@ def _char2_pattern(form, field, beta, n):
 def verify_char2_witness(A, w):
     """Check the transformed table matches the named form modulo F*1 exactly."""
     field = A.field
-    if field.characteristic() != 2:
+    n = A.dim
+    if field.characteristic() != 2 or w.change.dim != n or not _sized(
+            n - 1, w.square_constants, w.product_constants, *w.product_constants):
         return False
     B = change_basis(A, w.change)
-    n = B.dim
     e0 = unit_vec(field, n, 0)
     if B.one != e0:
         return False
@@ -239,6 +250,11 @@ def verify_char2_witness(A, w):
     return True
 
 
+def _sized(m, *vectors):
+    """True when every given vector (or matrix, as a list of rows) has m entries."""
+    return all(len(v) == m for v in vectors)
+
+
 def verify_certificate(A, certificate):
     """Dispatch on certificate type; None verifies only for dim-1 algebras."""
     if certificate is None:
@@ -265,7 +281,7 @@ def square_step(A, basis=None):
     identity is completed to a basis deterministically.
     """
     if basis is None:
-        change = _identity_first_change(A)
+        change = complete_to_basis_with_one(A)
     else:
         change = BasisChange(A.field, basis)
     B = change_basis(A, change)
@@ -275,11 +291,6 @@ def square_step(A, basis=None):
     if isinstance(res, StepFail):
         return _map_fail(res, change)
     return res
-
-
-def _identity_first_change(A):
-    from .algebra import complete_to_basis_with_one
-    return complete_to_basis_with_one(A)
 
 
 def _read_squares(B):
@@ -329,7 +340,7 @@ def special_step(A, basis):
     res = _read_special(B)
     if isinstance(res, StepFail):
         return _map_fail(res, change)
-    mu, beta, alpha, gloss = res
+    mu, beta, alpha = res
     w = SpecialBasisWitness(change=change, mu=mu, beta=beta, alpha=alpha)
     if not verify_special_witness(A, w):
         raise AssemblyError("special witness failed literal re-verification")
@@ -337,10 +348,7 @@ def special_step(A, basis):
 
 
 def _read_special(B):
-    """Read (mu, beta, alpha) from an identity-first canonical algebra.
-
-    Returns (mu, beta, alpha, gloss_divergence_possible) or StepFail.
-    """
+    """Read (mu, beta, alpha) from an identity-first canonical algebra, or StepFail."""
     field = B.field
     n = B.dim
     zero = field.zero
@@ -350,9 +358,40 @@ def _read_special(B):
         if any(sq[k] != zero for k in range(1, n)):
             raise ValueError("basis is not canonical: a square leaves F*1")
         mu.append(sq[0])
-    s = {}
-    t = {}
-    alpha = {}
+    prods = _read_products(B)
+    if isinstance(prods, StepFail):
+        return prods
+    s, t, alpha = prods
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            x_coeff = field.add(s[(i, j)], t[(j, i)])
+            y_coeff = field.add(t[(i, j)], s[(j, i)])
+            if x_coeff != zero or y_coeff != zero:
+                return StepFail(
+                    condition="anticommutator-not-scalar",
+                    pair=_scalar_square_violation(B, i, j),
+                    detail={"indices": [i, j]},
+                )
+    kept, bad = _partner_values(n, lambda i, j: t[(i, j)], zero)
+    if bad:
+        i, j1, j2 = bad
+        return StepFail(
+            condition="pair-coefficient-inconsistent",
+            pair=(B.basis_vector(i), _plus(B, j1, j2)),
+            detail={"index": i, "partners": [j1, j2], "gloss_divergence": True},
+        )
+    alpha_matrix = tuple(
+        tuple(alpha.get((i, j), zero) for j in range(1, n)) for i in range(1, n)
+    )
+    return tuple(mu), tuple(field.neg(b) for b in kept), alpha_matrix
+
+
+def _read_products(B):
+    """(s, t, c) with a_i a_j = c 1 + s a_i + t a_j for i != j, or StepFail."""
+    field = B.field
+    n = B.dim
+    zero = field.zero
+    s, t, c = {}, {}, {}
     for i in range(1, n):
         for j in range(1, n):
             if i == j:
@@ -365,52 +404,43 @@ def _read_special(B):
                     pair=(B.basis_vector(i), B.basis_vector(j)),
                     detail={"indices": [i, j], "outside_coordinates": bad},
                 )
-            alpha[(i, j)] = p[0]
             s[(i, j)] = p[i]
             t[(i, j)] = p[j]
+            c[(i, j)] = p[0]
+    return s, t, c
+
+
+def _partner_values(n, coeff, default):
+    """The one value coeff(i, j) takes over the partners j != i, for each i.
+
+    Returns (values, None), with `default` for an index without partners, or
+    (None, (i, j1, j2)) for the first i whose first two distinct values come
+    from partners j1 and j2.
+    """
+    values = []
     for i in range(1, n):
-        for j in range(i + 1, n):
-            x_coeff = field.add(s[(i, j)], t[(j, i)])
-            y_coeff = field.add(t[(i, j)], s[(j, i)])
-            if x_coeff != zero or y_coeff != zero:
-                pair = _scalar_square_violation(B, i, j)
-                return StepFail(
-                    condition="anticommutator-not-scalar",
-                    pair=pair,
-                    detail={"indices": [i, j]},
-                )
-    beta = []
-    for i in range(1, n):
-        vals = {}
+        seen = {}
         for j in range(1, n):
             if j != i:
-                vals.setdefault(t[(i, j)], j)
-        if len(vals) > 1:
-            (v1, j1), (v2, j2) = list(vals.items())[:2]
-            x = vec_add(field, B.basis_vector(j1), B.basis_vector(j2))
-            return StepFail(
-                condition="pair-coefficient-inconsistent",
-                pair=(B.basis_vector(i), x),
-                detail={"index": i, "partners": [j1, j2],
-                        "gloss_divergence": True},
-            )
-        if vals:
-            beta.append(field.neg(next(iter(vals))))
-        else:
-            beta.append(zero)
-    alpha_matrix = tuple(
-        tuple(alpha.get((i, j), zero) for j in range(1, n)) for i in range(1, n)
-    )
-    return tuple(mu), tuple(beta), alpha_matrix, False
+                seen.setdefault(coeff(i, j), j)
+        if len(seen) > 1:
+            j1, j2 = list(seen.values())[:2]
+            return None, (i, j1, j2)
+        values.append(next(iter(seen), default))
+    return values, None
+
+
+def _plus(B, i, j):
+    return vec_add(B.field, B.basis_vector(i), B.basis_vector(j))
 
 
 def _scalar_square_violation(B, i, j):
     """A pair (x, x) with x = a_i + c a_j whose square leaves span{1, x}.
 
     Exists whenever the anticommutator of a_i, a_j leaves F*1 (canonical
-    basis, characteristic != 2): c in {1, -1} always suffices, but over a
-    finite field every scalar is tried so the returned witness is the first
-    in payload order.
+    basis, characteristic != 2; c in {1, -1} always suffices) and whenever
+    the crossed char-2 dimension-3 relations fail.  Over a finite field every
+    scalar is tried so the returned witness is the first in payload order.
     """
     field = B.field
     if field.is_finite():
@@ -422,7 +452,7 @@ def _scalar_square_violation(B, i, j):
                     vec_scale(field, c, B.basis_vector(j)))
         if not span(field, [B.one, x]).contains(B.mul(x, x)):
             return (x, x)
-    raise AssemblyError("anticommutator failure produced no square violation")
+    raise AssemblyError("relation failure produced no square violation")
 
 
 def _map_fail(fail, change):
@@ -445,13 +475,7 @@ def char2_decide(A):
     outcome, path = _char2_inner(B)
     if isinstance(outcome, StepFail):
         return _map_fail(outcome, ch0), path
-    w = CharTwoWitness(
-        change=ch0.then(outcome.change),
-        form=outcome.form,
-        beta=outcome.beta,
-        square_constants=outcome.square_constants,
-        product_constants=outcome.product_constants,
-    )
+    w = replace(outcome, change=ch0.then(outcome.change))
     if not verify_char2_witness(A, w):
         raise AssemblyError("char-2 witness failed literal re-verification")
     return w, path
@@ -483,12 +507,8 @@ def _char2_inner(B):
     path.append("rescale δ∈{0,1}")
     if n == 2:
         form = "type-i" if deltas[0] == field.zero else "type-ii"
-        sq = B2.table[1][1]
-        local = _LocalWitness(
-            change=rescale, form=form, beta=(field.zero,),
-            square_constants=(sq[0],), product_constants=((field.zero,),),
-        )
-        return local, path + ["dim<=2", form]
+        return (_char2_witness(B2, rescale, form, (field.zero,)),
+                path + ["dim<=2", form])
     prods = _read_products(B2)
     if isinstance(prods, StepFail):
         return prods, path + ["products"]
@@ -500,72 +520,37 @@ def _char2_inner(B):
     return _char2_dim_ge4(B2, rescale, deltas, s, t, path)
 
 
-@dataclass
-class _LocalWitness:
-    change: BasisChange
-    form: str
-    beta: tuple
-    square_constants: tuple
-    product_constants: tuple
+def _char2_witness(B, change, form, beta):
+    """CharTwoWitness for `form` with the F*1 constants read from B's table.
 
-
-def _read_products(B):
-    field = B.field
-    n = B.dim
-    zero = field.zero
-    s, t, c = {}, {}, {}
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                continue
-            p = B.table[i][j]
-            bad = [k for k in range(1, n) if k not in (i, j) and p[k] != zero]
-            if bad:
-                return StepFail(
-                    condition="product-not-in-span",
-                    pair=(B.basis_vector(i), B.basis_vector(j)),
-                    detail={"indices": [i, j], "outside_coordinates": bad},
-                )
-            s[(i, j)] = p[i]
-            t[(i, j)] = p[j]
-            c[(i, j)] = p[0]
-    return s, t, c
-
-
-def _finish_dim3(B2, rescale, u, v, s_shift, t_shift, form, path):
-    """Apply the class re-pick and the F*1 shifts, then read off constants."""
-    field = B2.field
-    e0 = B2.basis_vector(0)
-    pick = BasisChange(field, [e0, u, v])
-    B3 = change_basis(B2, pick)
-    shift = BasisChange(field, [
-        B3.basis_vector(0),
-        vec_add(field, B3.basis_vector(1), vec_scale(field, s_shift, B3.basis_vector(0))),
-        vec_add(field, B3.basis_vector(2), vec_scale(field, t_shift, B3.basis_vector(0))),
-    ])
-    B4 = change_basis(B3, shift)
-    total = rescale.then(pick).then(shift)
-    sq_consts = []
-    deltas_check, pat = _char2_pattern(form, field, (), 3)
-    zero = field.zero
-    for i in (1, 2):
-        sq = B4.table[i][i]
-        if any(sq[k] != zero for k in (1, 2) if k != i) or sq[i] != deltas_check[i - 1]:
-            raise AssemblyError(f"dim-3 form {form}: square pattern mismatch")
-        sq_consts.append(sq[0])
-    prod_consts = [[zero, zero], [zero, zero]]
-    for (i, j) in ((1, 2), (2, 1)):
-        p = B4.table[i][j]
-        s_exp, t_exp = pat(i, j)
-        if p[i] != s_exp or p[j] != t_exp:
-            raise AssemblyError(f"dim-3 form {form}: product pattern mismatch")
-        prod_consts[i - 1][j - 1] = p[0]
-    local = _LocalWitness(
-        change=total, form=form, beta=(),
-        square_constants=tuple(sq_consts),
-        product_constants=tuple(tuple(r) for r in prod_consts),
+    B is the algebra in the witness basis and `change` maps that basis to
+    the identity-first one; `char2_decide` checks the form before returning.
+    """
+    r = range(1, B.dim)
+    return CharTwoWitness(
+        change=change, form=form, beta=tuple(beta),
+        square_constants=tuple(B.table[i][i][0] for i in r),
+        product_constants=tuple(
+            tuple(B.table[i][j][0] if i != j else B.field.zero for j in r)
+            for i in r),
     )
-    return local, path + [form]
+
+
+def _finish_dim3(B2, rescale, u, v, form, path):
+    """Re-pick the basis as {1, u, v}, shift u and v by F*1 into `form`."""
+    field = B2.field
+    zero, one = field.zero, field.one
+    pick = BasisChange(field, [B2.basis_vector(0), u, v])
+    B3 = change_basis(B2, pick)
+    # with u' = u + s 1 and v' = v + t 1, u' keeps beta_u + t in u'v' and v'
+    # keeps beta_v + s in v'u'; choose s, t so that these match the form
+    _, pat = _char2_pattern(form, field, (), 3)
+    s = field.add(B3.table[2][1][2], pat(2, 1)[0])
+    t = field.add(B3.table[1][2][1], pat(1, 2)[0])
+    shift = BasisChange(field, [(one, zero, zero), (s, one, zero), (t, zero, one)])
+    B4 = change_basis(B3, shift)
+    return (_char2_witness(B4, rescale.then(pick).then(shift), form, ()),
+            path + [form])
 
 
 def _char2_dim3_f2(B2, rescale, deltas, s, t, path):
@@ -576,77 +561,24 @@ def _char2_dim3_f2(B2, rescale, deltas, s, t, path):
     sigma2 = field.add(field.add(s[(1, 2)], t[(2, 1)]), d2)
     sigma3 = field.add(field.add(s[(2, 1)], t[(1, 2)]), d3)
     if sigma2 != sigma3:
-        x = vec_add(field, B2.basis_vector(1), B2.basis_vector(2))
+        x = _plus(B2, 1, 2)
         fail = StepFail(
             condition="char2-dim3-relation",
             pair=(x, x),
             detail={"relation": "beta2+beta2*+delta2 != beta3+beta3*+delta3"},
         )
-        return _compose_fail(fail, rescale), path + ["relation-failed"]
-    sigma = sigma2
+        return _map_fail(fail, rescale), path + ["relation-failed"]
     # square types of the three classes b2, b3, b2+b3
-    types = [d2, d3, sigma]
-    lifts = [
-        B2.basis_vector(1),
-        B2.basis_vector(2),
-        vec_add(field, B2.basis_vector(1), B2.basis_vector(2)),
-    ]
+    types = [d2, d3, sigma2]
+    lifts = [B2.basis_vector(1), B2.basis_vector(2), _plus(B2, 1, 2)]
     ones = sum(1 for x in types if x == field.one)
-    if ones == 0:
-        u, v, form = lifts[0], lifts[1], "dim3-f2-type1"
-    elif ones == 3:
-        u, v, form = lifts[0], lifts[1], "dim3-f2-type2"
-    elif ones == 1:
-        u = next(l for l, ty in zip(lifts, types) if ty == field.zero)
-        v = next(l for l, ty in zip(lifts, types) if ty == field.one)
-        form = "dim3-f2-type3"
+    if ones in (0, 3):
+        u, v = lifts[0], lifts[1]
     else:
         u = next(l for l, ty in zip(lifts, types) if ty == field.zero)
         v = next(l for l, ty in zip(lifts, types) if ty == field.one)
-        form = "dim3-f2-type4"
-    beta_u, beta_v = _dim3_pair_data(B2, u, v)
-    s_shift = beta_v if form != "dim3-f2-type3" else field.add(beta_v, field.one)
-    t_shift = beta_u
-    local, path = _finish_dim3(B2, rescale, u, v, s_shift, t_shift, form, path)
-    return local, path
-
-
-def _dim3_pair_data(B, u, v):
-    """Read (beta_u, beta_v): the self-coefficients of u in uv and of v in vu.
-
-    At dimension 3 the products automatically lie in span{1, u, v} (that is
-    the whole algebra for independent u, v), so only coefficients are read.
-    """
-    field = B.field
-    uv = _express(field, [B.one, u, v], B.mul(u, v))
-    vu = _express(field, [B.one, u, v], B.mul(v, u))
-    if uv is None or vu is None:
-        raise AssemblyError("dim-3 product escaped the full space")
-    return uv[1], vu[2]
-
-
-def _express(field, basis_vectors, w):
-    """Coefficients of w in terms of the given independent vectors, or None."""
-    n = len(w)
-    k = len(basis_vectors)
-    # augmented system: columns are basis vectors, solve B c = w
-    rows = []
-    for col in range(n):
-        rows.append(tuple(bv[col] for bv in basis_vectors) + (w[col],))
-    from .linalg import rref
-    reduced, pivots = rref(field, rows)
-    sol = [field.zero] * k
-    for row, pc in zip(reduced, pivots):
-        if pc == k:
-            return None
-        sol[pc] = row[k]
-    # verify (guards underdetermined corner cases)
-    acc = (field.zero,) * n
-    for c, bv in zip(sol, basis_vectors):
-        acc = vec_add(field, acc, vec_scale(field, c, bv))
-    if acc != tuple(w):
-        return None
-    return sol
+    form = f"dim3-f2-type{(1, 3, 4, 2)[ones]}"
+    return _finish_dim3(B2, rescale, u, v, form, path)
 
 
 def _char2_dim3_ext(B2, rescale, deltas, s, t, path):
@@ -666,50 +598,20 @@ def _char2_dim3_ext(B2, rescale, deltas, s, t, path):
     r1 = field.add(field.add(s[(1, 2)], t[(2, 1)]), d3)  # beta2+beta2*+delta3
     r2 = field.add(field.add(s[(2, 1)], t[(1, 2)]), d2)  # beta3+beta3*+delta2
     if r1 != field.zero or r2 != field.zero:
-        pair = _ext_relation_violation(B2)
         fail = StepFail(
             condition="char2-dim3-crossed-relation",
-            pair=pair,
+            pair=_scalar_square_violation(B2, 1, 2),
             detail={"relation": "beta2+beta2*+delta3 = 0 = beta3+beta3*+delta2"},
         )
-        return _compose_fail(fail, rescale), path + ["relation-failed"]
+        return _map_fail(fail, rescale), path + ["relation-failed"]
     zero, one = field.zero, field.one
-    if (d2, d3) == (zero, zero):
-        u, v = B2.basis_vector(1), B2.basis_vector(2)
-        form = "dim3-ext-type1"
-    else:
-        if (d2, d3) == (zero, one):
-            u, v = B2.basis_vector(1), B2.basis_vector(2)
-        elif (d2, d3) == (one, zero):
-            u, v = B2.basis_vector(2), B2.basis_vector(1)
-        else:
-            u = vec_add(field, B2.basis_vector(1), B2.basis_vector(2))
-            v = B2.basis_vector(2)
-        form = "dim3-ext-type3"
-    beta_u, beta_v = _dim3_pair_data(B2, u, v)
-    local, path = _finish_dim3(B2, rescale, u, v, beta_v, beta_u, form, path)
-    return local, path
-
-
-def _ext_relation_violation(B2):
-    """Find x = b_2 + c b_3 with x^2 outside span{1, x} (crossed relation broke)."""
-    field = B2.field
-    for cval in field.elements():
-        if cval == field.zero:
-            continue
-        x = vec_add(field, B2.basis_vector(1),
-                    vec_scale(field, cval, B2.basis_vector(2)))
-        if not span(field, [B2.one, x]).contains(B2.mul(x, x)):
-            return (x, x)
-    raise AssemblyError("crossed-relation failure produced no square violation")
-
-
-def _compose_fail(fail, change):
-    return StepFail(
-        condition=fail.condition,
-        pair=tuple(change.to_old(v) for v in fail.pair),
-        detail=fail.detail,
-    )
+    u, v = B2.basis_vector(1), B2.basis_vector(2)
+    if (d2, d3) == (one, zero):
+        u, v = v, u
+    elif (d2, d3) == (one, one):
+        u = _plus(B2, 1, 2)
+    form = "dim3-ext-type1" if (d2, d3) == (zero, zero) else "dim3-ext-type3"
+    return _finish_dim3(B2, rescale, u, v, form, path)
 
 
 def _char2_dim_ge4(B2, rescale, deltas, s, t, path):
@@ -719,108 +621,52 @@ def _char2_dim_ge4(B2, rescale, deltas, s, t, path):
     path = path + ["dim>=4"]
     zero, one = field.zero, field.one
     # (i) the coefficient kept by the second factor depends only on the first
-    beta_star = {}
-    for i in range(1, n):
-        seen = {}
-        for j in range(1, n):
-            if j != i:
-                seen.setdefault(t[(i, j)], j)
-        if len(seen) > 1:
-            items = list(seen.items())
-            j1, j2 = items[0][1], items[1][1]
-            x = vec_add(field, B2.basis_vector(j1), B2.basis_vector(j2))
-            fail = StepFail(
-                condition="char2-right-coefficient-inconsistent",
-                pair=(B2.basis_vector(i), x),
-                detail={"index": i, "partners": [j1, j2]},
-            )
-            return _compose_fail(fail, rescale), path + ["condition-i-failed"]
-        beta_star[i] = next(iter(seen))
+    beta_star, bad = _partner_values(n, lambda i, j: t[(i, j)], None)
+    if bad:
+        i, j1, j2 = bad
+        fail = StepFail(
+            condition="char2-right-coefficient-inconsistent",
+            pair=(B2.basis_vector(i), _plus(B2, j1, j2)),
+            detail={"index": i, "partners": [j1, j2]},
+        )
+        return _map_fail(fail, rescale), path + ["condition-i-failed"]
     # (ii) the coefficient kept by the first factor depends only on the second
-    beta = {}
-    for i in range(1, n):
-        seen = {}
-        for j in range(1, n):
-            if j != i:
-                seen.setdefault(s[(j, i)], j)
-        if len(seen) > 1:
-            items = list(seen.items())
-            j1, j2 = items[0][1], items[1][1]
-            x = vec_add(field, B2.basis_vector(j1), B2.basis_vector(j2))
-            fail = StepFail(
-                condition="char2-left-coefficient-inconsistent",
-                pair=(x, B2.basis_vector(i)),
-                detail={"index": i, "partners": [j1, j2]},
-            )
-            return _compose_fail(fail, rescale), path + ["condition-ii-failed"]
-        beta[i] = next(iter(seen))
+    beta, bad = _partner_values(n, lambda i, j: s[(j, i)], None)
+    if bad:
+        i, j1, j2 = bad
+        fail = StepFail(
+            condition="char2-left-coefficient-inconsistent",
+            pair=(_plus(B2, j1, j2), B2.basis_vector(i)),
+            detail={"index": i, "partners": [j1, j2]},
+        )
+        return _map_fail(fail, rescale), path + ["condition-ii-failed"]
     # (iii) beta_i + beta_i* = delta_i
     for i in range(1, n):
-        if field.add(beta[i], beta_star[i]) != deltas[i - 1]:
-            others = [j for j in range(1, n) if j != i]
-            j, k = others[0], others[1]
-            left = vec_add(field, B2.basis_vector(i), B2.basis_vector(j))
-            right = vec_add(field, B2.basis_vector(i), B2.basis_vector(k))
+        if field.add(beta[i - 1], beta_star[i - 1]) != deltas[i - 1]:
+            j, k = [j for j in range(1, n) if j != i][:2]
             fail = StepFail(
                 condition="char2-beta-sum-mismatch",
-                pair=(left, right),
+                pair=(_plus(B2, i, j), _plus(B2, i, k)),
                 detail={"index": i},
             )
-            return _compose_fail(fail, rescale), path + ["condition-iii-failed"]
+            return _map_fail(fail, rescale), path + ["condition-iii-failed"]
     # homogenize mixed squares: replace delta-0 vectors b_s by b_s + b_w
     total = rescale
     B3 = B2
-    if any(d == zero for d in deltas) and any(d == one for d in deltas):
-        w = next(i for i in range(1, n) if deltas[i - 1] == one)
-        rows = [B2.basis_vector(0)]
-        for i in range(1, n):
-            if deltas[i - 1] == zero:
-                rows.append(vec_add(field, B2.basis_vector(i), B2.basis_vector(w)))
-            else:
-                rows.append(B2.basis_vector(i))
+    if zero in deltas and one in deltas:
+        w = deltas.index(one) + 1
+        rows = [B2.basis_vector(0)] + [
+            _plus(B2, i, w) if deltas[i - 1] == zero else B2.basis_vector(i)
+            for i in range(1, n)]
         hom = BasisChange(field, rows)
         B3 = change_basis(B2, hom)
         total = rescale.then(hom)
         path = path + ["homogenize-squares"]
-    # final literal read: squares, products, single beta vector
-    sq_consts = []
-    final_delta = None
-    for i in range(1, n):
-        sq = B3.table[i][i]
-        if any(sq[k] != zero for k in range(1, n) if k != i):
-            raise AssemblyError("homogenized square left its line")
-        d = sq[i]
-        if final_delta is None:
-            final_delta = d
-        elif final_delta != d:
-            raise AssemblyError("homogenized squares are not uniform")
-        sq_consts.append(sq[0])
-    prods = _read_products(B3)
-    if isinstance(prods, StepFail):
-        raise AssemblyError("homogenized products escaped their spans")
-    s3, t3, c3 = prods
-    beta_final = [None] * (n - 1)
-    for j in range(1, n):
-        vals = {s3[(i, j)] for i in range(1, n) if i != j}
-        if len(vals) != 1:
-            raise AssemblyError("final left coefficients are inconsistent")
-        beta_final[j - 1] = next(iter(vals))
-    for i in range(1, n):
-        for j in range(1, n):
-            if i != j:
-                expected = field.add(beta_final[i - 1], final_delta)
-                if t3[(i, j)] != expected:
-                    raise AssemblyError("final right coefficients are inconsistent")
-    form = "type-i" if final_delta == zero else "type-ii"
-    prod_consts = [[zero] * (n - 1) for _ in range(n - 1)]
-    for (i, j), val in c3.items():
-        prod_consts[i - 1][j - 1] = val
-    local = _LocalWitness(
-        change=total, form=form, beta=tuple(beta_final),
-        square_constants=tuple(sq_consts),
-        product_constants=tuple(tuple(r) for r in prod_consts),
-    )
-    return local, path + [form]
+    # beta_j is the coefficient a_i keeps in a_i a_j, for any partner i
+    beta = [B3.table[2 if j == 1 else 1][j][2 if j == 1 else 1]
+            for j in range(1, n)]
+    form = "type-ii" if one in deltas else "type-i"
+    return _char2_witness(B3, total, form, beta), path + [form]
 
 
 # ---------------------------------------------------------------------------
@@ -834,67 +680,56 @@ def decide_length_one(A):
     algebra is the scalar line of length 0 and also gets verdict yes, with the
     path saying so.
     """
-    field = A.field
     n = A.dim
     path = ["identity-first-basis"]
     flags = []
     if n == 1:
         path.append("dim1: A = F*1, exact length 0")
-        return LengthReport(kind="length-one-decision", value=True,
-                            certificate=None, path=path, flags=flags)
+        return _report(A, None, path, flags)
     if n == 2:
         path.append("dim<=2: always length 1")
+    if A.field.characteristic() == 2:
+        path.append("char2")
+        outcome, sub_path = char2_decide(A)
+        return _report(A, outcome, path + sub_path, flags)
+    path.append("char!=2")
     B, ch0 = with_identity_first(A)
-    if field.characteristic() != 2:
-        path.append("char!=2")
-        squares = _read_squares(B)
-        if isinstance(squares, StepFail):
-            return _violation_report(A, squares, ch0, path + ["step1:squares-failed"], flags)
-        path.append("step1:squares-ok")
-        gammas = [g for (_, g) in squares]
-        shift = canonicalize(B, [B.basis_vector(i) for i in range(n)], gammas)
-        C = change_basis(B, shift)
-        total = ch0.then(shift)
-        path.append("step2:canonical-basis")
-        res = _read_special(C)
-        if isinstance(res, StepFail):
-            if res.detail.get("gloss_divergence"):
-                flags.append("gloss-definition-divergence")
-            return _violation_report(A, res, total, path + ["step3:not-special"], flags)
-        mu, beta, alpha, _ = res
-        w = SpecialBasisWitness(change=total, mu=mu, beta=beta, alpha=alpha)
-        if not verify_special_witness(A, w):
-            raise AssemblyError("special witness failed literal re-verification")
-        path.append("step3:special-basis")
-        return LengthReport(kind="length-one-decision", value=True,
-                            certificate=w, path=path, flags=flags)
-    path.append("char2")
-    outcome, sub_path = _char2_inner(B)
-    path.extend(sub_path)
+    std = [B.basis_vector(i) for i in range(n)]
+    squares = square_step(B, std)
+    if isinstance(squares, StepFail):
+        return _report(A, _map_fail(squares, ch0), path + ["step1:squares-failed"],
+                       flags)
+    path += ["step1:squares-ok"]
+    shift = canonicalize(B, std, [g for (_, g) in squares])
+    path += ["step2:canonical-basis"]
+    w = special_step(B, shift.matrix)
+    if isinstance(w, StepFail):
+        if w.detail.get("gloss_divergence"):
+            flags.append("gloss-definition-divergence")
+        return _report(A, _map_fail(w, ch0), path + ["step3:not-special"], flags)
+    w = replace(w, change=ch0.then(w.change))
+    if not verify_special_witness(A, w):
+        raise AssemblyError("special witness failed literal re-verification")
+    return _report(A, w, path + ["step3:special-basis"], flags)
+
+
+def _report(A, outcome, path, flags):
+    """The LengthReport for a witness (verdict yes) or a StepFail (verdict no).
+
+    A StepFail's pair must already be in A's coordinates; it becomes a
+    ViolationWitness that is re-checked before the report is built.
+    """
     if isinstance(outcome, StepFail):
-        return _violation_report(A, outcome, ch0, path, flags)
-    w = CharTwoWitness(
-        change=ch0.then(outcome.change),
-        form=outcome.form,
-        beta=outcome.beta,
-        square_constants=outcome.square_constants,
-        product_constants=outcome.product_constants,
-    )
-    if not verify_char2_witness(A, w):
-        raise AssemblyError("char-2 witness failed literal re-verification")
-    return LengthReport(kind="length-one-decision", value=True,
-                        certificate=w, path=path, flags=flags)
-
-
-def _violation_report(A, fail, change, path, flags):
-    left, right = (change.to_old(v) for v in fail.pair)
-    w = ViolationWitness(left=left, right=right, condition=fail.condition,
-                         detail=_stringify_detail(fail.detail))
-    if not verify_violation(A, w):
-        raise AssemblyError(
-            f"violation witness for {fail.condition} does not re-verify")
-    return LengthReport(kind="length-one-decision", value=False,
-                        certificate=w, path=path, flags=flags)
+        left, right = outcome.pair
+        outcome = ViolationWitness(left=left, right=right,
+                                   condition=outcome.condition,
+                                   detail=_stringify_detail(outcome.detail))
+        if not verify_violation(A, outcome):
+            raise AssemblyError(
+                f"violation witness for {outcome.condition} does not re-verify")
+    return LengthReport(kind="length-one-decision",
+                        value=not isinstance(outcome, ViolationWitness),
+                        certificate=outcome, path=path, flags=flags)
 
 
 def _stringify_detail(detail):
@@ -962,7 +797,9 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     F*1 (an exactly equivalent reformulation).  When a violation exists the
     lexicographically first violating pair of raw coordinate vectors is
     located by a direct scan and returned as the witness; callers that only
-    need the verdict can pass witness=False and skip that scan.
+    need the verdict can pass witness=False and skip that scan.  Each phase
+    is checked against the budget before it starts: the sweep by its
+    ((q^(n-1) - 1)/(q - 1))^2 pairs, the re-scan by q^(2n).
 
     Over infinite fields only a seeded sampling mode is available
     (`samples=N`); it can prove "no" but never "yes", and the result is
@@ -977,9 +814,9 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
         return _oracle_sampled(A, samples, seed)
     budget = resolve_budget(budget)
     q = field.order()
-    if q ** (2 * n) > budget:
-        raise BudgetExceeded(
-            f"{q}^{2 * n} pairs exceeds budget {budget}")
+    lines = (q ** (n - 1) - 1) // (q - 1)
+    if lines ** 2 > budget:
+        raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
     B, change = with_identity_first(A)
     reps = _projective_reps(field, n - 1)
     checked = 0
@@ -1001,6 +838,9 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
         return OracleResult(is_length_one=False, witness=None, sampled=False,
                             pairs_checked=checked)
     # locate the lexicographically first violating pair in original coordinates
+    if q ** (2 * n) > budget:
+        raise BudgetExceeded(
+            f"witness re-scan of {q}^{2 * n} pairs exceeds budget {budget}")
     elems = list(field.elements())
     one_line = {vec_scale(field, c, A.one) for c in elems}
     for a in itertools.product(elems, repeat=n):

@@ -28,9 +28,17 @@ from .decide import (
     CharTwoWitness,
     SpecialBasisWitness,
     ViolationWitness,
+    _char2_pattern,
     verify_certificate,
 )
-from .errors import NoIdentityError, SchemaError, ScalarSyntaxError
+from .errors import (
+    DimensionMismatch,
+    InvalidIdentity,
+    NoIdentityError,
+    SchemaError,
+    ScalarSyntaxError,
+    SingularMatrix,
+)
 from .fields import ExtensionField, FieldSpec, field_make, make_field
 from .linalg import BasisChange
 
@@ -161,7 +169,7 @@ def parse_document(source):
         one = _parse_vector(field, one_obj, dim, "one")
         try:
             return AlgebraDocument(algebra(field, table, one), metadata)
-        except Exception as exc:
+        except InvalidIdentity as exc:
             raise SchemaError("one", str(exc))
     one = find_identity(field, table)
     if one is None:
@@ -240,46 +248,75 @@ def certificate_to_dict(field, certificate):
     raise TypeError(f"cannot serialize certificate {type(certificate).__name__}")
 
 
-def _parse_matrix(field, obj, path):
-    return tuple(_parse_vector(field, row, len(obj[0]) if obj else 0,
-                               f"{path}[{i}]")
-                 for i, row in enumerate(obj))
+def _entry(obj, key, path, kind=list):
+    """obj[key], which must exist and be a JSON value of the given type."""
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing")
+    if not isinstance(obj[key], kind):
+        names = {list: "an array", dict: "an object", str: "a string"}
+        raise SchemaError(f"{path}.{key}", f"must be {names[kind]}")
+    return obj[key]
+
+
+def _parse_rows(field, obj, key, path):
+    """obj[key] as a list of scalar vectors; lengths are left to the verifier."""
+    rows = _entry(obj, key, path)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"{path}.{key}[{i}]", "must be an array")
+    return tuple(_parse_vector(field, row, len(row), f"{path}.{key}[{i}]")
+                 for i, row in enumerate(rows))
 
 
 def certificate_from_dict(field, obj):
+    """The certificate object of a report; SchemaError names what is malformed.
+
+    Shapes follow docs/report.schema.json.  Vector and matrix sizes are not
+    checked here: a certificate of the wrong size for its algebra parses, and
+    then fails verification.
+    """
     if obj is None:
         return None
+    path = "certificate"
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "certificate must be an object or null")
+
+    def vector(key, src=obj, at=path):
+        return _parse_vector(field, _entry(src, key, at), len(src[key]),
+                             f"{at}.{key}")
+
+    def change():
+        try:
+            return BasisChange(field, _parse_rows(field, obj, "change", path))
+        except (DimensionMismatch, SingularMatrix) as exc:
+            raise SchemaError(f"{path}.change", str(exc))
+
     kind = obj.get("type")
     if kind == "special-basis":
-        change = BasisChange(field, _parse_matrix(field, obj["change"], "change"))
         return SpecialBasisWitness(
-            change=change,
-            mu=_parse_vector(field, obj["mu"], len(obj["mu"]), "mu"),
-            beta=_parse_vector(field, obj["beta"], len(obj["beta"]), "beta"),
-            alpha=_parse_matrix(field, obj["alpha"], "alpha"),
-        )
+            change=change(), mu=vector("mu"), beta=vector("beta"),
+            alpha=_parse_rows(field, obj, "alpha", path))
     if kind == "char2-form":
-        change = BasisChange(field, _parse_matrix(field, obj["change"], "change"))
-        cc = obj["congruence_constants"]
+        form = _entry(obj, "form", path, str)
+        try:
+            _char2_pattern(form, field, (), 3)
+        except ValueError as exc:
+            raise SchemaError(f"{path}.form", str(exc))
+        cc = _entry(obj, "congruence_constants", path, dict)
+        cc_path = f"{path}.congruence_constants"
         return CharTwoWitness(
-            change=change,
-            form=obj["form"],
-            beta=_parse_vector(field, obj["beta"], len(obj["beta"]), "beta"),
-            square_constants=_parse_vector(field, cc["squares"],
-                                           len(cc["squares"]), "squares"),
-            product_constants=_parse_matrix(field, cc["products"], "products"),
-        )
+            change=change(), form=form, beta=vector("beta"),
+            square_constants=vector("squares", cc, cc_path),
+            product_constants=_parse_rows(field, cc, "products", cc_path))
     if kind == "violation":
-        n = len(obj["left"])
         return ViolationWitness(
-            left=_parse_vector(field, obj["left"], n, "left"),
-            right=_parse_vector(field, obj["right"], n, "right"),
+            left=vector("left"), right=vector("right"),
             condition=obj.get("condition", "oracle-pair"),
             detail=obj.get("detail", {}),
         )
     if kind in ("generating-set", "maximizing-set"):
-        return dict(obj)
-    raise SchemaError("certificate.type", f"unknown certificate type {kind!r}")
+        return dict(obj, vectors=_parse_rows(field, obj, "vectors", path))
+    raise SchemaError(f"{path}.type", f"unknown certificate type {kind!r}")
 
 
 def report_to_dict(report, A, metadata=None):
@@ -303,13 +340,15 @@ def render_report(report, A, metadata=None):
     return json.dumps(report_to_dict(report, A, metadata), indent=2) + "\n"
 
 
-def verify_report_dict(data):
+def verify_report_dict(data, budget=None):
     """Re-verify the certificate embedded in a report (JSON text or dict).
 
     Decision certificates re-verify directly; length certificates re-verify
-    by recomputing the reported quantity from the recorded set.  A report
-    that is not a JSON object with an embedded algebra document raises
-    SchemaError; errors inside that document carry the `algebra.` prefix.
+    by recomputing the reported quantity from the recorded set, and an
+    algebra length by an enumeration capped by `budget`.  A report that is
+    not a JSON object with an embedded algebra document, or whose
+    certificate is malformed, raises SchemaError; errors inside the document
+    carry the `algebra.` prefix.
     """
     from .length import length_of_algebra, length_of_set
 
@@ -332,19 +371,19 @@ def verify_report_dict(data):
         if not verdict and not isinstance(cert, ViolationWitness):
             return False
         return verify_certificate(A, cert)
+    if not isinstance(cert, dict) or any(len(v) != A.dim for v in cert["vectors"]):
+        return False
     if kind == "set-length":
-        if not isinstance(cert, dict) or cert.get("type") != "generating-set":
+        if cert["type"] != "generating-set":
             return False
-        vectors = [tuple(field.parse(s) for s in v) for v in cert["vectors"]]
-        res = length_of_set(A, vectors)
+        res = length_of_set(A, cert["vectors"])
         return res.length == data.get("value") and res.generates == cert.get("generates")
     if kind == "algebra-length":
-        if not isinstance(cert, dict) or cert.get("type") != "maximizing-set":
+        if cert["type"] != "maximizing-set":
             return False
-        vectors = [tuple(field.parse(s) for s in v) for v in cert["vectors"]]
-        res = length_of_set(A, vectors)
+        res = length_of_set(A, cert["vectors"])
         if not res.generates or res.length != data.get("value"):
             return False
-        full = length_of_algebra(A)
+        full = length_of_algebra(A, budget=budget)
         return full.length == data.get("value")
     return False

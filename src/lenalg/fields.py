@@ -485,8 +485,3 @@ def make_field(name):
     if m:
         return PrimeField(int(m.group(1)))
     raise ValueError(f"unknown field shorthand {name!r}")
-
-
-def halve(field, value):
-    """value/2 over the given field; errors in characteristic 2."""
-    return field.halve(value)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON reports, round trips."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -178,3 +179,77 @@ def test_stdin_input(monkeypatch, capsys):
     A = make_fixture("dim3-f2-type1")
     monkeypatch.setattr("sys.stdin", io.StringIO(render_document(A)))
     assert main(["check", "-"]) == 0
+
+
+_DELETE = object()
+
+
+def _edited_report(fixture_file, tmp_path, capsys, name, keys, value):
+    """`check --json` report of a fixture with one entry replaced or deleted."""
+    main(["check", fixture_file(name), "--json"])
+    data = json.loads(capsys.readouterr().out)
+    holder = data
+    for key in keys[:-1]:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[keys[-1]]
+    else:
+        holder[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, keys, value, where", [
+    ("remark-repaired", ("certificate",), 5, "certificate"),
+    ("remark-repaired", ("certificate", "change"), _DELETE, "certificate.change"),
+    ("remark-repaired", ("certificate", "change"), [["0", "0", "0"]] * 3,
+     "certificate.change"),
+    ("remark-repaired", ("certificate", "mu"), "1", "certificate.mu"),
+    ("remark-repaired", ("certificate", "mu", 0), 7, "certificate.mu[0]"),
+    ("remark-repaired", ("certificate", "alpha", 0), {}, "certificate.alpha[0]"),
+    ("dim3-f2-type2", ("certificate", "form"), "type-9", "certificate.form"),
+    ("dim3-f2-type2", ("certificate", "congruence_constants"), _DELETE,
+     "certificate.congruence_constants"),
+    ("dim3-f2-type2", ("certificate", "congruence_constants", "products", 0), 3,
+     "certificate.congruence_constants.products[0]"),
+    ("remark-literal", ("certificate", "left"), _DELETE, "certificate.left"),
+])
+def test_verify_cert_malformed_certificate_is_error(
+        fixture_file, tmp_path, capsys, name, keys, value, where):
+    path = _edited_report(fixture_file, tmp_path, capsys, name, keys, value)
+    assert main(["verify-cert", path]) == 2
+    err = capsys.readouterr().err
+    # ScalarSyntaxError is the SchemaError of a single scalar
+    assert re.match(rf"error\[(Schema|ScalarSyntax)Error\]: {re.escape(where)}: ", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, keys, value", [
+    ("remark-repaired", ("certificate", "alpha"), []),
+    ("remark-repaired", ("certificate", "alpha", 0), ["0"]),
+    ("remark-repaired", ("certificate", "mu"), ["0"]),
+    ("remark-repaired", ("certificate", "change"), [["1"]]),
+    ("dim3-f2-type2", ("certificate", "congruence_constants", "squares"), ["0"]),
+    ("dim3-f2-type2", ("certificate", "congruence_constants", "products"), [["0"]]),
+    ("remark-literal", ("certificate", "right"), ["0"]),
+])
+def test_verify_cert_certificate_of_wrong_size_is_invalid(
+        fixture_file, tmp_path, capsys, name, keys, value):
+    path = _edited_report(fixture_file, tmp_path, capsys, name, keys, value)
+    assert main(["verify-cert", path]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
+def test_verify_cert_honours_budget(tmp_path, capsys):
+    m2 = str(tmp_path / "m2.json")
+    assert main(["make", "matrix", "--field", "F2", "--n", "2", "-o", m2]) == 0
+    assert main(["length", m2, "--json"]) == 0
+    report = tmp_path / "length.json"
+    report.write_text(capsys.readouterr().out)
+    assert main(["verify-cert", str(report)]) == 0
+    capsys.readouterr()
+    # l(M_2(F_2)) is re-derived over the 16 subspaces of F_2^3
+    assert main(["verify-cert", str(report), "--budget", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error[BudgetExceeded]: ")
+    assert main(["verify-cert", str(report), "--budget", "16"]) == 0

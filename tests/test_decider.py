@@ -318,3 +318,25 @@ def test_heredity_on_generated_algebras():
             vectors = [random_vector(F5, 5, rng) for _ in range(2)]
             S, _rows = subalgebra_generated_by(A, vectors)
             assert decide_length_one(S).value is True
+
+
+def test_oracle_budget_counts_each_phase():
+    # F3 dim 4: the sweep checks 13^2 = 169 pairs of projective lines
+    Y = generate_length_one(F3, 4, 0, "special", hide=True)
+    assert oracle_length_one(Y, budget=169).pairs_checked == 169
+    with pytest.raises(BudgetExceeded):
+        oracle_length_one(Y, budget=168)
+    # GF4 dim 6: 341^2 = 116,281 sweep pairs fit the default budget of 10^7,
+    # the 4^12 pairs of the witness re-scan do not
+    GF4 = make_field("GF4")
+    A = generate_length_one(GF4, 6, 0, "type-i")
+    table = [[list(cell) for cell in row] for row in A.table]
+    table[1][2][2] = GF4.add(table[1][2][2], GF4.one)
+    from lenalg import algebra
+    M = algebra(GF4, table, A.one)
+    res = oracle_length_one(M, witness=False)
+    assert res.is_length_one is False
+    assert res.pairs_checked <= 341 ** 2
+    assert decide_length_one(M).value is False
+    with pytest.raises(BudgetExceeded, match="re-scan"):
+        oracle_length_one(M)
