@@ -148,8 +148,7 @@ def change_basis(A, change):
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.
     """
-    if not isinstance(change, BasisChange):
-        change = BasisChange(A.field, change)
+    change = BasisChange.of(A.field, change)
     n = A.dim
     if change.dim != n:
         raise DimensionMismatch("basis change has wrong dimension")

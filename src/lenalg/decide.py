@@ -277,13 +277,13 @@ def square_step(A, basis=None):
 
     Returns the list of (alpha_i, gamma_i) with a_i^2 = alpha_i 1 + gamma_i a_i,
     or a StepFail naming the first failing index; failure proves length > 1.
-    The basis must have the identity as its first row; by default the
-    identity is completed to a basis deterministically.
+    The basis (rows or a BasisChange) must have the identity as its first
+    row; by default the identity is completed to a basis deterministically.
     """
     if basis is None:
         change = complete_to_basis_with_one(A)
     else:
-        change = BasisChange(A.field, basis)
+        change = BasisChange.of(A.field, basis)
     B = change_basis(A, change)
     if B.one != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
@@ -330,10 +330,11 @@ def canonicalize(A, basis, gammas):
 def special_step(A, basis):
     """Check the pairwise law on a canonical basis; witness or StepFail.
 
-    The basis rows must start with the identity and every non-identity row
-    must square into F*1 (i.e. be canonical); a ValueError flags misuse.
+    The basis (rows or a BasisChange) must start with the identity and every
+    non-identity row must square into F*1 (i.e. be canonical); a ValueError
+    flags misuse.
     """
-    change = BasisChange(A.field, basis)
+    change = BasisChange.of(A.field, basis)
     B = change_basis(A, change)
     if B.one != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
@@ -694,15 +695,15 @@ def decide_length_one(A):
         return _report(A, outcome, path + sub_path, flags)
     path.append("char!=2")
     B, ch0 = with_identity_first(A)
-    std = [B.basis_vector(i) for i in range(n)]
+    std = BasisChange.identity(B.field, n)
     squares = square_step(B, std)
     if isinstance(squares, StepFail):
         return _report(A, _map_fail(squares, ch0), path + ["step1:squares-failed"],
                        flags)
     path += ["step1:squares-ok"]
-    shift = canonicalize(B, std, [g for (_, g) in squares])
+    shift = canonicalize(B, std.matrix, [g for (_, g) in squares])
     path += ["step2:canonical-basis"]
-    w = special_step(B, shift.matrix)
+    w = special_step(B, shift)
     if isinstance(w, StepFail):
         if w.detail.get("gloss_divergence"):
             flags.append("gloss-definition-divergence")

@@ -346,13 +346,18 @@ def verify_report_dict(data, budget=None):
     Decision certificates re-verify directly; length certificates re-verify
     by recomputing the reported quantity from the recorded set, and an
     algebra length by an enumeration capped by `budget`.  A report that is
-    not a JSON object with an embedded algebra document, or whose
-    certificate is malformed, raises SchemaError; errors inside the document
-    carry the `algebra.` prefix.
+    not a JSON object with a known `kind`, a boolean `verdict` (decision
+    reports) and an embedded algebra document, or whose certificate is
+    malformed, raises SchemaError; errors inside the document carry the
+    `algebra.` prefix.
     """
     from .length import length_of_algebra, length_of_set
 
     data = _load_object(data, "report")
+    kind = data.get("kind")
+    if kind not in ("length-one-decision", "set-length", "algebra-length"):
+        raise SchemaError("kind", "missing" if "kind" not in data
+                          else f"unknown report kind {kind!r}")
     if not isinstance(data.get("algebra"), dict):
         raise SchemaError("algebra", "report has no embedded algebra document")
     try:
@@ -362,10 +367,11 @@ def verify_report_dict(data, budget=None):
         raise type(exc)(f"algebra{inner}", exc.message) from None
     A = doc.algebra
     field = A.field
-    kind = data.get("kind")
+    verdict = data.get("verdict")
+    if kind == "length-one-decision" and not isinstance(verdict, bool):
+        raise SchemaError("verdict", "must be true or false")
     cert = certificate_from_dict(field, data.get("certificate"))
     if kind == "length-one-decision":
-        verdict = bool(data.get("verdict"))
         if verdict and isinstance(cert, ViolationWitness):
             return False
         if not verdict and not isinstance(cert, ViolationWitness):
@@ -378,12 +384,10 @@ def verify_report_dict(data, budget=None):
             return False
         res = length_of_set(A, cert["vectors"])
         return res.length == data.get("value") and res.generates == cert.get("generates")
-    if kind == "algebra-length":
-        if cert["type"] != "maximizing-set":
-            return False
-        res = length_of_set(A, cert["vectors"])
-        if not res.generates or res.length != data.get("value"):
-            return False
-        full = length_of_algebra(A, budget=budget)
-        return full.length == data.get("value")
-    return False
+    if cert["type"] != "maximizing-set":
+        return False
+    res = length_of_set(A, cert["vectors"])
+    if not res.generates or res.length != data.get("value"):
+        return False
+    full = length_of_algebra(A, budget=budget)
+    return full.length == data.get("value")

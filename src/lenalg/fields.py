@@ -9,6 +9,21 @@ enumeration order used everywhere for witnesses and reports).
 
 A `Field` handle owns the operations; payloads themselves carry no field
 reference.  Mixing payloads from different fields is a caller error.
+
+An extension field computes on logarithms, as word-size finite-field
+kernels do (Dumas, Giorgi & Pernet, FFLAS and FFPACK, ACM TOMS 2008), while
+its payloads stay coefficient tuples.  With g a primitive element and
+m = q - 1 its order, construction builds three tables in O(q) products:
+
+* `_exp[e]` is g^(e mod m) for 0 <= e < 2m, and zero from 2m to 4m;
+* `_log[a]` is the exponent of a, with zero at 2m, past every sum of two
+  real logs, so that `_exp` of a sum involving zero's log is zero;
+* `_zech[d]` is log(1 + g^d) for 0 <= d < m, stored twice so that
+  differences of logs in (-2m, 2m) index it directly.
+
+Then a*b = exp[log a + log b], 1/a = exp[m - log a], -a = exp[log a +
+log(-1)] and a + b = exp[log a + zech[log b - log a]] once neither
+summand is zero.
 """
 
 from __future__ import annotations
@@ -27,7 +42,9 @@ from .errors import (
 )
 
 # Finite fields are capped well above anything the enumeration engines can
-# use; the cap keeps the irreducibility check (trial division) trivially fast.
+# use; the cap keeps the irreducibility check (trial division) fast and the
+# log/Zech tables of an extension field (about 7q entries, built from q
+# products) small.
 MAX_FIELD_ORDER = 4096
 
 # Default moduli (little-endian, monic) for the extensions shipped with the
@@ -344,24 +361,45 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.zero = (0,) * k
         self.one = tuple([1 % p] + [0] * (k - 1))
-        q = p ** k
-        self._mul_table = None
-        self._inv_table = None
-        if q * q <= 65536:
-            elems = list(self.elements())
-            table = {}
-            for a in elems:
-                for b in elems:
-                    table[(a, b)] = self._mul_raw(a, b)
-            self._mul_table = table
-            inv = {}
-            for a in elems:
-                if a != self.zero:
-                    for b in elems:
-                        if table[(a, b)] == self.one:
-                            inv[a] = b
-                            break
-            self._inv_table = inv
+        # Log/Zech tables over a primitive element g; see the module docstring.
+        powers = self._primitive_powers(p ** k)
+        self._unit_order = m = len(powers)   # q - 1, the order of g
+        self._zero_log = zero_log = 2 * m    # past every sum of two real logs
+        self._log = log = {a: e for e, a in enumerate(powers)}
+        log[self.zero] = zero_log
+        self._exp = powers * 2 + [self.zero] * (zero_log + 1)
+        self._zech = [log[((a[0] + 1) % p,) + a[1:]] for a in powers] * 2
+        self._neg_one_log = log[self.from_int(-1)]
+
+    def _primitive_powers(self, q):
+        """[g^0, ..., g^(q-2)] for the first primitive g in payload order.
+
+        g is primitive when g^((q-1)/r) != 1 for every prime r dividing q-1;
+        each test is a square-and-multiply power, so the search costs
+        O(log q) products per candidate and the powers q - 2 more.
+        """
+        p, modulus, one = self.p, self.modulus, self.one
+
+        def times(a, b):
+            return self._pad(_poly_mod(_poly_mul(a, b, p), modulus, p))
+
+        def power(a, e):
+            out = one
+            while e:
+                if e & 1:
+                    out = times(out, a)
+                a = times(a, a)
+                e >>= 1
+            return out
+
+        order = q - 1
+        primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
+        g = next(a for a in self.elements() if a != self.zero
+                 and all(power(a, order // r) != one for r in primes))
+        powers = [one]
+        for _ in range(order - 1):
+            powers.append(times(powers[-1], g))
+        return powers
 
     def characteristic(self):
         return self.p
@@ -373,48 +411,36 @@ class ExtensionField(Field):
         return (tuple(t) for t in itertools.product(range(self.p), repeat=self.k))
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        la, lb = self._log[a], self._log[b]
+        if la == self._zero_log:
+            return b
+        if lb == self._zero_log:
+            return a
+        return self._exp[la + self._zech[lb - la]]
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        la, lb = self._log[a], self._log[b]
+        if lb == self._zero_log:
+            return a
+        lb += self._neg_one_log
+        if la == self._zero_log:
+            return self._exp[lb]
+        return self._exp[la + self._zech[lb - la]]
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self._exp[self._log[a] + self._neg_one_log]
 
     def _pad(self, c):
         return tuple(c) + (0,) * (self.k - len(c))
 
-    def _mul_raw(self, a, b):
-        return self._pad(_poly_mod(_poly_mul(_poly_trim(a), _poly_trim(b), self.p),
-                                   self.modulus, self.p))
-
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[(a, b)]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
-        if a == self.zero:
+        la = self._log[a]
+        if la == self._zero_log:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        # extended Euclid in F_p[x]
-        r0, r1 = self.modulus, _poly_trim(a)
-        s0, s1 = (), (1,)
-        p = self.p
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            qs1 = _poly_mul(q, s1, p)
-            new_s = _poly_trim([(x - y) % p for x, y in
-                                itertools.zip_longest(s0, qs1, fillvalue=0)])
-            s0, s1 = s1, new_s
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], p - 2, p)
-        return self._pad(_poly_mul(s0, (c_inv,), p))
+        return self._exp[self._unit_order - la]
 
     def from_int(self, n):
         return self._pad((n % self.p,))

@@ -214,17 +214,24 @@ class BasisChange:
 
     `to_old` maps coordinates w.r.t. the new basis back to old coordinates;
     `to_new` is the inverse map.  The inverse matrix is computed once and
-    cached.
+    cached; a caller that already holds it passes it as `inverse`, which is
+    trusted, not checked.
     """
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, inverse=None):
         rows = tuple(tuple(r) for r in rows)
-        inv = invert_matrix(field, rows)
-        if inv is None:
-            raise SingularMatrix("basis-change matrix is singular")
+        if inverse is None:
+            inverse = invert_matrix(field, rows)
+            if inverse is None:
+                raise SingularMatrix("basis-change matrix is singular")
         self.field = field
         self.matrix = rows
-        self.inverse = inv
+        self.inverse = inverse
+
+    @staticmethod
+    def of(field, basis):
+        """`basis` itself if it is a BasisChange, else the change to its rows."""
+        return basis if isinstance(basis, BasisChange) else BasisChange(field, basis)
 
     @property
     def dim(self):
@@ -238,11 +245,14 @@ class BasisChange:
 
     def then(self, other):
         """Compose: apply self first, then `other` expressed in self's basis."""
-        return BasisChange(self.field, mat_mul(self.field, other.matrix, self.matrix))
+        field = self.field
+        return BasisChange(field, mat_mul(field, other.matrix, self.matrix),
+                           inverse=mat_mul(field, self.inverse, other.inverse))
 
     @staticmethod
     def identity(field, n):
-        return BasisChange(field, identity_matrix(field, n))
+        m = identity_matrix(field, n)
+        return BasisChange(field, m, inverse=m)
 
 
 def random_invertible(field, n, rng):

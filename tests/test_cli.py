@@ -225,6 +225,21 @@ def test_verify_cert_malformed_certificate_is_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("keys, value, where", [
+    (("kind",), 5, "kind"),
+    (("kind",), _DELETE, "kind"),
+    (("verdict",), "false", "verdict"),
+])
+def test_verify_cert_malformed_report_field_is_error(
+        fixture_file, tmp_path, capsys, keys, value, where):
+    path = _edited_report(fixture_file, tmp_path, capsys, "remark-repaired", keys,
+                          value)
+    assert main(["verify-cert", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[SchemaError]: {where}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name, keys, value", [
     ("remark-repaired", ("certificate", "alpha"), []),
     ("remark-repaired", ("certificate", "alpha", 0), ["0"]),

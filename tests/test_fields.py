@@ -1,5 +1,6 @@
 """Exact field arithmetic: canonical forms, axioms, parsing, moduli."""
 
+import itertools
 import pytest
 from fractions import Fraction
 
@@ -168,3 +169,78 @@ def test_division_by_zero():
         Q.div(Q.one, Q.zero)
     with pytest.raises(ZeroDivisionError):
         F3.inv(0)
+
+
+def _irreducible_moduli(max_order):
+    """(p, k, modulus) for every irreducible monic modulus with p^k <= max_order.
+
+    Degree one keeps only x: every monic x + c gives the same arithmetic on
+    the length-one payloads (c only reduces x, which no payload holds).
+    """
+    out = []
+    for p in range(2, max_order + 1):
+        if not fields._is_prime(p):
+            continue
+        out.append((p, 1, (0, 1)))
+        k = 2
+        while p ** k <= max_order:
+            for tail in itertools.product(range(p), repeat=k):
+                m = tail + (1,)
+                if fields._poly_irreducible(m, p):
+                    out.append((p, k, m))
+            k += 1
+    return out
+
+
+AES_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)   # x^8 + x^4 + x^3 + x + 1
+# x is not primitive modulo these, so the tables cannot assume g = x.
+NON_PRIMITIVE_X = [(2, 8, AES_MODULUS), (2, 4, (1, 1, 1, 1, 1)), (3, 2, (1, 0, 1))]
+REFERENCE_MODULI = _irreducible_moduli(64) + NON_PRIMITIVE_X[:1]
+
+
+def _reference_mul(p, k, modulus, a, b):
+    c = fields._poly_mod(fields._poly_mul(a, b, p), modulus, p)
+    return tuple(c) + (0,) * (k - len(c))
+
+
+@pytest.mark.parametrize("p, k, modulus", NON_PRIMITIVE_X)
+def test_non_primitive_x_moduli_are_covered(p, k, modulus):
+    assert (p, k, modulus) in REFERENCE_MODULI
+    x = (0, 1) + (0,) * (k - 2)
+    power, order = x, 1
+    while power != (1,) + (0,) * (k - 1):
+        power, order = _reference_mul(p, k, modulus, power, x), order + 1
+    assert order < p ** k - 1
+
+
+@pytest.mark.parametrize("p, k, modulus", REFERENCE_MODULI,
+                         ids=lambda v: str(v) if isinstance(v, int)
+                         else "".join(map(str, v)))
+def test_extension_arithmetic_matches_polynomial_reference(p, k, modulus):
+    F = ExtensionField(p, k, modulus)
+    elems = list(F.elements())
+    for a in elems:
+        assert F.neg(a) == tuple((-x) % p for x in a)
+        if a != F.zero:
+            assert F.mul(a, F.inv(a)) == F.one
+        for b in elems:
+            assert F.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+            assert F.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+            assert F.mul(a, b) == _reference_mul(p, k, modulus, a, b)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+def test_extension_construction_takes_linear_products(monkeypatch):
+    calls = [0]
+    poly_mul = fields._poly_mul
+
+    def counted(a, b, p):
+        calls[0] += 1
+        return poly_mul(a, b, p)
+
+    monkeypatch.setattr(fields, "_poly_mul", counted)
+    for p, k, modulus in _irreducible_moduli(256):
+        calls[0] = 0
+        ExtensionField(p, k, modulus)
+        assert calls[0] <= 8 * p ** k, (p, k, modulus, calls[0])

@@ -97,6 +97,18 @@ def test_basis_change_composition_and_inverse():
     assert composed.to_old(w) == P.to_old(R.to_old(w))
 
 
+@pytest.mark.parametrize("name", ["Q", "F5", "GF9"])
+def test_held_inverses_are_exact(name):
+    F = make_field(name)
+    rng = random.Random(11)
+    ident = BasisChange.identity(F, 4)
+    assert ident.inverse == invert_matrix(F, ident.matrix)
+    for _ in range(5):
+        P, R = random_invertible(F, 4, rng), random_invertible(F, 4, rng)
+        composed = P.then(R)
+        assert composed.inverse == invert_matrix(F, composed.matrix)
+
+
 def test_singular_basis_change_rejected():
     with pytest.raises(SingularMatrix):
         BasisChange(Q, (qv(1, 1), qv(2, 2)))
