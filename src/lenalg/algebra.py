@@ -9,6 +9,7 @@ and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch, InvalidIdentity
 from .linalg import BasisChange, identity_matrix, rref, span, unit_vec, vec_mat
@@ -20,7 +21,15 @@ class Algebra:
 
     table[i][j] is the coordinate vector of e_i * e_j; `one` is the
     coordinate vector of the identity.  The identity axiom is checked at
-    construction on all basis vectors, which suffices by bilinearity.
+    construction on all basis vectors, which suffices by bilinearity: one*e_j
+    is sum_i one_i table[i][j], a combination of column j of the table, and
+    e_j*one one of row j, so the check builds no product kernel.
+
+    `mul` runs the field's integer product (`Field.bilinear`), built on the
+    first product and kept with the instance.  It packs F_p outputs into
+    digits of bit_length(n^2 (p-1)^3) bits and GF(p^k) ones into digits of
+    bit_length(n^2 k (p-1)^2) bits, and reduces F_p coordinates mod p on
+    entry, so an unreduced or negative int multiplies as its residue.
     """
 
     field: object
@@ -35,9 +44,12 @@ class Algebra:
             raise DimensionMismatch("structure-constant table is not n x n x n")
         if len(self.one) != n:
             raise DimensionMismatch("identity vector has wrong length")
+        field, one, table = self.field, self.one, self.table
         for j in range(n):
-            ej = unit_vec(self.field, n, j)
-            if self.mul(self.one, ej) != ej or self.mul(ej, self.one) != ej:
+            ej = unit_vec(field, n, j)
+            column = [row[j] for row in table]
+            if (vec_mat(field, one, column) != ej
+                    or vec_mat(field, one, table[j]) != ej):
                 raise InvalidIdentity(
                     f"claimed identity fails on basis vector {j}")
 
@@ -48,26 +60,16 @@ class Algebra:
     def basis_vector(self, i):
         return unit_vec(self.field, self.dim, i)
 
+    @cached_property
+    def _product(self):
+        return self.field.bilinear(self.table)
+
     def mul(self, u, v):
         """Bilinear extension of the table to arbitrary coordinate vectors."""
         n = self.dim
         if len(u) != n or len(v) != n:
             raise DimensionMismatch("vector length does not match algebra dim")
-        field = self.field
-        zero = field.zero
-        out = [zero] * n
-        table = self.table
-        for i, ui in enumerate(u):
-            if ui == zero:
-                continue
-            row = table[i]
-            for j, vj in enumerate(v):
-                if vj == zero:
-                    continue
-                c = field.mul(ui, vj)
-                cell = row[j]
-                out = [field.add(x, field.mul(c, y)) for x, y in zip(out, cell)]
-        return tuple(out)
+        return self._product(u, v)
 
 
 def algebra(field, table, one):

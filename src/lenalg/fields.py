@@ -13,7 +13,7 @@ reference.  Mixing payloads from different fields is a caller error.
 An extension field computes on logarithms, as word-size finite-field
 kernels do (Dumas, Giorgi & Pernet, FFLAS and FFPACK, ACM TOMS 2008), while
 its payloads stay coefficient tuples.  With g a primitive element and
-m = q - 1 its order, construction builds three tables in O(q) products:
+m = q - 1 its order, construction builds three tables in O(q) steps:
 
 * `_exp[e]` is g^(e mod m) for 0 <= e < 2m, and zero from 2m to 4m;
 * `_log[a]` is the exponent of a, with zero at 2m, past every sum of two
@@ -24,14 +24,32 @@ m = q - 1 its order, construction builds three tables in O(q) products:
 Then a*b = exp[log a + log b], 1/a = exp[m - log a], -a = exp[log a +
 log(-1)] and a + b = exp[log a + zech[log b - log a]] once neither
 summand is zero.
+
+Every field also compiles a structure-constant table into a product,
+`bilinear(table) -> product(u, v)`, that sums over integers and reduces
+once per output coordinate (the delayed reduction of the same paper).  The
+finite fields pack each output vector into one int of b-bit digits, with b
+the bit length of the largest sum a digit can reach, so no digit carries:
+
+* F_p: one packed int per cell e_i e_j, and u_i v_j times it added per
+  pair: a digit is at most n^2 (p-1)^3.  That needs coordinates in
+  [0, p), so every coordinate is reduced mod p on entry; an unreduced or
+  negative int would overflow into or borrow from the next digit;
+* GF(p^k): per cell, k packed ints holding the F_p coordinates of
+  x^s * (e_i e_j), s < k; per pair the log tables give c = u_i v_j and
+  sum_s c_s * P^s adds c * (e_i e_j): a digit is at most n^2 k (p-1)^2;
+* Q: the table, u and v are scaled by the lcm of their own denominators
+  (D, du, dv), and each coordinate is one Fraction(s, du dv D).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     CharacteristicTwo,
@@ -43,8 +61,8 @@ from .errors import (
 
 # Finite fields are capped well above anything the enumeration engines can
 # use; the cap keeps the irreducibility check (trial division) fast and the
-# log/Zech tables of an extension field (about 7q entries, built from q
-# products) small.
+# log/Zech tables of an extension field (about 7q entries, built in O(q)
+# steps) small.
 MAX_FIELD_ORDER = 4096
 
 # Default moduli (little-endian, monic) for the extensions shipped with the
@@ -57,6 +75,29 @@ DEFAULT_MODULI = {
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _digit_width(bound):
+    """Bits per packed digit that hold every integer in [0, bound] exactly."""
+    return bound.bit_length()
+
+
+def _pack(digits, width):
+    """The int whose base-2^width digits, least significant first, are `digits`."""
+    out = 0
+    for d in reversed(digits):
+        out = out << width | d
+    return out
+
+
+def _unpacker(count, width, p):
+    """The function that splits a packed sum into its `count` digits mod p."""
+    mask = (1 << width) - 1
+    shifts = range(0, count * width, width)
+
+    def unpack(acc):
+        return [(acc >> s & mask) % p for s in shifts]
+    return unpack
 
 
 def _is_prime(n):
@@ -126,6 +167,12 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def bilinear(self, table):
+        """The product (u, v) -> sum_ij u_i v_j table[i][j] of an n x n x n
+        table, as a function of two length-n coordinate vectors (lengths
+        are the caller's to check)."""
+        raise NotImplementedError
+
     def halve(self, a):
         """a/2, refusing characteristic 2 where 2 is not invertible."""
         if self.characteristic() == 2:
@@ -182,6 +229,31 @@ class Rationals(Field):
         if b == 0:
             raise ZeroDivisionError("division by zero")
         return a / b
+
+    def bilinear(self, table):
+        n = len(table)
+        scale = math.lcm(*[y.denominator for row in table for cell in row
+                           for y in cell])
+        cells = [[[y.numerator * (scale // y.denominator) for y in cell]
+                  for cell in row] for row in table]
+
+        def integers(w):
+            d = math.lcm(*[a.denominator for a in w])
+            return d, [a.numerator * (d // a.denominator) for a in w]
+
+        def product(u, v):
+            du, u = integers(u)
+            dv, v = integers(v)
+            acc = [0] * n
+            for x, row in zip(u, cells):
+                if x:
+                    for y, cell in zip(v, row):
+                        if y:
+                            c = x * y
+                            acc = [a + c * t for a, t in zip(acc, cell)]
+            den = du * dv * scale
+            return tuple([Fraction(a, den) for a in acc])
+        return product
 
     def from_int(self, n):
         return Fraction(n)
@@ -243,6 +315,24 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def bilinear(self, table):
+        p = self.p
+        n = len(table)
+        width = _digit_width(n * n * (p - 1) ** 3)
+        cells = [[_pack([y % p for y in cell], width) for cell in row]
+                 for row in table]
+        unpack = _unpacker(n, width, p)
+
+        def product(u, v):
+            v = [y % p for y in v]
+            acc = 0
+            for x, row in zip(u, cells):
+                x %= p
+                if x:
+                    acc += x * sum(map(mul, v, row))
+            return tuple(unpack(acc))
+        return product
 
     def from_int(self, n):
         return n % self.p
@@ -376,9 +466,11 @@ class ExtensionField(Field):
 
         g is primitive when g^((q-1)/r) != 1 for every prime r dividing q-1;
         each test is a square-and-multiply power, so the search costs
-        O(log q) products per candidate and the powers q - 2 more.
+        O(log q) products per candidate.  The walk then applies the k x k
+        F_p matrix of multiplication by g, built once from the k products
+        g * x^t and held as packed columns, to each power in turn.
         """
-        p, modulus, one = self.p, self.modulus, self.one
+        p, k, modulus, one = self.p, self.k, self.modulus, self.one
 
         def times(a, b):
             return self._pad(_poly_mod(_poly_mul(a, b, p), modulus, p))
@@ -396,9 +488,13 @@ class ExtensionField(Field):
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
         g = next(a for a in self.elements() if a != self.zero
                  and all(power(a, order // r) != one for r in primes))
+        width = _digit_width(k * (p - 1) ** 2)
+        columns = [_pack(times(g, self._pad((0,) * t + (1,))), width)
+                   for t in range(k)]
+        unpack = _unpacker(k, width, p)
         powers = [one]
         for _ in range(order - 1):
-            powers.append(times(powers[-1], g))
+            powers.append(tuple(unpack(sum(map(mul, powers[-1], columns)))))
         return powers
 
     def characteristic(self):
@@ -441,6 +537,31 @@ class ExtensionField(Field):
         if la == self._zero_log:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._unit_order - la]
+
+    def bilinear(self, table):
+        p, k = self.p, self.k
+        n = len(table)
+        zero, log, exp = self.zero, self._log, self._exp
+        width = _digit_width(n * n * k * (p - 1) ** 2)
+        x_logs = [log[self._pad((0,) * s + (1,))] for s in range(k)]
+        cells = [[[_pack([c for y in cell for c in exp[log[y] + ls]], width)
+                   for ls in x_logs]
+                  for cell in row] for row in table]
+        unpack = _unpacker(n * k, width, p)
+        starts = range(0, n * k, k)
+
+        def product(u, v):
+            v = [(log[y], j) for j, y in enumerate(v) if y != zero]
+            coeffs, packed = [], []
+            for a, row in zip(u, cells):
+                if a != zero:
+                    la = log[a]
+                    for lb, j in v:
+                        coeffs += exp[la + lb]
+                        packed += row[j]
+            digits = unpack(sum(map(mul, coeffs, packed)))
+            return tuple([tuple(digits[i:i + k]) for i in starts])
+        return product
 
     def from_int(self, n):
         return self._pad((n % self.p,))

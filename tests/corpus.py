@@ -61,6 +61,22 @@ def random_two_dim_unital(field, seed):
     return change_basis(A, random_invertible(field, 2, rng))
 
 
+def reference_mul(field, table, u, v):
+    """The product of a structure-constant table by field operations alone:
+    its bilinear extension, one field multiplication and addition per term."""
+    zero = field.zero
+    out = [zero] * len(table)
+    for ui, row in zip(u, table):
+        if ui == zero:
+            continue
+        for vj, cell in zip(v, row):
+            if vj == zero:
+                continue
+            c = field.mul(ui, vj)
+            out = [field.add(x, field.mul(c, y)) for x, y in zip(out, cell)]
+    return tuple(out)
+
+
 FIELD_NAMES_SMALL = ("F2", "F3", "F5", "GF4")
 
 

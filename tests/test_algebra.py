@@ -29,7 +29,7 @@ from lenalg.linalg import (
     vec_scale,
 )
 
-from tests.corpus import random_unital_algebra, random_vector
+from tests.corpus import random_unital_algebra, random_vector, reference_mul
 
 Q = make_field("Q")
 
@@ -156,11 +156,13 @@ def test_with_identity_first():
 
 
 def _reference_change_basis(A, change):
-    """The definition of a basis change: n^2 full products, then the inverse."""
-    rows = change.matrix
+    """The definition of a basis change: n^2 full products by field
+    operations, then the inverse."""
+    field, rows = A.field, change.matrix
     n = A.dim
     return tuple(
-        tuple(vec_mat(A.field, A.mul(rows[i], rows[j]), change.inverse)
+        tuple(vec_mat(field, reference_mul(field, A.table, rows[i], rows[j]),
+                      change.inverse)
               for j in range(n))
         for i in range(n))
 

@@ -1,0 +1,181 @@
+"""The compiled product behind Algebra.mul against field operations alone.
+
+`Field.bilinear` sums over integers and reduces once per coordinate (packed
+b-bit digits over F_p and GF(p^k), common denominators over Q).  Every test
+here compares it with `reference_mul`, the bilinear extension of the table
+by one field multiplication and addition per term.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lenalg import (
+    ExtensionField,
+    PrimeField,
+    algebra,
+    fields,
+    make_field,
+    unital_hull,
+)
+from lenalg.errors import InvalidIdentity
+from lenalg.linalg import unit_vec
+
+from tests.corpus import random_unital_algebra, random_vector, reference_mul
+
+AES_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)              # x^8 + x^4 + x^3 + x + 1
+GF16_MODULUS = (1, 1, 1, 1, 1)                          # x^4 + x^3 + x^2 + x + 1
+GF4096_MODULUS = (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1)  # x^12 + x^6 + x^4 + x + 1
+GF2187_MODULUS = (1, 0, 2, 0, 0, 0, 0, 1)               # x^7 + 2x^2 + 1
+
+FIELDS = {name: make_field(name)
+          for name in ("Q", "F2", "F3", "F5", "F7", "GF4", "GF8", "GF9")}
+FIELDS["GF16"] = ExtensionField(2, 4, GF16_MODULUS)
+FIELDS["GF256"] = ExtensionField(2, 8, AES_MODULUS)
+
+
+def _vectors(F, n, rng):
+    """Dense, sparse, zero and every basis vector of F^n."""
+    dense = [random_vector(F, n, rng) for _ in range(4)]
+    sparse = []
+    for _ in range(3):
+        v = [F.zero] * n
+        v[rng.randrange(n)] = random_vector(F, 1, rng)[0]
+        sparse.append(tuple(v))
+    basis = [unit_vec(F, n, i) for i in range(n)]
+    return dense + sparse + [(F.zero,) * n] + basis
+
+
+def _assert_matches_reference(A, vectors):
+    for u in vectors:
+        for v in vectors:
+            assert A.mul(u, v) == reference_mul(A.field, A.table, u, v), (u, v)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_kernel_matches_reference(name):
+    F = FIELDS[name]
+    for n in range(1, 8):
+        rng = random.Random(f"kernel|{name}|{n}")
+        vectors = _vectors(F, n, rng)
+        # a dense conjugated table, and the sparse hull of a random one
+        _assert_matches_reference(random_unital_algebra(F, n, seed=n), vectors)
+        if n >= 2:
+            table = [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
+                     for _ in range(n - 1)]
+            _assert_matches_reference(unital_hull(F, table), vectors)
+
+
+def _worst_case_prime(p, n):
+    """Every table entry and coordinate p - 1: each digit sums to exactly
+    n^2 (p-1)^3, the bound its width is chosen for."""
+    F = PrimeField(p)
+    table = [[(p - 1,) * n] * n] * n
+    return F, table, (p - 1,) * n, (p - 1,) * n
+
+
+def _worst_case_extension(p, k, modulus, n):
+    """A table whose digits t = 0 sum to exactly n^2 k (p-1)^2.
+
+    Every cell is (b, ..., b) with coefficient 0 of x^s * b equal to p - 1
+    for every s < k, u is all ones and v all (p-1, ..., p-1), so each pair
+    adds (p-1) * (p-1) for each s to that digit of every coordinate.
+    """
+    F = ExtensionField(p, k, modulus)
+    powers = [F._pad((0,) * s + (1,)) for s in range(k)]
+    b = next(b for b in F.elements()
+             if all(F.mul(x, b)[0] == p - 1 for x in powers))
+    top = (p - 1,) * k
+    return F, [[(b,) * n] * n] * n, (F.one,) * n, (top,) * n
+
+
+WORST_CASES = {
+    "F4093": lambda: _worst_case_prime(4093, 8),
+    "GF4096": lambda: _worst_case_extension(2, 12, GF4096_MODULUS, 8),
+    "GF2187": lambda: _worst_case_extension(3, 7, GF2187_MODULUS, 8),
+}
+
+
+@pytest.mark.parametrize("name", list(WORST_CASES))
+def test_worst_case_digit_width(name):
+    F, table, u, v = WORST_CASES[name]()
+    product = F.bilinear(table)
+    assert product(u, v) == reference_mul(F, table, u, v)
+    # every entry and every coefficient of every coordinate p - 1
+    top = (F.p - 1,) * F.k if isinstance(F, ExtensionField) else F.p - 1
+    full, w = [[(top,) * 8] * 8] * 8, (top,) * 8
+    assert F.bilinear(full)(w, w) == reference_mul(F, full, w, w)
+
+
+@pytest.mark.parametrize("name", list(WORST_CASES))
+def test_digit_one_bit_narrower_overflows(name, monkeypatch):
+    # The worst cases reach the digit bound, so they pin the width: with one
+    # bit less a digit carries into its neighbour and the product is wrong.
+    F, table, u, v = WORST_CASES[name]()
+    monkeypatch.setattr(fields, "_digit_width",
+                        lambda bound: bound.bit_length() - 1)
+    assert F.bilinear(table)(u, v) != reference_mul(F, table, u, v)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_unreduced_and_negative_int_payloads(p):
+    F = PrimeField(p)
+    A = algebra(F, [[(1, 0), (0, 1)], [(0, 1), (2, 3)]], (1, 0))
+    assert A.mul((-1, 0), (1, 0)) == (p - 1, 0)
+    rng = random.Random(p)
+    for n in range(1, 8):
+        B = random_unital_algebra(F, n, seed=n)
+        # the same table with entries shifted by multiples of p
+        shifted = algebra(F, [[tuple(y + p * rng.randint(-3, 3) for y in cell)
+                               for cell in row] for row in B.table], B.one)
+        for _ in range(30):
+            u = tuple(rng.randint(-3 * p, 3 * p) for _ in range(n))
+            v = tuple(rng.randint(-3 * p, 3 * p) for _ in range(n))
+            expected = reference_mul(F, B.table, u, v)
+            assert B.mul(u, v) == expected
+            assert shifted.mul(u, v) == expected
+            assert B.mul(u, v) == B.mul(tuple(x % p for x in u),
+                                        tuple(y % p for y in v))
+
+
+def test_rationals_large_mixed_denominators():
+    Q = make_field("Q")
+    rng = random.Random(0)
+    dens = [1, 2, 3, 7, 10 ** 9 + 7, 2 ** 61 - 1, 12, 2 ** 40]
+
+    def scalar():
+        return Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.choice(dens))
+
+    for n in range(1, 6):
+        table = [[tuple(scalar() for _ in range(n)) for _ in range(n)]
+                 for _ in range(n)]
+        A = unital_hull(Q, table)
+        vectors = [tuple(scalar() for _ in range(n + 1)) for _ in range(6)]
+        vectors += [unit_vec(Q, n + 1, i) for i in range(n + 1)]
+        vectors.append((Q.zero,) * (n + 1))
+        for u in vectors:
+            for v in vectors:
+                got = A.mul(u, v)
+                assert got == reference_mul(Q, A.table, u, v)
+                assert all(type(c) is Fraction for c in got)
+
+
+def test_kernel_is_built_on_first_product_only():
+    A = random_unital_algebra(make_field("F5"), 4, seed=1)
+    assert "_product" not in vars(A)
+    A.mul(A.one, A.one)
+    product = vars(A)["_product"]
+    A.mul(A.one, A.one)
+    assert vars(A)["_product"] is product
+
+
+def test_one_sided_identity_rejected():
+    # e_0 is a left identity (row 0 is the basis) but e_1 e_0 = 0
+    Q = make_field("Q")
+    z, o = Fraction(0), Fraction(1)
+    table = [[(o, z), (z, o)], [(z, z), (z, z)]]
+    with pytest.raises(InvalidIdentity):
+        algebra(Q, table, (o, z))
+    with pytest.raises(InvalidIdentity):
+        algebra(Q, [[table[j][i] for j in range(2)] for i in range(2)], (o, z))
