@@ -90,11 +90,4 @@ from .length import (
     subalgebra_generated_by,
     word_spans,
 )
-from .linalg import (
-    BasisChange,
-    Subspace,
-    coords_in_span,
-    member,
-    span,
-    subspace_sum,
-)
+from .linalg import BasisChange, Subspace, span

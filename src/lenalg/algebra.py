@@ -132,20 +132,14 @@ def unital_hull(field, table):
 def change_basis(A, change):
     """Rewrite A in the basis given by the rows of `change`.
 
-    The new table is the structure tensor of A with its three indices
-    transformed one at a time, as n-mode products (Kolda & Bader, Tensor
-    Decompositions and Applications, SIAM Review 2009).  With R the rows of
-    `change` and R^-1 its inverse:
-
-    1. left index:   L[a][j] = sum_i R[a][i] * table[i][j];
-    2. right index:  M[a][b] = sum_j R[b][j] * L[a][j];
-    3. output index: new[a][b] = sum_k M[a][b][k] * R^-1[k].
-
-    Every sum skips zero coefficients, and step 3 touches only the nonzero
-    entries of each row of R^-1.  A dense change costs O(n^4) field
-    operations; a sparse one costs O(n^2 * nnz), where nnz counts the
-    nonzero entries of R and R^-1, so the identity-first, shift, rescale and
-    homogenize changes of the decider cost about O(n^3).
+    By definition, with R the rows of `change` and R^-1 its inverse, the new
+    table is new[a][b] = A.mul(R[a], R[b]) @ R^-1: n^2 products on A's
+    integer kernel (`Field.bilinear`), each mapped to new coordinates
+    through only the nonzero entries of each row of R^-1, as is the image
+    of the identity.  The map costs at most n field multiplications per
+    nonzero coordinate: n^4 + n^2 for a dense change, about n^2 * nnz(R^-1)
+    for the sparse identity-first, shift, rescale and homogenize changes of
+    the decider.
 
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.
@@ -158,37 +152,20 @@ def change_basis(A, change):
     if change.matrix == identity_matrix(field, n):
         return A  # Algebra is immutable, so the same table can be shared
     zero, add, mul = field.zero, field.add, field.mul
+    inv = [[(m, d) for m, d in enumerate(row) if d != zero]
+           for row in change.inverse]
 
-    def nonzero(v):
-        return [(k, c) for k, c in enumerate(v) if c != zero]
-
-    rows = [nonzero(r) for r in change.matrix]
-    inv = [nonzero(r) for r in change.inverse]
-    cells = [[nonzero(cell) for cell in row] for row in A.table]
-    left = []
-    for row in rows:
-        acc = [[zero] * n for _ in range(n)]
-        for i, c in row:
-            for acc_j, cell in zip(acc, cells[i]):
-                for k, y in cell:
-                    acc_j[k] = add(acc_j[k], mul(c, y))
-        left.append([nonzero(v) for v in acc])
-    new_table = []
-    for left_a in left:
-        new_row = []
-        for row in rows:
-            prod = [zero] * n
-            for j, c in row:
-                for k, y in left_a[j]:
-                    prod[k] = add(prod[k], mul(c, y))
-            out = [zero] * n
-            for k, y in nonzero(prod):
-                for m, d in inv[k]:
+    def to_new(v):
+        out = [zero] * n
+        for y, row in zip(v, inv):
+            if y != zero:
+                for m, d in row:
                     out[m] = add(out[m], mul(y, d))
-            new_row.append(tuple(out))
-        new_table.append(tuple(new_row))
-    new_one = vec_mat(field, A.one, change.inverse)
-    return Algebra(field=field, table=tuple(new_table), one=new_one)
+        return tuple(out)
+
+    rows = change.matrix
+    table = tuple(tuple(to_new(A.mul(a, b)) for b in rows) for a in rows)
+    return Algebra(field=field, table=table, one=to_new(A.one))
 
 
 def complete_to_basis_with_one(A):

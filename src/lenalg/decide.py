@@ -1,11 +1,12 @@
 """Decide whether a unital algebra has length one, with checkable certificates.
 
 The decision procedure never trusts itself: every "yes" carries a basis
-witness whose transformed multiplication table is re-multiplied and compared
-literally against the claimed law, and every "no" carries a concrete pair
-(a, b) with a*b outside span{1, a, b}, re-checked by one membership test
-before the verdict is returned.  An exhaustive pair oracle (finite fields)
-provides a fully independent second route used by the test suite.
+witness, checked by rebuilding the table its parameters claim and comparing
+it literally with A's table in the witness basis, and every "no" carries a
+concrete pair (a, b) with a*b outside span{1, a, b}, re-checked by one
+membership test before the verdict is returned.  An exhaustive pair oracle
+(finite fields) provides a fully independent second route used by the test
+suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
 conjugated so that its identity is the first basis vector:
@@ -37,7 +38,7 @@ conjugated so that its identity is the first basis vector:
 A step that fails returns a StepFail whose pair is mapped back to A's
 coordinates and becomes the "no" certificate; `_char2_pattern` alone knows
 the char-2 normal forms, and each witness is read off the final table and
-checked against them before it is returned.
+checked, by rebuilding the table it claims, before it is returned.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .algebra import change_basis, complete_to_basis_with_one, with_identity_first
+from .algebra import (
+    algebra,
+    change_basis,
+    complete_to_basis_with_one,
+    with_identity_first,
+)
 from .errors import (
     AssemblyError,
     BudgetExceeded,
@@ -146,33 +152,43 @@ def verify_violation(A, w):
 
 
 def verify_special_witness(A, w):
-    """Re-multiply the transformed table and compare with the claimed law."""
-    field = A.field
+    """Rebuild the table the witness claims and compare it with A's, conjugated."""
     n = A.dim
     if w.change.dim != n or not _sized(n - 1, w.alpha, w.mu, w.beta, *w.alpha):
         return False
-    B = change_basis(A, w.change)
-    e0 = unit_vec(field, n, 0)
-    if B.one != e0:
+    claimed = special_table_from_params(A.field, w.mu, w.beta, w.alpha)
+    return change_basis(A, w.change).table == claimed.table
+
+
+def verify_char2_witness(A, w):
+    """Rebuild the normal-form table the witness claims and compare it with A's,
+    conjugated."""
+    field = A.field
+    n = A.dim
+    if field.characteristic() != 2 or w.change.dim != n or not _sized(
+            n - 1, w.square_constants, w.product_constants, *w.product_constants):
         return False
-    for i in range(1, n):
-        sq = B.table[i][i]
-        if sq != vec_scale(field, w.mu[i - 1], e0):
-            return False
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                continue
-            p = B.table[i][j]
-            expected = vec_scale(field, w.alpha[i - 1][j - 1], e0)
-            expected = vec_add(field, expected,
-                               vec_scale(field, w.beta[j - 1], B.basis_vector(i)))
-            expected = vec_add(field, expected,
-                               vec_scale(field, field.neg(w.beta[i - 1]),
-                                         B.basis_vector(j)))
-            if p != expected:
-                return False
-    return True
+    if w.form.startswith("dim3") and n != 3:
+        return False
+    if w.form in ("type-i", "type-ii") and len(w.beta) != n - 1:
+        return False
+    claimed = char2_table_from_params(field, w.form, w.beta, w.square_constants,
+                                      w.product_constants)
+    return change_basis(A, w.change).table == claimed.table
+
+
+# Dimension-3 normal forms: (delta_2, delta_3), then (s, t) for a_2 a_3 and
+# for a_3 a_2, with 1 standing for the field's one.
+_DIM3_FORMS = {
+    "dim3-f2-type1": ((0, 0), (0, 0), (0, 0)),
+    "dim3-f2-type2": ((1, 1), (0, 0), (0, 0)),
+    "dim3-f2-type3": ((0, 1), (0, 0), (1, 0)),
+    "dim3-f2-type4": ((0, 1), (0, 0), (0, 1)),
+    "dim3-ext-type1": ((0, 0), (0, 0), (0, 0)),
+    "dim3-ext-type2": ((1, 1), (0, 1), (0, 1)),
+    "dim3-ext-type3": ((0, 1), (0, 0), (0, 1)),
+}
+CHAR2_FORMS = ("type-i", "type-ii", *_DIM3_FORMS)
 
 
 def _char2_pattern(form, field, beta, n):
@@ -192,62 +208,61 @@ def _char2_pattern(form, field, beta, n):
         def pat(i, j):
             return beta[j - 1], field.add(one, beta[i - 1])
         return deltas, pat
-    fixed = {
-        "dim3-f2-type1": ((zero, zero), (zero, zero), (zero, zero)),
-        "dim3-f2-type2": ((one, one), (zero, zero), (zero, zero)),
-        "dim3-f2-type3": ((zero, one), (zero, zero), (one, zero)),
-        "dim3-f2-type4": ((zero, one), (zero, zero), (zero, one)),
-        "dim3-ext-type1": ((zero, zero), (zero, zero), (zero, zero)),
-        "dim3-ext-type2": ((one, one), (zero, one), (zero, one)),
-        "dim3-ext-type3": ((zero, one), (zero, zero), (zero, one)),
-    }
-    if form not in fixed:
+    if form not in _DIM3_FORMS:
         raise ValueError(f"unknown char-2 form {form!r}")
-    deltas_pair, p12, p21 = fixed[form]
-    deltas = list(deltas_pair)
+    deltas, p12, p21 = (tuple(one if c else zero for c in pair)
+                        for pair in _DIM3_FORMS[form])
     def pat(i, j):
         return p12 if (i, j) == (1, 2) else p21
     return deltas, pat
 
 
-def verify_char2_witness(A, w):
-    """Check the transformed table matches the named form modulo F*1 exactly."""
-    field = A.field
-    n = A.dim
-    if field.characteristic() != 2 or w.change.dim != n or not _sized(
-            n - 1, w.square_constants, w.product_constants, *w.product_constants):
-        return False
-    B = change_basis(A, w.change)
-    e0 = unit_vec(field, n, 0)
-    if B.one != e0:
-        return False
-    if w.form.startswith("dim3") and n != 3:
-        return False
-    if w.form in ("type-i", "type-ii") and len(w.beta) != n - 1:
-        return False
-    deltas, pat = _char2_pattern(w.form, field, w.beta, n)
+def special_table_from_params(field, mu, beta, alpha):
+    """Algebra on basis {1, a_2..a_n} with a_i^2 = mu_i 1 and
+    a_i a_j = alpha_ij 1 + beta_j a_i - beta_i a_j."""
+    m = len(mu)
+    n = m + 1
     zero = field.zero
-    for i in range(1, n):
-        sq = B.table[i][i]
-        if any(sq[k] != zero for k in range(1, n) if k != i):
-            return False
-        if sq[i] != deltas[i - 1]:
-            return False
-        if sq[0] != w.square_constants[i - 1]:
-            return False
+    table = [[None] * n for _ in range(n)]
+    for j in range(n):
+        table[0][j] = unit_vec(field, n, j)
+        table[j][0] = unit_vec(field, n, j)
     for i in range(1, n):
         for j in range(1, n):
             if i == j:
-                continue
-            p = B.table[i][j]
-            if any(p[k] != zero for k in range(1, n) if k not in (i, j)):
-                return False
-            s_exp, t_exp = pat(i, j)
-            if p[i] != s_exp or p[j] != t_exp:
-                return False
-            if p[0] != w.product_constants[i - 1][j - 1]:
-                return False
-    return True
+                row = [zero] * n
+                row[0] = mu[i - 1]
+                table[i][j] = tuple(row)
+            else:
+                row = [zero] * n
+                row[0] = alpha[i - 1][j - 1]
+                row[i] = beta[j - 1]
+                row[j] = field.neg(beta[i - 1])
+                table[i][j] = tuple(row)
+    return algebra(field, table, unit_vec(field, n, 0))
+
+
+def char2_table_from_params(field, form, beta, square_constants, product_constants):
+    """Algebra realizing a characteristic-2 normal form with given F*1 parts."""
+    m = len(square_constants)
+    n = m + 1
+    deltas, pat = _char2_pattern(form, field, beta, n)
+    zero = field.zero
+    table = [[None] * n for _ in range(n)]
+    for j in range(n):
+        table[0][j] = unit_vec(field, n, j)
+        table[j][0] = unit_vec(field, n, j)
+    for i in range(1, n):
+        for j in range(1, n):
+            row = [zero] * n
+            if i == j:
+                row[0] = square_constants[i - 1]
+                row[i] = deltas[i - 1]
+            else:
+                row[0] = product_constants[i - 1][j - 1]
+                row[i], row[j] = pat(i, j)
+            table[i][j] = tuple(row)
+    return algebra(field, table, unit_vec(field, n, 0))
 
 
 def _sized(m, *vectors):

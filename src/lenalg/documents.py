@@ -25,10 +25,10 @@ import json
 
 from .algebra import algebra, find_identity, unital_hull
 from .decide import (
+    CHAR2_FORMS,
     CharTwoWitness,
     SpecialBasisWitness,
     ViolationWitness,
-    _char2_pattern,
     verify_certificate,
 )
 from .errors import (
@@ -253,7 +253,8 @@ def _entry(obj, key, path, kind=list):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing")
     if not isinstance(obj[key], kind):
-        names = {list: "an array", dict: "an object", str: "a string"}
+        names = {list: "an array", dict: "an object", str: "a string",
+                 bool: "true or false"}
         raise SchemaError(f"{path}.{key}", f"must be {names[kind]}")
     return obj[key]
 
@@ -298,10 +299,8 @@ def certificate_from_dict(field, obj):
             alpha=_parse_rows(field, obj, "alpha", path))
     if kind == "char2-form":
         form = _entry(obj, "form", path, str)
-        try:
-            _char2_pattern(form, field, (), 3)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.form", str(exc))
+        if form not in CHAR2_FORMS:
+            raise SchemaError(f"{path}.form", f"unknown char-2 form {form!r}")
         cc = _entry(obj, "congruence_constants", path, dict)
         cc_path = f"{path}.congruence_constants"
         return CharTwoWitness(
@@ -314,6 +313,8 @@ def certificate_from_dict(field, obj):
             condition=obj.get("condition", "oracle-pair"),
             detail=obj.get("detail", {}),
         )
+    if kind == "generating-set":
+        _entry(obj, "generates", path, bool)
     if kind in ("generating-set", "maximizing-set"):
         return dict(obj, vectors=_parse_rows(field, obj, "vectors", path))
     raise SchemaError(f"{path}.type", f"unknown certificate type {kind!r}")
@@ -347,9 +348,9 @@ def verify_report_dict(data, budget=None):
     by recomputing the reported quantity from the recorded set, and an
     algebra length by an enumeration capped by `budget`.  A report that is
     not a JSON object with a known `kind`, a boolean `verdict` (decision
-    reports) and an embedded algebra document, or whose certificate is
-    malformed, raises SchemaError; errors inside the document carry the
-    `algebra.` prefix.
+    reports) or a non-negative integer `value` (length reports) and an
+    embedded algebra document, or whose certificate is malformed, raises
+    SchemaError; errors inside the document carry the `algebra.` prefix.
     """
     from .length import length_of_algebra, length_of_set
 
@@ -370,6 +371,9 @@ def verify_report_dict(data, budget=None):
     verdict = data.get("verdict")
     if kind == "length-one-decision" and not isinstance(verdict, bool):
         raise SchemaError("verdict", "must be true or false")
+    value = data.get("value")
+    if kind != "length-one-decision" and (type(value) is not int or value < 0):
+        raise SchemaError("value", "must be a non-negative integer")
     cert = certificate_from_dict(field, data.get("certificate"))
     if kind == "length-one-decision":
         if verdict and isinstance(cert, ViolationWitness):
@@ -383,11 +387,11 @@ def verify_report_dict(data, budget=None):
         if cert["type"] != "generating-set":
             return False
         res = length_of_set(A, cert["vectors"])
-        return res.length == data.get("value") and res.generates == cert.get("generates")
+        return res.length == value and res.generates == cert["generates"]
     if cert["type"] != "maximizing-set":
         return False
     res = length_of_set(A, cert["vectors"])
-    if not res.generates or res.length != data.get("value"):
+    if not res.generates or res.length != value:
         return False
     full = length_of_algebra(A, budget=budget)
-    return full.length == data.get("value")
+    return full.length == value

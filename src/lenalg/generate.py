@@ -1,9 +1,11 @@
-"""Seeded generators for length-one algebras (and their parameter builders).
+"""Seeded generators for length-one algebras.
 
 Tables built here satisfy the length-one laws by construction for every
 parameter draw, which makes them round-trip fixtures for the decider: any
 output must come back with verdict yes and a certificate of the same shape.
-An optional random basis change hides the witness basis.
+An optional random basis change hides the witness basis.  The parameter
+builders `special_table_from_params` and `char2_table_from_params` live in
+`decide`, whose certificate verifiers rebuild tables with them.
 """
 
 from __future__ import annotations
@@ -11,66 +13,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Algebra, algebra, change_basis
-from .decide import _char2_pattern
+from .algebra import change_basis
+from .decide import char2_table_from_params, special_table_from_params
 from .errors import ModeCharacteristicMismatch
-from .linalg import random_invertible, unit_vec
+from .linalg import random_invertible
 
 SPECIAL = "special"
 TYPE_I = "type-i"
 TYPE_II = "type-ii"
 DIM3_MODES = ("dim3-type1", "dim3-type2", "dim3-type3", "dim3-type4")
 MODES = (SPECIAL, TYPE_I, TYPE_II) + DIM3_MODES
-
-
-def special_table_from_params(field, mu, beta, alpha):
-    """Algebra on basis {1, a_2..a_n} with a_i^2 = mu_i 1 and
-    a_i a_j = alpha_ij 1 + beta_j a_i - beta_i a_j."""
-    m = len(mu)
-    n = m + 1
-    zero = field.zero
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = unit_vec(field, n, j)
-        table[j][0] = unit_vec(field, n, j)
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                row = [zero] * n
-                row[0] = mu[i - 1]
-                table[i][j] = tuple(row)
-            else:
-                row = [zero] * n
-                row[0] = alpha[i - 1][j - 1]
-                row[i] = beta[j - 1]
-                row[j] = field.neg(beta[i - 1])
-                table[i][j] = tuple(row)
-    return algebra(field, table, unit_vec(field, n, 0))
-
-
-def char2_table_from_params(field, form, beta, square_constants, product_constants):
-    """Algebra realizing a characteristic-2 normal form with given F*1 parts."""
-    m = len(square_constants)
-    n = m + 1
-    deltas, pat = _char2_pattern(form, field, beta, n)
-    zero = field.zero
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = unit_vec(field, n, j)
-        table[j][0] = unit_vec(field, n, j)
-    for i in range(1, n):
-        for j in range(1, n):
-            row = [zero] * n
-            if i == j:
-                row[0] = square_constants[i - 1]
-                row[i] = deltas[i - 1]
-            else:
-                s_c, t_c = pat(i, j)
-                row[0] = product_constants[i - 1][j - 1]
-                row[i] = field.add(row[i], s_c)
-                row[j] = field.add(row[j], t_c)
-            table[i][j] = tuple(row)
-    return algebra(field, table, unit_vec(field, n, 0))
 
 
 def _scalar_drawer(field, rng):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, with_identity_first
 from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported
-from .linalg import coords_in_span, span
+from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -233,12 +233,12 @@ def subalgebra_generated_by(A, vectors):
         row = []
         for v in rows:
             prod = A.mul(u, v)
-            coords = coords_in_span(closure, prod)
+            coords = closure.coords(prod)
             if coords is None:
                 raise AssertionError("closure is not multiplicatively closed")
             row.append(tuple(coords))
         table.append(tuple(row))
-    one_coords = coords_in_span(closure, A.one)
+    one_coords = closure.coords(A.one)
     if one_coords is None:
         raise AssertionError("closure lost the identity")
     return Algebra(field=field, table=tuple(table), one=tuple(one_coords)), rows

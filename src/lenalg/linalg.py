@@ -114,19 +114,14 @@ class Subspace:
         return vec_is_zero(self.field, self.reduce(v))
 
     def coords(self, v):
-        """Coefficients of v against the stored rows, or None if v is outside."""
-        field = self.field
-        residual = list(v)
-        out = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = residual[pc]
-            out.append(c)
-            if c != field.zero:
-                residual = [field.sub(a, field.mul(c, b))
-                            for a, b in zip(residual, row)]
-        if not vec_is_zero(field, tuple(residual)):
+        """Coefficients of v against the stored rows, or None if v is outside.
+
+        Each pivot column is zero in every other row, so the coefficient of
+        a row is v's entry in its pivot column.
+        """
+        if not self.contains(v):
             return None
-        return out
+        return [v[pc] for pc in self.pivots]
 
     def sum(self, other):
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
@@ -148,19 +143,6 @@ def span(field, vectors, ambient_dim=None):
         raise DimensionMismatch("empty span needs an explicit ambient_dim")
     rows, pivots = rref(field, vectors)
     return Subspace(field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
-
-
-def member(subspace, v):
-    return subspace.contains(tuple(v))
-
-
-def subspace_sum(u, v):
-    return u.sum(v)
-
-
-def coords_in_span(subspace, v):
-    """Exact coefficients of v against the stored rows, or None (not in span)."""
-    return subspace.coords(tuple(v))
 
 
 def identity_matrix(field, n):

@@ -184,9 +184,10 @@ def test_stdin_input(monkeypatch, capsys):
 _DELETE = object()
 
 
-def _edited_report(fixture_file, tmp_path, capsys, name, keys, value):
-    """`check --json` report of a fixture with one entry replaced or deleted."""
-    main(["check", fixture_file(name), "--json"])
+def _edited_report(tmp_path, capsys, argv, keys, value):
+    """The --json report of the command `argv` with one entry replaced or
+    deleted."""
+    main(argv)
     data = json.loads(capsys.readouterr().out)
     holder = data
     for key in keys[:-1]:
@@ -217,7 +218,8 @@ def _edited_report(fixture_file, tmp_path, capsys, name, keys, value):
 ])
 def test_verify_cert_malformed_certificate_is_error(
         fixture_file, tmp_path, capsys, name, keys, value, where):
-    path = _edited_report(fixture_file, tmp_path, capsys, name, keys, value)
+    path = _edited_report(tmp_path, capsys, ["check", fixture_file(name), "--json"],
+                          keys, value)
     assert main(["verify-cert", path]) == 2
     err = capsys.readouterr().err
     # ScalarSyntaxError is the SchemaError of a single scalar
@@ -232,8 +234,34 @@ def test_verify_cert_malformed_certificate_is_error(
 ])
 def test_verify_cert_malformed_report_field_is_error(
         fixture_file, tmp_path, capsys, keys, value, where):
-    path = _edited_report(fixture_file, tmp_path, capsys, "remark-repaired", keys,
-                          value)
+    path = _edited_report(
+        tmp_path, capsys, ["check", fixture_file("remark-repaired"), "--json"],
+        keys, value)
+    assert main(["verify-cert", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[SchemaError]: {where}: ")
+    assert "Traceback" not in err
+
+
+_LENGTH_SET = ["length-set", "--set", "e2;e3;e4"]  # l(S) = 1, generates
+
+
+@pytest.mark.parametrize("command, keys, value, where", [
+    (_LENGTH_SET, ("value",), True, "value"),
+    (_LENGTH_SET, ("value",), 1.0, "value"),
+    (_LENGTH_SET, ("value",), _DELETE, "value"),
+    (_LENGTH_SET, ("certificate", "generates"), 1, "certificate.generates"),
+    (_LENGTH_SET, ("certificate", "generates"), _DELETE, "certificate.generates"),
+    (["length"], ("value",), 2.0, "value"),
+    (["length"], ("value",), True, "value"),
+    (["length"], ("value",), _DELETE, "value"),
+])
+def test_verify_cert_mistyped_length_report_is_error(
+        tmp_path, capsys, command, keys, value, where):
+    doc = str(tmp_path / "m2.json")
+    assert main(["make", "matrix", "--field", "F2", "--n", "2", "-o", doc]) == 0
+    path = _edited_report(tmp_path, capsys, [command[0], doc, *command[1:], "--json"],
+                          keys, value)
     assert main(["verify-cert", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error[SchemaError]: {where}: ")
@@ -251,7 +279,8 @@ def test_verify_cert_malformed_report_field_is_error(
 ])
 def test_verify_cert_certificate_of_wrong_size_is_invalid(
         fixture_file, tmp_path, capsys, name, keys, value):
-    path = _edited_report(fixture_file, tmp_path, capsys, name, keys, value)
+    path = _edited_report(tmp_path, capsys, ["check", fixture_file(name), "--json"],
+                          keys, value)
     assert main(["verify-cert", path]) == 1
     assert "INVALID" in capsys.readouterr().out
 

@@ -1,6 +1,7 @@
 """Length-one decisions away from characteristic 2, plus the pair oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from lenalg import (
     make_matrix_algebra,
     oracle_length_one,
     special_step,
+    special_table_from_params,
     square_step,
     subalgebra_generated_by,
     verify_certificate,
@@ -31,7 +33,7 @@ from lenalg.errors import (
     CharacteristicTwo,
     InfiniteFieldExhaustiveUnsupported,
 )
-from lenalg.linalg import random_invertible
+from lenalg.linalg import BasisChange, random_invertible
 
 from tests.corpus import random_unital_algebra, random_two_dim_unital, random_vector
 
@@ -140,6 +142,24 @@ def test_special_step_bilinear_jordan_all_beta_zero():
     assert all(b == 0 for b in w.beta)
     assert w.alpha[0][1] == Fraction(1)  # alpha_ij = gram entries
     assert verify_special_witness(A, w)
+
+
+def test_special_witness_scalars_must_be_canonical():
+    # 6 is 1 in F5, but a certificate is checked by comparing the table it
+    # builds with A's, payload for payload
+    mu, beta = (1, 2, 3), (4, 0, 1)
+    alpha = ((0, 2, 3), (1, 0, 4), (2, 2, 0))
+    A = special_table_from_params(F5, mu, beta, alpha)
+    ident = BasisChange.identity(F5, 4)
+    assert verify_special_witness(A, SpecialBasisWitness(ident, mu, beta, alpha))
+    shifted = tuple(m + 5 for m in mu)
+    assert not verify_special_witness(
+        A, SpecialBasisWitness(ident, shifted, beta, alpha))
+    hidden = generate_length_one(F5, 4, seed=0, mode="special", hide=True)
+    w = decide_length_one(hidden).certificate
+    assert verify_special_witness(hidden, w)
+    assert not verify_special_witness(
+        hidden, replace(w, mu=tuple(m + 5 for m in w.mu)))
 
 
 def test_special_step_f3_triple_sum_fails():
