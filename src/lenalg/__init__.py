@@ -57,10 +57,8 @@ from .documents import (
 from .fields import (
     ExtensionField,
     Field,
-    FieldSpec,
     PrimeField,
     Rationals,
-    field_make,
     make_field,
 )
 from .generate import (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch, InvalidIdentity
-from .linalg import BasisChange, identity_matrix, rref, span, unit_vec, vec_mat
+from .linalg import BasisChange, identity_matrix, rref, unit_vec
 
 
 @dataclass(frozen=True)
@@ -20,16 +20,16 @@ class Algebra:
     """A finite-dimensional unital algebra given by structure constants.
 
     table[i][j] is the coordinate vector of e_i * e_j; `one` is the
-    coordinate vector of the identity.  The identity axiom is checked at
-    construction on all basis vectors, which suffices by bilinearity: one*e_j
-    is sum_i one_i table[i][j], a combination of column j of the table, and
-    e_j*one one of row j, so the check builds no product kernel.
+    coordinate vector of the identity.  Construction checks the identity
+    axiom on every basis vector, one * e_j == e_j == e_j * one, with `mul`
+    itself (bilinearity extends it to every vector), so the product is
+    built there, once, and kept with the instance.
 
-    `mul` runs the field's integer product (`Field.bilinear`), built on the
-    first product and kept with the instance.  It packs F_p outputs into
-    digits of bit_length(n^2 (p-1)^3) bits and GF(p^k) ones into digits of
-    bit_length(n^2 k (p-1)^2) bits, and reduces F_p coordinates mod p on
-    entry, so an unreduced or negative int multiplies as its residue.
+    `mul` runs the field's integer product (`Field.bilinear`).  It packs F_p
+    outputs into digits of bit_length(n^2 (p-1)^3) bits and GF(p^k) ones
+    into digits of bit_length(n^2 k (p-1)^2) bits, and reduces F_p
+    coordinates mod p on entry, so an unreduced or negative int multiplies
+    as its residue.
     """
 
     field: object
@@ -44,12 +44,10 @@ class Algebra:
             raise DimensionMismatch("structure-constant table is not n x n x n")
         if len(self.one) != n:
             raise DimensionMismatch("identity vector has wrong length")
-        field, one, table = self.field, self.one, self.table
+        one = self.one
         for j in range(n):
-            ej = unit_vec(field, n, j)
-            column = [row[j] for row in table]
-            if (vec_mat(field, one, column) != ej
-                    or vec_mat(field, one, table[j]) != ej):
+            ej = self.basis_vector(j)
+            if not self.mul(one, ej) == ej == self.mul(ej, one):
                 raise InvalidIdentity(
                     f"claimed identity fails on basis vector {j}")
 
@@ -107,26 +105,23 @@ def find_identity(field, table):
         return None
 
 
+def identity_first(field, n, cell):
+    """The n-dimensional Algebra whose identity is e_0 and whose product of
+    e_i and e_j is the length-n vector cell(i, j) for i, j >= 1."""
+    table = [[unit_vec(field, n, max(i, j)) if i == 0 or j == 0 else cell(i, j)
+              for j in range(n)] for i in range(n)]
+    return algebra(field, table, unit_vec(field, n, 0))
+
+
 def unital_hull(field, table):
     """Adjoin an identity: dimension grows by one, old space embeds as coords 1..n.
 
     The same length questions transfer to the hull, which is why callers can
     always repair an identity-free table this way.
     """
-    n = len(table)
-    m = n + 1
     zero = field.zero
-    new_table = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == 0:
-                new_table[i][j] = unit_vec(field, m, j)
-            elif j == 0:
-                new_table[i][j] = unit_vec(field, m, i)
-            else:
-                cell = table[i - 1][j - 1]
-                new_table[i][j] = (zero,) + tuple(cell)
-    return algebra(field, new_table, unit_vec(field, m, 0))
+    return identity_first(field, len(table) + 1,
+                          lambda i, j: (zero,) + tuple(table[i - 1][j - 1]))
 
 
 def change_basis(A, change):
@@ -169,20 +164,18 @@ def change_basis(A, change):
 
 
 def complete_to_basis_with_one(A):
-    """BasisChange whose first row is the identity, completed greedily by
-    standard basis vectors (deterministic)."""
-    field = A.field
-    n = A.dim
-    rows = [A.one]
-    current = span(field, rows)
-    for k in range(n):
-        if current.dim == n:
-            break
-        ek = unit_vec(field, n, k)
-        if not current.contains(ek):
-            rows.append(ek)
-            current = span(field, rows)
-    return BasisChange(field, rows)
+    """BasisChange with rows 1 and then e_k for every k but L, the last
+    nonzero coordinate of 1.
+
+    These are the rows a greedy completion by standard basis vectors picks:
+    each e_k with k < L is outside the span so far, since coordinate L of
+    any combination is the coefficient of 1 times 1_L; e_L is inside, as
+    1 - sum_{k<L} 1_k e_k = 1_L e_L; and each e_k with k > L is then outside.
+    """
+    field, n, one = A.field, A.dim, A.one
+    last = max(k for k in range(n) if one[k] != field.zero)
+    return BasisChange(field, [one] + [unit_vec(field, n, k)
+                                       for k in range(n) if k != last])
 
 
 def with_identity_first(A):
@@ -195,9 +188,3 @@ def with_identity_first(A):
     B = change_basis(A, change)
     return B, change
 
-
-def opposite(A):
-    """The opposite algebra (products reversed); shares the identity."""
-    n = A.dim
-    table = tuple(tuple(A.table[j][i] for i in range(n)) for j in range(n))
-    return Algebra(field=A.field, table=table, one=A.one)

@@ -37,7 +37,7 @@ from .documents import (
     render_report,
     verify_report_dict,
 )
-from .errors import LenalgError
+from .errors import LenalgError, ScalarSyntaxError
 from .fields import make_field
 from .generate import MODES, generate_length_one
 from .identities import (
@@ -101,6 +101,24 @@ def _print_report(report, A, as_json):
         print("certificate:", json.dumps(cert))
 
 
+def _parse_scalars(field, token, flag):
+    """The comma-separated scalars of `token`; a bad one is an error naming `flag`."""
+    try:
+        return tuple(field.parse(x) for x in token.split(","))
+    except ValueError as exc:
+        raise ScalarSyntaxError(flag, str(exc)) from None
+
+
+def _at_least(low):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _parse_set_spec(A, spec):
     """Vectors from "e2;e3" (1-based basis indices) or "0,1,0;0,0,1"."""
     field = A.field
@@ -115,11 +133,11 @@ def _parse_set_spec(A, spec):
                 raise LenalgError(f"basis index out of range: {token}")
             vectors.append(A.basis_vector(idx - 1))
         else:
-            parts = [p.strip() for p in token.split(",")]
-            if len(parts) != A.dim:
+            parts = token.count(",") + 1
+            if parts != A.dim:
                 raise LenalgError(
-                    f"vector {token!r} has {len(parts)} entries, need {A.dim}")
-            vectors.append(tuple(field.parse(p) for p in parts))
+                    f"vector {token!r} has {parts} entries, need {A.dim}")
+            vectors.append(_parse_scalars(field, token, "--set"))
     return vectors
 
 
@@ -279,9 +297,12 @@ def _cmd_make(args):
     if name == "bilinear-jordan":
         if field is None or not args.gram:
             raise LenalgError("bilinear-jordan needs --field and --gram")
-        gram = [[field.parse(x.strip()) for x in row.split(",")]
+        gram = [_parse_scalars(field, row, "--gram")
                 for row in args.gram.split(";")]
-        A = make_bilinear_jordan(field, gram)
+        try:
+            A = make_bilinear_jordan(field, gram)
+        except ValueError as exc:
+            raise LenalgError(f"--gram: {exc}") from None
     elif name == "matrix":
         if field is None or args.n is None:
             raise LenalgError("matrix needs --field and --n")
@@ -340,7 +361,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exhaustive pair-span check (finite fields)")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sampling mode (incomplete); required over Q")
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -363,7 +384,7 @@ def build_parser():
                        help="commutative / associative / flexible / jordan / "
                             "power-associative checks")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=6,
+    p.add_argument("--degree", type=_at_least(3), default=6,
                    help="power-associativity degree bound (default 6)")
     common(p)
     p.set_defaults(func=_cmd_identities)
@@ -374,8 +395,8 @@ def build_parser():
                             "fixture", "random-l1"])
     p.add_argument("--field", help='field shorthand: Q, F2, F3, F5, GF4, ...')
     p.add_argument("--gram", help='rows "1,0;0,-1" for bilinear-jordan')
-    p.add_argument("--n", type=int, help="matrix size")
-    p.add_argument("--k", type=int, help="number of direct summands")
+    p.add_argument("--n", type=_at_least(1), help="matrix size")
+    p.add_argument("--k", type=_at_least(1), help="number of direct summands")
     p.add_argument("--name", help="fixture name (see README) or document name")
     p.add_argument("--dim", type=int, help="dimension for random-l1")
     p.add_argument("--seed", type=int, default=0)

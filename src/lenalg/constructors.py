@@ -10,10 +10,9 @@ not associative.  See README "Fixture notes" for the recorded outcomes.
 
 from __future__ import annotations
 
-from .algebra import Algebra, algebra
+from .algebra import Algebra, algebra, identity_first
 from .documents import parse_document
 from .errors import CharacteristicTwo, UnknownFixture
-from .linalg import unit_vec
 
 
 def make_bilinear_jordan(field, gram):
@@ -31,18 +30,9 @@ def make_bilinear_jordan(field, gram):
         for j in range(m):
             if gram[i][j] != gram[j][i]:
                 raise ValueError("gram matrix must be symmetric")
-    n = m + 1
     zero = field.zero
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = unit_vec(field, n, j)
-        table[j][0] = unit_vec(field, n, j)
-    for i in range(1, n):
-        for j in range(1, n):
-            row = [zero] * n
-            row[0] = gram[i - 1][j - 1]
-            table[i][j] = tuple(row)
-    return algebra(field, table, unit_vec(field, n, 0))
+    return identity_first(
+        field, m + 1, lambda i, j: (gram[i - 1][j - 1],) + (zero,) * m)
 
 
 def make_matrix_algebra(field, n):

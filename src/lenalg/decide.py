@@ -48,9 +48,9 @@ import random
 from dataclasses import dataclass, replace
 
 from .algebra import (
-    algebra,
     change_basis,
     complete_to_basis_with_one,
+    identity_first,
     with_identity_first,
 )
 from .errors import (
@@ -220,49 +220,35 @@ def _char2_pattern(form, field, beta, n):
 def special_table_from_params(field, mu, beta, alpha):
     """Algebra on basis {1, a_2..a_n} with a_i^2 = mu_i 1 and
     a_i a_j = alpha_ij 1 + beta_j a_i - beta_i a_j."""
-    m = len(mu)
-    n = m + 1
-    zero = field.zero
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = unit_vec(field, n, j)
-        table[j][0] = unit_vec(field, n, j)
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                row = [zero] * n
-                row[0] = mu[i - 1]
-                table[i][j] = tuple(row)
-            else:
-                row = [zero] * n
-                row[0] = alpha[i - 1][j - 1]
-                row[i] = beta[j - 1]
-                row[j] = field.neg(beta[i - 1])
-                table[i][j] = tuple(row)
-    return algebra(field, table, unit_vec(field, n, 0))
+    n = len(mu) + 1
+
+    def cell(i, j):
+        row = [field.zero] * n
+        if i == j:
+            row[0] = mu[i - 1]
+        else:
+            row[0] = alpha[i - 1][j - 1]
+            row[i] = beta[j - 1]
+            row[j] = field.neg(beta[i - 1])
+        return row
+    return identity_first(field, n, cell)
 
 
 def char2_table_from_params(field, form, beta, square_constants, product_constants):
     """Algebra realizing a characteristic-2 normal form with given F*1 parts."""
-    m = len(square_constants)
-    n = m + 1
+    n = len(square_constants) + 1
     deltas, pat = _char2_pattern(form, field, beta, n)
-    zero = field.zero
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = unit_vec(field, n, j)
-        table[j][0] = unit_vec(field, n, j)
-    for i in range(1, n):
-        for j in range(1, n):
-            row = [zero] * n
-            if i == j:
-                row[0] = square_constants[i - 1]
-                row[i] = deltas[i - 1]
-            else:
-                row[0] = product_constants[i - 1][j - 1]
-                row[i], row[j] = pat(i, j)
-            table[i][j] = tuple(row)
-    return algebra(field, table, unit_vec(field, n, 0))
+
+    def cell(i, j):
+        row = [field.zero] * n
+        if i == j:
+            row[0] = square_constants[i - 1]
+            row[i] = deltas[i - 1]
+        else:
+            row[0] = product_constants[i - 1][j - 1]
+            row[i], row[j] = pat(i, j)
+        return row
+    return identity_first(field, n, cell)
 
 
 def _sized(m, *vectors):

@@ -39,7 +39,7 @@ from .errors import (
     ScalarSyntaxError,
     SingularMatrix,
 )
-from .fields import ExtensionField, FieldSpec, field_make, make_field
+from .fields import ExtensionField, PrimeField, make_field
 from .linalg import BasisChange
 
 
@@ -54,11 +54,10 @@ def field_to_json(field):
             return label
     except ValueError:
         pass
-    spec = field.spec()
-    if spec.kind == "prime":
-        return {"kind": "prime", "p": spec.p}
-    return {"kind": "extension", "p": spec.p, "k": spec.k,
-            "modulus": list(spec.modulus)}
+    if isinstance(field, PrimeField):
+        return {"kind": "prime", "p": field.p}
+    return {"kind": "extension", "p": field.p, "k": field.k,
+            "modulus": list(field.modulus)}
 
 
 def field_from_json(obj, path="field"):
@@ -75,7 +74,7 @@ def field_from_json(obj, path="field"):
     if kind == "prime":
         if not isinstance(obj.get("p"), int):
             raise SchemaError(f"{path}.p", "prime field needs integer p")
-        return field_make(FieldSpec(kind="prime", p=obj["p"]))
+        return PrimeField(obj["p"])
     if kind == "extension":
         p, k = obj.get("p"), obj.get("k")
         if not isinstance(p, int) or not isinstance(k, int):
@@ -315,6 +314,8 @@ def certificate_from_dict(field, obj):
         )
     if kind == "generating-set":
         _entry(obj, "generates", path, bool)
+        if any(type(d) is not int for d in _entry(obj, "dims", path)):
+            raise SchemaError(f"{path}.dims", "must be an array of integers")
     if kind in ("generating-set", "maximizing-set"):
         return dict(obj, vectors=_parse_rows(field, obj, "vectors", path))
     raise SchemaError(f"{path}.type", f"unknown certificate type {kind!r}")
@@ -387,7 +388,8 @@ def verify_report_dict(data, budget=None):
         if cert["type"] != "generating-set":
             return False
         res = length_of_set(A, cert["vectors"])
-        return res.length == value and res.generates == cert["generates"]
+        return (res.length == value and res.generates == cert["generates"]
+                and res.dims == cert["dims"])
     if cert["type"] != "maximizing-set":
         return False
     res = length_of_set(A, cert["vectors"])

@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -111,21 +110,6 @@ def _is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Declarative description of a field; `field_make` turns it into a handle.
-
-    kind is one of "rationals", "prime", "extension".  For extensions the
-    modulus is a little-endian coefficient tuple of length k+1 with leading
-    coefficient 1.
-    """
-
-    kind: str
-    p: int | None = None
-    k: int = 1
-    modulus: tuple[int, ...] | None = None
-
-
 class Field:
     """Common surface of all field handles."""
 
@@ -187,9 +171,6 @@ class Field:
         raise NotImplementedError
 
     def render(self, value):
-        raise NotImplementedError
-
-    def spec(self):
         raise NotImplementedError
 
     def label(self):
@@ -267,9 +248,6 @@ class Rationals(Field):
     def render(self, value):
         return str(value)
 
-    def spec(self):
-        return FieldSpec(kind="rationals")
-
     def label(self):
         return "Q"
 
@@ -345,9 +323,6 @@ class PrimeField(Field):
 
     def render(self, value):
         return str(value)
-
-    def spec(self):
-        return FieldSpec(kind="prime", p=self.p)
 
     def label(self):
         return f"F{self.p}"
@@ -585,9 +560,6 @@ class ExtensionField(Field):
     def render(self, value):
         return "[" + ",".join(str(c) for c in value) + "]"
 
-    def spec(self):
-        return FieldSpec(kind="extension", p=self.p, k=self.k, modulus=self.modulus)
-
     def label(self):
         if DEFAULT_MODULI.get((self.p, self.k)) == self.modulus:
             return f"GF{self.p ** self.k}"
@@ -601,34 +573,17 @@ class ExtensionField(Field):
         return hash(("extension", self.p, self.k, self.modulus))
 
 
-def field_make(spec):
-    """Build a field handle from a FieldSpec."""
-    if spec.kind == "rationals":
-        return Rationals()
-    if spec.kind == "prime":
-        return PrimeField(spec.p)
-    if spec.kind == "extension":
-        return ExtensionField(spec.p, spec.k, spec.modulus)
-    raise ValueError(f"unknown field kind {spec.kind!r}")
-
-
-_SHORTHAND = {"Q": FieldSpec(kind="rationals")}
-for _p in (2, 3, 5, 7, 11, 13):
-    _SHORTHAND[f"F{_p}"] = FieldSpec(kind="prime", p=_p)
-for (_p, _k), _m in DEFAULT_MODULI.items():
-    _SHORTHAND[f"GF{_p ** _k}"] = FieldSpec(kind="extension", p=_p, k=_k, modulus=_m)
-
-
 def make_field(name):
     """Field from a shorthand label: "Q", "F<p>", or "GF4"/"GF8"/"GF9"."""
     if isinstance(name, Field):
         return name
-    if isinstance(name, FieldSpec):
-        return field_make(name)
     key = name.strip()
-    if key in _SHORTHAND:
-        return field_make(_SHORTHAND[key])
+    if key == "Q":
+        return Rationals()
     m = re.match(r"^F(\d+)$", key)
     if m:
         return PrimeField(int(m.group(1)))
+    for (p, k), modulus in DEFAULT_MODULI.items():
+        if key == f"GF{p ** k}":
+            return ExtensionField(p, k, modulus)
     raise ValueError(f"unknown field shorthand {name!r}")

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, SingularMatrix
 
 
-def zero_vec(field, n):
-    return (field.zero,) * n
-
-
 def unit_vec(field, n, i):
     v = [field.zero] * n
     v[i] = field.one
@@ -246,5 +242,6 @@ def random_invertible(field, n, rng):
         draw = lambda: field.from_int(rng.randint(-3, 3))
     while True:
         rows = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
-        if invert_matrix(field, rows) is not None:
-            return BasisChange(field, rows)
+        inverse = invert_matrix(field, rows)
+        if inverse is not None:
+            return BasisChange(field, rows, inverse=inverse)

@@ -18,7 +18,7 @@ from lenalg import (
     make_field,
     unital_hull,
 )
-from lenalg.linalg import random_invertible
+from lenalg.linalg import random_invertible, span, unit_vec
 
 
 def random_scalar(field, rng):
@@ -75,6 +75,21 @@ def reference_mul(field, table, u, v):
             c = field.mul(ui, vj)
             out = [field.add(x, field.mul(c, y)) for x, y in zip(out, cell)]
     return tuple(out)
+
+
+def greedy_completion_with_one(A):
+    """Rows completing the identity to a basis greedily: each standard basis
+    vector, in order, that is outside the span of the rows so far."""
+    field, n = A.field, A.dim
+    rows = [A.one]
+    for k in range(n):
+        current = span(field, rows)
+        if current.dim == n:
+            break
+        ek = unit_vec(field, n, k)
+        if not current.contains(ek):
+            rows.append(ek)
+    return tuple(rows)
 
 
 FIELD_NAMES_SMALL = ("F2", "F3", "F5", "GF4")

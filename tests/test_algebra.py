@@ -29,7 +29,12 @@ from lenalg.linalg import (
     vec_scale,
 )
 
-from tests.corpus import random_unital_algebra, random_vector, reference_mul
+from tests.corpus import (
+    greedy_completion_with_one,
+    random_unital_algebra,
+    random_vector,
+    reference_mul,
+)
 
 Q = make_field("Q")
 
@@ -155,6 +160,20 @@ def test_with_identity_first():
     assert complete_to_basis_with_one(A).matrix == change.matrix
 
 
+@pytest.mark.parametrize("field_name", ["Q", "F2", "F3", "F5", "GF4", "GF9"])
+def test_completion_matches_greedy_reference(field_name):
+    # random unital tables have identities e_0 (hulls) or dense ones (raw
+    # draws); their random conjugates have dense identities
+    F = make_field(field_name)
+    for n in range(1, 7):
+        for seed in range(4):
+            for conjugate in (False, True):
+                A = random_unital_algebra(F, n, seed, conjugate=conjugate)
+                change = complete_to_basis_with_one(A)
+                assert change.matrix == greedy_completion_with_one(A), (n, seed)
+                assert change.matrix[0] == A.one
+
+
 def _reference_change_basis(A, change):
     """The definition of a basis change: n^2 full products by field
     operations, then the inverse."""
@@ -212,8 +231,9 @@ class _CountingF5(PrimeField):
 
 def test_change_basis_cost_is_quartic():
     # One kernel product per new basis pair, then a map to new coordinates
-    # of at most n multiplications per nonzero coordinate; the reference
-    # takes n^2 full products by field operations, about n^5.
+    # of at most n multiplications per nonzero coordinate, then 2n products
+    # for the new algebra's identity check; the reference takes n^2 full
+    # products by field operations, about n^5.
     F = _CountingF5()
     n = 8
     A = random_unital_algebra(F, n, seed=0)
@@ -221,7 +241,7 @@ def test_change_basis_cost_is_quartic():
     F.muls = F.products = 0
     B = change_basis(A, change)
     fast = F.muls
-    assert F.products == n ** 2
+    assert F.products == n ** 2 + 2 * n
     F.muls = 0
     assert B.table == _reference_change_basis(A, change)
     assert fast <= n ** 4 + n < F.muls

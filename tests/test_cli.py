@@ -297,3 +297,52 @@ def test_verify_cert_honours_budget(tmp_path, capsys):
     assert main(["verify-cert", str(report), "--budget", "10"]) == 2
     assert capsys.readouterr().err.startswith("error[BudgetExceeded]: ")
     assert main(["verify-cert", str(report), "--budget", "16"]) == 0
+
+
+@pytest.mark.parametrize("dims, code, where", [
+    ([1, 3, 4], 0, None),
+    ([9, 9, 9], 1, None),
+    ([1, 3], 1, None),
+    ("garbage", 2, "certificate.dims"),
+    (_DELETE, 2, "certificate.dims"),
+    ([1, "3", 4], 2, "certificate.dims"),
+    ([1, True, 4], 2, "certificate.dims"),
+])
+def test_verify_cert_checks_set_length_dims(tmp_path, capsys, dims, code, where):
+    # l({e2, e3}) on M_2(F_2) has word-span dims [1, 3, 4]
+    doc = str(tmp_path / "m2.json")
+    assert main(["make", "matrix", "--field", "F2", "--n", "2", "-o", doc]) == 0
+    path = _edited_report(tmp_path, capsys,
+                          ["length-set", doc, "--set", "e2;e3", "--json"],
+                          ("certificate", "dims"), dims)
+    assert main(["verify-cert", path]) == code
+    out, err = capsys.readouterr()
+    if where is None:
+        assert out == ("certificate: valid\n" if code == 0
+                       else "certificate: INVALID\n")
+    else:
+        assert err.startswith(f"error[SchemaError]: {where}: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["length-set", "@remark-repaired", "--set", "x,y,z"], "--set"),
+    (["length-set", "@remark-repaired", "--set", "1/0,0,0"], "--set"),
+    (["identities", "@remark-repaired", "--degree", "2"], "--degree"),
+    (["make", "matrix", "--field", "Q", "--n", "0"], "--n"),
+    (["make", "direct-sum", "--field", "Q", "--k", "0"], "--k"),
+    (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,2;3,4"], "--gram"),
+    (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,2;2"], "--gram"),
+    (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,x;x,1"], "--gram"),
+    (["oracle", "@remark-repaired", "--samples", "0"], "--samples"),
+    (["oracle", "@remark-repaired", "--samples", "-3"], "--samples"),
+])
+def test_bad_argument_exits_2_naming_the_flag(fixture_file, capsys, argv, flag):
+    argv = [fixture_file(a[1:]) if a.startswith("@") else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[") or err.startswith("usage:")
+    assert flag in err and "Traceback" not in err

@@ -161,12 +161,22 @@ def test_rationals_large_mixed_denominators():
                 assert all(type(c) is Fraction for c in got)
 
 
-def test_kernel_is_built_on_first_product_only():
-    A = random_unital_algebra(make_field("F5"), 4, seed=1)
-    assert "_product" not in vars(A)
-    A.mul(A.one, A.one)
+def test_kernel_is_built_once_at_construction(monkeypatch):
+    F = make_field("F5")
+    B = random_unital_algebra(F, 4, seed=1)
+    built = []
+    bilinear = PrimeField.bilinear
+
+    def counted(self, table):
+        built.append(table)
+        return bilinear(self, table)
+    monkeypatch.setattr(PrimeField, "bilinear", counted)
+    A = algebra(F, B.table, B.one)
+    assert len(built) == 1
     product = vars(A)["_product"]
     A.mul(A.one, A.one)
+    A.mul(B.one, random_vector(F, 4, random.Random(1)))
+    assert len(built) == 1
     assert vars(A)["_product"] is product
 
 
@@ -179,3 +189,19 @@ def test_one_sided_identity_rejected():
         algebra(Q, table, (o, z))
     with pytest.raises(InvalidIdentity):
         algebra(Q, [[table[j][i] for j in range(2)] for i in range(2)], (o, z))
+    # the same shapes over F5, with unreduced int payloads (6 is 1, 5 is 0)
+    table = [[(6, 5), (-5, 11)], [(10, 0), (0, -10)]]
+    with pytest.raises(InvalidIdentity):
+        algebra(PrimeField(5), table, (1, 0))
+    with pytest.raises(InvalidIdentity):
+        algebra(PrimeField(5), [[table[j][i] for j in range(2)]
+                                for i in range(2)], (6, 5))
+    # and over GF4, with e_1 e_0 = a e_1 for a generator a
+    GF4 = make_field("GF4")
+    z, o = GF4.zero, GF4.one
+    a = GF4.parse("[0,1]")
+    table = [[(o, z), (z, o)], [(z, a), (a, z)]]
+    with pytest.raises(InvalidIdentity):
+        algebra(GF4, table, (o, z))
+    with pytest.raises(InvalidIdentity):
+        algebra(GF4, [[table[j][i] for j in range(2)] for i in range(2)], (o, z))
