@@ -129,12 +129,12 @@ def change_basis(A, change):
 
     By definition, with R the rows of `change` and R^-1 its inverse, the new
     table is new[a][b] = A.mul(R[a], R[b]) @ R^-1: n^2 products on A's
-    integer kernel (`Field.bilinear`), each mapped to new coordinates
-    through only the nonzero entries of each row of R^-1, as is the image
-    of the identity.  The map costs at most n field multiplications per
-    nonzero coordinate: n^4 + n^2 for a dense change, about n^2 * nnz(R^-1)
-    for the sparse identity-first, shift, rescale and homogenize changes of
-    the decider.
+    integer kernel (`Field.bilinear`), each mapped to new coordinates by
+    `change.to_new`, as is the image of the identity.  That map meets only
+    the nonzero entries of R^-1, so it costs at most n field multiplications
+    per nonzero coordinate: n^4 + n^2 for a dense change, about
+    n^2 * nnz(R^-1) for the sparse identity-first, shift, rescale and
+    homogenize changes of the decider.
 
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.
@@ -146,19 +146,7 @@ def change_basis(A, change):
     field = A.field
     if change.matrix == identity_matrix(field, n):
         return A  # Algebra is immutable, so the same table can be shared
-    zero, add, mul = field.zero, field.add, field.mul
-    inv = [[(m, d) for m, d in enumerate(row) if d != zero]
-           for row in change.inverse]
-
-    def to_new(v):
-        out = [zero] * n
-        for y, row in zip(v, inv):
-            if y != zero:
-                for m, d in row:
-                    out[m] = add(out[m], mul(y, d))
-        return tuple(out)
-
-    rows = change.matrix
+    rows, to_new = change.matrix, change.to_new
     table = tuple(tuple(to_new(A.mul(a, b)) for b in rows) for a in rows)
     return Algebra(field=field, table=table, one=to_new(A.one))
 

@@ -147,8 +147,12 @@ def verify_violation(A, w):
     """True when the recorded pair genuinely violates the span condition."""
     if len(w.left) != A.dim or len(w.right) != A.dim:
         return False
-    sp = span(A.field, [A.one, w.left, w.right])
-    return not sp.contains(A.mul(w.left, w.right))
+    return _violates(A, w.left, w.right)
+
+
+def _violates(A, a, b):
+    """True when a*b lies outside span{1, a, b}."""
+    return not span(A.field, [A.one, a, b]).contains(A.mul(a, b))
 
 
 def verify_special_witness(A, w):
@@ -333,7 +337,9 @@ def special_step(A, basis):
 
     The basis (rows or a BasisChange) must start with the identity and every
     non-identity row must square into F*1 (i.e. be canonical); a ValueError
-    flags misuse.
+    flags misuse.  A witness is checked before it is returned: the table its
+    parameters claim must equal A's table in the witness basis, the one the
+    parameters were read from.
     """
     change = BasisChange.of(A.field, basis)
     B = change_basis(A, change)
@@ -343,10 +349,9 @@ def special_step(A, basis):
     if isinstance(res, StepFail):
         return _map_fail(res, change)
     mu, beta, alpha = res
-    w = SpecialBasisWitness(change=change, mu=mu, beta=beta, alpha=alpha)
-    if not verify_special_witness(A, w):
+    if special_table_from_params(A.field, mu, beta, alpha).table != B.table:
         raise AssemblyError("special witness failed literal re-verification")
-    return w
+    return SpecialBasisWitness(change=change, mu=mu, beta=beta, alpha=alpha)
 
 
 def _read_special(B):
@@ -452,7 +457,7 @@ def _scalar_square_violation(B, i, j):
     for c in candidates:
         x = vec_add(field, B.basis_vector(i),
                     vec_scale(field, c, B.basis_vector(j)))
-        if not span(field, [B.one, x]).contains(B.mul(x, x)):
+        if _violates(B, x, x):
             return (x, x)
     raise AssemblyError("relation failure produced no square violation")
 
@@ -513,7 +518,7 @@ def _char2_inner(B):
                 path + ["dim<=2", form])
     prods = _read_products(B2)
     if isinstance(prods, StepFail):
-        return prods, path + ["products"]
+        return _map_fail(prods, rescale), path + ["products"]
     s, t, c = prods
     if n == 3:
         if field.is_two_element_field():
@@ -852,8 +857,7 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
             if b in one_line:
                 continue
             checked += 1
-            prod = A.mul(a, b)
-            if not span(field, [A.one, a, b]).contains(prod):
+            if _violates(A, a, b):
                 w = ViolationWitness(left=a, right=b,
                                      condition="oracle-pair",
                                      detail={})
@@ -871,7 +875,7 @@ def _oracle_sampled(A, samples, seed):
         a = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
         b = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
         checked += 1
-        if not span(field, [A.one, a, b]).contains(A.mul(a, b)):
+        if _violates(A, a, b):
             w = ViolationWitness(left=a, right=b, condition="oracle-pair-sampled",
                                  detail={})
             return OracleResult(is_length_one=False, witness=w, sampled=True,

@@ -168,7 +168,6 @@ class AlgebraLengthResult:
 
     length: int
     witness_rows: tuple
-    witness_length: int
     subspaces_examined: int
 
 
@@ -186,7 +185,7 @@ def length_of_algebra(A, budget=None):
     n = A.dim
     if n == 1:
         return AlgebraLengthResult(length=0, witness_rows=(A.one,),
-                                   witness_length=0, subspaces_examined=1)
+                                   subspaces_examined=1)
     q = field.order()
     budget = resolve_budget(budget)
     work = count_subspaces(n - 1, q)
@@ -209,12 +208,8 @@ def length_of_algebra(A, budget=None):
             best_rows = tuple(change.to_old(v) for v in lifted)
     if best < 0:
         raise AssertionError("no generating subspace found; table is corrupt")
-    return AlgebraLengthResult(
-        length=best,
-        witness_rows=best_rows,
-        witness_length=best,
-        subspaces_examined=examined,
-    )
+    return AlgebraLengthResult(length=best, witness_rows=best_rows,
+                               subspaces_examined=examined)
 
 
 def subalgebra_generated_by(A, vectors):

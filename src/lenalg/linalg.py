@@ -1,10 +1,11 @@
-"""Exact dense linear algebra: vectors, reduced-echelon subspaces, basis changes.
+"""Exact linear algebra: vectors, reduced-echelon subspaces, basis changes.
 
 Vectors and matrix rows are plain tuples of field payloads.  Subspaces are
 stored in reduced row echelon form (pivots equal to one, pivot columns
 otherwise zero, pivot columns strictly increasing, no zero rows), which is a
 canonical form: equal subspaces have identical `rows`, so subspace equality
 is raw tuple comparison and every reported witness is deterministic.
+`BasisChange` is the only code that maps coordinates between bases.
 """
 
 from __future__ import annotations
@@ -145,36 +146,6 @@ def identity_matrix(field, n):
     return tuple(unit_vec(field, n, i) for i in range(n))
 
 
-def mat_mul(field, a, b):
-    """Row-major matrix product a @ b."""
-    n, m = len(a), len(b[0])
-    k = len(b)
-    if any(len(r) != k for r in a):
-        raise DimensionMismatch("matrix product shape mismatch")
-    out = []
-    for i in range(n):
-        row = [field.zero] * m
-        for t in range(k):
-            c = a[i][t]
-            if c != field.zero:
-                brow = b[t]
-                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, brow)]
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def vec_mat(field, v, m):
-    """Row vector times matrix: (v @ m)."""
-    if len(v) != len(m):
-        raise DimensionMismatch("vector/matrix shape mismatch")
-    ncols = len(m[0])
-    out = [field.zero] * ncols
-    for c, row in zip(v, m):
-        if c != field.zero:
-            out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
-    return tuple(out)
-
-
 def invert_matrix(field, m):
     """Inverse of a square matrix, or None if singular."""
     n = len(m)
@@ -190,10 +161,14 @@ def invert_matrix(field, m):
 class BasisChange:
     """An invertible change of basis; rows are the new basis in old coordinates.
 
-    `to_old` maps coordinates w.r.t. the new basis back to old coordinates;
-    `to_new` is the inverse map.  The inverse matrix is computed once and
-    cached; a caller that already holds it passes it as `inverse`, which is
-    trusted, not checked.
+    `to_old` maps coordinates w.r.t. the new basis back to old coordinates
+    (v @ matrix), `to_new` is the inverse map (v @ inverse), and `then`
+    composes two changes through them.  `matrix` and `inverse` are dense
+    tuples of rows; the maps run over the nonzero entries of each row, kept
+    at construction, so a sparse change (identity-first, shift, rescale)
+    costs one field multiplication per nonzero entry met.  The inverse is
+    computed once; a caller that already holds it passes it as `inverse`,
+    which is trusted, not checked.
     """
 
     def __init__(self, field, rows, inverse=None):
@@ -205,6 +180,8 @@ class BasisChange:
         self.field = field
         self.matrix = rows
         self.inverse = inverse
+        self._rows = _nonzero_entries(field, rows)
+        self._inverse_rows = _nonzero_entries(field, inverse)
 
     @staticmethod
     def of(field, basis):
@@ -216,21 +193,41 @@ class BasisChange:
         return len(self.matrix)
 
     def to_old(self, v_new):
-        return vec_mat(self.field, v_new, self.matrix)
+        return self._map(v_new, self._rows)
 
     def to_new(self, v_old):
-        return vec_mat(self.field, v_old, self.inverse)
+        return self._map(v_old, self._inverse_rows)
+
+    def _map(self, v, rows):
+        """v @ M for the matrix M whose nonzero entries per row are `rows`."""
+        n = len(rows)
+        if len(v) != n:
+            raise DimensionMismatch(f"vector length {len(v)} != basis dim {n}")
+        field = self.field
+        zero, add, mul = field.zero, field.add, field.mul
+        out = [zero] * n
+        for y, row in zip(v, rows):
+            if y != zero:
+                for m, d in row:
+                    out[m] = add(out[m], mul(y, d))
+        return tuple(out)
 
     def then(self, other):
         """Compose: apply self first, then `other` expressed in self's basis."""
-        field = self.field
-        return BasisChange(field, mat_mul(field, other.matrix, self.matrix),
-                           inverse=mat_mul(field, self.inverse, other.inverse))
+        return BasisChange(self.field, [self.to_old(r) for r in other.matrix],
+                           inverse=tuple(other.to_new(r) for r in self.inverse))
 
     @staticmethod
     def identity(field, n):
         m = identity_matrix(field, n)
         return BasisChange(field, m, inverse=m)
+
+
+def _nonzero_entries(field, matrix):
+    """Per row, the (column, entry) pairs whose entry is nonzero."""
+    zero = field.zero
+    return tuple(tuple((m, d) for m, d in enumerate(row) if d != zero)
+                 for row in matrix)
 
 
 def random_invertible(field, n, rng):

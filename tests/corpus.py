@@ -18,6 +18,7 @@ from lenalg import (
     make_field,
     unital_hull,
 )
+from lenalg.errors import DimensionMismatch
 from lenalg.linalg import random_invertible, span, unit_vec
 
 
@@ -74,6 +75,18 @@ def reference_mul(field, table, u, v):
                 continue
             c = field.mul(ui, vj)
             out = [field.add(x, field.mul(c, y)) for x, y in zip(out, cell)]
+    return tuple(out)
+
+
+def vec_mat(field, v, m):
+    """Row vector times matrix, v @ m, entry by entry: the reference for
+    `BasisChange` maps."""
+    if len(v) != len(m):
+        raise DimensionMismatch("vector/matrix shape mismatch")
+    out = [field.zero] * len(m[0])
+    for c, row in zip(v, m):
+        if c != field.zero:
+            out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
     return tuple(out)
 
 

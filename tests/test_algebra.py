@@ -25,7 +25,6 @@ from lenalg.linalg import (
     BasisChange,
     random_invertible,
     vec_add,
-    vec_mat,
     vec_scale,
 )
 
@@ -34,6 +33,7 @@ from tests.corpus import (
     random_unital_algebra,
     random_vector,
     reference_mul,
+    vec_mat,
 )
 
 Q = make_field("Q")

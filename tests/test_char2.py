@@ -18,10 +18,12 @@ from lenalg import (
     verify_certificate,
     verify_char2_witness,
     verify_violation,
+    with_identity_first,
 )
+from lenalg.algebra import identity_first
 from lenalg.decide import StepFail
 from lenalg.errors import CharacteristicNotTwo
-from lenalg.linalg import random_invertible
+from lenalg.linalg import random_invertible, unit_vec, vec_scale
 
 from tests.corpus import random_unital_algebra
 
@@ -236,3 +238,32 @@ def test_random_char2_corpus_agreement():
             orc = oracle_length_one(A)
             assert rep.value == orc.is_length_one
             assert verify_certificate(A, rep.certificate)
+
+
+@pytest.mark.parametrize("field", [G4, G8], ids=["GF4", "GF8"])
+@pytest.mark.parametrize("identity_last", [False, True])
+def test_product_failure_is_mapped_through_the_rescale(field, identity_last):
+    # a_i^2 = g a_i with g not in {0, 1}, and a_1 a_2 = a_3 leaves
+    # span{1, a_1, a_2}; the product step runs after the rescale
+    # a_i -> g^-1 a_i, so the reported left factor is g^-1 a_1
+    g = next(c for c in field.elements() if c not in (field.zero, field.one))
+    n = 4
+
+    def cell(i, j):
+        if i == j:
+            return vec_scale(field, g, unit_vec(field, n, i))
+        if (i, j) == (1, 2):
+            return unit_vec(field, n, 3)
+        return (field.zero,) * n
+    A = identity_first(field, n, cell)
+    if identity_last:
+        A = change_basis(A, [unit_vec(field, n, k) for k in (1, 2, 3, 0)])
+    rep = decide_length_one(A)
+    assert rep.certificate.condition == "product-not-in-span"
+    assert rep.path[-1] == "products"
+    B, ch0 = with_identity_first(A)
+    i = int(rep.certificate.detail["indices"][0])
+    gamma = B.table[i][i][i]
+    assert gamma not in (field.zero, field.one)
+    assert ch0.to_new(rep.certificate.left) == vec_scale(
+        field, field.inv(gamma), unit_vec(field, n, i))

@@ -26,6 +26,7 @@ from lenalg import (
     verify_violation,
     with_identity_first,
 )
+from lenalg import decide as decide_module
 from lenalg.algebra import complete_to_basis_with_one
 from lenalg.decide import SpecialBasisWitness, ViolationWitness
 from lenalg.errors import (
@@ -142,6 +143,26 @@ def test_special_step_bilinear_jordan_all_beta_zero():
     assert all(b == 0 for b in w.beta)
     assert w.alpha[0][1] == Fraction(1)  # alpha_ij = gram entries
     assert verify_special_witness(A, w)
+
+
+def test_special_step_conjugates_once(monkeypatch):
+    # the witness is checked against the table its parameters were read
+    # from, not against a second conjugation of A
+    Y = generate_length_one(Q, 5, seed=1, mode="special", hide=True)
+    B, _ = with_identity_first(Y)
+    std = BasisChange.identity(Q, 5)
+    shift = canonicalize(B, std.matrix, [g for (_, g) in square_step(B, std)])
+    calls = []
+    real = decide_module.change_basis
+
+    def counted(A, change):
+        calls.append(change)
+        return real(A, change)
+    monkeypatch.setattr(decide_module, "change_basis", counted)
+    w = special_step(B, shift)
+    assert isinstance(w, SpecialBasisWitness)
+    assert calls == [shift]
+    assert verify_special_witness(B, w)
 
 
 def test_special_witness_scalars_must_be_canonical():

@@ -1,0 +1,44 @@
+"""Every module of the package uses every name it imports.
+
+A deletion that leaves an import behind shows up here.  `__init__` is left
+out: its imports are the public API it re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lenalg"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """{bound name: line} for every import outside `from __future__`."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_modules_found():
+    assert "decide.py" in MODULES and "linalg.py" in MODULES

@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lenalg import BasisChange, make_field, span
+from lenalg import BasisChange, complete_to_basis_with_one, make_field, span
 from lenalg.errors import DimensionMismatch, SingularMatrix
-from lenalg.linalg import identity_matrix, invert_matrix, mat_mul, random_invertible
+from lenalg.linalg import (
+    identity_matrix,
+    invert_matrix,
+    random_invertible,
+    unit_vec,
+    vec_add,
+    vec_scale,
+)
+
+from tests.corpus import random_scalar, random_unital_algebra, random_vector, vec_mat
 
 Q = make_field("Q")
 
@@ -81,7 +90,7 @@ def test_reduce_then_contains(seed):
 def test_invert_matrix():
     m = (qv(1, 2), qv(3, 4))
     inv = invert_matrix(Q, m)
-    assert mat_mul(Q, m, inv) == identity_matrix(Q, 2)
+    assert tuple(vec_mat(Q, r, inv) for r in m) == identity_matrix(Q, 2)
     assert invert_matrix(Q, (qv(1, 2), qv(2, 4))) is None
 
 
@@ -112,3 +121,47 @@ def test_held_inverses_are_exact(name):
 def test_singular_basis_change_rejected():
     with pytest.raises(SingularMatrix):
         BasisChange(Q, (qv(1, 1), qv(2, 2)))
+
+
+def _changes(F, n, rng):
+    """Dense, identity-first and shift changes of dimension n."""
+    yield random_invertible(F, n, rng)
+    yield complete_to_basis_with_one(random_unital_algebra(F, n, seed=n))
+    # {1, e_i + c_i 1} on an identity-first basis
+    e0 = unit_vec(F, n, 0)
+    yield BasisChange(F, [e0] + [
+        vec_add(F, unit_vec(F, n, i), vec_scale(F, random_scalar(F, rng), e0))
+        for i in range(1, n)])
+
+
+@pytest.mark.parametrize("name", ["Q", "F5", "GF4", "GF9"])
+def test_basis_change_maps_match_reference(name):
+    F = make_field(name)
+    rng = random.Random(f"maps|{name}")
+    for n in range(1, 8):
+        changes = list(_changes(F, n, rng))
+        vectors = [random_vector(F, n, rng) for _ in range(4)]
+        vectors += [unit_vec(F, n, i) for i in range(n)] + [(F.zero,) * n]
+        for P in changes:
+            for v in vectors:
+                assert P.to_old(v) == vec_mat(F, v, P.matrix), (n, v)
+                assert P.to_new(v) == vec_mat(F, v, P.inverse), (n, v)
+            for R in changes:
+                composed = P.then(R)
+                assert composed.matrix == tuple(
+                    vec_mat(F, r, P.matrix) for r in R.matrix)
+                assert composed.inverse == tuple(
+                    vec_mat(F, r, R.inverse) for r in P.inverse)
+
+
+def test_basis_change_wrong_length_raises():
+    P = random_invertible(Q, 3, random.Random(5))
+    for v in (qv(1, 2), qv(1, 2, 3, 4)):
+        with pytest.raises(DimensionMismatch):
+            P.to_old(v)
+        with pytest.raises(DimensionMismatch):
+            P.to_new(v)
+    with pytest.raises(DimensionMismatch):
+        P.then(BasisChange.identity(Q, 2))
+    with pytest.raises(DimensionMismatch):
+        BasisChange.identity(Q, 4).then(P)
