@@ -6,6 +6,9 @@
 #   remark-repaired: 0, 0, 0   (length one, certificate valid)
 #   remark-literal:  0, 1, 0   (length > 1, violation certificate valid)
 #
+# Two malformed calls must exit 2: `check` on a document over "F4" (4 is
+# not prime), and `oracle` over Q asking for more samples than its budget.
+#
 # Usage: sh scripts/cli_exit_codes.sh   (with `lenalg` on PATH)
 set -u
 dir=$(mktemp -d)
@@ -31,4 +34,9 @@ for case in "remark-repaired 0" "remark-literal 1"; do
     run "$2" check --json "$doc" > "$report"
     run 0 verify-cert "$report"
 done
+
+bad="$dir/f4.json"
+echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"
+run 2 check "$bad"
+run 2 oracle "$dir/remark-repaired.json" --samples 11 --budget 10
 exit $status

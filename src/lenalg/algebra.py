@@ -130,11 +130,9 @@ def change_basis(A, change):
     By definition, with R the rows of `change` and R^-1 its inverse, the new
     table is new[a][b] = A.mul(R[a], R[b]) @ R^-1: n^2 products on A's
     integer kernel (`Field.bilinear`), each mapped to new coordinates by
-    `change.to_new`, as is the image of the identity.  That map meets only
-    the nonzero entries of R^-1, so it costs at most n field multiplications
-    per nonzero coordinate: n^4 + n^2 for a dense change, about
-    n^2 * nnz(R^-1) for the sparse identity-first, shift, rescale and
-    homogenize changes of the decider.
+    `change.to_new`, as is the image of the identity.  That map is the
+    kernel of the one-row table (R^-1,), so the whole change is n^2 products
+    plus n^2 + 1 kernel maps, and no field multiplication outside them.
 
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.

@@ -809,17 +809,19 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     ((q^(n-1) - 1)/(q - 1))^2 pairs, the re-scan by q^(2n).
 
     Over infinite fields only a seeded sampling mode is available
-    (`samples=N`); it can prove "no" but never "yes", and the result is
-    marked `sampled`.
+    (`samples=N`, at most the budget); it can prove "no" but never "yes",
+    and the result is marked `sampled`.
     """
     field = A.field
     n = A.dim
+    budget = resolve_budget(budget)
     if not field.is_finite():
         if samples is None:
             raise InfiniteFieldExhaustiveUnsupported(
                 "exhaustive pair enumeration needs a finite field; pass samples=N")
+        if samples > budget:
+            raise BudgetExceeded(f"{samples} sampled pairs exceeds budget {budget}")
         return _oracle_sampled(A, samples, seed)
-    budget = resolve_budget(budget)
     q = field.order()
     lines = (q ** (n - 1) - 1) // (q - 1)
     if lines ** 2 > budget:

@@ -34,7 +34,10 @@ from .decide import (
 from .errors import (
     DimensionMismatch,
     InvalidIdentity,
+    LenalgError,
     NoIdentityError,
+    NonPrimeModulus,
+    ReducibleModulus,
     SchemaError,
     ScalarSyntaxError,
     SingularMatrix,
@@ -60,34 +63,40 @@ def field_to_json(field):
             "modulus": list(field.modulus)}
 
 
+# The key of a field object that a construction error is about; any other
+# error (an unsupported order or degree) is about the field as a whole.
+_FIELD_ERROR_KEYS = {NonPrimeModulus: ".p", ReducibleModulus: ".modulus"}
+
+
 def field_from_json(obj, path="field"):
+    """The field a document names; anything wrong with it, including a
+    field that cannot be built, is a SchemaError at the key at fault."""
     if isinstance(obj, str):
         try:
             return make_field(obj)
-        except ValueError as exc:
+        except (ValueError, LenalgError) as exc:
             raise SchemaError(path, str(exc))
     if not isinstance(obj, dict):
         raise SchemaError(path, "field must be a shorthand string or an object")
     kind = obj.get("kind")
     if kind == "rationals":
         return make_field("Q")
-    if kind == "prime":
-        if not isinstance(obj.get("p"), int):
-            raise SchemaError(f"{path}.p", "prime field needs integer p")
-        return PrimeField(obj["p"])
-    if kind == "extension":
-        p, k = obj.get("p"), obj.get("k")
-        if not isinstance(p, int) or not isinstance(k, int):
-            raise SchemaError(path, "extension field needs integers p and k")
-        modulus = obj.get("modulus")
-        if modulus is not None:
-            if (not isinstance(modulus, list)
-                    or any(not isinstance(c, int) for c in modulus)):
-                raise SchemaError(f"{path}.modulus",
-                                  "modulus must be a list of integers")
-            modulus = tuple(modulus)
-        return ExtensionField(p, k, modulus)
-    raise SchemaError(f"{path}.kind", f"unknown field kind {kind!r}")
+    if kind not in ("prime", "extension"):
+        raise SchemaError(f"{path}.kind", f"unknown field kind {kind!r}")
+    for key in ("p",) if kind == "prime" else ("p", "k"):
+        if type(obj.get(key)) is not int:
+            raise SchemaError(f"{path}.{key}", f"{kind} field needs an integer {key}")
+    modulus = obj.get("modulus")
+    if kind == "extension" and modulus is not None:
+        if not isinstance(modulus, list) or any(type(c) is not int for c in modulus):
+            raise SchemaError(f"{path}.modulus", "modulus must be a list of integers")
+        modulus = tuple(modulus)
+    try:
+        if kind == "prime":
+            return PrimeField(obj["p"])
+        return ExtensionField(obj["p"], obj["k"], modulus)
+    except LenalgError as exc:
+        raise SchemaError(path + _FIELD_ERROR_KEYS.get(type(exc), ""), str(exc))
 
 
 # ---------------------------------------------------------------------------

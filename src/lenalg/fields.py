@@ -28,18 +28,25 @@ summand is zero.
 Every field also compiles a structure-constant table into a product,
 `bilinear(table) -> product(u, v)`, that sums over integers and reduces
 once per output coordinate (the delayed reduction of the same paper).  The
-finite fields pack each output vector into one int of b-bit digits, with b
-the bit length of the largest sum a digit can reach, so no digit carries:
+table is m x r with cells of length n, so product(u, v) = sum_ij u_i v_j
+table[i][j] takes u of length m and v of length r; an algebra's table is
+the square case m = r = n.  The finite fields pack each output vector into
+one int of b-bit digits, with b the bit length of the largest sum a digit
+can reach, so no digit carries:
 
-* F_p: one packed int per cell e_i e_j, and u_i v_j times it added per
-  pair: a digit is at most n^2 (p-1)^3.  That needs coordinates in
-  [0, p), so every coordinate is reduced mod p on entry; an unreduced or
-  negative int would overflow into or borrow from the next digit;
+* F_p: one packed int per cell, and u_i v_j times it added per pair: a
+  digit is at most m r (p-1)^3.  That needs coordinates in [0, p), so
+  every coordinate is reduced mod p on entry; an unreduced or negative int
+  would overflow into or borrow from the next digit;
 * GF(p^k): per cell, k packed ints holding the F_p coordinates of
-  x^s * (e_i e_j), s < k; per pair the log tables give c = u_i v_j and
-  sum_s c_s * P^s adds c * (e_i e_j): a digit is at most n^2 k (p-1)^2;
+  x^s * table[i][j], s < k; per pair the log tables give c = u_i v_j and
+  sum_s c_s * P^s adds c * table[i][j]: a digit is at most m r k (p-1)^2;
 * Q: the table, u and v are scaled by the lcm of their own denominators
   (D, du, dv), and each coordinate is one Fraction(s, du dv D).
+
+A coordinate map v -> v @ M is the product of the one-row table (M,) with
+the left vector (1,), so `linear(M)` is that product and has no kernel of
+its own.
 """
 
 from __future__ import annotations
@@ -77,8 +84,9 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def _digit_width(bound):
-    """Bits per packed digit that hold every integer in [0, bound] exactly."""
-    return bound.bit_length()
+    """Bits per packed digit that hold every integer in [0, bound] exactly
+    (one at least, so that an empty table still unpacks)."""
+    return max(bound.bit_length(), 1)
 
 
 def _pack(digits, width):
@@ -99,15 +107,35 @@ def _unpacker(count, width, p):
     return unpack
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below MAX_PRIME (Sorenson & Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 2017); prime fields are refused from there on.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Whether n is prime, by deterministic Miller-Rabin; exact for n < MAX_PRIME."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d * 2^s, d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):   # a is no witness if some a^(d 2^i), i < s, is -1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
+
+
+def _shape(table):
+    """(m * r, n) for an m x r table whose cells have length n."""
+    cells = [cell for row in table for cell in row]
+    return len(cells), len(cells[0]) if cells else 0
 
 
 class Field:
@@ -152,10 +180,15 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def bilinear(self, table):
-        """The product (u, v) -> sum_ij u_i v_j table[i][j] of an n x n x n
-        table, as a function of two length-n coordinate vectors (lengths
-        are the caller's to check)."""
+        """The product (u, v) -> sum_ij u_i v_j table[i][j] of an m x r
+        table of length-n cells, as a function of a length-m u and a
+        length-r v (lengths are the caller's to check)."""
         raise NotImplementedError
+
+    def linear(self, matrix):
+        """The map v -> v @ matrix: the product of (matrix,) with (one,)."""
+        product, one = self.bilinear((matrix,)), (self.one,)
+        return lambda v: product(one, v)
 
     def halve(self, a):
         """a/2, refusing characteristic 2 where 2 is not invertible."""
@@ -212,7 +245,7 @@ class Rationals(Field):
         return a / b
 
     def bilinear(self, table):
-        n = len(table)
+        _, n = _shape(table)
         scale = math.lcm(*[y.denominator for row in table for cell in row
                            for y in cell])
         cells = [[[y.numerator * (scale // y.denominator) for y in cell]
@@ -262,6 +295,9 @@ class PrimeField(Field):
     """F_p for a prime p; payloads are ints in [0, p)."""
 
     def __init__(self, p):
+        if p >= MAX_PRIME:
+            raise UnsupportedExtension(
+                f"F{p}: primality is decided only below {MAX_PRIME}")
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
@@ -296,8 +332,8 @@ class PrimeField(Field):
 
     def bilinear(self, table):
         p = self.p
-        n = len(table)
-        width = _digit_width(n * n * (p - 1) ** 3)
+        pairs, n = _shape(table)
+        width = _digit_width(pairs * (p - 1) ** 3)
         cells = [[_pack([y % p for y in cell], width) for cell in row]
                  for row in table]
         unpack = _unpacker(n, width, p)
@@ -400,14 +436,15 @@ class ExtensionField(Field):
     """F_{p^k} as F_p[x]/(modulus); payloads are length-k coefficient tuples."""
 
     def __init__(self, p, k, modulus=None):
-        if not _is_prime(p):
-            raise NonPrimeModulus(f"{p} is not prime")
         if k < 1:
             raise UnsupportedExtension(f"extension degree {k} < 1")
-        if p ** k > MAX_FIELD_ORDER:
+        # 2^k already exceeds the bound past this k, and p^k stays cheap
+        if k >= MAX_FIELD_ORDER.bit_length() or p ** k > MAX_FIELD_ORDER:
             raise UnsupportedExtension(
                 f"GF({p}^{k}) exceeds the supported order bound {MAX_FIELD_ORDER}"
             )
+        if not _is_prime(p):
+            raise NonPrimeModulus(f"{p} is not prime")
         if modulus is None:
             modulus = DEFAULT_MODULI.get((p, k))
             if modulus is None:
@@ -442,8 +479,8 @@ class ExtensionField(Field):
         g is primitive when g^((q-1)/r) != 1 for every prime r dividing q-1;
         each test is a square-and-multiply power, so the search costs
         O(log q) products per candidate.  The walk then applies the k x k
-        F_p matrix of multiplication by g, built once from the k products
-        g * x^t and held as packed columns, to each power in turn.
+        F_p matrix of multiplication by g, whose rows are the k products
+        g * x^t, to each power in turn (`PrimeField.linear`).
         """
         p, k, modulus, one = self.p, self.k, self.modulus, self.one
 
@@ -463,13 +500,11 @@ class ExtensionField(Field):
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
         g = next(a for a in self.elements() if a != self.zero
                  and all(power(a, order // r) != one for r in primes))
-        width = _digit_width(k * (p - 1) ** 2)
-        columns = [_pack(times(g, self._pad((0,) * t + (1,))), width)
-                   for t in range(k)]
-        unpack = _unpacker(k, width, p)
+        step = PrimeField(p).linear(
+            [times(g, self._pad((0,) * t + (1,))) for t in range(k)])
         powers = [one]
         for _ in range(order - 1):
-            powers.append(tuple(unpack(sum(map(mul, powers[-1], columns)))))
+            powers.append(step(powers[-1]))
         return powers
 
     def characteristic(self):
@@ -515,9 +550,9 @@ class ExtensionField(Field):
 
     def bilinear(self, table):
         p, k = self.p, self.k
-        n = len(table)
+        pairs, n = _shape(table)
         zero, log, exp = self.zero, self._log, self._exp
-        width = _digit_width(n * n * k * (p - 1) ** 2)
+        width = _digit_width(pairs * k * (p - 1) ** 2)
         x_logs = [log[self._pad((0,) * s + (1,))] for s in range(k)]
         cells = [[[_pack([c for y in cell for c in exp[log[y] + ls]], width)
                    for ls in x_logs]

@@ -164,11 +164,10 @@ class BasisChange:
     `to_old` maps coordinates w.r.t. the new basis back to old coordinates
     (v @ matrix), `to_new` is the inverse map (v @ inverse), and `then`
     composes two changes through them.  `matrix` and `inverse` are dense
-    tuples of rows; the maps run over the nonzero entries of each row, kept
-    at construction, so a sparse change (identity-first, shift, rescale)
-    costs one field multiplication per nonzero entry met.  The inverse is
-    computed once; a caller that already holds it passes it as `inverse`,
-    which is trusted, not checked.
+    tuples of rows; both maps are compiled at construction by
+    `Field.linear`, so they run on the field's integer product kernel.  The
+    inverse is computed once; a caller that already holds it passes it as
+    `inverse`, which is trusted, not checked.
     """
 
     def __init__(self, field, rows, inverse=None):
@@ -180,8 +179,8 @@ class BasisChange:
         self.field = field
         self.matrix = rows
         self.inverse = inverse
-        self._rows = _nonzero_entries(field, rows)
-        self._inverse_rows = _nonzero_entries(field, inverse)
+        self._to_old = field.linear(rows)
+        self._to_new = field.linear(inverse)
 
     @staticmethod
     def of(field, basis):
@@ -193,24 +192,15 @@ class BasisChange:
         return len(self.matrix)
 
     def to_old(self, v_new):
-        return self._map(v_new, self._rows)
+        return self._to_old(self._checked(v_new))
 
     def to_new(self, v_old):
-        return self._map(v_old, self._inverse_rows)
+        return self._to_new(self._checked(v_old))
 
-    def _map(self, v, rows):
-        """v @ M for the matrix M whose nonzero entries per row are `rows`."""
-        n = len(rows)
-        if len(v) != n:
-            raise DimensionMismatch(f"vector length {len(v)} != basis dim {n}")
-        field = self.field
-        zero, add, mul = field.zero, field.add, field.mul
-        out = [zero] * n
-        for y, row in zip(v, rows):
-            if y != zero:
-                for m, d in row:
-                    out[m] = add(out[m], mul(y, d))
-        return tuple(out)
+    def _checked(self, v):
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector length {len(v)} != basis dim {self.dim}")
+        return v
 
     def then(self, other):
         """Compose: apply self first, then `other` expressed in self's basis."""
@@ -221,13 +211,6 @@ class BasisChange:
     def identity(field, n):
         m = identity_matrix(field, n)
         return BasisChange(field, m, inverse=m)
-
-
-def _nonzero_entries(field, matrix):
-    """Per row, the (column, entry) pairs whose entry is nonzero."""
-    zero = field.zero
-    return tuple(tuple((m, d) for m, d in enumerate(row) if d != zero)
-                 for row in matrix)
 
 
 def random_invertible(field, n, rng):

@@ -63,10 +63,11 @@ def random_two_dim_unital(field, seed):
 
 
 def reference_mul(field, table, u, v):
-    """The product of a structure-constant table by field operations alone:
-    its bilinear extension, one field multiplication and addition per term."""
+    """The product of an m x r structure-constant table of length-n cells
+    by field operations alone: its bilinear extension, one field
+    multiplication and addition per term."""
     zero = field.zero
-    out = [zero] * len(table)
+    out = [zero] * len(table[0][0])
     for ui, row in zip(u, table):
         if ui == zero:
             continue

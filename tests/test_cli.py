@@ -243,6 +243,33 @@ def test_verify_cert_malformed_report_field_is_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, where", [
+    ("F4", "field"),
+    ({"kind": "prime", "p": 4}, "field.p"),
+    ({"kind": "prime", "p": True}, "field.p"),
+    ({"kind": "extension", "p": 2, "k": True}, "field.k"),
+    ({"kind": "extension", "p": 2, "k": 2, "modulus": [1, 0, 1]}, "field.modulus"),
+    ({"kind": "prime", "p": 2 ** 89 - 1}, "field"),   # prime, past MAX_PRIME
+])
+@pytest.mark.parametrize("command", ["check", "verify-cert"])
+def test_bad_field_exits_2_naming_its_path(
+        fixture_file, tmp_path, capsys, command, field, where):
+    if command == "check":
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"field": field, "dim": 1, "one": ["1"],
+                                    "table": [[["1"]]]}))
+        path = str(path)
+    else:
+        path = _edited_report(
+            tmp_path, capsys, ["check", fixture_file("remark-repaired"), "--json"],
+            ("algebra", "field"), field)
+        where = "algebra." + where
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[SchemaError]: {where}: ")
+    assert "Traceback" not in err
+
+
 _LENGTH_SET = ["length-set", "--set", "e2;e3;e4"]  # l(S) = 1, generates
 
 

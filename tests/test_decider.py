@@ -381,3 +381,9 @@ def test_oracle_budget_counts_each_phase():
     assert decide_length_one(M).value is False
     with pytest.raises(BudgetExceeded, match="re-scan"):
         oracle_length_one(M)
+    # over Q the samples are the work: 20,000 of them do not fit a budget of
+    # 10, and are refused before the first one is drawn
+    R = make_fixture("remark-repaired")
+    with pytest.raises(BudgetExceeded, match="sampled"):
+        oracle_length_one(R, samples=20000, budget=10)
+    assert oracle_length_one(R, samples=10, budget=10).pairs_checked == 10

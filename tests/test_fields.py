@@ -1,6 +1,7 @@
 """Exact field arithmetic: canonical forms, axioms, parsing, moduli."""
 
 import itertools
+import time
 import pytest
 from fractions import Fraction
 
@@ -121,6 +122,35 @@ def test_extension_parse_forms():
     assert G4.parse("1") == (1, 0)
     with pytest.raises(ValueError):
         G4.parse("[1,0,1]")
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in itertools.chain(range(5001), [561, 41041, 2047, 3215031751]):
+        assert fields._is_prime(n) == sympy.isprime(n), n
+
+
+def test_large_primes_build_fast_and_past_the_bound_are_refused():
+    # trial division took seconds per field from about 10^12 on
+    start = time.perf_counter()
+    F = make_field("F1000000000000000003")
+    assert time.perf_counter() - start < 0.5
+    assert F.mul(F.from_int(-1), F.from_int(-1)) == 1
+    with pytest.raises(NonPrimeModulus):
+        PrimeField(1000000000000000003 * 1000003)
+    # the least strong pseudoprime to the bases 2..37 needs the base 41
+    assert fields._is_prime(318665857834031151167461) is False
+    # MAX_PRIME is the least one to the bases 2..41, so the test calls it
+    # prime: PrimeField refuses it and every p past it, primes included
+    assert fields._is_prime(fields.MAX_PRIME) is True
+    for p in (fields.MAX_PRIME, 2 ** 89 - 1):
+        with pytest.raises(UnsupportedExtension):
+            PrimeField(p)
+    # the order bound comes first: no primality test of a huge p or power
+    with pytest.raises(UnsupportedExtension):
+        ExtensionField(2 ** 89 - 1, 2)
+    with pytest.raises(UnsupportedExtension):
+        ExtensionField(3, 10 ** 9)
 
 
 def test_bad_moduli():

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lenalg import BasisChange, complete_to_basis_with_one, make_field, span
+from lenalg import (
+    BasisChange,
+    ExtensionField,
+    complete_to_basis_with_one,
+    make_field,
+    span,
+)
 from lenalg.errors import DimensionMismatch, SingularMatrix
 from lenalg.linalg import (
     identity_matrix,
@@ -134,9 +140,14 @@ def _changes(F, n, rng):
         for i in range(1, n)])
 
 
-@pytest.mark.parametrize("name", ["Q", "F5", "GF4", "GF9"])
+MAP_FIELDS = {name: make_field(name) for name in
+              ("Q", "F2", "F5", "F7", "F4093", "GF4", "GF8", "GF9")}
+MAP_FIELDS["GF256"] = ExtensionField(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # AES
+
+
+@pytest.mark.parametrize("name", list(MAP_FIELDS))
 def test_basis_change_maps_match_reference(name):
-    F = make_field(name)
+    F = MAP_FIELDS[name]
     rng = random.Random(f"maps|{name}")
     for n in range(1, 8):
         changes = list(_changes(F, n, rng))
@@ -152,6 +163,14 @@ def test_basis_change_maps_match_reference(name):
                     vec_mat(F, r, P.matrix) for r in R.matrix)
                 assert composed.inverse == tuple(
                     vec_mat(F, r, R.inverse) for r in P.inverse)
+
+
+@pytest.mark.parametrize("name", ["Q", "F5", "GF4"])
+def test_empty_basis_change_maps_the_empty_vector(name):
+    # an untrusted certificate may carry "change": [], a 0 x 0 change
+    P = BasisChange(MAP_FIELDS[name], ())
+    assert P.to_old(()) == P.to_new(()) == ()
+    assert P.then(P).matrix == ()
 
 
 def test_basis_change_wrong_length_raises():

@@ -67,34 +67,44 @@ def test_kernel_matches_reference(name):
             _assert_matches_reference(unital_hull(F, table), vectors)
 
 
-def _worst_case_prime(p, n):
-    """Every table entry and coordinate p - 1: each digit sums to exactly
-    n^2 (p-1)^3, the bound its width is chosen for."""
+def _worst_case_prime(p, shape):
+    """Every entry of an m x r table of length-n cells and every coordinate
+    p - 1: each digit sums to exactly m r (p-1)^3, the bound its width is
+    chosen for."""
+    m, r, n = shape
     F = PrimeField(p)
-    table = [[(p - 1,) * n] * n] * n
-    return F, table, (p - 1,) * n, (p - 1,) * n
+    table = [[(p - 1,) * n] * r] * m
+    return F, table, (p - 1,) * m, (p - 1,) * r
 
 
-def _worst_case_extension(p, k, modulus, n):
-    """A table whose digits t = 0 sum to exactly n^2 k (p-1)^2.
+def _worst_case_extension(p, k, modulus, shape):
+    """An m x r table whose digits t = 0 sum to exactly m r k (p-1)^2.
 
     Every cell is (b, ..., b) with coefficient 0 of x^s * b equal to p - 1
     for every s < k, u is all ones and v all (p-1, ..., p-1), so each pair
     adds (p-1) * (p-1) for each s to that digit of every coordinate.
     """
+    m, r, n = shape
     F = ExtensionField(p, k, modulus)
     powers = [F._pad((0,) * s + (1,)) for s in range(k)]
     b = next(b for b in F.elements()
              if all(F.mul(x, b)[0] == p - 1 for x in powers))
     top = (p - 1,) * k
-    return F, [[(b,) * n] * n] * n, (F.one,) * n, (top,) * n
+    return F, [[(b,) * n] * r] * m, (F.one,) * m, (top,) * r
 
 
-WORST_CASES = {
-    "F4093": lambda: _worst_case_prime(4093, 8),
-    "GF4096": lambda: _worst_case_extension(2, 12, GF4096_MODULUS, 8),
-    "GF2187": lambda: _worst_case_extension(3, 7, GF2187_MODULUS, 8),
-}
+# Square algebra tables, the 1 x 8 x 8 table of `Field.linear` and a
+# 3 x 5 x 8 one, so that the width pins the m r factor of the bound.
+SHAPES = {"": (8, 8, 8), "-1x8x8": (1, 8, 8), "-3x5x8": (3, 5, 8)}
+WORST_CASES = {}
+for suffix, shape in SHAPES.items():
+    WORST_CASES.update({
+        "F4093" + suffix: lambda s=shape: _worst_case_prime(4093, s),
+        "GF4096" + suffix:
+            lambda s=shape: _worst_case_extension(2, 12, GF4096_MODULUS, s),
+        "GF2187" + suffix:
+            lambda s=shape: _worst_case_extension(3, 7, GF2187_MODULUS, s),
+    })
 
 
 @pytest.mark.parametrize("name", list(WORST_CASES))
@@ -104,8 +114,10 @@ def test_worst_case_digit_width(name):
     assert product(u, v) == reference_mul(F, table, u, v)
     # every entry and every coefficient of every coordinate p - 1
     top = (F.p - 1,) * F.k if isinstance(F, ExtensionField) else F.p - 1
-    full, w = [[(top,) * 8] * 8] * 8, (top,) * 8
-    assert F.bilinear(full)(w, w) == reference_mul(F, full, w, w)
+    m, r, n = len(table), len(table[0]), len(table[0][0])
+    full = [[(top,) * n] * r] * m
+    wu, wv = (top,) * m, (top,) * r
+    assert F.bilinear(full)(wu, wv) == reference_mul(F, full, wu, wv)
 
 
 @pytest.mark.parametrize("name", list(WORST_CASES))
