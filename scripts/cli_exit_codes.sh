@@ -6,6 +6,10 @@
 #   remark-repaired: 0, 0, 0   (length one, certificate valid)
 #   remark-literal:  0, 1, 0   (length > 1, violation certificate valid)
 #
+# The exhaustive pair oracle runs the same way: `oracle` exits 0 on the
+# fixture dim3-f2-type3 and 1 on remark-literal made over F5, and
+# `verify-cert` of the latter's `oracle --json` report exits 0.
+#
 # Two malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), and `oracle` over Q asking for more samples than its budget.
 #
@@ -34,6 +38,12 @@ for case in "remark-repaired 0" "remark-literal 1"; do
     run "$2" check --json "$doc" > "$report"
     run 0 verify-cert "$report"
 done
+
+run 0 make fixture --name dim3-f2-type3 -o "$dir/type3.json"
+run 0 oracle "$dir/type3.json"
+run 0 make fixture --name remark-literal --field F5 -o "$dir/literal-f5.json"
+run 1 oracle --json "$dir/literal-f5.json" > "$dir/literal-f5.oracle.json"
+run 0 verify-cert "$dir/literal-f5.oracle.json"
 
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"

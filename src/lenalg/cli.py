@@ -13,6 +13,7 @@ The enumeration budget for oracles and exact lengths can be overridden with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -339,7 +340,10 @@ def _cmd_verify_cert(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every call;
+    each parse fills a fresh namespace, so no argument outlives its call."""
     parser = argparse.ArgumentParser(
         prog="lenalg",
         description="Exact length-one decisions, lengths, and identity checks "

@@ -11,7 +11,7 @@ not associative.  See README "Fixture notes" for the recorded outcomes.
 from __future__ import annotations
 
 from .algebra import Algebra, algebra, identity_first
-from .documents import parse_document
+from .documents import field_to_json, parse_document
 from .errors import CharacteristicTwo, UnknownFixture
 
 
@@ -219,6 +219,5 @@ def make_fixture(name, field=None):
             f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
     doc = dict(FIXTURES[name])
     if field is not None:
-        from .documents import field_to_json
         doc = dict(doc, field=field_to_json(field))
     return parse_document(doc).algebra

@@ -61,7 +61,7 @@ from .errors import (
     InfiniteFieldExhaustiveUnsupported,
 )
 from .length import resolve_budget
-from .linalg import BasisChange, span, unit_vec, vec_add, vec_scale
+from .linalg import BasisChange, in_span, unit_vec, vec_add, vec_scale
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def verify_violation(A, w):
 
 def _violates(A, a, b):
     """True when a*b lies outside span{1, a, b}."""
-    return not span(A.field, [A.one, a, b]).contains(A.mul(a, b))
+    return not in_span(A.field, A.mul(a, b), (A.one, a, b))
 
 
 def verify_special_witness(A, w):
@@ -767,32 +767,19 @@ def _projective_reps(field, m):
 def _pair_ok(B, u, v):
     """Membership mul(u, v) in span{1, u, v} for identity-first coordinates.
 
-    The identity absorbs coordinate 0, so the test happens in the quotient;
-    a small inlined elimination avoids building Subspace values in the hot
-    loop.
+    The identity absorbs coordinate 0, so the test happens in the quotient.
     """
-    field = B.field
-    zero = field.zero
-    w = list(B.mul(u, v)[1:])
-    rows = []
-    for r in (u[1:], v[1:]):
-        r = list(r)
-        for p, prow in rows:
-            c = r[p]
-            if c != zero:
-                r = [field.sub(a, field.mul(c, b)) for a, b in zip(r, prow)]
-        pivot = next((i for i, c in enumerate(r) if c != zero), None)
-        if pivot is None:
-            continue
-        if r[pivot] != field.one:
-            inv = field.inv(r[pivot])
-            r = [field.mul(inv, a) for a in r]
-        rows.append((pivot, r))
-    for p, prow in rows:
-        c = w[p]
-        if c != zero:
-            w = [field.sub(a, field.mul(c, b)) for a, b in zip(w, prow)]
-    return all(c == zero for c in w)
+    return in_span(B.field, B.mul(u, v)[1:], (u[1:], v[1:]))
+
+
+def _first_violation(pairs, violates):
+    """(number of pairs tried, the first pair (a, b) with violates(a, b) or None)."""
+    tried = 0
+    for a, b in pairs:
+        tried += 1
+        if violates(a, b):
+            return tried, (a, b)
+    return tried, None
 
 
 def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
@@ -806,7 +793,8 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     located by a direct scan and returned as the witness; callers that only
     need the verdict can pass witness=False and skip that scan.  Each phase
     is checked against the budget before it starts: the sweep by its
-    ((q^(n-1) - 1)/(q - 1))^2 pairs, the re-scan by q^(2n).
+    ((q^(n-1) - 1)/(q - 1))^2 pairs, the re-scan by q^(2n).  All three scans
+    (sweep, re-scan, sampling) run through `_first_violation`.
 
     Over infinite fields only a seeded sampling mode is available
     (`samples=N`, at most the budget); it can prove "no" but never "yes",
@@ -821,66 +809,40 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
                 "exhaustive pair enumeration needs a finite field; pass samples=N")
         if samples > budget:
             raise BudgetExceeded(f"{samples} sampled pairs exceeds budget {budget}")
-        return _oracle_sampled(A, samples, seed)
+        rng = random.Random(f"oracle|{seed}")
+        draw = lambda: tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
+        checked, bad = _first_violation(((draw(), draw()) for _ in range(samples)),
+                                        lambda a, b: _violates(A, a, b))
+        return _oracle_result(bad, "oracle-pair-sampled", True, checked)
     q = field.order()
     lines = (q ** (n - 1) - 1) // (q - 1)
     if lines ** 2 > budget:
         raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
-    B, change = with_identity_first(A)
-    reps = _projective_reps(field, n - 1)
-    checked = 0
-    clean = True
-    for x in reps:
-        u = (field.zero,) + x
-        for y in reps:
-            v = (field.zero,) + y
-            checked += 1
-            if not _pair_ok(B, u, v):
-                clean = False
-                break
-        if not clean:
-            break
-    if clean:
-        return OracleResult(is_length_one=True, witness=None, sampled=False,
-                            pairs_checked=checked)
-    if not witness:
-        return OracleResult(is_length_one=False, witness=None, sampled=False,
+    B, _ = with_identity_first(A)
+    reps = [(field.zero,) + x for x in _projective_reps(field, n - 1)]
+    checked, bad = _first_violation(itertools.product(reps, repeat=2),
+                                    lambda u, v: not _pair_ok(B, u, v))
+    if bad is None or not witness:
+        return OracleResult(is_length_one=bad is None, witness=None, sampled=False,
                             pairs_checked=checked)
     # locate the lexicographically first violating pair in original coordinates
     if q ** (2 * n) > budget:
         raise BudgetExceeded(
             f"witness re-scan of {q}^{2 * n} pairs exceeds budget {budget}")
     elems = list(field.elements())
+    # a scalar factor keeps the product in span{1, a, b}: skip the line F*1
     one_line = {vec_scale(field, c, A.one) for c in elems}
-    for a in itertools.product(elems, repeat=n):
-        if a in one_line:
-            continue  # scalar left factor: products stay in span{1, b}
-        for b in itertools.product(elems, repeat=n):
-            if b in one_line:
-                continue
-            checked += 1
-            if _violates(A, a, b):
-                w = ViolationWitness(left=a, right=b,
-                                     condition="oracle-pair",
-                                     detail={})
-                return OracleResult(is_length_one=False, witness=w,
-                                    sampled=False, pairs_checked=checked)
-    raise AssemblyError("reduced oracle scan and full scan disagree")
+    raw = lambda: (a for a in itertools.product(elems, repeat=n) if a not in one_line)
+    more, bad = _first_violation(((a, b) for a in raw() for b in raw()),
+                                 lambda a, b: _violates(A, a, b))
+    if bad is None:
+        raise AssemblyError("reduced oracle scan and full scan disagree")
+    return _oracle_result(bad, "oracle-pair", False, checked + more)
 
 
-def _oracle_sampled(A, samples, seed):
-    field = A.field
-    n = A.dim
-    rng = random.Random(f"oracle|{seed}")
-    checked = 0
-    for _ in range(samples):
-        a = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
-        b = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
-        checked += 1
-        if _violates(A, a, b):
-            w = ViolationWitness(left=a, right=b, condition="oracle-pair-sampled",
-                                 detail={})
-            return OracleResult(is_length_one=False, witness=w, sampled=True,
-                                pairs_checked=checked)
-    return OracleResult(is_length_one=True, witness=None, sampled=True,
+def _oracle_result(bad, condition, sampled, checked):
+    """OracleResult with the pair `bad`, if any, as its violation witness."""
+    w = None if bad is None else ViolationWitness(
+        left=bad[0], right=bad[1], condition=condition, detail={})
+    return OracleResult(is_length_one=bad is None, witness=w, sampled=sampled,
                         pairs_checked=checked)

@@ -42,7 +42,7 @@ from .errors import (
     ScalarSyntaxError,
     SingularMatrix,
 )
-from .fields import ExtensionField, PrimeField, make_field
+from .fields import DEFAULT_MODULI, ExtensionField, PrimeField, make_field
 from .linalg import BasisChange
 
 
@@ -51,16 +51,14 @@ from .linalg import BasisChange
 # ---------------------------------------------------------------------------
 
 def field_to_json(field):
-    label = field.label()
-    try:
-        if make_field(label) == field:
-            return label
-    except ValueError:
-        pass
-    if isinstance(field, PrimeField):
-        return {"kind": "prime", "p": field.p}
-    return {"kind": "extension", "p": field.p, "k": field.k,
-            "modulus": list(field.modulus)}
+    """The field's shorthand label, or an extension object when the label
+    would not rebuild it (its modulus is not the default one); no field is
+    built."""
+    if (isinstance(field, ExtensionField)
+            and DEFAULT_MODULI.get((field.p, field.k)) != field.modulus):
+        return {"kind": "extension", "p": field.p, "k": field.k,
+                "modulus": list(field.modulus)}
+    return field.label()
 
 
 # The key of a field object that a construction error is about; any other

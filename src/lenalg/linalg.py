@@ -5,6 +5,9 @@ stored in reduced row echelon form (pivots equal to one, pivot columns
 otherwise zero, pivot columns strictly increasing, no zero rows), which is a
 canonical form: equal subspaces have identical `rows`, so subspace equality
 is raw tuple comparison and every reported witness is deterministic.
+`_eliminate` is the only row elimination, and `in_span` the membership test
+that builds no `Subspace`: `rref`, `Subspace.reduce` and `in_span` all run
+on `_eliminate`.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -45,6 +48,43 @@ def vec_is_zero(field, v):
     return all(a == z for a in v)
 
 
+def _eliminate(field, v, rows):
+    """v minus, for each (pivot, row) pair in turn, v[pivot] times row.
+
+    Each row must have a one at its pivot and zeros at the pivots of the
+    rows before it; the result is then zero at every given pivot.
+    """
+    zero, sub, mul = field.zero, field.sub, field.mul
+    for p, row in rows:
+        c = v[p]
+        if c != zero:
+            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
+def in_span(field, w, vectors):
+    """True when w lies in the span of the vectors (none: only zero does).
+
+    Each vector is reduced against the rows so far and, unless it vanishes,
+    scaled to a one at its first nonzero entry, its pivot; then w is reduced
+    against the rows.  No Subspace is built.
+    """
+    n, zero, one = len(w), field.zero, field.one
+    rows = []
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatch("span membership over vectors of mixed lengths")
+        r = _eliminate(field, v, rows)
+        for pivot, c in enumerate(r):
+            if c != zero:
+                if c != one:
+                    inv = field.inv(c)
+                    r = [field.mul(inv, a) for a in r]
+                rows.append((pivot, r))
+                break
+    return vec_is_zero(field, _eliminate(field, w, rows))
+
+
 def rref(field, rows):
     """Canonical reduced row echelon form of the given spanning rows."""
     work = [list(r) for r in rows]
@@ -67,11 +107,10 @@ def rref(field, rows):
         inv_p = field.inv(work[r][col])
         if work[r][col] != one:
             work[r] = [field.mul(inv_p, a) for a in work[r]]
+        against = ((col, work[r]),)
         for i in range(len(work)):
             if i != r and work[i][col] != zero:
-                c = work[i][col]
-                work[i] = [field.sub(a, field.mul(c, b))
-                           for a, b in zip(work[i], work[r])]
+                work[i] = _eliminate(field, work[i], against)
         pivot_cols.append(col)
         r += 1
         col += 1
@@ -98,14 +137,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient {self.ambient_dim}")
-        field = self.field
-        residual = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = residual[pc]
-            if c != field.zero:
-                residual = [field.sub(a, field.mul(c, b))
-                            for a, b in zip(residual, row)]
-        return tuple(residual)
+        return tuple(_eliminate(self.field, v, zip(self.pivots, self.rows)))
 
     def contains(self, v):
         return vec_is_zero(self.field, self.reduce(v))

@@ -8,6 +8,7 @@ hides any privileged coordinates.  Everything is seeded and deterministic.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from lenalg import (
     make_field,
     unital_hull,
 )
+from lenalg.algebra import with_identity_first
+from lenalg.decide import OracleResult, ViolationWitness
 from lenalg.errors import DimensionMismatch
-from lenalg.linalg import random_invertible, span, unit_vec
+from lenalg.linalg import random_invertible, span, unit_vec, vec_scale
 
 
 def random_scalar(field, rng):
@@ -104,6 +107,65 @@ def greedy_completion_with_one(A):
         if not current.contains(ek):
             rows.append(ek)
     return tuple(rows)
+
+
+def reference_oracle(A, *, samples=None, seed=0, witness=True):
+    """The pair oracle as three plain scans, each pair tested by building
+    span{1, a, b} and asking `contains`: the reference for
+    `oracle_length_one` (budgets aside).
+
+    Sampling draws a and b from the seeded stream the oracle uses; the sweep
+    takes pairs of projective representatives (first nonzero entry 1, in
+    lexicographic order) of the coordinates after the identity, with the
+    identity first; the witness re-scan takes raw coordinate vectors off the
+    line F*1, in lexicographic order.
+    """
+    field, n = A.field, A.dim
+
+    def violates(X, a, b):
+        return not span(field, [X.one, a, b]).contains(X.mul(a, b))
+
+    if not field.is_finite():
+        rng = random.Random(f"oracle|{seed}")
+        checked = 0
+        for _ in range(samples):
+            a = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
+            b = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
+            checked += 1
+            if violates(A, a, b):
+                return OracleResult(
+                    False, ViolationWitness(a, b, "oracle-pair-sampled", {}),
+                    True, checked)
+        return OracleResult(True, None, True, checked)
+    elems = list(field.elements())
+    zero, one = field.zero, field.one
+    reps = [(zero,) * (pos + 1) + (one,) + tail for pos in range(n - 1)
+            for tail in itertools.product(elems, repeat=n - pos - 2)]
+    B, _ = with_identity_first(A)
+    checked = 0
+    found = False
+    for u in reps:
+        for v in reps:
+            checked += 1
+            if violates(B, u, v):
+                found = True
+                break
+        if found:
+            break
+    if not found or not witness:
+        return OracleResult(not found, None, False, checked)
+    one_line = {vec_scale(field, c, A.one) for c in elems}
+    for a in itertools.product(elems, repeat=n):
+        if a in one_line:
+            continue
+        for b in itertools.product(elems, repeat=n):
+            if b in one_line:
+                continue
+            checked += 1
+            if violates(A, a, b):
+                return OracleResult(
+                    False, ViolationWitness(a, b, "oracle-pair", {}), False, checked)
+    raise AssertionError("the sweep found a violation the re-scan did not")
 
 
 FIELD_NAMES_SMALL = ("F2", "F3", "F5", "GF4")

@@ -166,6 +166,20 @@ def test_identities_degree_label(fixture_file, capsys):
     assert "power-associative(<=6)" in data["identities"]
 
 
+def test_successive_calls_do_not_leak_arguments(fixture_file, capsys):
+    """`main` shares one parser; an option given to one call is gone from
+    the next."""
+    path = fixture_file("remark-repaired")
+    assert main(["identities", path, "--degree", "3"]) == 0
+    assert "power-associative(<=3)" in capsys.readouterr().out
+    assert main(["identities", path]) == 0
+    assert "power-associative(<=6)" in capsys.readouterr().out
+    assert main(["oracle", path, "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", path]) == 2
+    assert "InfiniteFieldExhaustiveUnsupported" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lenalg", "--version"],

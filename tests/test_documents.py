@@ -90,6 +90,31 @@ def test_field_json_round_trip():
     obj = {"kind": "extension", "p": 2, "k": 3, "modulus": [1, 1, 0, 1]}
     f = field_from_json(obj)
     assert f == make_field("GF8")
+    assert field_from_json({"kind": "prime", "p": 5}) == make_field("F5")
+
+
+def test_field_to_json_builds_no_field(monkeypatch):
+    """Labels for shorthand fields, an object for a non-default modulus,
+    and no field construction in either case."""
+    from lenalg import ExtensionField, PrimeField, fields
+    fields_in = [make_field(name) for name in ("Q", "F2", "F4093", "GF4", "GF8", "GF9")]
+    aes = ExtensionField(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
+    other_gf8 = ExtensionField(2, 3, (1, 0, 1, 1))
+    built = []
+    for cls in (fields.Rationals, PrimeField, ExtensionField):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(args)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert [field_to_json(f) for f in fields_in] == [
+        "Q", "F2", "F4093", "GF4", "GF8", "GF9"]
+    assert field_to_json(aes) == {"kind": "extension", "p": 2, "k": 8,
+                                  "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]}
+    assert field_to_json(other_gf8)["modulus"] == [1, 0, 1, 1]
+    assert built == []
+    monkeypatch.undo()
+    for f in (*fields_in, aes, other_gf8):
+        assert field_from_json(field_to_json(f)) == f
 
 
 def test_report_round_trip_and_verification():

@@ -17,6 +17,7 @@ from lenalg import (
 from lenalg.errors import DimensionMismatch, SingularMatrix
 from lenalg.linalg import (
     identity_matrix,
+    in_span,
     invert_matrix,
     random_invertible,
     unit_vec,
@@ -64,6 +65,8 @@ def test_dimension_mismatch():
         span(Q, [qv(1, 0), qv(1, 0, 0)])
     with pytest.raises(DimensionMismatch):
         span(Q, [qv(1, 0)]).contains(qv(1, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        in_span(Q, qv(1, 0), [qv(1, 0, 0)])
 
 
 @given(st.permutations(list(range(4))), st.data())
@@ -91,6 +94,25 @@ def test_reduce_then_contains(seed):
         for c, row in zip(coords, U.rows):
             acc = tuple(F5.add(a, F5.mul(c, b)) for a, b in zip(acc, row))
         assert acc == v
+
+
+@pytest.mark.parametrize("name", ["Q", "F2", "F5", "GF4", "GF9"])
+def test_in_span_matches_span_contains(name):
+    """Random, dependent, zero-padded and empty lists; targets inside the
+    span (combinations of the list) and, mostly, outside it."""
+    F = make_field(name)
+    rng = random.Random(f"in_span|{name}")
+    zero = (F.zero,) * 4
+    for _ in range(30):
+        vectors = [random_vector(F, 4, rng) for _ in range(rng.randrange(1, 4))]
+        dependent = vectors + [vec_add(F, vectors[0], vec_scale(
+            F, random_scalar(F, rng), vectors[-1]))]
+        for vs in (vectors, dependent, vectors + [zero], [zero], []):
+            inside = zero
+            for v in vs:
+                inside = vec_add(F, inside, vec_scale(F, random_scalar(F, rng), v))
+            for w in (random_vector(F, 4, rng), inside, zero, *vs):
+                assert in_span(F, w, vs) == span(F, vs, ambient_dim=4).contains(w)
 
 
 def test_invert_matrix():

@@ -5,6 +5,12 @@ so the field's log tables rest on a primitive element other than x.  The
 corpus is every generator mode at dims 3-4 (GF16 at dim 3, where its sweep
 is 289 pairs), each hidden by a seeded change of basis, plus one-constant
 mutations of each table.
+
+The oracle itself equals `reference_oracle`, three plain scans with a
+`span(...).contains` per pair, field by field (verdict, witness, pairs
+checked, sampled) on yes, near-miss and random tables over F2, F3, F5 and
+GF4 at dims 2-4, with and without the witness re-scan, and on sampled
+scans over Q.
 """
 
 import pytest
@@ -15,11 +21,14 @@ from lenalg import (
     decide_length_one,
     generate_length_one,
     make_field,
+    make_fixture,
     oracle_length_one,
     verify_certificate,
 )
 from lenalg.errors import ModeCharacteristicMismatch
 from lenalg.generate import MODES
+
+from tests.corpus import FIELD_NAMES_SMALL, random_unital_algebra, reference_oracle
 
 GF16 = ExtensionField(2, 4, (1, 1, 1, 1, 1))
 
@@ -39,15 +48,17 @@ def _mutations(A):
 
 
 def _corpus(field, dim):
-    """(mode, algebra): each mode's table hidden, and its mutations."""
+    """(mode, algebra): each mode's table hidden, and its mutations (from
+    dim 3, where they exist)."""
     for mode in MODES:
         try:
             A = generate_length_one(field, dim, seed=0, mode=mode)
         except ModeCharacteristicMismatch:
             continue
         yield mode, generate_length_one(field, dim, seed=0, mode=mode, hide=True)
-        for M in _mutations(A):
-            yield mode, M
+        if dim >= 3:
+            for M in _mutations(A):
+                yield mode, M
 
 
 @pytest.mark.parametrize("field, dim", [
@@ -63,4 +74,39 @@ def test_decider_agrees_with_oracle(field, dim):
         assert rep.value == oracle_length_one(A, witness=False).is_length_one, (
             mode, rep.path)
         verdicts.add(rep.value)
+    assert verdicts == {True, False}
+
+
+def _fields(result):
+    w = result.witness
+    return (result.is_length_one, result.sampled, result.pairs_checked,
+            w and (w.left, w.right, w.condition, w.detail))
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES_SMALL)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_oracle_matches_reference(name, dim):
+    field = make_field(name)
+    corpus = [A for _, A in _corpus(field, dim)]
+    corpus += [random_unital_algebra(field, dim, seed) for seed in range(3)]
+    verdicts = set()
+    for A in corpus:
+        for witness in (True, False):
+            got = oracle_length_one(A, witness=witness)
+            assert _fields(got) == _fields(reference_oracle(A, witness=witness))
+            verdicts.add(got.is_length_one)
+    assert verdicts == ({True} if dim == 2 else {True, False})
+
+
+def test_sampled_oracle_matches_reference():
+    Q = make_field("Q")
+    corpus = [make_fixture("remark-literal"), make_fixture("remark-repaired")]
+    corpus += [random_unital_algebra(Q, dim, seed) for dim in (2, 3, 4)
+               for seed in range(2)]
+    verdicts = set()
+    for A in corpus:
+        for seed in (0, 1):
+            got = oracle_length_one(A, samples=30, seed=seed)
+            assert _fields(got) == _fields(reference_oracle(A, samples=30, seed=seed))
+            verdicts.add(got.is_length_one)
     assert verdicts == {True, False}
