@@ -8,7 +8,10 @@
 #
 # The exhaustive pair oracle runs the same way: `oracle` exits 0 on the
 # fixture dim3-f2-type3 and 1 on remark-literal made over F5, and
-# `verify-cert` of the latter's `oracle --json` report exits 0.
+# `verify-cert` of the latter's `oracle --json` report exits 0.  The text
+# report on remark-literal over F5 must print `pairs checked: 614`: the
+# position of the first violating pair, found through the line sweep, its
+# partner scan and the witness re-scan.
 #
 # Two malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), and `oracle` over Q asking for more samples than its budget.
@@ -44,6 +47,11 @@ run 0 oracle "$dir/type3.json"
 run 0 make fixture --name remark-literal --field F5 -o "$dir/literal-f5.json"
 run 1 oracle --json "$dir/literal-f5.json" > "$dir/literal-f5.oracle.json"
 run 0 verify-cert "$dir/literal-f5.oracle.json"
+run 1 oracle "$dir/literal-f5.json" > "$dir/literal-f5.oracle.txt"
+if ! grep -qx "pairs checked: 614" "$dir/literal-f5.oracle.txt"; then
+    echo "FAIL: lenalg oracle on literal-f5.json did not print 'pairs checked: 614'" >&2
+    status=1
+fi
 
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"

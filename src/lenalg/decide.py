@@ -43,6 +43,7 @@ checked, by rebuilding the table it claims, before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -61,7 +62,15 @@ from .errors import (
     InfiniteFieldExhaustiveUnsupported,
 )
 from .length import resolve_budget
-from .linalg import BasisChange, in_span, unit_vec, vec_add, vec_scale
+from .linalg import (
+    BasisChange,
+    _eliminate,
+    in_span,
+    unit_vec,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -772,13 +781,42 @@ def _pair_ok(B, u, v):
     return in_span(B.field, B.mul(u, v)[1:], (u[1:], v[1:]))
 
 
-def _first_violation(pairs, violates):
-    """(number of pairs tried, the first pair (a, b) with violates(a, b) or None)."""
+def _line_ok(B, u):
+    """True when mul(u, v) lies in span{1, u, v} for every v.
+
+    B is identity-first and u is a projective representative: u[0] is zero
+    and u has a one at its first nonzero entry, its pivot p.  By linearity
+    the condition holds exactly when u^2 lies in span{1, u} and
+    v -> u*v mod span{1, u} is a scalar map on W = A/span{1, u}: a linear
+    map under which every vector is an eigenvector is a scalar, over every
+    field.  The e_k with k not 0 or p give a basis of W, so this costs
+    n - 1 products: u^2, and u*e_k reduced by u must be lambda*e_k for one
+    common lambda.
+    """
+    field, n, zero = B.field, B.dim, B.field.zero
+    p = next(k for k in range(1, n) if u[k] != zero)
+    by_u = ((p, u),)
+    if not vec_is_zero(field, _eliminate(field, B.mul(u, u), by_u)[1:]):
+        return False
+    lam = None
+    for k in range(1, n):
+        if k == p:
+            continue
+        r = _eliminate(field, B.mul(u, B.basis_vector(k)), by_u)
+        if lam is None:
+            lam = r[k]
+        if r[k] != lam or any(r[j] != zero for j in range(1, n) if j != k):
+            return False
+    return True
+
+
+def _first_violation(items, fails):
+    """(number of items tried, the first item with fails(item), or None)."""
     tried = 0
-    for a, b in pairs:
+    for item in items:
         tried += 1
-        if violates(a, b):
-            return tried, (a, b)
+        if fails(item):
+            return tried, item
     return tried, None
 
 
@@ -787,14 +825,21 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
 
     The predicate is invariant under translating either argument by a
     multiple of the identity and under scaling either argument, so the
-    exhaustive sweep runs over projective representatives of the quotient by
-    F*1 (an exactly equivalent reformulation).  When a violation exists the
-    lexicographically first violating pair of raw coordinate vectors is
-    located by a direct scan and returned as the witness; callers that only
-    need the verdict can pass witness=False and skip that scan.  Each phase
-    is checked against the budget before it starts: the sweep by its
-    ((q^(n-1) - 1)/(q - 1))^2 pairs, the re-scan by q^(2n).  All three scans
-    (sweep, re-scan, sampling) run through `_first_violation`.
+    sweep runs over projective representatives of the quotient by F*1 (an
+    exactly equivalent reformulation), and by linearity it tests each left
+    factor u once for all its partners (`_line_ok`, n - 1 products).  On a
+    failing line the partners are scanned pair by pair (`_pair_ok`), so
+    `pairs_checked` is the position of the first violating pair in the
+    sweep over all ((q^(n-1) - 1)/(q - 1))^2 pairs, and that whole count
+    on a yes-instance.  When a violation exists the lexicographically first
+    violating pair of raw coordinate vectors is located and returned as the
+    witness: the first raw a off F*1 whose line fails (line verdicts
+    memoised by projective class), then the first b for that a; callers
+    that only need the verdict can pass witness=False and skip that scan.
+    Each phase is checked against the budget before it starts, by its pair
+    count: the sweep by ((q^(n-1) - 1)/(q - 1))^2, the re-scan by q^(2n).
+    Four generators (projective lines, raw left factors, the partners of
+    one left factor, samples) run through one `_first_violation`.
 
     Over infinite fields only a seeded sampling mode is available
     (`samples=N`, at most the budget); it can prove "no" but never "yes",
@@ -803,6 +848,7 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     field = A.field
     n = A.dim
     budget = resolve_budget(budget)
+    violates = lambda ab: _violates(A, *ab)
     if not field.is_finite():
         if samples is None:
             raise InfiniteFieldExhaustiveUnsupported(
@@ -811,19 +857,26 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
             raise BudgetExceeded(f"{samples} sampled pairs exceeds budget {budget}")
         rng = random.Random(f"oracle|{seed}")
         draw = lambda: tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
-        checked, bad = _first_violation(((draw(), draw()) for _ in range(samples)),
-                                        lambda a, b: _violates(A, a, b))
+        checked, bad = _first_violation(
+            ((draw(), draw()) for _ in range(samples)), violates)
         return _oracle_result(bad, "oracle-pair-sampled", True, checked)
     q = field.order()
     lines = (q ** (n - 1) - 1) // (q - 1)
     if lines ** 2 > budget:
         raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
-    B, _ = with_identity_first(A)
+    B, change = with_identity_first(A)
     reps = [(field.zero,) + x for x in _projective_reps(field, n - 1)]
-    checked, bad = _first_violation(itertools.product(reps, repeat=2),
-                                    lambda u, v: not _pair_ok(B, u, v))
-    if bad is None or not witness:
-        return OracleResult(is_length_one=bad is None, witness=None, sampled=False,
+    i, u = _first_violation(reps, lambda u: not _line_ok(B, u))
+    if u is None:
+        return OracleResult(is_length_one=True, witness=None, sampled=False,
+                            pairs_checked=lines ** 2)
+    j, bad = _first_violation(((u, v) for v in reps),
+                              lambda uv: not _pair_ok(B, *uv))
+    if bad is None:
+        raise AssemblyError("line test and pair test disagree")
+    checked = (i - 1) * lines + j
+    if not witness:
+        return OracleResult(is_length_one=False, witness=None, sampled=False,
                             pairs_checked=checked)
     # locate the lexicographically first violating pair in original coordinates
     if q ** (2 * n) > budget:
@@ -832,12 +885,23 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     elems = list(field.elements())
     # a scalar factor keeps the product in span{1, a, b}: skip the line F*1
     one_line = {vec_scale(field, c, A.one) for c in elems}
-    raw = lambda: (a for a in itertools.product(elems, repeat=n) if a not in one_line)
-    more, bad = _first_violation(((a, b) for a in raw() for b in raw()),
-                                 lambda a, b: _violates(A, a, b))
-    if bad is None:
+    raw = [a for a in itertools.product(elems, repeat=n) if a not in one_line]
+    line_ok = functools.cache(lambda u: _line_ok(B, u))
+
+    def line_fails(a):
+        # a's line: its B coordinates after the identity, first nonzero scaled to 1
+        x = change.to_new(a)[1:]
+        c = next(c for c in x if c != field.zero)
+        return not line_ok((field.zero,) + vec_scale(field, field.inv(c), x))
+
+    before, a = _first_violation(raw, line_fails)
+    if a is None:
         raise AssemblyError("reduced oracle scan and full scan disagree")
-    return _oracle_result(bad, "oracle-pair", False, checked + more)
+    tried, bad = _first_violation(((a, b) for b in raw), violates)
+    if bad is None:
+        raise AssemblyError("line test and pair test disagree")
+    return _oracle_result(bad, "oracle-pair", False,
+                          checked + (before - 1) * len(raw) + tried)
 
 
 def _oracle_result(bad, condition, sampled, checked):

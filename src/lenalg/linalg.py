@@ -6,8 +6,8 @@ otherwise zero, pivot columns strictly increasing, no zero rows), which is a
 canonical form: equal subspaces have identical `rows`, so subspace equality
 is raw tuple comparison and every reported witness is deterministic.
 `_eliminate` is the only row elimination, and `in_span` the membership test
-that builds no `Subspace`: `rref`, `Subspace.reduce` and `in_span` all run
-on `_eliminate`.
+that builds no `Subspace`: `rref`, `Subspace.reduce`, `in_span` and the
+oracle's line test all run on `_eliminate`.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -104,8 +104,8 @@ def rref(field, rows):
             col += 1
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv_p = field.inv(work[r][col])
         if work[r][col] != one:
+            inv_p = field.inv(work[r][col])
             work[r] = [field.mul(inv_p, a) for a in work[r]]
         against = ((col, work[r]),)
         for i in range(len(work)):
@@ -151,11 +151,6 @@ class Subspace:
         if not self.contains(v):
             return None
         return [v[pc] for pc in self.pivots]
-
-    def sum(self, other):
-        if other.ambient_dim != self.ambient_dim or other.field != self.field:
-            raise DimensionMismatch("subspace sum over mismatched ambients")
-        return span(self.field, self.rows + other.rows, self.ambient_dim)
 
 
 def span(field, vectors, ambient_dim=None):

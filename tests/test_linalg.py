@@ -20,6 +20,7 @@ from lenalg.linalg import (
     in_span,
     invert_matrix,
     random_invertible,
+    rref,
     unit_vec,
     vec_add,
     vec_scale,
@@ -57,7 +58,7 @@ def test_coords_examples():
 def test_subspace_sum():
     U = span(Q, [qv(1, 0, 0)])
     V = span(Q, [qv(0, 1, 0)])
-    assert U.sum(V).dim == 2
+    assert span(Q, U.rows + V.rows).dim == 2
 
 
 def test_dimension_mismatch():
@@ -113,6 +114,22 @@ def test_in_span_matches_span_contains(name):
                 inside = vec_add(F, inside, vec_scale(F, random_scalar(F, rng), v))
             for w in (random_vector(F, 4, rng), inside, zero, *vs):
                 assert in_span(F, w, vs) == span(F, vs, ambient_dim=4).contains(w)
+
+
+@pytest.mark.parametrize("name", ["Q", "F5", "GF9"])
+def test_rref_inverts_only_pivots_other_than_one(name, monkeypatch):
+    F = make_field(name)
+    calls = []
+    inv = F.inv
+    monkeypatch.setattr(F, "inv", lambda a: calls.append(a) or inv(a))
+    one, two, zero = F.one, F.from_int(2), F.zero
+    unit_pivots = [(one, two, two), (zero, one, two), (zero, zero, one)]
+    assert rref(F, unit_pivots) == (identity_matrix(F, 3), (0, 1, 2))
+    assert calls == []
+    # a pivot of 2 is inverted, once
+    assert rref(F, [(two, two, zero), (zero, zero, one)]) == (
+        ((one, one, zero), (zero, zero, one)), (0, 2))
+    assert calls == [two]
 
 
 def test_invert_matrix():

@@ -6,11 +6,12 @@ corpus is every generator mode at dims 3-4 (GF16 at dim 3, where its sweep
 is 289 pairs), each hidden by a seeded change of basis, plus one-constant
 mutations of each table.
 
-The oracle itself equals `reference_oracle`, three plain scans with a
+The oracle itself, which tests one projective line at a time, equals
+`reference_oracle`, three plain scans over every pair with a
 `span(...).contains` per pair, field by field (verdict, witness, pairs
-checked, sampled) on yes, near-miss and random tables over F2, F3, F5 and
-GF4 at dims 2-4, with and without the witness re-scan, and on sampled
-scans over Q.
+checked, sampled): on yes, near-miss and random tables over F2, F3, F5 and
+GF4 at dims 2-4, F2 at dim 5 and GF8 and GF9 at dim 3, with and without the
+witness re-scan, and on sampled scans over Q.
 """
 
 import pytest
@@ -83,9 +84,13 @@ def _fields(result):
             w and (w.left, w.right, w.condition, w.detail))
 
 
-@pytest.mark.parametrize("name", FIELD_NAMES_SMALL)
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_oracle_matches_reference(name, dim):
+_REFERENCE_CASES = [(dim, name) for dim in (2, 3, 4) for name in FIELD_NAMES_SMALL]
+_REFERENCE_CASES += [(5, "F2"), (3, "GF8"), (3, "GF9")]
+
+
+@pytest.mark.parametrize("dim, name", _REFERENCE_CASES,
+                         ids=[f"{dim}-{name}" for dim, name in _REFERENCE_CASES])
+def test_oracle_matches_reference(dim, name):
     field = make_field(name)
     corpus = [A for _, A in _corpus(field, dim)]
     corpus += [random_unital_algebra(field, dim, seed) for seed in range(3)]
