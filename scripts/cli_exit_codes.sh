@@ -13,6 +13,13 @@
 # position of the first violating pair, found through the line sweep, its
 # partner scan and the witness re-scan.
 #
+# The characteristic-2 decider runs the same way: on the fixture
+# char2-typeII-seeded (GF4, hidden basis) `check --json` and `verify-cert`
+# both exit 0, and `check` on the fixture dim3-f2-type4 prints
+# `certificate: char-2 form dim3-f2-type4`.  A forged certificate must be
+# refused: `verify-cert` exits 1 on a report that claims the F2-only form
+# dim3-f2-type3 for the table of that form over GF4, which is not length one.
+#
 # Two malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), and `oracle` over Q asking for more samples than its budget.
 #
@@ -52,6 +59,29 @@ if ! grep -qx "pairs checked: 614" "$dir/literal-f5.oracle.txt"; then
     echo "FAIL: lenalg oracle on literal-f5.json did not print 'pairs checked: 614'" >&2
     status=1
 fi
+
+run 0 make fixture --name char2-typeII-seeded -o "$dir/typeII.json"
+run 0 check --json "$dir/typeII.json" > "$dir/typeII.report.json"
+run 0 verify-cert "$dir/typeII.report.json"
+run 0 make fixture --name dim3-f2-type4 -o "$dir/type4.json"
+run 0 check "$dir/type4.json" > "$dir/type4.txt"
+if ! grep -qx "certificate: char-2 form dim3-f2-type4" "$dir/type4.txt"; then
+    echo "FAIL: lenalg check on type4.json did not print 'certificate: char-2 form dim3-f2-type4'" >&2
+    status=1
+fi
+cat > "$dir/forged.json" <<'EOF'
+{"report_version": 1, "kind": "length-one-decision", "verdict": true,
+ "path": ["forged"], "flags": [],
+ "certificate": {"type": "char2-form", "form": "dim3-f2-type3", "beta": [],
+  "change": [["[1,0]","[0,0]","[0,0]"],["[0,0]","[1,0]","[0,0]"],["[0,0]","[0,0]","[1,0]"]],
+  "congruence_constants": {"squares": ["[0,0]","[0,0]"],
+                           "products": [["[0,0]","[0,0]"],["[0,0]","[0,0]"]]}},
+ "algebra": {"field": "GF4", "dim": 3, "one": ["[1,0]","[0,0]","[0,0]"],
+  "table": [[["[1,0]","[0,0]","[0,0]"],["[0,0]","[1,0]","[0,0]"],["[0,0]","[0,0]","[1,0]"]],
+            [["[0,0]","[1,0]","[0,0]"],["[0,0]","[0,0]","[0,0]"],["[0,0]","[0,0]","[0,0]"]],
+            [["[0,0]","[0,0]","[1,0]"],["[0,0]","[0,0]","[1,0]"],["[0,0]","[0,0]","[1,0]"]]]}}
+EOF
+run 1 verify-cert "$dir/forged.json"
 
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"

@@ -9,7 +9,9 @@ membership test before the verdict is returned.  An exhaustive pair oracle
 suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
-conjugated so that its identity is the first basis vector:
+itself.  Each stage writes its basis in A's coordinates, so every table the
+decider reads is change_basis(A, c) for the change c it reports (the squares
+step reads only the n basis squares):
 
 * dimension 1: the algebra is the scalar line, exact length 0 (verdict yes,
   meaning length <= 1).
@@ -35,10 +37,11 @@ conjugated so that its identity is the first basis vector:
   beta_i + beta_i* = delta_i, homogenizes mixed squares, and lands in the
   all-zero-squares or all-idempotent form.
 
-A step that fails returns a StepFail whose pair is mapped back to A's
-coordinates and becomes the "no" certificate; `_char2_pattern` alone knows
-the char-2 normal forms, and each witness is read off the final table and
-checked, by rebuilding the table it claims, before it is returned.
+A step that fails returns a StepFail whose pair the step itself maps to A's
+coordinates, and it becomes the "no" certificate; `_char2_pattern` alone
+knows the char-2 normal forms.  Each witness is checked once before it is
+returned, by rebuilding the table it claims and comparing it literally with
+the table its parameters were read from, change_basis(A, witness.change).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import (
     change_basis,
@@ -183,6 +186,8 @@ def verify_char2_witness(A, w):
         return False
     if w.form.startswith("dim3") and n != 3:
         return False
+    if w.form.startswith("dim3-f2") and not field.is_two_element_field():
+        return False
     if w.form in ("type-i", "type-ii") and len(w.beta) != n - 1:
         return False
     claimed = char2_table_from_params(field, w.form, w.beta, w.square_constants,
@@ -290,35 +295,39 @@ def square_step(A, basis=None):
     """Check a_i^2 in span{1, a_i} for every non-identity basis vector.
 
     Returns the list of (alpha_i, gamma_i) with a_i^2 = alpha_i 1 + gamma_i a_i,
-    or a StepFail naming the first failing index; failure proves length > 1.
-    The basis (rows or a BasisChange) must have the identity as its first
-    row; by default the identity is completed to a basis deterministically.
+    or a StepFail, in A's coordinates, naming the first failing index;
+    failure proves length > 1.  The basis (rows or a BasisChange) must have
+    the identity as its first row; by default the identity is completed to a
+    basis deterministically.  Only the n basis squares are computed, each
+    written in the basis; the rest of the table is never read.
     """
     if basis is None:
         change = complete_to_basis_with_one(A)
     else:
         change = BasisChange.of(A.field, basis)
-    B = change_basis(A, change)
-    if B.one != unit_vec(A.field, A.dim, 0):
+    if change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
-    res = _read_squares(B)
+    res = _read_squares(A.field, [change.to_new(A.mul(r, r))
+                                  for r in change.matrix])
     if isinstance(res, StepFail):
         return _map_fail(res, change)
     return res
 
 
-def _read_squares(B):
-    field = B.field
-    n = B.dim
+def _read_squares(field, squares):
+    """(alpha_i, gamma_i) per non-identity index, or StepFail, from the squares
+    of the basis vectors (the identity's first), in basis coordinates."""
+    n = len(squares)
     zero = field.zero
     out = []
     for i in range(1, n):
-        sq = B.table[i][i]
+        sq = squares[i]
         bad = [k for k in range(1, n) if k != i and sq[k] != zero]
         if bad:
+            e_i = unit_vec(field, n, i)
             return StepFail(
                 condition="square-not-in-span",
-                pair=(B.basis_vector(i), B.basis_vector(i)),
+                pair=(e_i, e_i),
                 detail={"index": i, "outside_coordinates": bad},
             )
         out.append((sq[0], sq[i]))
@@ -484,41 +493,34 @@ def _map_fail(fail, change):
 # ---------------------------------------------------------------------------
 
 def char2_decide(A):
-    """Characteristic-2 decision: CharTwoWitness or StepFail (in original coords)."""
+    """Characteristic-2 decision: (CharTwoWitness | StepFail, path), in A's
+    coordinates."""
     if A.field.characteristic() != 2:
         raise CharacteristicNotTwo("char2_decide needs characteristic 2")
-    B, ch0 = with_identity_first(A)
-    outcome, path = _char2_inner(B)
-    if isinstance(outcome, StepFail):
-        return _map_fail(outcome, ch0), path
-    w = replace(outcome, change=ch0.then(outcome.change))
-    if not verify_char2_witness(A, w):
-        raise AssemblyError("char-2 witness failed literal re-verification")
-    return w, path
+    return _char2_inner(A, complete_to_basis_with_one(A))
 
 
-def _char2_inner(B):
-    """Core characteristic-2 decision on an identity-first algebra.
+def _char2_inner(A, ch0):
+    """Core characteristic-2 decision on A, from the identity-first basis ch0.
 
-    Returns (CharTwoWitness-in-B-coordinates | StepFail-in-B-coordinates, path).
+    Every later basis is a change of A's coordinates composed from ch0's
+    rows, and each stage reads the table change_basis(A, change) of its own
+    change.  Returns (CharTwoWitness | StepFail, path), in A's coordinates.
     """
-    field = B.field
-    n = B.dim
+    field = A.field
+    n = A.dim
     path = []
-    squares = _read_squares(B)
+    squares = square_step(A, ch0)
     if isinstance(squares, StepFail):
         return squares, path + ["squares"]
     gammas = [g for (_, g) in squares]
     path.append("squares≡γ·b")
     # rescale so squares have delta in {0, 1}
-    rows = [B.basis_vector(0)]
-    for i, g in enumerate(gammas, start=1):
-        if g == field.zero:
-            rows.append(B.basis_vector(i))
-        else:
-            rows.append(vec_scale(field, field.inv(g), B.basis_vector(i)))
+    rows = [ch0.matrix[0]] + [
+        r if g == field.zero else vec_scale(field, field.inv(g), r)
+        for r, g in zip(ch0.matrix[1:], gammas)]
     rescale = BasisChange(field, rows)
-    B2 = change_basis(B, rescale)
+    B2 = change_basis(A, rescale)
     deltas = [field.zero if g == field.zero else field.one for g in gammas]
     path.append("rescale δ∈{0,1}")
     if n == 2:
@@ -531,45 +533,51 @@ def _char2_inner(B):
     s, t, c = prods
     if n == 3:
         if field.is_two_element_field():
-            return _char2_dim3_f2(B2, rescale, deltas, s, t, path)
-        return _char2_dim3_ext(B2, rescale, deltas, s, t, path)
-    return _char2_dim_ge4(B2, rescale, deltas, s, t, path)
+            return _char2_dim3_f2(A, B2, rescale, deltas, s, t, path)
+        return _char2_dim3_ext(A, B2, rescale, deltas, s, t, path)
+    return _char2_dim_ge4(A, B2, rescale, deltas, s, t, path)
 
 
 def _char2_witness(B, change, form, beta):
     """CharTwoWitness for `form` with the F*1 constants read from B's table.
 
-    B is the algebra in the witness basis and `change` maps that basis to
-    the identity-first one; `char2_decide` checks the form before returning.
+    B is change_basis(A, change), the table the witness was read from; the
+    table the witness claims is rebuilt and compared with it literally, and
+    a mismatch raises AssemblyError.
     """
     r = range(1, B.dim)
-    return CharTwoWitness(
+    w = CharTwoWitness(
         change=change, form=form, beta=tuple(beta),
         square_constants=tuple(B.table[i][i][0] for i in r),
         product_constants=tuple(
             tuple(B.table[i][j][0] if i != j else B.field.zero for j in r)
             for i in r),
     )
+    claimed = char2_table_from_params(B.field, form, w.beta, w.square_constants,
+                                      w.product_constants)
+    if claimed.table != B.table:
+        raise AssemblyError("char-2 witness failed literal re-verification")
+    return w
 
 
-def _finish_dim3(B2, rescale, u, v, form, path):
-    """Re-pick the basis as {1, u, v}, shift u and v by F*1 into `form`."""
-    field = B2.field
+def _finish_dim3(A, B2, rescale, u, v, form, path):
+    """Re-pick the basis as {1, u, v} (u, v in B2's coordinates), shift u and
+    v by F*1 into `form`."""
+    field = A.field
     zero, one = field.zero, field.one
-    pick = BasisChange(field, [B2.basis_vector(0), u, v])
-    B3 = change_basis(B2, pick)
+    pick = rescale.then(BasisChange(field, [B2.basis_vector(0), u, v]))
+    B3 = change_basis(A, pick)
     # with u' = u + s 1 and v' = v + t 1, u' keeps beta_u + t in u'v' and v'
     # keeps beta_v + s in v'u'; choose s, t so that these match the form
     _, pat = _char2_pattern(form, field, (), 3)
     s = field.add(B3.table[2][1][2], pat(2, 1)[0])
     t = field.add(B3.table[1][2][1], pat(1, 2)[0])
-    shift = BasisChange(field, [(one, zero, zero), (s, one, zero), (t, zero, one)])
-    B4 = change_basis(B3, shift)
-    return (_char2_witness(B4, rescale.then(pick).then(shift), form, ()),
-            path + [form])
+    total = pick.then(BasisChange(
+        field, [(one, zero, zero), (s, one, zero), (t, zero, one)]))
+    return _char2_witness(change_basis(A, total), total, form, ()), path + [form]
 
 
-def _char2_dim3_f2(B2, rescale, deltas, s, t, path):
+def _char2_dim3_f2(A, B2, rescale, deltas, s, t, path):
     """Dimension 3 over the two-element field: like-indexed relation, 4 forms."""
     field = B2.field
     path = path + ["dim3-F2"]
@@ -594,10 +602,10 @@ def _char2_dim3_f2(B2, rescale, deltas, s, t, path):
         u = next(l for l, ty in zip(lifts, types) if ty == field.zero)
         v = next(l for l, ty in zip(lifts, types) if ty == field.one)
     form = f"dim3-f2-type{(1, 3, 4, 2)[ones]}"
-    return _finish_dim3(B2, rescale, u, v, form, path)
+    return _finish_dim3(A, B2, rescale, u, v, form, path)
 
 
-def _char2_dim3_ext(B2, rescale, deltas, s, t, path):
+def _char2_dim3_ext(A, B2, rescale, deltas, s, t, path):
     """Dimension 3 over a proper extension of F_2: crossed relations.
 
     Two isomorphism classes exist here, canonically presented as type 1
@@ -627,10 +635,10 @@ def _char2_dim3_ext(B2, rescale, deltas, s, t, path):
     elif (d2, d3) == (one, one):
         u = _plus(B2, 1, 2)
     form = "dim3-ext-type1" if (d2, d3) == (zero, zero) else "dim3-ext-type3"
-    return _finish_dim3(B2, rescale, u, v, form, path)
+    return _finish_dim3(A, B2, rescale, u, v, form, path)
 
 
-def _char2_dim_ge4(B2, rescale, deltas, s, t, path):
+def _char2_dim_ge4(A, B2, rescale, deltas, s, t, path):
     """Dimension >= 4, characteristic 2: coefficient independence + homogenize."""
     field = B2.field
     n = B2.dim
@@ -674,9 +682,8 @@ def _char2_dim_ge4(B2, rescale, deltas, s, t, path):
         rows = [B2.basis_vector(0)] + [
             _plus(B2, i, w) if deltas[i - 1] == zero else B2.basis_vector(i)
             for i in range(1, n)]
-        hom = BasisChange(field, rows)
-        B3 = change_basis(B2, hom)
-        total = rescale.then(hom)
+        total = rescale.then(BasisChange(field, rows))
+        B3 = change_basis(A, total)
         path = path + ["homogenize-squares"]
     # beta_j is the coefficient a_i keeps in a_i a_j, for any partner i
     beta = [B3.table[2 if j == 1 else 1][j][2 if j == 1 else 1]
@@ -709,23 +716,18 @@ def decide_length_one(A):
         outcome, sub_path = char2_decide(A)
         return _report(A, outcome, path + sub_path, flags)
     path.append("char!=2")
-    B, ch0 = with_identity_first(A)
-    std = BasisChange.identity(B.field, n)
-    squares = square_step(B, std)
+    ch0 = complete_to_basis_with_one(A)
+    squares = square_step(A, ch0)
     if isinstance(squares, StepFail):
-        return _report(A, _map_fail(squares, ch0), path + ["step1:squares-failed"],
-                       flags)
+        return _report(A, squares, path + ["step1:squares-failed"], flags)
     path += ["step1:squares-ok"]
-    shift = canonicalize(B, std.matrix, [g for (_, g) in squares])
+    shift = canonicalize(A, ch0.matrix, [g for (_, g) in squares])
     path += ["step2:canonical-basis"]
-    w = special_step(B, shift)
+    w = special_step(A, shift)
     if isinstance(w, StepFail):
         if w.detail.get("gloss_divergence"):
             flags.append("gloss-definition-divergence")
-        return _report(A, _map_fail(w, ch0), path + ["step3:not-special"], flags)
-    w = replace(w, change=ch0.then(w.change))
-    if not verify_special_witness(A, w):
-        raise AssemblyError("special witness failed literal re-verification")
+        return _report(A, w, path + ["step3:not-special"], flags)
     return _report(A, w, path + ["step3:special-basis"], flags)
 
 

@@ -234,11 +234,6 @@ class BasisChange:
         return BasisChange(self.field, [self.to_old(r) for r in other.matrix],
                            inverse=tuple(other.to_new(r) for r in self.inverse))
 
-    @staticmethod
-    def identity(field, n):
-        m = identity_matrix(field, n)
-        return BasisChange(field, m, inverse=m)
-
 
 def random_invertible(field, n, rng):
     """Seeded random invertible matrix (small integer entries over Q)."""

@@ -21,9 +21,21 @@ from lenalg import (
     with_identity_first,
 )
 from lenalg.algebra import identity_first
-from lenalg.decide import StepFail
+from lenalg.decide import (
+    CharTwoWitness,
+    LengthReport,
+    StepFail,
+    char2_table_from_params,
+)
+from lenalg.documents import render_report, verify_report_dict
 from lenalg.errors import CharacteristicNotTwo
-from lenalg.linalg import random_invertible, unit_vec, vec_scale
+from lenalg.linalg import (
+    BasisChange,
+    identity_matrix,
+    random_invertible,
+    unit_vec,
+    vec_scale,
+)
 
 from tests.corpus import random_unital_algebra
 
@@ -151,6 +163,33 @@ def test_extension_dim3_forms_round_trip():
                 assert rep.value, (field.label(), k, seed)
                 assert rep.certificate.form == canonical[k]
                 assert verify_char2_witness(A, rep.certificate)
+
+
+def _identity_witness(field, form):
+    """The table of a dimension-3 `form` with zero F*1 parts, and the witness
+    claiming it in its own basis."""
+    z = field.zero
+    squares, products = (z, z), ((z, z), (z, z))
+    A = char2_table_from_params(field, form, (), squares, products)
+    change = BasisChange(field, identity_matrix(field, 3))
+    return A, CharTwoWitness(change, form, (), squares, products)
+
+
+def test_f2_forms_certify_over_f2_only():
+    # the dim3-f2 tables over a proper extension break the crossed relation,
+    # so a certificate naming them there is forged
+    for field in (G4, G8):
+        for form in ("dim3-f2-type2", "dim3-f2-type3"):
+            A, w = _identity_witness(field, form)
+            assert decide_length_one(A).value is False
+            assert not verify_certificate(A, w), (field.label(), form)
+            report = LengthReport("length-one-decision", True, w, [], [])
+            assert not verify_report_dict(render_report(report, A))
+    # the extension forms are length one over F2 as well
+    for k in (1, 2, 3):
+        A, w = _identity_witness(F2, f"dim3-ext-type{k}")
+        assert oracle_length_one(A).is_length_one
+        assert verify_certificate(A, w)
 
 
 def test_swapped_deltas_normalize():

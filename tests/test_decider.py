@@ -34,7 +34,7 @@ from lenalg.errors import (
     CharacteristicTwo,
     InfiniteFieldExhaustiveUnsupported,
 )
-from lenalg.linalg import BasisChange, random_invertible
+from lenalg.linalg import BasisChange, identity_matrix, random_invertible
 
 from tests.corpus import random_unital_algebra, random_two_dim_unital, random_vector
 
@@ -149,9 +149,8 @@ def test_special_step_conjugates_once(monkeypatch):
     # the witness is checked against the table its parameters were read
     # from, not against a second conjugation of A
     Y = generate_length_one(Q, 5, seed=1, mode="special", hide=True)
-    B, _ = with_identity_first(Y)
-    std = BasisChange.identity(Q, 5)
-    shift = canonicalize(B, std.matrix, [g for (_, g) in square_step(B, std)])
+    ch0 = complete_to_basis_with_one(Y)
+    shift = canonicalize(Y, ch0.matrix, [g for (_, g) in square_step(Y, ch0)])
     calls = []
     real = decide_module.change_basis
 
@@ -159,10 +158,10 @@ def test_special_step_conjugates_once(monkeypatch):
         calls.append(change)
         return real(A, change)
     monkeypatch.setattr(decide_module, "change_basis", counted)
-    w = special_step(B, shift)
+    w = special_step(Y, shift)
     assert isinstance(w, SpecialBasisWitness)
     assert calls == [shift]
-    assert verify_special_witness(B, w)
+    assert verify_special_witness(Y, w)
 
 
 def test_special_witness_scalars_must_be_canonical():
@@ -171,7 +170,7 @@ def test_special_witness_scalars_must_be_canonical():
     mu, beta = (1, 2, 3), (4, 0, 1)
     alpha = ((0, 2, 3), (1, 0, 4), (2, 2, 0))
     A = special_table_from_params(F5, mu, beta, alpha)
-    ident = BasisChange.identity(F5, 4)
+    ident = BasisChange(F5, identity_matrix(F5, 4))
     assert verify_special_witness(A, SpecialBasisWitness(ident, mu, beta, alpha))
     shifted = tuple(m + 5 for m in mu)
     assert not verify_special_witness(
