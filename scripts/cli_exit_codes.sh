@@ -19,6 +19,9 @@
 # `certificate: char-2 form dim3-f2-type4`.  A forged certificate must be
 # refused: `verify-cert` exits 1 on a report that claims the F2-only form
 # dim3-f2-type3 for the table of that form over GF4, which is not length one.
+# That table fails the crossed relation: `check` exits 1 and prints the
+# witness `  left  = ([0,0], [1,0], [0,1])`, and `verify-cert` of its
+# `check --json` report exits 0.
 #
 # Two malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), and `oracle` over Q asking for more samples than its budget.
@@ -82,6 +85,14 @@ cat > "$dir/forged.json" <<'EOF'
             [["[0,0]","[0,0]","[1,0]"],["[0,0]","[0,0]","[1,0]"],["[0,0]","[0,0]","[1,0]"]]]}}
 EOF
 run 1 verify-cert "$dir/forged.json"
+run 0 make fixture --name dim3-f2-type3 --field GF4 -o "$dir/type3-gf4.json"
+run 1 check "$dir/type3-gf4.json" > "$dir/type3-gf4.txt"
+if ! grep -qxF "  left  = ([0,0], [1,0], [0,1])" "$dir/type3-gf4.txt"; then
+    echo "FAIL: lenalg check on type3-gf4.json did not print the crossed-relation witness" >&2
+    status=1
+fi
+run 1 check --json "$dir/type3-gf4.json" > "$dir/type3-gf4.report.json"
+run 0 verify-cert "$dir/type3-gf4.report.json"
 
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"

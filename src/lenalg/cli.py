@@ -42,11 +42,14 @@ from .errors import LenalgError, ScalarSyntaxError
 from .fields import make_field
 from .generate import MODES, generate_length_one
 from .identities import (
+    associative_law_holds,
+    flexible_law_holds,
     is_associative,
     is_commutative,
     is_flexible,
     is_jordan,
     is_power_associative_upto,
+    jordan_law_holds,
 )
 from .length import length_of_algebra, length_of_set
 
@@ -226,11 +229,6 @@ def _cmd_identities(args):
     report = decide_length_one(A)
     law_rows = None
     if report.value and hasattr(report.certificate, "mu"):
-        from .identities import (
-            associative_law_holds,
-            flexible_law_holds,
-            jordan_law_holds,
-        )
         w = report.certificate
         law_rows = {
             "flexible-law(params)": flexible_law_holds(field, w.mu, w.beta, w.alpha),

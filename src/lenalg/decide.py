@@ -37,11 +37,12 @@ step reads only the n basis squares):
   beta_i + beta_i* = delta_i, homogenizes mixed squares, and lands in the
   all-zero-squares or all-idempotent form.
 
-A step that fails returns a StepFail whose pair the step itself maps to A's
-coordinates, and it becomes the "no" certificate; `_char2_pattern` alone
-knows the char-2 normal forms.  Each witness is checked once before it is
-returned, by rebuilding the table it claims and comparing it literally with
-the table its parameters were read from, change_basis(A, witness.change).
+A step that fails returns the "no" certificate itself: a ViolationWitness
+whose pair is built from the rows of the step's basis, so it is already in
+A's coordinates.  `_char2_pattern` alone knows the char-2 normal forms.  Each
+witness is checked once before it is returned, by rebuilding the table it
+claims and comparing it literally with the table its parameters were read
+from, change_basis(A, witness.change).
 """
 
 from __future__ import annotations
@@ -123,13 +124,7 @@ class ViolationWitness:
     detail: dict
 
 
-@dataclass
-class StepFail:
-    """Verdict-carrying failure of one decision step (not an error)."""
-
-    condition: str
-    pair: tuple  # (left, right) in the coordinates of the step
-    detail: dict
+StepFail = ViolationWitness  # the failure of one decision step is its certificate
 
 
 @dataclass
@@ -295,11 +290,12 @@ def square_step(A, basis=None):
     """Check a_i^2 in span{1, a_i} for every non-identity basis vector.
 
     Returns the list of (alpha_i, gamma_i) with a_i^2 = alpha_i 1 + gamma_i a_i,
-    or a StepFail, in A's coordinates, naming the first failing index;
-    failure proves length > 1.  The basis (rows or a BasisChange) must have
-    the identity as its first row; by default the identity is completed to a
-    basis deterministically.  Only the n basis squares are computed, each
-    written in the basis; the rest of the table is never read.
+    or the ViolationWitness (a_i, a_i), in A's coordinates, for the first
+    failing index; failure proves length > 1.  The basis (rows or a
+    BasisChange) must have the identity as its first row; by default the
+    identity is completed to a basis deterministically.  Only the n basis
+    squares are computed, each written in the basis; the rest of the table
+    is never read.
     """
     if basis is None:
         change = complete_to_basis_with_one(A)
@@ -307,16 +303,14 @@ def square_step(A, basis=None):
         change = BasisChange.of(A.field, basis)
     if change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
-    res = _read_squares(A.field, [change.to_new(A.mul(r, r))
-                                  for r in change.matrix])
-    if isinstance(res, StepFail):
-        return _map_fail(res, change)
-    return res
+    rows = change.matrix
+    return _read_squares(A.field, rows, [change.to_new(A.mul(r, r)) for r in rows])
 
 
-def _read_squares(field, squares):
-    """(alpha_i, gamma_i) per non-identity index, or StepFail, from the squares
-    of the basis vectors (the identity's first), in basis coordinates."""
+def _read_squares(field, rows, squares):
+    """(alpha_i, gamma_i) per non-identity index, or a ViolationWitness, from
+    the squares of the basis rows (the identity's first), in basis
+    coordinates."""
     n = len(squares)
     zero = field.zero
     out = []
@@ -324,12 +318,8 @@ def _read_squares(field, squares):
         sq = squares[i]
         bad = [k for k in range(1, n) if k != i and sq[k] != zero]
         if bad:
-            e_i = unit_vec(field, n, i)
-            return StepFail(
-                condition="square-not-in-span",
-                pair=(e_i, e_i),
-                detail={"index": i, "outside_coordinates": bad},
-            )
+            return _fail("square-not-in-span", rows[i], rows[i],
+                         index=i, outside_coordinates=bad)
         out.append((sq[0], sq[i]))
     return out
 
@@ -351,7 +341,7 @@ def canonicalize(A, basis, gammas):
 
 
 def special_step(A, basis):
-    """Check the pairwise law on a canonical basis; witness or StepFail.
+    """Check the pairwise law on a canonical basis; witness or ViolationWitness.
 
     The basis (rows or a BasisChange) must start with the identity and every
     non-identity row must square into F*1 (i.e. be canonical); a ValueError
@@ -363,17 +353,18 @@ def special_step(A, basis):
     B = change_basis(A, change)
     if B.one != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
-    res = _read_special(B)
-    if isinstance(res, StepFail):
-        return _map_fail(res, change)
+    res = _read_special(B, change.matrix)
+    if isinstance(res, ViolationWitness):
+        return res
     mu, beta, alpha = res
     if special_table_from_params(A.field, mu, beta, alpha).table != B.table:
         raise AssemblyError("special witness failed literal re-verification")
     return SpecialBasisWitness(change=change, mu=mu, beta=beta, alpha=alpha)
 
 
-def _read_special(B):
-    """Read (mu, beta, alpha) from an identity-first canonical algebra, or StepFail."""
+def _read_special(B, rows):
+    """Read (mu, beta, alpha) from an identity-first canonical algebra B, or a
+    ViolationWitness built from `rows`, B's basis in A's coordinates."""
     field = B.field
     n = B.dim
     zero = field.zero
@@ -383,8 +374,8 @@ def _read_special(B):
         if any(sq[k] != zero for k in range(1, n)):
             raise ValueError("basis is not canonical: a square leaves F*1")
         mu.append(sq[0])
-    prods = _read_products(B)
-    if isinstance(prods, StepFail):
+    prods = _read_products(B, rows)
+    if isinstance(prods, ViolationWitness):
         return prods
     s, t, alpha = prods
     for i in range(1, n):
@@ -392,27 +383,23 @@ def _read_special(B):
             x_coeff = field.add(s[(i, j)], t[(j, i)])
             y_coeff = field.add(t[(i, j)], s[(j, i)])
             if x_coeff != zero or y_coeff != zero:
-                return StepFail(
-                    condition="anticommutator-not-scalar",
-                    pair=_scalar_square_violation(B, i, j),
-                    detail={"indices": [i, j]},
-                )
+                return _scalar_square_violation(
+                    B, rows, i, j, "anticommutator-not-scalar", indices=[i, j])
     kept, bad = _partner_values(n, lambda i, j: t[(i, j)], zero)
     if bad:
         i, j1, j2 = bad
-        return StepFail(
-            condition="pair-coefficient-inconsistent",
-            pair=(B.basis_vector(i), _plus(B, j1, j2)),
-            detail={"index": i, "partners": [j1, j2], "gloss_divergence": True},
-        )
+        return _fail("pair-coefficient-inconsistent",
+                     rows[i], vec_add(field, rows[j1], rows[j2]),
+                     index=i, partners=[j1, j2], gloss_divergence=True)
     alpha_matrix = tuple(
         tuple(alpha.get((i, j), zero) for j in range(1, n)) for i in range(1, n)
     )
     return tuple(mu), tuple(field.neg(b) for b in kept), alpha_matrix
 
 
-def _read_products(B):
-    """(s, t, c) with a_i a_j = c 1 + s a_i + t a_j for i != j, or StepFail."""
+def _read_products(B, rows):
+    """(s, t, c) with a_i a_j = c 1 + s a_i + t a_j for i != j, or the
+    ViolationWitness (rows[i], rows[j]) of the first product outside."""
     field = B.field
     n = B.dim
     zero = field.zero
@@ -424,11 +411,8 @@ def _read_products(B):
             p = B.table[i][j]
             bad = [k for k in range(1, n) if k not in (i, j) and p[k] != zero]
             if bad:
-                return StepFail(
-                    condition="product-not-in-span",
-                    pair=(B.basis_vector(i), B.basis_vector(j)),
-                    detail={"indices": [i, j], "outside_coordinates": bad},
-                )
+                return _fail("product-not-in-span", rows[i], rows[j],
+                             indices=[i, j], outside_coordinates=bad)
             s[(i, j)] = p[i]
             t[(i, j)] = p[j]
             c[(i, j)] = p[0]
@@ -455,17 +439,16 @@ def _partner_values(n, coeff, default):
     return values, None
 
 
-def _plus(B, i, j):
-    return vec_add(B.field, B.basis_vector(i), B.basis_vector(j))
-
-
-def _scalar_square_violation(B, i, j):
-    """A pair (x, x) with x = a_i + c a_j whose square leaves span{1, x}.
+def _scalar_square_violation(B, rows, i, j, condition, **detail):
+    """The ViolationWitness (x, x), x = rows[i] + c rows[j], whose square
+    leaves span{1, x}.
 
     Exists whenever the anticommutator of a_i, a_j leaves F*1 (canonical
     basis, characteristic != 2; c in {1, -1} always suffices) and whenever
-    the crossed char-2 dimension-3 relations fail.  Over a finite field every
-    scalar is tried so the returned witness is the first in payload order.
+    the crossed char-2 dimension-3 relations fail.  c is searched on B, the
+    table in the basis `rows`, where e_i + c e_j is sparse.  Over a finite
+    field every scalar is tried so the returned witness is the first in
+    payload order.
     """
     field = B.field
     if field.is_finite():
@@ -476,16 +459,17 @@ def _scalar_square_violation(B, i, j):
         x = vec_add(field, B.basis_vector(i),
                     vec_scale(field, c, B.basis_vector(j)))
         if _violates(B, x, x):
-            return (x, x)
+            x = vec_add(field, rows[i], vec_scale(field, c, rows[j]))
+            return _fail(condition, x, x, **detail)
     raise AssemblyError("relation failure produced no square violation")
 
 
-def _map_fail(fail, change):
-    return StepFail(
-        condition=fail.condition,
-        pair=tuple(change.to_old(v) for v in fail.pair),
-        detail=fail.detail,
-    )
+def _fail(condition, left, right, **detail):
+    """The ViolationWitness (left, right), list details rendered as strings."""
+    return ViolationWitness(
+        left=left, right=right, condition=condition,
+        detail={k: [str(x) for x in v] if isinstance(v, list) else v
+                for k, v in detail.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +477,8 @@ def _map_fail(fail, change):
 # ---------------------------------------------------------------------------
 
 def char2_decide(A):
-    """Characteristic-2 decision: (CharTwoWitness | StepFail, path), in A's
-    coordinates."""
+    """Characteristic-2 decision: (CharTwoWitness | ViolationWitness, path), in
+    A's coordinates."""
     if A.field.characteristic() != 2:
         raise CharacteristicNotTwo("char2_decide needs characteristic 2")
     return _char2_inner(A, complete_to_basis_with_one(A))
@@ -503,15 +487,16 @@ def char2_decide(A):
 def _char2_inner(A, ch0):
     """Core characteristic-2 decision on A, from the identity-first basis ch0.
 
-    Every later basis is a change of A's coordinates composed from ch0's
-    rows, and each stage reads the table change_basis(A, change) of its own
-    change.  Returns (CharTwoWitness | StepFail, path), in A's coordinates.
+    Every later basis is written in A's coordinates, as sums of the rows of
+    ch0 scaled, and each stage reads the table change_basis(A, change) of its
+    own change.  Returns (CharTwoWitness | ViolationWitness, path), in A's
+    coordinates.
     """
     field = A.field
     n = A.dim
     path = []
     squares = square_step(A, ch0)
-    if isinstance(squares, StepFail):
+    if isinstance(squares, ViolationWitness):
         return squares, path + ["squares"]
     gammas = [g for (_, g) in squares]
     path.append("squares≡γ·b")
@@ -527,14 +512,14 @@ def _char2_inner(A, ch0):
         form = "type-i" if deltas[0] == field.zero else "type-ii"
         return (_char2_witness(B2, rescale, form, (field.zero,)),
                 path + ["dim<=2", form])
-    prods = _read_products(B2)
-    if isinstance(prods, StepFail):
-        return _map_fail(prods, rescale), path + ["products"]
+    prods = _read_products(B2, rows)
+    if isinstance(prods, ViolationWitness):
+        return prods, path + ["products"]
     s, t, c = prods
     if n == 3:
         if field.is_two_element_field():
-            return _char2_dim3_f2(A, B2, rescale, deltas, s, t, path)
-        return _char2_dim3_ext(A, B2, rescale, deltas, s, t, path)
+            return _char2_dim3_f2(A, rows, deltas, s, t, path)
+        return _char2_dim3_ext(A, B2, rows, deltas, s, t, path)
     return _char2_dim_ge4(A, B2, rescale, deltas, s, t, path)
 
 
@@ -560,41 +545,37 @@ def _char2_witness(B, change, form, beta):
     return w
 
 
-def _finish_dim3(A, B2, rescale, u, v, form, path):
-    """Re-pick the basis as {1, u, v} (u, v in B2's coordinates), shift u and
+def _finish_dim3(A, u, v, form, path):
+    """Re-pick the basis as {1, u, v} (u, v in A's coordinates), shift u and
     v by F*1 into `form`."""
-    field = A.field
-    zero, one = field.zero, field.one
-    pick = rescale.then(BasisChange(field, [B2.basis_vector(0), u, v]))
-    B3 = change_basis(A, pick)
+    field, one = A.field, A.one
+    pick = BasisChange(field, [one, u, v])
     # with u' = u + s 1 and v' = v + t 1, u' keeps beta_u + t in u'v' and v'
-    # keeps beta_v + s in v'u'; choose s, t so that these match the form
+    # keeps beta_v + s in v'u'; choose s, t so that these match the form,
+    # reading beta_v and beta_u from vu and uv written in the basis {1, u, v}
     _, pat = _char2_pattern(form, field, (), 3)
-    s = field.add(B3.table[2][1][2], pat(2, 1)[0])
-    t = field.add(B3.table[1][2][1], pat(1, 2)[0])
-    total = pick.then(BasisChange(
-        field, [(one, zero, zero), (s, one, zero), (t, zero, one)]))
+    s = field.add(pick.to_new(A.mul(v, u))[2], pat(2, 1)[0])
+    t = field.add(pick.to_new(A.mul(u, v))[1], pat(1, 2)[0])
+    total = BasisChange(field, [one, vec_add(field, u, vec_scale(field, s, one)),
+                                vec_add(field, v, vec_scale(field, t, one))])
     return _char2_witness(change_basis(A, total), total, form, ()), path + [form]
 
 
-def _char2_dim3_f2(A, B2, rescale, deltas, s, t, path):
+def _char2_dim3_f2(A, rows, deltas, s, t, path):
     """Dimension 3 over the two-element field: like-indexed relation, 4 forms."""
-    field = B2.field
+    field = A.field
     path = path + ["dim3-F2"]
     d2, d3 = deltas
     sigma2 = field.add(field.add(s[(1, 2)], t[(2, 1)]), d2)
     sigma3 = field.add(field.add(s[(2, 1)], t[(1, 2)]), d3)
+    both = vec_add(field, rows[1], rows[2])
     if sigma2 != sigma3:
-        x = _plus(B2, 1, 2)
-        fail = StepFail(
-            condition="char2-dim3-relation",
-            pair=(x, x),
-            detail={"relation": "beta2+beta2*+delta2 != beta3+beta3*+delta3"},
-        )
-        return _map_fail(fail, rescale), path + ["relation-failed"]
+        return (_fail("char2-dim3-relation", both, both,
+                      relation="beta2+beta2*+delta2 != beta3+beta3*+delta3"),
+                path + ["relation-failed"])
     # square types of the three classes b2, b3, b2+b3
     types = [d2, d3, sigma2]
-    lifts = [B2.basis_vector(1), B2.basis_vector(2), _plus(B2, 1, 2)]
+    lifts = [rows[1], rows[2], both]
     ones = sum(1 for x in types if x == field.one)
     if ones in (0, 3):
         u, v = lifts[0], lifts[1]
@@ -602,10 +583,10 @@ def _char2_dim3_f2(A, B2, rescale, deltas, s, t, path):
         u = next(l for l, ty in zip(lifts, types) if ty == field.zero)
         v = next(l for l, ty in zip(lifts, types) if ty == field.one)
     form = f"dim3-f2-type{(1, 3, 4, 2)[ones]}"
-    return _finish_dim3(A, B2, rescale, u, v, form, path)
+    return _finish_dim3(A, u, v, form, path)
 
 
-def _char2_dim3_ext(A, B2, rescale, deltas, s, t, path):
+def _char2_dim3_ext(A, B2, rows, deltas, s, t, path):
     """Dimension 3 over a proper extension of F_2: crossed relations.
 
     Two isomorphism classes exist here, canonically presented as type 1
@@ -616,73 +597,61 @@ def _char2_dim3_ext(A, B2, rescale, deltas, s, t, path):
     type 3.  (The type-2 presentation is still accepted when verifying
     externally supplied witnesses.)
     """
-    field = B2.field
+    field = A.field
     path = path + ["dim3-ext"]
     d2, d3 = deltas
     r1 = field.add(field.add(s[(1, 2)], t[(2, 1)]), d3)  # beta2+beta2*+delta3
     r2 = field.add(field.add(s[(2, 1)], t[(1, 2)]), d2)  # beta3+beta3*+delta2
     if r1 != field.zero or r2 != field.zero:
-        fail = StepFail(
-            condition="char2-dim3-crossed-relation",
-            pair=_scalar_square_violation(B2, 1, 2),
-            detail={"relation": "beta2+beta2*+delta3 = 0 = beta3+beta3*+delta2"},
-        )
-        return _map_fail(fail, rescale), path + ["relation-failed"]
+        return (_scalar_square_violation(
+                    B2, rows, 1, 2, "char2-dim3-crossed-relation",
+                    relation="beta2+beta2*+delta3 = 0 = beta3+beta3*+delta2"),
+                path + ["relation-failed"])
     zero, one = field.zero, field.one
-    u, v = B2.basis_vector(1), B2.basis_vector(2)
+    u, v = rows[1], rows[2]
     if (d2, d3) == (one, zero):
         u, v = v, u
     elif (d2, d3) == (one, one):
-        u = _plus(B2, 1, 2)
+        u = vec_add(field, rows[1], rows[2])
     form = "dim3-ext-type1" if (d2, d3) == (zero, zero) else "dim3-ext-type3"
-    return _finish_dim3(A, B2, rescale, u, v, form, path)
+    return _finish_dim3(A, u, v, form, path)
 
 
 def _char2_dim_ge4(A, B2, rescale, deltas, s, t, path):
     """Dimension >= 4, characteristic 2: coefficient independence + homogenize."""
-    field = B2.field
-    n = B2.dim
+    field = A.field
+    n = A.dim
+    rows = rescale.matrix
+    plus = lambda i, j: vec_add(field, rows[i], rows[j])
     path = path + ["dim>=4"]
     zero, one = field.zero, field.one
     # (i) the coefficient kept by the second factor depends only on the first
     beta_star, bad = _partner_values(n, lambda i, j: t[(i, j)], None)
     if bad:
         i, j1, j2 = bad
-        fail = StepFail(
-            condition="char2-right-coefficient-inconsistent",
-            pair=(B2.basis_vector(i), _plus(B2, j1, j2)),
-            detail={"index": i, "partners": [j1, j2]},
-        )
-        return _map_fail(fail, rescale), path + ["condition-i-failed"]
+        return (_fail("char2-right-coefficient-inconsistent", rows[i], plus(j1, j2),
+                      index=i, partners=[j1, j2]),
+                path + ["condition-i-failed"])
     # (ii) the coefficient kept by the first factor depends only on the second
     beta, bad = _partner_values(n, lambda i, j: s[(j, i)], None)
     if bad:
         i, j1, j2 = bad
-        fail = StepFail(
-            condition="char2-left-coefficient-inconsistent",
-            pair=(_plus(B2, j1, j2), B2.basis_vector(i)),
-            detail={"index": i, "partners": [j1, j2]},
-        )
-        return _map_fail(fail, rescale), path + ["condition-ii-failed"]
+        return (_fail("char2-left-coefficient-inconsistent", plus(j1, j2), rows[i],
+                      index=i, partners=[j1, j2]),
+                path + ["condition-ii-failed"])
     # (iii) beta_i + beta_i* = delta_i
     for i in range(1, n):
         if field.add(beta[i - 1], beta_star[i - 1]) != deltas[i - 1]:
             j, k = [j for j in range(1, n) if j != i][:2]
-            fail = StepFail(
-                condition="char2-beta-sum-mismatch",
-                pair=(_plus(B2, i, j), _plus(B2, i, k)),
-                detail={"index": i},
-            )
-            return _map_fail(fail, rescale), path + ["condition-iii-failed"]
-    # homogenize mixed squares: replace delta-0 vectors b_s by b_s + b_w
-    total = rescale
-    B3 = B2
+            return (_fail("char2-beta-sum-mismatch", plus(i, j), plus(i, k),
+                          index=i),
+                    path + ["condition-iii-failed"])
+    # homogenize mixed squares: replace delta-0 rows b_s by b_s + b_w
+    total, B3 = rescale, B2
     if zero in deltas and one in deltas:
         w = deltas.index(one) + 1
-        rows = [B2.basis_vector(0)] + [
-            _plus(B2, i, w) if deltas[i - 1] == zero else B2.basis_vector(i)
-            for i in range(1, n)]
-        total = rescale.then(BasisChange(field, rows))
+        total = BasisChange(field, [rows[0]] + [
+            plus(i, w) if deltas[i - 1] == zero else rows[i] for i in range(1, n)])
         B3 = change_basis(A, total)
         path = path + ["homogenize-squares"]
     # beta_j is the coefficient a_i keeps in a_i a_j, for any partner i
@@ -718,13 +687,13 @@ def decide_length_one(A):
     path.append("char!=2")
     ch0 = complete_to_basis_with_one(A)
     squares = square_step(A, ch0)
-    if isinstance(squares, StepFail):
+    if isinstance(squares, ViolationWitness):
         return _report(A, squares, path + ["step1:squares-failed"], flags)
     path += ["step1:squares-ok"]
     shift = canonicalize(A, ch0.matrix, [g for (_, g) in squares])
     path += ["step2:canonical-basis"]
     w = special_step(A, shift)
-    if isinstance(w, StepFail):
+    if isinstance(w, ViolationWitness):
         if w.detail.get("gloss_divergence"):
             flags.append("gloss-definition-divergence")
         return _report(A, w, path + ["step3:not-special"], flags)
@@ -732,32 +701,14 @@ def decide_length_one(A):
 
 
 def _report(A, outcome, path, flags):
-    """The LengthReport for a witness (verdict yes) or a StepFail (verdict no).
-
-    A StepFail's pair must already be in A's coordinates; it becomes a
-    ViolationWitness that is re-checked before the report is built.
-    """
-    if isinstance(outcome, StepFail):
-        left, right = outcome.pair
-        outcome = ViolationWitness(left=left, right=right,
-                                   condition=outcome.condition,
-                                   detail=_stringify_detail(outcome.detail))
-        if not verify_violation(A, outcome):
-            raise AssemblyError(
-                f"violation witness for {outcome.condition} does not re-verify")
+    """The LengthReport for a witness (verdict yes) or a ViolationWitness
+    (verdict no), which is re-checked on A before the report is built."""
+    if isinstance(outcome, ViolationWitness) and not verify_violation(A, outcome):
+        raise AssemblyError(
+            f"violation witness for {outcome.condition} does not re-verify")
     return LengthReport(kind="length-one-decision",
                         value=not isinstance(outcome, ViolationWitness),
                         certificate=outcome, path=path, flags=flags)
-
-
-def _stringify_detail(detail):
-    out = {}
-    for k, v in detail.items():
-        if isinstance(v, (list, tuple)):
-            out[k] = [str(x) for x in v]
-        else:
-            out[k] = v if isinstance(v, (int, bool, str)) else str(v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import DEFAULT_MODULI, ExtensionField, PrimeField, make_field
+from .length import length_of_algebra, length_of_set
 from .linalg import BasisChange
 
 
@@ -360,8 +361,6 @@ def verify_report_dict(data, budget=None):
     embedded algebra document, or whose certificate is malformed, raises
     SchemaError; errors inside the document carry the `algebra.` prefix.
     """
-    from .length import length_of_algebra, length_of_set
-
     data = _load_object(data, "report")
     kind = data.get("kind")
     if kind not in ("length-one-decision", "set-length", "algebra-length"):

@@ -401,23 +401,6 @@ def _poly_mod(a, m, p):
     return _poly_trim(a[:dm])
 
 
-def _poly_divmod(a, b, p):
-    # b nonzero; returns (q, r)
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    if db < 0:
-        raise ZeroDivisionError
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv_lb) % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _poly_trim(q), _poly_trim(a)
-
-
 def _poly_irreducible(m, p):
     """Trial division by every monic polynomial of degree 1..deg(m)//2."""
     deg = len(m) - 1
@@ -425,9 +408,7 @@ def _poly_irreducible(m, p):
         return False
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            divisor = tuple(tail) + (1,)
-            _, r = _poly_divmod(m, divisor, p)
-            if not r:
+            if not _poly_mod(m, tuple(tail) + (1,), p):
                 return False
     return True
 

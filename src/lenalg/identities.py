@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import CharacteristicTwo
 from .linalg import vec_add, vec_is_zero, vec_sub
@@ -204,7 +205,6 @@ def is_power_associative_upto(A, d, *, budget=None, samples=100, seed=0):
             xs = [tuple(elems[rng.randrange(len(elems))] for _ in range(n))
                   for _ in range(samples)]
         else:
-            from fractions import Fraction
             xs = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                         for _ in range(n)) for _ in range(samples)]
     for x in xs:

@@ -189,12 +189,11 @@ class BasisChange:
     """An invertible change of basis; rows are the new basis in old coordinates.
 
     `to_old` maps coordinates w.r.t. the new basis back to old coordinates
-    (v @ matrix), `to_new` is the inverse map (v @ inverse), and `then`
-    composes two changes through them.  `matrix` and `inverse` are dense
-    tuples of rows; both maps are compiled at construction by
-    `Field.linear`, so they run on the field's integer product kernel.  The
-    inverse is computed once; a caller that already holds it passes it as
-    `inverse`, which is trusted, not checked.
+    (v @ matrix) and `to_new` is the inverse map (v @ inverse).  `matrix`
+    and `inverse` are dense tuples of rows; both maps are compiled at
+    construction by `Field.linear`, so they run on the field's integer
+    product kernel.  The inverse is computed once; a caller that already
+    holds it passes it as `inverse`, which is trusted, not checked.
     """
 
     def __init__(self, field, rows, inverse=None):
@@ -228,11 +227,6 @@ class BasisChange:
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector length {len(v)} != basis dim {self.dim}")
         return v
-
-    def then(self, other):
-        """Compose: apply self first, then `other` expressed in self's basis."""
-        return BasisChange(self.field, [self.to_old(r) for r in other.matrix],
-                           inverse=tuple(other.to_new(r) for r in self.inverse))
 
 
 def random_invertible(field, n, rng):

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from lenalg import (
-    StepFail,
+    ViolationWitness,
     algebra,
     canonicalize,
     change_basis,
@@ -317,11 +317,11 @@ def test_criterion_10_remark_erratum_protocol():
         lit = make_fixture("remark-literal")
         basis = complete_to_basis_with_one(lit).matrix
         pairs = square_step(lit, basis)
-        assert not isinstance(pairs, StepFail)
+        assert not isinstance(pairs, ViolationWitness)
         shift = canonicalize(lit, basis, [g for (_, g) in pairs])
         C = change_basis(lit, shift)
         res = special_step(C, [C.basis_vector(i) for i in range(3)])
-        assert isinstance(res, StepFail)
+        assert isinstance(res, ViolationWitness)
         assert res.condition == "anticommutator-not-scalar"
         # the decider agrees with both recorded outcomes
         assert decide_length_one(lit).value is False

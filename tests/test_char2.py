@@ -24,7 +24,7 @@ from lenalg.algebra import identity_first
 from lenalg.decide import (
     CharTwoWitness,
     LengthReport,
-    StepFail,
+    ViolationWitness,
     char2_table_from_params,
 )
 from lenalg.documents import render_report, verify_report_dict
@@ -244,12 +244,12 @@ def test_mixed_deltas_homogenized():
 def test_char2_decide_public_surface():
     A = make_fixture("char2-typeI-seeded")
     w, path = char2_decide(A)
-    assert not isinstance(w, StepFail)
+    assert not isinstance(w, ViolationWitness)
     assert w.form == "type-i"
     assert verify_char2_witness(A, w)
     bad = random_unital_algebra(G4, 4, seed=2)
     res, path = char2_decide(bad)
-    assert isinstance(res, StepFail) == (not oracle_length_one(bad).is_length_one)
+    assert isinstance(res, ViolationWitness) == (not oracle_length_one(bad).is_length_one)
 
 
 def test_dim_ge4_condition_failures_carry_witnesses():

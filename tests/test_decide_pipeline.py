@@ -2,7 +2,8 @@
 
 Every table the decider reads is change_basis(A, c) for a change c written
 in A's coordinates, and each witness is compared literally with the table
-its parameters were read from, once, before it is returned.
+its parameters were read from, once, before it is returned.  A failing step
+returns its ViolationWitness in A's coordinates, built from its basis rows.
 """
 
 import sys
@@ -10,17 +11,26 @@ import sys
 import pytest
 
 from lenalg import (
+    ViolationWitness,
+    canonicalize,
     change_basis,
+    char2_decide,
+    complete_to_basis_with_one,
     decide_length_one,
     generate_length_one,
     make_field,
     make_fixture,
+    special_step,
     square_step,
     verify_certificate,
+    verify_violation,
 )
 from lenalg import decide as decide_module
 from lenalg.algebra import Algebra, algebra
 from lenalg.errors import AssemblyError
+from lenalg.linalg import BasisChange
+
+from tests.test_golden_reports import CONDITIONS, corpus
 
 Q = make_field("Q")
 F5 = make_field("F5")
@@ -35,15 +45,16 @@ def _mixed_type_ii(field):
                             (z, z, z, o)])
 
 
-# (label, builder, conjugations of A a yes-decision makes)
+# (label, builder, conjugations of A and BasisChange constructions a
+# yes-decision makes)
 YES_INSTANCES = [
-    ("special-Q", lambda: generate_length_one(Q, 5, 1, "special", hide=True), 1),
-    ("special-F5", lambda: generate_length_one(F5, 4, 2, "special", hide=True), 1),
-    ("char2-dim2", lambda: generate_length_one(G4, 2, 3, "type-ii", hide=True), 1),
-    ("dim3-F2", lambda: make_fixture("dim3-f2-type4"), 3),
-    ("dim3-GF4", lambda: generate_length_one(G4, 3, 5, "dim3-type3", hide=True), 3),
-    ("dim4-homogeneous", lambda: generate_length_one(G4, 5, 3, "type-i", hide=True), 1),
-    ("dim4-mixed", lambda: _mixed_type_ii(G4), 2),
+    ("special-Q", lambda: generate_length_one(Q, 5, 1, "special", hide=True), 1, 2),
+    ("special-F5", lambda: generate_length_one(F5, 4, 2, "special", hide=True), 1, 2),
+    ("char2-dim2", lambda: generate_length_one(G4, 2, 3, "type-ii", hide=True), 1, 2),
+    ("dim3-F2", lambda: make_fixture("dim3-f2-type4"), 2, 4),
+    ("dim3-GF4", lambda: generate_length_one(G4, 3, 5, "dim3-type3", hide=True), 2, 4),
+    ("dim4-homogeneous", lambda: generate_length_one(G4, 5, 3, "type-i", hide=True), 1, 2),
+    ("dim4-mixed", lambda: _mixed_type_ii(G4), 2, 3),
 ]
 
 
@@ -65,18 +76,29 @@ def conjugations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("build, expected", [case[1:] for case in YES_INSTANCES],
+@pytest.mark.parametrize("build, expected, changes",
+                         [case[1:] for case in YES_INSTANCES],
                          ids=[case[0] for case in YES_INSTANCES])
-def test_one_conjugation_of_a_per_stage(conjugations, monkeypatch, build, expected):
+def test_one_conjugation_of_a_per_stage(conjugations, monkeypatch, build,
+                                        expected, changes):
     A = build()
     rechecks = []
     for name in ("verify_special_witness", "verify_char2_witness"):
         monkeypatch.setattr(decide_module, name,
                             lambda A, w: rechecks.append(w) or True)
+    built = []
+    real_init = BasisChange.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(BasisChange, "__init__", counted_init)
     rep = decide_length_one(A)
     assert rep.value is True
-    assert ("homogenize-squares" in rep.path) == (expected == 2)
+    assert ("homogenize-squares" in rep.path) == (
+        "dim>=4" in rep.path and expected == 2)
     assert len(conjugations) == expected
+    assert len(built) == changes
     assert all(B is A for B, _ in conjugations)
     assert rechecks == []
     # the witness was read from, and checked on, A in the witness basis
@@ -97,7 +119,7 @@ def test_square_step_reads_only_the_squares(conjugations, monkeypatch, field):
         return real(self, u, v)
     monkeypatch.setattr(Algebra, "mul", counted)
     res = square_step(A)
-    assert not isinstance(res, decide_module.StepFail)
+    assert not isinstance(res, ViolationWitness)
     assert conjugations == []
     assert len(products) == A.dim
     assert all(u == v for u, v in products)
@@ -116,9 +138,36 @@ def test_literal_check_fires_on_every_path(monkeypatch, builder_name):
         return algebra(field, table, B.one)
     monkeypatch.setattr(decide_module, builder_name, flipped)
     special = builder_name == "special_table_from_params"
-    cases = [build() for label, build, _ in YES_INSTANCES
+    cases = [build() for label, build, *_ in YES_INSTANCES
              if label.startswith("special") == special]
     assert cases
     for A in cases:
         with pytest.raises(AssemblyError):
             decide_length_one(A)
+
+
+def _step_failures(A):
+    """The ViolationWitness each public step returns on A, as returned."""
+    if A.field.characteristic() == 2:
+        outcome, _ = char2_decide(A)
+        return [outcome] if isinstance(outcome, ViolationWitness) else []
+    ch0 = complete_to_basis_with_one(A)
+    squares = square_step(A, ch0)
+    if isinstance(squares, ViolationWitness):
+        return [squares]
+    shift = canonicalize(A, ch0.matrix, [g for (_, g) in squares])
+    outcome = special_step(A, shift)
+    return [outcome] if isinstance(outcome, ViolationWitness) else []
+
+
+def test_step_failures_are_certificates_in_a_coordinates():
+    reached = set()
+    for key, A in corpus():
+        if A.dim < 2:
+            continue
+        for w in _step_failures(A):
+            assert verify_violation(A, w), key
+            # the report carries the step's witness unchanged
+            assert decide_length_one(A).certificate == w, key
+            reached.add(w.condition)
+    assert reached == CONDITIONS

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from lenalg import (
-    StepFail,
     canonicalize,
     change_basis,
     decide_length_one,
@@ -54,7 +53,7 @@ def qv(*xs):
 def test_square_step_idempotent_and_nil():
     A = make_fixture("remark-repaired")  # basis (1, a, b): a^2 = 0, b^2 = b
     pairs = square_step(A)
-    assert not isinstance(pairs, StepFail)
+    assert not isinstance(pairs, ViolationWitness)
     assert pairs[0] == (Fraction(0), Fraction(0))  # a^2 = 0*1 + 0*a
     assert pairs[1] == (Fraction(0), Fraction(1))  # b^2 = 0*1 + 1*b
 
@@ -65,7 +64,7 @@ def test_square_step_passes_on_matrix_basis_but_decision_is_no():
     M2 = make_matrix_algebra(Q, 2)
     basis = [M2.one, M2.basis_vector(0), M2.basis_vector(1), M2.basis_vector(2)]
     pairs = square_step(M2, basis)
-    assert not isinstance(pairs, StepFail)
+    assert not isinstance(pairs, ViolationWitness)
     rep = decide_length_one(M2)
     assert rep.value is False
     assert rep.certificate.condition in ("product-not-in-span",
@@ -84,11 +83,9 @@ def test_square_step_failure_is_a_verdict():
     from lenalg import algebra
     A = algebra(Q, t, qv(1, 0, 0))
     res = square_step(A)
-    assert isinstance(res, StepFail)
+    assert isinstance(res, ViolationWitness)
     assert res.condition == "square-not-in-span"
-    w = ViolationWitness(left=res.pair[0], right=res.pair[1],
-                         condition=res.condition, detail={})
-    assert verify_violation(A, w)
+    assert verify_violation(A, res)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def test_special_step_f3_triple_sum_fails():
                           [g for (_, g) in pairs])
     C = change_basis(B, change)
     res = special_step(C, [C.basis_vector(i) for i in range(3)])
-    assert isinstance(res, StepFail)
+    assert isinstance(res, ViolationWitness)
     assert res.condition == "anticommutator-not-scalar"
 
 

@@ -178,6 +178,29 @@ def test_custom_modulus_accepted():
             assert F9.mul(a, F9.inv(a)) == F9.one
 
 
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p, max_k", [(2, 6), (3, 4), (5, 4)])
+def test_irreducible_counts_match_gauss(p, max_k):
+    # Gauss: F_p has (1/k) sum_{d | k} mu(d) p^(k/d) monic irreducibles of degree k
+    for k in range(1, max_k + 1):
+        expected = sum(_mobius(d) * p ** (k // d)
+                       for d in range(1, k + 1) if k % d == 0) // k
+        found = sum(fields._poly_irreducible(tail + (1,), p)
+                    for tail in itertools.product(range(p), repeat=k))
+        assert found == expected, (p, k)
+
+
 def test_element_order_is_payload_lexicographic():
     G4 = make_field("GF4")
     assert list(G4.elements()) == [(0, 0), (0, 1), (1, 0), (1, 1)]

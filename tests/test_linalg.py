@@ -145,8 +145,8 @@ def test_basis_change_composition_and_inverse():
     R = random_invertible(Q, 3, rng)
     v = qv(1, 2, 3)
     assert P.to_new(P.to_old(v)) == v
-    composed = P.then(R)
-    # coordinates w.r.t. the composed basis map through R then P
+    # R's rows written in the original coordinates: a basis composed by rows
+    composed = BasisChange(Q, [P.to_old(r) for r in R.matrix])
     w = qv(2, -1, 5)
     assert composed.to_old(w) == P.to_old(R.to_old(w))
 
@@ -154,14 +154,9 @@ def test_basis_change_composition_and_inverse():
 @pytest.mark.parametrize("name", ["Q", "F5", "GF9"])
 def test_held_inverses_are_exact(name):
     F = make_field(name)
-    rng = random.Random(11)
     m = identity_matrix(F, 4)
     ident = BasisChange(F, m, inverse=m)
     assert ident.inverse == invert_matrix(F, ident.matrix)
-    for _ in range(5):
-        P, R = random_invertible(F, 4, rng), random_invertible(F, 4, rng)
-        composed = P.then(R)
-        assert composed.inverse == invert_matrix(F, composed.matrix)
 
 
 def test_singular_basis_change_rejected():
@@ -197,12 +192,6 @@ def test_basis_change_maps_match_reference(name):
             for v in vectors:
                 assert P.to_old(v) == vec_mat(F, v, P.matrix), (n, v)
                 assert P.to_new(v) == vec_mat(F, v, P.inverse), (n, v)
-            for R in changes:
-                composed = P.then(R)
-                assert composed.matrix == tuple(
-                    vec_mat(F, r, P.matrix) for r in R.matrix)
-                assert composed.inverse == tuple(
-                    vec_mat(F, r, R.inverse) for r in P.inverse)
 
 
 @pytest.mark.parametrize("name", ["Q", "F5", "GF4"])
@@ -210,7 +199,6 @@ def test_empty_basis_change_maps_the_empty_vector(name):
     # an untrusted certificate may carry "change": [], a 0 x 0 change
     P = BasisChange(MAP_FIELDS[name], ())
     assert P.to_old(()) == P.to_new(()) == ()
-    assert P.then(P).matrix == ()
 
 
 def test_basis_change_wrong_length_raises():
@@ -220,7 +208,3 @@ def test_basis_change_wrong_length_raises():
             P.to_old(v)
         with pytest.raises(DimensionMismatch):
             P.to_new(v)
-    with pytest.raises(DimensionMismatch):
-        P.then(BasisChange(Q, identity_matrix(Q, 2)))
-    with pytest.raises(DimensionMismatch):
-        BasisChange(Q, identity_matrix(Q, 4)).then(P)
