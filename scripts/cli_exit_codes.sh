@@ -23,8 +23,12 @@
 # witness `  left  = ([0,0], [1,0], [0,1])`, and `verify-cert` of its
 # `check --json` report exits 0.
 #
-# Two malformed calls must exit 2: `check` on a document over "F4" (4 is
-# not prime), and `oracle` over Q asking for more samples than its budget.
+# `identities` on remark-repaired exits 0 and prints the associativity
+# counterexample `associative: fails  (triple at indices [1, 1, 2])`.
+#
+# Three malformed calls must exit 2: `check` on a document over "F4" (4 is
+# not prime), `oracle` over Q asking for more samples than its budget, and
+# `check --budget 5`, since `check` takes no budget.
 #
 # Usage: sh scripts/cli_exit_codes.sh   (with `lenalg` on PATH)
 set -u
@@ -51,6 +55,12 @@ for case in "remark-repaired 0" "remark-literal 1"; do
     run "$2" check --json "$doc" > "$report"
     run 0 verify-cert "$report"
 done
+
+run 0 identities "$dir/remark-repaired.json" > "$dir/repaired.identities.txt"
+if ! grep -qxF "associative: fails  (triple at indices [1, 1, 2])" "$dir/repaired.identities.txt"; then
+    echo "FAIL: lenalg identities on remark-repaired.json did not print the associativity counterexample" >&2
+    status=1
+fi
 
 run 0 make fixture --name dim3-f2-type3 -o "$dir/type3.json"
 run 0 oracle "$dir/type3.json"
@@ -98,4 +108,5 @@ bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"
 run 2 check "$bad"
 run 2 oracle "$dir/remark-repaired.json" --samples 11 --budget 10
+run 2 check "$dir/remark-repaired.json" --budget 5
 exit $status

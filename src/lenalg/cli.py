@@ -6,8 +6,8 @@ returns 0/1 for valid/invalid certificates; everything else returns 0 on
 success and 2 on error.  `--json` switches any command to machine-readable
 reports (documents are already JSON, so `make` ignores it).
 
-The enumeration budget for oracles and exact lengths can be overridden with
-`--budget` or the LENALG_BUDGET environment variable.
+`--budget` caps the enumerations of `oracle`, `length` and `verify-cert`
+(default LENALG_BUDGET or 10^7) and the power sweep of `identities`.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _cmd_identities(args):
     if field.characteristic() != 2:
         results["jordan"] = is_jordan(A)
     results[f"power-associative(<={args.degree})"] = is_power_associative_upto(
-        A, args.degree, budget=args.budget, seed=0)
+        A, args.degree, budget=args.budget)
     report = decide_length_one(A)
     law_rows = None
     if report.value and hasattr(report.certificate, "mu"):
@@ -267,18 +267,14 @@ def _cmd_identities(args):
 
 
 def _json_safe(field, obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
+    """A counterexample as JSON: its tuples are vectors of scalars."""
     if isinstance(obj, dict):
         return {k: _json_safe(field, v) for k, v in obj.items()}
-    if isinstance(obj, (list, set)):
+    if isinstance(obj, list):
         return [_json_safe(field, v) for v in obj]
     if isinstance(obj, tuple):
-        try:
-            return [field.render(c) for c in obj]
-        except Exception:
-            return [_json_safe(field, v) for v in obj]
-    return str(obj)
+        return [field.render(c) for c in obj]
+    return obj
 
 
 def _describe_counterexample(ce):
@@ -350,11 +346,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget_help=None):
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration work cap (default: LENALG_BUDGET or 10^7)")
+        if budget_help is not None:
+            p.add_argument("--budget", type=int, default=None, help=budget_help)
+
+    enumeration = "enumeration work cap (default: LENALG_BUDGET or 10^7)"
 
     p = sub.add_parser("check", help="decide length one with a certificate")
     p.add_argument("file", help="algebra document (JSON), or - for stdin")
@@ -364,9 +362,10 @@ def build_parser():
     p = sub.add_parser("oracle", help="exhaustive pair-span check (finite fields)")
     p.add_argument("file")
     p.add_argument("--samples", type=_at_least(1), default=None,
-                   help="sampling mode (incomplete); required over Q")
+                   help="sampling mode (incomplete); required over Q, ignored "
+                        "over finite fields (always scanned exhaustively)")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, enumeration)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("length-set", help="length of a generating set")
@@ -379,7 +378,7 @@ def build_parser():
 
     p = sub.add_parser("length", help="exact algebra length (finite fields)")
     p.add_argument("file")
-    common(p)
+    common(p, enumeration)
     p.set_defaults(func=_cmd_length)
 
     p = sub.add_parser("identities",
@@ -388,7 +387,9 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--degree", type=_at_least(3), default=6,
                    help="power-associativity degree bound (default 6)")
-    common(p)
+    common(p, "power-associativity sweep cap: every vector is tested when "
+               "q^dim <= BUDGET (default 4096; LENALG_BUDGET is not read), "
+               "100 seeded samples otherwise")
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("make", help="emit an algebra document")
@@ -411,7 +412,7 @@ def build_parser():
 
     p = sub.add_parser("verify-cert")  # deliberately undocumented in --help text
     p.add_argument("file", help="a report produced with --json")
-    common(p)
+    common(p, enumeration)
     p.set_defaults(func=_cmd_verify_cert)
 
     return parser

@@ -23,9 +23,12 @@ field is big enough for the degree).
   != 2 (where the Jordan law is defined) this is equivalent to all
   components vanishing.
 
-Counterexamples re-evaluate: each records the expression that was computed
-and the nonzero defect vector, so a failed verdict can be re-checked by one
-more evaluation.
+The checkers share one scan: each is a lazy generator of (counterexample,
+defect) cases in sweep order, and `_scan` reports the first case whose
+defect is nonzero (the oracle's `_first_violation`), so no product past the
+first failure is computed.  Counterexamples re-evaluate: each records the
+expression that was computed and the nonzero defect vector, so a failed
+verdict can be re-checked by one more evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decide import _first_violation
 from .errors import CharacteristicTwo
 from .linalg import vec_add, vec_is_zero, vec_sub
 
@@ -49,71 +53,51 @@ class IdentityVerdict:
     defect: tuple | None = None
 
 
+def _scan(A, name, cases):
+    """The verdict of the first case with a nonzero defect, or `holds`."""
+    _, bad = _first_violation(cases, lambda case: not vec_is_zero(A.field, case[1]))
+    if bad is None:
+        return IdentityVerdict(name=name, holds=True)
+    return IdentityVerdict(name=name, holds=False, counterexample=bad[0], defect=bad[1])
+
+
+def _commutator_cases(A):
+    t = A.table
+    for i, j in itertools.combinations(range(A.dim), 2):
+        yield {"kind": "pair", "indices": [i, j]}, vec_sub(A.field, t[i][j], t[j][i])
+
+
 def is_commutative(A):
-    n = A.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = vec_sub(A.field, A.table[i][j], A.table[j][i])
-            if not vec_is_zero(A.field, d):
-                return IdentityVerdict(
-                    name="commutative", holds=False,
-                    counterexample={"kind": "pair", "indices": [i, j]},
-                    defect=d)
-    return IdentityVerdict(name="commutative", holds=True)
+    return _scan(A, "commutative", _commutator_cases(A))
 
 
 def is_associative(A):
     """(e_i e_j) e_k = e_i (e_j e_k) on all basis triples (trilinear)."""
-    n = A.dim
-    basis = [A.basis_vector(k) for k in range(n)]
-    for i in range(n):
-        ei = basis[i]
+    t = A.table
+    e = [A.basis_vector(k) for k in range(A.dim)]
+    return _scan(A, "associative", (
+        ({"kind": "triple", "indices": [i, j, k]},
+         vec_sub(A.field, A.mul(t[i][j], e[k]), A.mul(e[i], t[j][k])))
+        for i, j, k in itertools.product(range(A.dim), repeat=3)))
+
+
+def _flexible_cases(A):
+    n, field, t = A.dim, A.field, A.table
+    e = [A.basis_vector(k) for k in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        yield ({"kind": "pair", "indices": [i, j]},
+               vec_sub(field, A.mul(e[i], t[j][i]), A.mul(t[i][j], e[i])))
+    for i, k in itertools.combinations(range(n), 2):
         for j in range(n):
-            pij = A.table[i][j]
-            for k in range(n):
-                d = vec_sub(A.field, A.mul(pij, basis[k]), A.mul(ei, A.table[j][k]))
-                if not vec_is_zero(A.field, d):
-                    return IdentityVerdict(
-                        name="associative", holds=False,
-                        counterexample={"kind": "triple", "indices": [i, j, k]},
-                        defect=d)
-    return IdentityVerdict(name="associative", holds=True)
-
-
-def _flex_defect(A, x, y):
-    return vec_sub(A.field, A.mul(x, A.mul(y, x)), A.mul(A.mul(x, y), x))
+            lhs = vec_add(field, A.mul(e[i], t[j][k]), A.mul(e[k], t[j][i]))
+            rhs = vec_add(field, A.mul(t[i][j], e[k]), A.mul(t[k][j], e[i]))
+            yield ({"kind": "linearized-triple", "indices": [i, j, k]},
+                   vec_sub(field, lhs, rhs))
 
 
 def is_flexible(A):
     """x(yx) = (xy)x via diagonal pair cases plus the linearized triples."""
-    n = A.dim
-    field = A.field
-    for i in range(n):
-        for j in range(n):
-            d = _flex_defect(A, A.basis_vector(i), A.basis_vector(j))
-            if not vec_is_zero(field, d):
-                return IdentityVerdict(
-                    name="flexible", holds=False,
-                    counterexample={"kind": "pair", "indices": [i, j]},
-                    defect=d)
-    for i in range(n):
-        ei = A.basis_vector(i)
-        for k in range(i + 1, n):
-            ek = A.basis_vector(k)
-            for j in range(n):
-                ej = A.basis_vector(j)
-                lhs = vec_add(field, A.mul(ei, A.mul(ej, ek)),
-                              A.mul(ek, A.mul(ej, ei)))
-                rhs = vec_add(field, A.mul(A.mul(ei, ej), ek),
-                              A.mul(A.mul(ek, ej), ei))
-                d = vec_sub(field, lhs, rhs)
-                if not vec_is_zero(field, d):
-                    return IdentityVerdict(
-                        name="flexible", holds=False,
-                        counterexample={"kind": "linearized-triple",
-                                        "indices": [i, j, k]},
-                        defect=d)
-    return IdentityVerdict(name="flexible", holds=True)
+    return _scan(A, "flexible", _flexible_cases(A))
 
 
 def _jordan_defect(A, x, y):
@@ -121,112 +105,89 @@ def _jordan_defect(A, x, y):
     return vec_sub(A.field, A.mul(x2, A.mul(y, x)), A.mul(A.mul(x2, y), x))
 
 
+def _jordan_cases(A):
+    n, field = A.dim, A.field
+    e = [A.basis_vector(k) for k in range(n)]
+    for case, d in _commutator_cases(A):
+        yield dict(case, law="commutativity"), d
+    for j, i in itertools.product(range(n), repeat=2):
+        yield {"kind": "single", "indices": [i, j]}, _jordan_defect(A, e[i], e[j])
+    for j in range(n):
+        for i, k in itertools.combinations(range(n), 2):
+            # plus = C_iik + C_ikk (singles vanish here), minus = -C_iik + C_ikk
+            case = {"kind": "mixed-pair", "indices": [i, k, j]}
+            yield case, _jordan_defect(A, vec_add(field, e[i], e[k]), e[j])
+            yield case, _jordan_defect(A, vec_sub(field, e[i], e[k]), e[j])
+    for j in range(n):
+        for i, k, l in itertools.combinations(range(n), 3):
+            total = _jordan_defect(
+                A, vec_add(field, vec_add(field, e[i], e[k]), e[l]), e[j])
+            for a, b in ((i, k), (i, l), (k, l)):
+                total = vec_sub(field, total,
+                                _jordan_defect(A, vec_add(field, e[a], e[b]), e[j]))
+            for a in (i, k, l):
+                total = vec_add(field, total, _jordan_defect(A, e[a], e[j]))
+            yield {"kind": "mixed-triple", "indices": [i, k, l, j]}, total
+
+
 def is_jordan(A):
     """Commutativity plus the Jordan law, via grouped cubic components.
 
     Defined only in characteristic != 2, matching the usual convention.
     """
-    field = A.field
-    if field.characteristic() == 2:
+    if A.field.characteristic() == 2:
         raise CharacteristicTwo("the Jordan law is only checked away from 2")
-    comm = is_commutative(A)
-    if not comm.holds:
-        comm.name = "jordan"
-        comm.counterexample = dict(comm.counterexample, law="commutativity")
-        return comm
-    n = A.dim
-    singles = {}
-    for j in range(n):
-        y = A.basis_vector(j)
-        for i in range(n):
-            d = _jordan_defect(A, A.basis_vector(i), y)
-            singles[(i, j)] = d
-            if not vec_is_zero(field, d):
-                return IdentityVerdict(
-                    name="jordan", holds=False,
-                    counterexample={"kind": "single", "indices": [i, j]},
-                    defect=d)
-    for j in range(n):
-        y = A.basis_vector(j)
-        for i in range(n):
-            ei = A.basis_vector(i)
-            for k in range(i + 1, n):
-                ek = A.basis_vector(k)
-                plus = _jordan_defect(A, vec_add(field, ei, ek), y)
-                minus = _jordan_defect(A, vec_sub(field, ei, ek), y)
-                # plus = C_iik + C_ikk (singles vanish here), minus = -C_iik + C_ikk
-                if not vec_is_zero(field, plus) or not vec_is_zero(field, minus):
-                    return IdentityVerdict(
-                        name="jordan", holds=False,
-                        counterexample={"kind": "mixed-pair",
-                                        "indices": [i, k, j]},
-                        defect=plus if not vec_is_zero(field, plus) else minus)
-    for j in range(n):
-        y = A.basis_vector(j)
-        for i, k, l in itertools.combinations(range(n), 3):
-            ei, ek, el = A.basis_vector(i), A.basis_vector(k), A.basis_vector(l)
-            total = _jordan_defect(A, vec_add(field, vec_add(field, ei, ek), el), y)
-            for a, b in ((ei, ek), (ei, el), (ek, el)):
-                total = vec_sub(field, total, _jordan_defect(A, vec_add(field, a, b), y))
-            for a in (ei, ek, el):
-                total = vec_add(field, total, _jordan_defect(A, a, y))
-            if not vec_is_zero(field, total):
-                return IdentityVerdict(
-                    name="jordan", holds=False,
-                    counterexample={"kind": "mixed-triple",
-                                    "indices": [i, k, l, j]},
-                    defect=total)
-    return IdentityVerdict(name="jordan", holds=True)
+    return _scan(A, "jordan", _jordan_cases(A))
 
 
-def is_power_associative_upto(A, d, *, budget=None, samples=100, seed=0):
+def _first_ambiguity(A, x, d):
+    """(k, the two smallest values) for the first k <= d at which the
+    parenthesizations of x^k disagree, or None."""
+    powers = {1: {x}}
+    for k in range(2, d + 1):
+        powers[k] = {A.mul(u, v) for p in range(1, k)
+                     for u in powers[p] for v in powers[k - p]}
+        if len(powers[k]) > 1:
+            return k, sorted(powers[k])[:2]
+    return None
+
+
+def is_power_associative_upto(A, d, *, budget=None):
     """All parenthesizations of x^k agree for k <= d.
 
-    The x loop is exhaustive over finite fields when q^dim stays within the
-    (small) exhaustion cap, otherwise seeded random sampling is used; over Q
-    sampling is the only mode, so a holds-verdict there is evidence, not
-    proof.
+    The x loop is exhaustive over finite fields when q^dim is at most the
+    budget (default 4096), otherwise it runs over 100 seeded random samples;
+    over Q sampling is the only mode, so a holds-verdict there is evidence,
+    not proof.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
-    field = A.field
-    n = A.dim
-    xs = None
-    exhaustive = False
-    if field.is_finite():
-        cap = budget if budget is not None else 4096
-        if field.order() ** n <= cap:
-            xs = [tuple(v) for v in itertools.product(field.elements(), repeat=n)]
-            exhaustive = True
-    if xs is None:
-        rng = random.Random(f"powerassoc|{seed}")
+    field, n = A.field, A.dim
+    exhaustive = field.is_finite() and field.order() ** n <= (
+        4096 if budget is None else budget)
+    if exhaustive:
+        xs = itertools.product(field.elements(), repeat=n)
+    else:
+        rng = random.Random("powerassoc|0")
         if field.is_finite():
             elems = list(field.elements())
-            xs = [tuple(elems[rng.randrange(len(elems))] for _ in range(n))
-                  for _ in range(samples)]
+            draw = lambda: elems[rng.randrange(len(elems))]
         else:
-            xs = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                        for _ in range(n)) for _ in range(samples)]
-    for x in xs:
-        powers = {1: {x}}
-        for k in range(2, d + 1):
-            values = set()
-            for p in range(1, k):
-                for u in powers[p]:
-                    for v in powers[k - p]:
-                        values.add(A.mul(u, v))
-            powers[k] = values
-            if len(values) > 1:
-                two = sorted(values)[:2]
-                return IdentityVerdict(
-                    name="power-associative", holds=False,
-                    counterexample={"kind": "power", "x": x, "degree": k,
-                                    "values": two, "exhaustive": exhaustive},
-                    defect=vec_sub(field, two[0], two[1]))
+            draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        xs = (tuple(draw() for _ in range(n)) for _ in range(100))
+    tested, bad = _first_violation(((x, _first_ambiguity(A, x, d)) for x in xs),
+                                   lambda case: case[1] is not None)
+    if bad is None:
+        return IdentityVerdict(
+            name="power-associative", holds=True,
+            counterexample={"kind": "scope", "exhaustive": exhaustive,
+                            "tested": tested, "max_degree": d})
+    x, (k, two) = bad
     return IdentityVerdict(
-        name="power-associative", holds=True,
-        counterexample={"kind": "scope", "exhaustive": exhaustive,
-                        "tested": len(xs), "max_degree": d})
+        name="power-associative", holds=False,
+        counterexample={"kind": "power", "x": x, "degree": k,
+                        "values": two, "exhaustive": exhaustive},
+        defect=vec_sub(field, two[0], two[1]))
 
 
 # ---------------------------------------------------------------------------

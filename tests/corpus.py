@@ -65,6 +65,20 @@ def random_two_dim_unital(field, seed):
     return change_basis(A, random_invertible(field, 2, rng))
 
 
+def nilpotent_commutative_hull(field, m, seed):
+    """Unital hull of a seeded m-dimensional commutative table with zero
+    squares and e_i e_j in {0, e_k : k > max(i, j)}.  Every basis square but
+    the identity's is zero, so each single x = e_i of the Jordan law holds
+    and its first failure, if any, is a mixed pair or a mixed triple."""
+    rng = random.Random(f"nilpotent|{field.label()}|{m}|{seed}")
+    zero = (field.zero,) * m
+    table = [[zero] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        k = rng.randrange(j, m)  # k == j stands for a zero product
+        table[i][j] = table[j][i] = zero if k == j else unit_vec(field, m, k)
+    return unital_hull(field, table)
+
+
 def reference_mul(field, table, u, v):
     """The product of an m x r structure-constant table of length-n cells
     by field operations alone: its bilinear extension, one field

@@ -387,3 +387,57 @@ def test_bad_argument_exits_2_naming_the_flag(fixture_file, capsys, argv, flag):
     assert code == 2
     assert err.startswith("error[") or err.startswith("usage:")
     assert flag in err and "Traceback" not in err
+
+
+def _help(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_budget_help_says_what_it_caps(capsys):
+    identities = _help(capsys, "identities")
+    assert "power-associativity sweep cap" in identities
+    assert "default 4096; LENALG_BUDGET is not read" in identities
+    for command in ("oracle", "length", "verify-cert"):
+        assert "default: LENALG_BUDGET or 10^7" in _help(capsys, command)
+    assert "ignored over finite fields" in _help(capsys, "oracle")
+
+
+def test_identities_budget_caps_the_power_sweep_only(
+        fixture_file, capsys, monkeypatch):
+    path = fixture_file("dim3-f2-type2")  # 2^3 = 8 vectors
+
+    def scope(*extra):
+        assert main(["identities", "--json", path, *extra]) == 0
+        data = json.loads(capsys.readouterr().out)
+        ce = data["identities"]["power-associative(<=6)"]["counterexample"]
+        return ce["exhaustive"], ce["tested"]
+
+    assert scope() == (True, 8)
+    assert scope("--budget", "8") == (True, 8)
+    assert scope("--budget", "5") == (False, 100)
+    monkeypatch.setenv("LENALG_BUDGET", "5")
+    assert scope() == (True, 8)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "@remark-repaired", "--budget", "5"],
+    ["length-set", "@remark-repaired", "--set", "e2", "--budget", "5"],
+    ["make", "matrix", "--field", "Q", "--n", "2", "--budget", "5"],
+])
+def test_budget_is_refused_where_nothing_reads_it(fixture_file, capsys, argv):
+    argv = [fixture_file(a[1:]) if a.startswith("@") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_oracle_samples_ignored_over_finite_fields(fixture_file, capsys):
+    path = fixture_file("dim3-f2-type3")
+    assert main(["oracle", path]) == 0
+    exhaustive = capsys.readouterr().out
+    assert main(["oracle", path, "--samples", "3"]) == 0
+    assert capsys.readouterr().out == exhaustive
+    assert "path: oracle: exhaustive pair scan" in exhaustive

@@ -1,5 +1,6 @@
 """Identity checkers and the special-basis parameter criteria."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -21,13 +22,15 @@ from lenalg import (
     make_matrix_algebra,
     special_table_from_params,
     symmetrized,
+    unital_hull,
 )
 from lenalg.errors import CharacteristicTwo
-from lenalg.linalg import vec_is_zero, vec_sub
+from lenalg.linalg import vec_add, vec_is_zero, vec_sub
 
-from tests.corpus import random_scalar, random_vector
+from tests.corpus import nilpotent_commutative_hull, random_scalar, random_vector
 
 Q = make_field("Q")
+F3 = make_field("F3")
 F5 = make_field("F5")
 
 
@@ -89,22 +92,23 @@ def test_jordan_refuses_char2():
 
 
 def test_power_associative_on_associative_table():
-    M2 = make_matrix_algebra(make_field("F3"), 2)
+    M2 = make_matrix_algebra(F3, 2)
     verdict = is_power_associative_upto(M2, 6)
     assert verdict.holds
-    assert verdict.counterexample["exhaustive"] is False or True  # scope note present
+    assert verdict.counterexample["exhaustive"] is True
+    assert verdict.counterexample["tested"] == 81  # all of F3^4
 
 
-def test_power_associativity_failure_at_degree_four():
+def _degree_four_algebra(field):
     # x = e2: x^2 = e3, x^3 = e5 unambiguously, but x^2*x^2 = e4 while
     # (x^3)*x = 0, so degree four is the first ambiguity
-    z = Q.zero
+    z = field.zero
     n = 5
 
     def vec(i=None):
         out = [z] * n
         if i is not None:
-            out[i] = Q.one
+            out[i] = field.one
         return tuple(out)
 
     table = [[vec() for _ in range(n)] for _ in range(n)]
@@ -115,8 +119,11 @@ def test_power_associativity_failure_at_degree_four():
     table[1][2] = vec(4)          # e2 * e3 = e5
     table[2][1] = vec(4)          # e3 * e2 = e5
     table[2][2] = vec(3)          # e3 * e3 = e4
-    A = algebra(Q, table, vec(0))
-    verdict = is_power_associative_upto(A, 6, samples=40, seed=0)
+    return algebra(field, table, vec(0))
+
+
+def test_power_associativity_failure_at_degree_four():
+    verdict = is_power_associative_upto(_degree_four_algebra(Q), 6)
     assert not verdict.holds
     assert verdict.counterexample["degree"] == 4
 
@@ -232,3 +239,124 @@ def test_checkers_agree_with_direct_evaluation():
             if field.characteristic() != 2 and is_jordan(A).holds:
                 x2 = A.mul(x, x)
                 assert A.mul(x2, A.mul(y, x)) == A.mul(A.mul(x2, y), x)
+
+
+# ---------------------------------------------------------------------------
+# every counterexample kind, re-evaluated from the counterexample alone
+# ---------------------------------------------------------------------------
+
+def _flexible_only_in_triples():
+    # beta = (1, 0, 0), alpha_23 = 1: every pair relation holds, the triple
+    # relation beta_1 alpha_23 + beta_2 alpha_13 = 2 beta_3 alpha_21 fails
+    return special_table_from_params(
+        F5, (0, 0, 0), (1, 0, 0), ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+
+def _jordan_fails_at_a_single():
+    # hull of a^2 = b, ab = ba = a, b^2 = 0: commutative, and
+    # a^2 (a a) = b b = 0 while (a^2 a) a = a a = b
+    return unital_hull(F5, [[(0, 1), (1, 0)], [(1, 0), (0, 0)]])
+
+
+def _reevaluate(A, name, ce):
+    """The defect that `ce` of the checker `name` names, computed from the
+    counterexample alone."""
+    field, mul, e = A.field, A.mul, A.basis_vector
+    add = lambda *vs: functools.reduce(lambda u, v: vec_add(field, u, v), vs)
+    sub = lambda u, v: vec_sub(field, u, v)
+
+    def jordan(x, y):
+        x2 = mul(x, x)
+        return sub(mul(x2, mul(y, x)), mul(mul(x2, y), x))
+
+    kind, idx = ce["kind"], ce.get("indices")
+    if kind == "pair" and name == "flexible":
+        x, y = map(e, idx)
+        return sub(mul(x, mul(y, x)), mul(mul(x, y), x))
+    if kind == "pair":  # commutative, or the Jordan law's commutativity part
+        x, y = map(e, idx)
+        return sub(mul(x, y), mul(y, x))
+    if kind == "triple":
+        x, y, z = map(e, idx)
+        return sub(mul(mul(x, y), z), mul(x, mul(y, z)))
+    if kind == "linearized-triple":
+        x, y, z = map(e, idx)
+        return sub(add(mul(x, mul(y, z)), mul(z, mul(y, x))),
+                   add(mul(mul(x, y), z), mul(mul(z, y), x)))
+    if kind == "single":
+        x, y = map(e, idx)
+        return jordan(x, y)
+    if kind == "mixed-pair":
+        x, z, y = map(e, idx)
+        plus = jordan(add(x, z), y)
+        return plus if not vec_is_zero(field, plus) else jordan(sub(x, z), y)
+    if kind == "mixed-triple":
+        x, z, w, y = map(e, idx)
+        plus = add(jordan(add(x, z, w), y), jordan(x, y), jordan(z, y), jordan(w, y))
+        minus = add(jordan(add(x, z), y), jordan(add(x, w), y), jordan(add(z, w), y))
+        return sub(plus, minus)
+    raise AssertionError(f"unknown counterexample kind {kind!r}")
+
+
+REPAIRED = lambda: make_fixture("remark-repaired")
+
+
+@pytest.mark.parametrize("make, check, counterexample", [
+    (REPAIRED, is_commutative, {"kind": "pair", "indices": [1, 2]}),
+    (REPAIRED, is_associative, {"kind": "triple", "indices": [1, 1, 2]}),
+    (REPAIRED, is_flexible, {"kind": "pair", "indices": [1, 2]}),
+    (_flexible_only_in_triples, is_flexible,
+     {"kind": "linearized-triple", "indices": [1, 3, 2]}),
+    (REPAIRED, is_jordan,
+     {"kind": "pair", "indices": [1, 2], "law": "commutativity"}),
+    (_jordan_fails_at_a_single, is_jordan, {"kind": "single", "indices": [1, 1]}),
+    (lambda: nilpotent_commutative_hull(F5, 6, 0), is_jordan,
+     {"kind": "mixed-pair", "indices": [1, 3, 1]}),
+    (lambda: nilpotent_commutative_hull(F5, 6, 227), is_jordan,
+     {"kind": "mixed-pair", "indices": [2, 3, 1]}),
+    (lambda: nilpotent_commutative_hull(F5, 6, 32), is_jordan,
+     {"kind": "mixed-triple", "indices": [1, 2, 3, 1]}),
+], ids=["commutative-pair", "associative-triple", "flexible-pair",
+        "flexible-linearized-triple", "jordan-commutativity", "jordan-single",
+        "jordan-mixed-pair", "jordan-mixed-pair-minus", "jordan-mixed-triple"])
+def test_every_counterexample_kind_re_evaluates(make, check, counterexample):
+    A = make()
+    verdict = check(A)
+    assert not verdict.holds
+    assert verdict.counterexample == counterexample
+    assert verdict.defect == _reevaluate(A, verdict.name, verdict.counterexample)
+    assert not vec_is_zero(A.field, verdict.defect)
+
+
+def test_mixed_pair_reports_the_minus_defect_when_plus_vanishes():
+    A = nilpotent_commutative_hull(F5, 6, 227)
+    i, k, j = is_jordan(A).counterexample["indices"]
+    x = vec_add(F5, A.basis_vector(i), A.basis_vector(k))
+    y = A.basis_vector(j)
+    x2 = A.mul(x, x)
+    assert A.mul(x2, A.mul(y, x)) == A.mul(A.mul(x2, y), x)
+
+
+@pytest.mark.parametrize("field, x", [(Q, None), (F3, (0, 1, 0, 0, 0))])
+def test_power_counterexample_re_evaluates(field, x):
+    A = _degree_four_algebra(field)
+    verdict = is_power_associative_upto(A, 6)
+    ce = verdict.counterexample
+    assert (ce["kind"], ce["degree"], ce["exhaustive"]) == ("power", 4, x is not None)
+    if x is not None:  # the first x of the exhaustive sweep, in payload order
+        assert ce["x"] == x
+    powers = {1: {ce["x"]}}
+    for k in range(2, ce["degree"] + 1):
+        powers[k] = {A.mul(u, v) for p in range(1, k)
+                     for u in powers[p] for v in powers[k - p]}
+    assert all(len(powers[k]) == 1 for k in range(2, ce["degree"]))
+    assert ce["values"] == sorted(powers[ce["degree"]])[:2]
+    assert verdict.defect == vec_sub(field, *ce["values"])
+    assert not vec_is_zero(field, verdict.defect)
+
+
+def test_power_scope_of_a_sampled_sweep():
+    verdict = is_power_associative_upto(make_matrix_algebra(Q, 2), 6)
+    assert verdict.holds
+    assert verdict.counterexample == {"kind": "scope", "exhaustive": False,
+                                      "tested": 100, "max_degree": 6}
