@@ -26,9 +26,14 @@
 # `identities` on remark-repaired exits 0 and prints the associativity
 # counterexample `associative: fails  (triple at indices [1, 1, 2])`.
 #
-# Three malformed calls must exit 2: `check` on a document over "F4" (4 is
-# not prime), `oracle` over Q asking for more samples than its budget, and
-# `check --budget 5`, since `check` takes no budget.
+# The word-span commands run the same way on M_2(F2) from `make matrix`:
+# `length` prints `l(A) = 2`, and `length-set --set "e2;e3" --json` and
+# `verify-cert` of its report both exit 0.
+#
+# Four malformed calls must exit 2: `check` on a document over "F4" (4 is
+# not prime), `oracle` over Q asking for more samples than its budget,
+# `check --budget 5`, since `check` takes no budget, and `length-set --set e9`
+# on the four-dimensional M_2(F2).
 #
 # Usage: sh scripts/cli_exit_codes.sh   (with `lenalg` on PATH)
 set -u
@@ -104,9 +109,19 @@ fi
 run 1 check --json "$dir/type3-gf4.json" > "$dir/type3-gf4.report.json"
 run 0 verify-cert "$dir/type3-gf4.report.json"
 
+run 0 make matrix --field F2 --n 2 -o "$dir/m2.json"
+run 0 length "$dir/m2.json" > "$dir/m2.length.txt"
+if ! grep -qx "l(A) = 2" "$dir/m2.length.txt"; then
+    echo "FAIL: lenalg length on m2.json did not print 'l(A) = 2'" >&2
+    status=1
+fi
+run 0 length-set --set "e2;e3" --json "$dir/m2.json" > "$dir/m2.set.json"
+run 0 verify-cert "$dir/m2.set.json"
+
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"
 run 2 check "$bad"
 run 2 oracle "$dir/remark-repaired.json" --samples 11 --budget 10
 run 2 check "$dir/remark-repaired.json" --budget 5
+run 2 length-set --set e9 "$dir/m2.json"
 exit $status

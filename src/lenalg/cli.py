@@ -77,10 +77,7 @@ def _print_report(report, A, as_json):
     if as_json:
         sys.stdout.write(render_report(report, A))
         return
-    if report.kind == "length-one-decision":
-        print("verdict:", "yes (length <= 1)" if report.value else "no (length > 1)")
-    else:
-        print(f"{report.kind}: {report.value}")
+    print("verdict:", "yes (length <= 1)" if report.value else "no (length > 1)")
     print("path:", " > ".join(report.path))
     for flag in report.flags:
         print("flag:", flag)
@@ -101,8 +98,6 @@ def _print_report(report, A, as_json):
         print("certificate: special basis")
         print("  mu   =", _render_vec(field, cert.mu))
         print("  beta =", _render_vec(field, cert.beta))
-    elif isinstance(cert, dict):
-        print("certificate:", json.dumps(cert))
 
 
 def _parse_scalars(field, token, flag):
@@ -311,13 +306,11 @@ def _cmd_make(args):
             raise LenalgError("fixture needs --name (one of: "
                               + ", ".join(fixture_names()) + ")")
         A = make_fixture(args.name, field=field)
-    elif name == "random-l1":
+    else:  # random-l1: argparse's choices admit no other name
         if field is None or args.dim is None:
             raise LenalgError("random-l1 needs --field, --dim and --mode")
         A = generate_length_one(field, args.dim, args.seed, args.mode,
                                 hide=args.hide)
-    else:
-        raise LenalgError(f"unknown constructor {name!r}")
     metadata = {"constructor": name}
     if args.name:
         metadata["name"] = args.name
@@ -364,7 +357,9 @@ def build_parser():
     p.add_argument("--samples", type=_at_least(1), default=None,
                    help="sampling mode (incomplete); required over Q, ignored "
                         "over finite fields (always scanned exhaustively)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --samples draw over Q; ignored over "
+                        "finite fields (always scanned exhaustively)")
     common(p, enumeration)
     p.set_defaults(func=_cmd_oracle)
 

@@ -329,7 +329,7 @@ def certificate_from_dict(field, obj):
     raise SchemaError(f"{path}.type", f"unknown certificate type {kind!r}")
 
 
-def report_to_dict(report, A, metadata=None):
+def report_to_dict(report, A):
     """Machine-readable report with the algebra embedded for re-verification."""
     out = {
         "report_version": 1,
@@ -342,12 +342,12 @@ def report_to_dict(report, A, metadata=None):
     out["path"] = list(report.path)
     out["flags"] = list(report.flags)
     out["certificate"] = certificate_to_dict(A.field, report.certificate)
-    out["algebra"] = document_dict(A, metadata)
+    out["algebra"] = document_dict(A)
     return out
 
 
-def render_report(report, A, metadata=None):
-    return json.dumps(report_to_dict(report, A, metadata), indent=2) + "\n"
+def render_report(report, A):
+    return json.dumps(report_to_dict(report, A), indent=2) + "\n"
 
 
 def verify_report_dict(data, budget=None):

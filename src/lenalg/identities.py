@@ -120,14 +120,10 @@ def _jordan_cases(A):
             yield case, _jordan_defect(A, vec_sub(field, e[i], e[k]), e[j])
     for j in range(n):
         for i, k, l in itertools.combinations(range(n), 3):
-            total = _jordan_defect(
-                A, vec_add(field, vec_add(field, e[i], e[k]), e[l]), e[j])
-            for a, b in ((i, k), (i, l), (k, l)):
-                total = vec_sub(field, total,
-                                _jordan_defect(A, vec_add(field, e[a], e[b]), e[j]))
-            for a in (i, k, l):
-                total = vec_add(field, total, _jordan_defect(A, e[a], e[j]))
-            yield {"kind": "mixed-triple", "indices": [i, k, l, j]}, total
+            # the scan gets here only once every single and plus pair of the
+            # inclusion-exclusion came out zero: the triple defect is the sum
+            yield ({"kind": "mixed-triple", "indices": [i, k, l, j]},
+                   _jordan_defect(A, vec_add(field, vec_add(field, e[i], e[k]), e[l]), e[j]))
 
 
 def is_jordan(A):

@@ -5,6 +5,10 @@ L_{i+1} = L_i + sum over p+q = i+1 (p, q >= 1) of span{u*v} with u, v running
 over bases of L_p and L_q.  Working with full lower spans instead of exact
 word sets is valid because the span of products of two sets equals the span
 of products of their spans (bilinearity); it keeps every step polynomial.
+All levels live on one echelon list, grown by the echelon routine that
+`linalg.in_span` uses: each level appends the residues of its products, so
+L_p is spanned by a prefix of the list.  The canonical Subspace of the
+closure is built only when a caller reads it.
 
 Stop rule: the dimension sequence is non-decreasing, and once
 dim L_n = dim L_{n+1} = ... = dim L_{2n} holds for some n >= 1 the sequence
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, with_identity_first
 from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported
-from .linalg import span
+from .linalg import _echelon_extend, span
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -39,18 +43,21 @@ def resolve_budget(budget=None):
 
 @dataclass
 class WordSpanSequence:
-    """The nested spans [L_0, L_1, ...] computed for one generating set."""
+    """The word-span dims [dim L_0, dim L_1, ...] for one generating set.
 
-    spans: list
+    `rows` is one echelon list of (pivot, row) pairs whose first dims[p]
+    rows span L_p; the last level, the generated subalgebra, is their span.
+    """
+
+    field: object
+    rows: list
+    dims: list
     stabilized_at: int
 
     @property
-    def dims(self):
-        return [s.dim for s in self.spans]
-
-    @property
     def closure(self):
-        return self.spans[-1]
+        """The generated subalgebra as a canonical Subspace, built when read."""
+        return span(self.field, [r for _, r in self.rows])
 
 
 def _iteration_cap(dim):
@@ -59,40 +66,26 @@ def _iteration_cap(dim):
 
 def word_spans(A, vectors):
     """Compute the word-span sequence for the set `vectors` (may be empty)."""
-    field = A.field
-    n = A.dim
-    l0 = span(field, [A.one], ambient_dim=n)
-    spans = [l0]
-    bases = [l0.rows]
-    l1 = span(field, [A.one] + [tuple(v) for v in vectors], ambient_dim=n)
-    spans.append(l1)
-    bases.append(l1.rows)
+    field, n = A.field, A.dim
+    rows = _echelon_extend(field, [], [A.one], n)
+    dims = [1, len(_echelon_extend(field, rows, vectors, n))]
     cap = _iteration_cap(n)
     i = 1
     while True:
-        dims = [s.dim for s in spans]
         if dims[-1] == n:
             # reached the whole algebra; spans are nested so this is final
-            first = next(t for t, d in enumerate(dims) if d == n)
-            return WordSpanSequence(spans=spans, stabilized_at=first)
+            return WordSpanSequence(field, rows, dims, stabilized_at=dims.index(n))
         # stop rule: some m >= 1 has dims constant on the window [m, 2m]
-        top = len(dims) - 1
-        for m in range(1, top // 2 + 1):
+        for m in range(1, (len(dims) - 1) // 2 + 1):
             if dims[m] == dims[2 * m]:
-                return WordSpanSequence(spans=spans, stabilized_at=m)
+                return WordSpanSequence(field, rows, dims, stabilized_at=m)
         if i >= cap:
             raise CapExceeded(
                 f"word spans did not stabilize within {cap} steps (dim {n})")
-        # build L_{i+1}
-        new_vectors = list(spans[-1].rows)
-        for p in range(1, i + 1):
-            q = i + 1 - p
-            for u in bases[p]:
-                for v in bases[q]:
-                    new_vectors.append(A.mul(u, v))
-        nxt = span(field, new_vectors, ambient_dim=n)
-        spans.append(nxt)
-        bases.append(nxt.rows)
+        # L_{i+1}: append the residues of every product of L_p and L_q rows
+        products = [A.mul(u, v) for p in range(1, i + 1)
+                    for _, u in rows[:dims[p]] for _, v in rows[:dims[i + 1 - p]]]
+        dims.append(len(_echelon_extend(field, rows, products, n)))
         i += 1
 
 

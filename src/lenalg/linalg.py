@@ -5,9 +5,9 @@ stored in reduced row echelon form (pivots equal to one, pivot columns
 otherwise zero, pivot columns strictly increasing, no zero rows), which is a
 canonical form: equal subspaces have identical `rows`, so subspace equality
 is raw tuple comparison and every reported witness is deterministic.
-`_eliminate` is the only row elimination, and `in_span` the membership test
-that builds no `Subspace`: `rref`, `Subspace.reduce`, `in_span` and the
-oracle's line test all run on `_eliminate`.
+`_eliminate` is the only row elimination, under `rref`, `Subspace.reduce`
+and `_echelon_extend`, the one echelon routine that builds no `Subspace`:
+it serves both `in_span` (the oracle's line test) and `length`'s word spans.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -62,18 +62,14 @@ def _eliminate(field, v, rows):
     return v
 
 
-def in_span(field, w, vectors):
-    """True when w lies in the span of the vectors (none: only zero does).
-
-    Each vector is reduced against the rows so far and, unless it vanishes,
-    scaled to a one at its first nonzero entry, its pivot; then w is reduced
-    against the rows.  No Subspace is built.
-    """
-    n, zero, one = len(w), field.zero, field.one
-    rows = []
+def _echelon_extend(field, rows, vectors, n):
+    """Append to `rows` a (pivot, row) pair for each length-n vector outside
+    their span: its residue against the rows so far, scaled to a one at its
+    first nonzero entry, its pivot."""
+    zero, one = field.zero, field.one
     for v in vectors:
         if len(v) != n:
-            raise DimensionMismatch("span membership over vectors of mixed lengths")
+            raise DimensionMismatch(f"vector length {len(v)} != {n}")
         r = _eliminate(field, v, rows)
         for pivot, c in enumerate(r):
             if c != zero:
@@ -82,6 +78,12 @@ def in_span(field, w, vectors):
                     r = [field.mul(inv, a) for a in r]
                 rows.append((pivot, r))
                 break
+    return rows
+
+
+def in_span(field, w, vectors):
+    """True when w lies in the span of the vectors (none: only zero does)."""
+    rows = _echelon_extend(field, [], vectors, len(w))
     return vec_is_zero(field, _eliminate(field, w, rows))
 
 

@@ -21,7 +21,7 @@ from lenalg import (
 )
 from lenalg.algebra import with_identity_first
 from lenalg.decide import OracleResult, ViolationWitness
-from lenalg.errors import DimensionMismatch
+from lenalg.errors import CapExceeded, DimensionMismatch
 from lenalg.linalg import random_invertible, span, unit_vec, vec_scale
 
 
@@ -77,6 +77,41 @@ def nilpotent_commutative_hull(field, m, seed):
         k = rng.randrange(j, m)  # k == j stands for a zero product
         table[i][j] = table[j][i] = zero if k == j else unit_vec(field, m, k)
     return unital_hull(field, table)
+
+
+def sparse_f2_hull(m, seed):
+    """Unital hull of a seeded m-dimensional F2 table whose coordinates are
+    one with probability 1/5."""
+    F2 = make_field("F2")
+    rng = random.Random(f"plateau|{m}|{seed}")
+    table = [[tuple(int(rng.random() < 0.2) for _ in range(m)) for _ in range(m)]
+             for _ in range(m)]
+    return unital_hull(F2, table)
+
+
+def reference_word_spans(A, vectors):
+    """The word spans as one canonical Subspace per level, each rebuilt by
+    `span` from the rows of the level before plus every product of a row of
+    L_p by a row of L_q (p + q = i + 1): the reference for `word_spans`.
+    Returns (spans, stabilized_at) under the same stop rule and cap."""
+    field, n = A.field, A.dim
+    spans = [span(field, [A.one]),
+             span(field, [A.one] + [tuple(v) for v in vectors], ambient_dim=n)]
+    cap = 2 * (2 ** max(n - 2, 0)) + 2
+    i = 1
+    while True:
+        dims = [s.dim for s in spans]
+        if dims[-1] == n:
+            return spans, dims.index(n)
+        for m in range(1, (len(dims) - 1) // 2 + 1):
+            if dims[m] == dims[2 * m]:
+                return spans, m
+        if i >= cap:
+            raise CapExceeded(f"reference word spans passed the cap {cap}")
+        products = [A.mul(u, v) for p in range(1, i + 1)
+                    for u in spans[p].rows for v in spans[i + 1 - p].rows]
+        spans.append(span(field, list(spans[-1].rows) + products))
+        i += 1
 
 
 def reference_mul(field, table, u, v):

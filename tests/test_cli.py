@@ -264,6 +264,9 @@ def test_verify_cert_malformed_report_field_is_error(
     ({"kind": "extension", "p": 2, "k": True}, "field.k"),
     ({"kind": "extension", "p": 2, "k": 2, "modulus": [1, 0, 1]}, "field.modulus"),
     ({"kind": "prime", "p": 2 ** 89 - 1}, "field"),   # prime, past MAX_PRIME
+    (5, "field"),
+    ({"kind": "foo"}, "field.kind"),
+    ({"kind": "extension", "p": 2, "k": 2, "modulus": ["a"]}, "field.modulus"),
 ])
 @pytest.mark.parametrize("command", ["check", "verify-cert"])
 def test_bad_field_exits_2_naming_its_path(
@@ -376,6 +379,18 @@ def test_verify_cert_checks_set_length_dims(tmp_path, capsys, dims, code, where)
     (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,x;x,1"], "--gram"),
     (["oracle", "@remark-repaired", "--samples", "0"], "--samples"),
     (["oracle", "@remark-repaired", "--samples", "-3"], "--samples"),
+    (["length-set", "@char2-typeI-seeded", "--set", "e9"],
+     "basis index out of range: e9"),
+    (["length-set", "@char2-typeI-seeded", "--set", "1,0"], "has 2 entries, need 4"),
+    (["make", "matrix", "--field", "F2"], "matrix needs --field and --n"),
+    (["make", "matrix", "--n", "2"], "matrix needs --field and --n"),
+    (["make", "direct-sum", "--field", "F2"], "direct-sum needs --field and --k"),
+    (["make", "bilinear-jordan", "--field", "F2"],
+     "bilinear-jordan needs --field and --gram"),
+    (["make", "fixture"], "fixture needs --name (one of: "),
+    (["make", "random-l1", "--field", "F2"],
+     "random-l1 needs --field, --dim and --mode"),
+    (["check", "no-such-dir/doc.json"], "error[FileNotFound]: "),
 ])
 def test_bad_argument_exits_2_naming_the_flag(fixture_file, capsys, argv, flag):
     argv = [fixture_file(a[1:]) if a.startswith("@") else a for a in argv]
@@ -441,3 +456,49 @@ def test_oracle_samples_ignored_over_finite_fields(fixture_file, capsys):
     assert main(["oracle", path, "--samples", "3"]) == 0
     assert capsys.readouterr().out == exhaustive
     assert "path: oracle: exhaustive pair scan" in exhaustive
+
+
+def test_oracle_seed_help_and_finite_fields(fixture_file, capsys):
+    assert ("--seed SEED seed of the --samples draw over Q; ignored over finite "
+            "fields" in _help(capsys, "oracle"))
+    path = fixture_file("dim3-f2-type3")
+    assert main(["oracle", path]) == 0
+    exhaustive = capsys.readouterr().out
+    assert main(["oracle", path, "--seed", "5"]) == 0
+    assert capsys.readouterr().out == exhaustive
+
+
+@pytest.mark.parametrize("edit, where", [
+    ({"one": "1"}, "one"),
+    ({"table": [[["1", "0"]], [["0", "1"], ["0", "0"]]]}, "table[0]"),
+    ({"metadata": 5}, "metadata"),
+    ({"adjoin_identity": "yes"}, "adjoin_identity"),
+])
+def test_bad_document_key_exits_2_naming_it(tmp_path, capsys, edit, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "field": "Q", "dim": 2, "one": ["1", "0"],
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]], **edit}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[SchemaError]: {where}: ")
+    assert "Traceback" not in err
+
+
+def test_verify_cert_json_prints_the_verdict(fixture_file, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["check", "--json", fixture_file("remark-repaired")]) == 0
+    report.write_text(capsys.readouterr().out)
+    assert main(["verify-cert", "--json", str(report)]) == 0
+    assert capsys.readouterr().out == '{"certificate_valid": true}\n'
+
+
+def test_identities_text_names_the_ambiguous_power(tmp_path, capsys):
+    # e_a e_a = e_b, e_a e_b = e_b, e_b e_a = 0: (x x) x = 0 but x (x x) = e_b
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "field": "F3", "dim": 2, "adjoin_identity": True,
+        "table": [[["0", "1"], ["0", "1"]], [["0", "0"], ["0", "0"]]]}))
+    assert main(["identities", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "power-associative(<=6): fails  (x^3 is ambiguous)\n" in out

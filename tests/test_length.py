@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lenalg import (
+    Algebra,
     algebra,
     gaussian_binomial,
     length_of_algebra,
@@ -15,12 +16,20 @@ from lenalg import (
     make_matrix_algebra,
     span,
     subalgebra_generated_by,
+    unital_hull,
     word_spans,
 )
-from lenalg.errors import BudgetExceeded, InfiniteFieldUnsupported
+from lenalg import linalg
+from lenalg.errors import BudgetExceeded, DimensionMismatch, InfiniteFieldUnsupported
 from lenalg.length import count_subspaces, enumerate_subspaces, resolve_budget
 
-from tests.corpus import random_unital_algebra, random_vector
+from tests.corpus import (
+    random_table,
+    random_unital_algebra,
+    random_vector,
+    reference_word_spans,
+    sparse_f2_hull,
+)
 
 Q = make_field("Q")
 F2 = make_field("F2")
@@ -161,3 +170,86 @@ def test_subalgebra_generated_by():
     assert S.dim == 2  # span{1, E12}
     # induced subalgebra keeps the identity and closes multiplicatively
     assert S.mul(S.one, S.basis_vector(1)) == S.basis_vector(1)
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; the returned list grows by one per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _assert_matches_reference(muls, A, S):
+    """word_spans(A, S) against the reference; `muls` counts A.mul calls."""
+    del muls[:]
+    spans, stabilized_at = reference_word_spans(A, S)
+    reference_muls = len(muls)
+    del muls[:]
+    seq = word_spans(A, S)
+    assert len(muls) == reference_muls
+    assert seq.dims == [s.dim for s in spans]
+    assert seq.stabilized_at == stabilized_at
+    closure = spans[-1]
+    assert seq.closure == closure
+    sub, rows = subalgebra_generated_by(A, S)
+    assert rows == closure.rows
+    assert sub.table == tuple(tuple(tuple(closure.coords(A.mul(u, v))) for v in rows)
+                              for u in rows)
+    assert sub.one == tuple(closure.coords(A.one))
+    return seq
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["F2", "F3", "GF4", "F5", "Q"])
+def test_word_spans_match_the_reference(monkeypatch, name, dim):
+    field = make_field(name)
+    muls = _counted(monkeypatch, Algebra, "mul")
+    for seed in range(4):
+        rng = random.Random(f"spans|{name}|{dim}|{seed}")
+        A = unital_hull(field, random_table(field, dim - 1, rng))
+        S = [random_vector(field, dim, rng) for _ in range(seed % 3)]
+        S += [A.basis_vector(rng.randrange(dim))]
+        _assert_matches_reference(muls, A, S)
+
+
+def test_word_spans_plateau_then_growth(monkeypatch):
+    # L_2 = L_3, yet L_4 adds L_2 * L_2: why the stop rule waits for a
+    # window [m, 2m] of equal dims (a seeded search over sparse F2 hulls)
+    A = sparse_f2_hull(4, 23)
+    muls = _counted(monkeypatch, Algebra, "mul")
+    seq = _assert_matches_reference(muls, A, [A.basis_vector(4)])
+    assert seq.dims == [1, 2, 3, 3, 4, 4, 4, 4, 4]
+    assert seq.stabilized_at == 4
+
+
+def test_word_spans_build_no_subspace_until_the_closure_is_read(monkeypatch):
+    rrefs = _counted(monkeypatch, linalg, "rref")
+    M2 = make_matrix_algebra(Q, 2)
+    seq = word_spans(M2, [M2.basis_vector(1), M2.basis_vector(2)])
+    assert rrefs == []
+    assert seq.closure.dim == 4 and len(rrefs) == 1
+
+
+def test_length_of_algebra_rref_calls_do_not_grow_with_subspaces(monkeypatch):
+    rrefs = _counted(monkeypatch, linalg, "rref")
+    calls = {}
+    for A in (make_direct_sum_of_fields(F3, 3), make_matrix_algebra(F2, 2),
+              random_unital_algebra(F2, 5, seed=0)):
+        del rrefs[:]
+        examined = length_of_algebra(A).subspaces_examined
+        calls[examined] = len(rrefs)
+    assert sorted(calls) == [6, 16, 67]
+    assert len(set(calls.values())) == 1
+
+
+@pytest.mark.parametrize("v", [qv(1, 0, 0), qv(1, 0, 0, 0, 0)])
+def test_word_spans_refuse_a_vector_of_the_wrong_length(v):
+    M2 = make_matrix_algebra(Q, 2)
+    with pytest.raises(DimensionMismatch):
+        word_spans(M2, [M2.basis_vector(1), v])
