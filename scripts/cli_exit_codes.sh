@@ -28,7 +28,10 @@
 #
 # The word-span commands run the same way on M_2(F2) from `make matrix`:
 # `length` prints `l(A) = 2`, and `length-set --set "e2;e3" --json` and
-# `verify-cert` of its report both exit 0.
+# `verify-cert` of its report both exit 0.  An `algebra-length` certificate
+# is checked out of process too: on F3+F3+F3 from `make direct-sum`,
+# `length --json` exits 0 with `"value": 2`, and `verify-cert` of that
+# report, which enumerates the subspaces again, exits 0.
 #
 # Four malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), `oracle` over Q asking for more samples than its budget,
@@ -117,6 +120,13 @@ if ! grep -qx "l(A) = 2" "$dir/m2.length.txt"; then
 fi
 run 0 length-set --set "e2;e3" --json "$dir/m2.json" > "$dir/m2.set.json"
 run 0 verify-cert "$dir/m2.set.json"
+run 0 make direct-sum --field F3 --k 3 -o "$dir/f3x3.json"
+run 0 length --json "$dir/f3x3.json" > "$dir/f3x3.length.json"
+if ! grep -qF '"value": 2,' "$dir/f3x3.length.json"; then
+    echo "FAIL: lenalg length --json on f3x3.json did not report \"value\": 2" >&2
+    status=1
+fi
+run 0 verify-cert "$dir/f3x3.length.json"
 
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"

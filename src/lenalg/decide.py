@@ -68,7 +68,6 @@ from .errors import (
 from .length import resolve_budget
 from .linalg import (
     BasisChange,
-    _eliminate,
     in_span,
     unit_vec,
     vec_add,
@@ -749,13 +748,13 @@ def _line_ok(B, u):
     field, n, zero = B.field, B.dim, B.field.zero
     p = next(k for k in range(1, n) if u[k] != zero)
     by_u = ((p, u),)
-    if not vec_is_zero(field, _eliminate(field, B.mul(u, u), by_u)[1:]):
+    if not vec_is_zero(field, field.eliminate(B.mul(u, u), by_u)[1:]):
         return False
     lam = None
     for k in range(1, n):
         if k == p:
             continue
-        r = _eliminate(field, B.mul(u, B.basis_vector(k)), by_u)
+        r = field.eliminate(B.mul(u, B.basis_vector(k)), by_u)
         if lam is None:
             lam = r[k]
         if r[k] != lam or any(r[j] != zero for j in range(1, n) if j != k):

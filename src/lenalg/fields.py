@@ -47,6 +47,12 @@ can reach, so no digit carries:
 A coordinate map v -> v @ M is the product of the one-row table (M,) with
 the left vector (1,), so `linear(M)` is that product and has no kernel of
 its own.
+
+Next to `bilinear`, every field owns the row operation of the linear
+algebra, `eliminate(v, rows)`, written out per coordinate with no `sub` or
+`mul` call.  Over GF(p^k), log(-c) = (log c + log(-1)) mod (q - 1) must be
+reduced, or log(-c*b) can pass 2m into the zero region of `_exp` and drop
+the term; log(-1) = 0 in characteristic 2 hides this.
 """
 
 from __future__ import annotations
@@ -185,6 +191,12 @@ class Field:
         length-r v (lengths are the caller's to check)."""
         raise NotImplementedError
 
+    def eliminate(self, v, rows):
+        """v minus v[pivot] * row for each (pivot, row) in turn, as a list (v
+        itself if no row applies).  Each row has a one at its pivot and zeros
+        at the pivots before it, so the result is zero at every pivot."""
+        raise NotImplementedError
+
     def linear(self, matrix):
         """The map v -> v @ matrix: the product of (matrix,) with (one,)."""
         product, one = self.bilinear((matrix,)), (self.one,)
@@ -269,6 +281,13 @@ class Rationals(Field):
             return tuple([Fraction(a, den) for a in acc])
         return product
 
+    def eliminate(self, v, rows):
+        for pivot, row in rows:
+            c = v[pivot]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
     def from_int(self, n):
         return Fraction(n)
 
@@ -276,7 +295,8 @@ class Rationals(Field):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational scalar: {text!r}")
-        return Fraction(text)
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
     def render(self, value):
         return str(value)
@@ -347,6 +367,14 @@ class PrimeField(Field):
                     acc += x * sum(map(mul, v, row))
             return tuple(unpack(acc))
         return product
+
+    def eliminate(self, v, rows):
+        p = self.p
+        for pivot, row in rows:
+            c = v[pivot]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
 
     def from_int(self, n):
         return n % self.p
@@ -553,6 +581,18 @@ class ExtensionField(Field):
             digits = unpack(sum(map(mul, coeffs, packed)))
             return tuple([tuple(digits[i:i + k]) for i in starts])
         return product
+
+    def eliminate(self, v, rows):
+        log, exp, zech, zero_log = self._log, self._exp, self._zech, self._zero_log
+        for pivot, row in rows:
+            lc = log[v[pivot]]
+            if lc != zero_log:
+                neg_c = (lc + self._neg_one_log) % self._unit_order  # see above
+                # a + exp[lb + neg_c] = a - c*b, by the Zech table
+                v = [a if (lb := log[b]) == zero_log
+                     else exp[lb + neg_c] if (la := log[a]) == zero_log
+                     else exp[la + zech[lb + neg_c - la]] for a, b in zip(v, row)]
+        return v
 
     def from_int(self, n):
         return self._pad((n % self.p,))

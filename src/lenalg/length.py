@@ -10,6 +10,16 @@ All levels live on one echelon list, grown by the echelon routine that
 L_p is spanned by a prefix of the list.  The canonical Subspace of the
 closure is built only when a caller reads it.
 
+Each level multiplies only new rows (semi-naive evaluation, Bancilhon &
+Ramakrishnan, SIGMOD 1986).  Let N_1 be the rows of L_1 after the
+identity's row and N_p the rows level p appended, so that L_p = F*1 + N_1 +
+... + N_p.  Then L_{i+1} = L_i + sum over p+q = i+1 of N_p*N_q: every other
+term of L_p*L_q is a product with 1, which lies in L_q or L_p, inside L_i,
+or a term of N_p'*N_q' with p' + q' <= i, which lies in L_{p'+q'}, inside
+L_i.  Each ordered pair (p, q) is multiplied at exactly one level, p + q,
+and the N_p are disjoint parts of at most n - 1 rows, so one call makes at
+most (n - 1)^2 products.
+
 Stop rule: the dimension sequence is non-decreasing, and once
 dim L_n = dim L_{n+1} = ... = dim L_{2n} holds for some n >= 1 the sequence
 is stationary for good, so the first such window ends the iteration.  An
@@ -70,8 +80,7 @@ def word_spans(A, vectors):
     rows = _echelon_extend(field, [], [A.one], n)
     dims = [1, len(_echelon_extend(field, rows, vectors, n))]
     cap = _iteration_cap(n)
-    i = 1
-    while True:
+    for i in itertools.count(1):
         if dims[-1] == n:
             # reached the whole algebra; spans are nested so this is final
             return WordSpanSequence(field, rows, dims, stabilized_at=dims.index(n))
@@ -82,11 +91,11 @@ def word_spans(A, vectors):
         if i >= cap:
             raise CapExceeded(
                 f"word spans did not stabilize within {cap} steps (dim {n})")
-        # L_{i+1}: append the residues of every product of L_p and L_q rows
+        # L_{i+1}: the residues of N_p * N_q; dims[0] = 1 skips the identity
         products = [A.mul(u, v) for p in range(1, i + 1)
-                    for _, u in rows[:dims[p]] for _, v in rows[:dims[i + 1 - p]]]
+                    for _, u in rows[dims[p - 1]:dims[p]]
+                    for _, v in rows[dims[i - p]:dims[i + 1 - p]]]
         dims.append(len(_echelon_extend(field, rows, products, n)))
-        i += 1
 
 
 @dataclass
@@ -103,16 +112,10 @@ class SetLengthResult:
 def length_of_set(A, vectors):
     """l(S): least k with L_k spanning the generated subalgebra."""
     seq = word_spans(A, vectors)
-    dims = seq.dims
-    final = dims[-1]
-    k = next(i for i, d in enumerate(dims) if d == final)
-    return SetLengthResult(
-        length=k,
-        generates=(final == A.dim),
-        dims=dims,
-        closure_dim=final,
-        stabilized_at=seq.stabilized_at,
-    )
+    dims, final = seq.dims, seq.dims[-1]
+    return SetLengthResult(length=dims.index(final), generates=(final == A.dim),
+                           dims=dims, closure_dim=final,
+                           stabilized_at=seq.stabilized_at)
 
 
 def gaussian_binomial(m, d, q):

@@ -5,9 +5,11 @@ stored in reduced row echelon form (pivots equal to one, pivot columns
 otherwise zero, pivot columns strictly increasing, no zero rows), which is a
 canonical form: equal subspaces have identical `rows`, so subspace equality
 is raw tuple comparison and every reported witness is deterministic.
-`_eliminate` is the only row elimination, under `rref`, `Subspace.reduce`
-and `_echelon_extend`, the one echelon routine that builds no `Subspace`:
-it serves both `in_span` (the oracle's line test) and `length`'s word spans.
+The one row operation, v minus v[pivot] * row, lives on the field as
+`Field.eliminate`, next to its product kernel; `rref`, `Subspace.reduce`
+and `_echelon_extend` all reduce through it.  `_echelon_extend` is the one
+echelon routine that builds no `Subspace`: it serves both `in_span` (the
+oracle's line test) and `length`'s word spans.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -48,20 +50,6 @@ def vec_is_zero(field, v):
     return all(a == z for a in v)
 
 
-def _eliminate(field, v, rows):
-    """v minus, for each (pivot, row) pair in turn, v[pivot] times row.
-
-    Each row must have a one at its pivot and zeros at the pivots of the
-    rows before it; the result is then zero at every given pivot.
-    """
-    zero, sub, mul = field.zero, field.sub, field.mul
-    for p, row in rows:
-        c = v[p]
-        if c != zero:
-            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
-    return v
-
-
 def _echelon_extend(field, rows, vectors, n):
     """Append to `rows` a (pivot, row) pair for each length-n vector outside
     their span: its residue against the rows so far, scaled to a one at its
@@ -70,7 +58,7 @@ def _echelon_extend(field, rows, vectors, n):
     for v in vectors:
         if len(v) != n:
             raise DimensionMismatch(f"vector length {len(v)} != {n}")
-        r = _eliminate(field, v, rows)
+        r = field.eliminate(v, rows)
         for pivot, c in enumerate(r):
             if c != zero:
                 if c != one:
@@ -84,7 +72,7 @@ def _echelon_extend(field, rows, vectors, n):
 def in_span(field, w, vectors):
     """True when w lies in the span of the vectors (none: only zero does)."""
     rows = _echelon_extend(field, [], vectors, len(w))
-    return vec_is_zero(field, _eliminate(field, w, rows))
+    return vec_is_zero(field, field.eliminate(w, rows))
 
 
 def rref(field, rows):
@@ -112,7 +100,7 @@ def rref(field, rows):
         against = ((col, work[r]),)
         for i in range(len(work)):
             if i != r and work[i][col] != zero:
-                work[i] = _eliminate(field, work[i], against)
+                work[i] = field.eliminate(work[i], against)
         pivot_cols.append(col)
         r += 1
         col += 1
@@ -139,7 +127,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient {self.ambient_dim}")
-        return tuple(_eliminate(self.field, v, zip(self.pivots, self.rows)))
+        return tuple(self.field.eliminate(v, zip(self.pivots, self.rows)))
 
     def contains(self, v):
         return vec_is_zero(self.field, self.reduce(v))

@@ -131,6 +131,25 @@ def reference_mul(field, table, u, v):
     return tuple(out)
 
 
+def reference_eliminate(field, v, rows):
+    """v minus, for each (pivot, row) pair in turn, v[pivot] times row, by
+    `field.sub` and `field.mul`: the reference for `Field.eliminate`."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    for p, row in rows:
+        c = v[p]
+        if c != zero:
+            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
+def mutate_one_constant(A, i, j, k):
+    """Bump structure constant c[i][j][k] by one (additively)."""
+    field = A.field
+    table = [[list(cell) for cell in row] for row in A.table]
+    table[i][j][k] = field.add(table[i][j][k], field.one)
+    return algebra(field, table, A.one)
+
+
 def vec_mat(field, v, m):
     """Row vector times matrix, v @ m, entry by entry: the reference for
     `BasisChange` maps."""

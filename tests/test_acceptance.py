@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from lenalg import (
     ViolationWitness,
-    algebra,
     canonicalize,
     change_basis,
     decide_length_one,
@@ -43,6 +42,7 @@ from lenalg.algebra import complete_to_basis_with_one
 from lenalg.constructors import fixture_names
 
 from tests.corpus import (
+    mutate_one_constant,
     random_scalar,
     random_two_dim_unital,
     random_unital_algebra,
@@ -193,14 +193,6 @@ def test_criterion_5_bilinear_jordan_witnesses():
             assert is_jordan(A).holds
 
 
-def _mutate_one_constant(A, i, j, k):
-    """Bump structure constant c[i][j][k] by one (additively)."""
-    field = A.field
-    table = [[list(cell) for cell in row] for row in A.table]
-    table[i][j][k] = field.add(table[i][j][k], field.one)
-    return algebra(field, table, A.one)
-
-
 def test_criterion_6_char2_normal_forms():
     """Char-2 families certify with matching forms; single-constant breaks flip to no."""
     with criterion(6, "characteristic-2 normal forms and mutations"):
@@ -237,7 +229,7 @@ def test_criterion_6_char2_normal_forms():
                         if seed % 5 == 0:
                             # break one relation: bump the coefficient of a_3
                             # inside the product a_2 a_3
-                            M = _mutate_one_constant(A, 1, 2, 2)
+                            M = mutate_one_constant(A, 1, 2, 2)
                             repm = decide_length_one(M)
                             assert repm.value is False, (field.label(), dim, mode, seed)
                             assert oracle_length_one(M, witness=False).is_length_one is False

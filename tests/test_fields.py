@@ -101,6 +101,13 @@ def test_render_parse_round_trip_rationals(num, den):
     assert Q.parse(Q.render(v)) == v
 
 
+@pytest.mark.parametrize("text", ["0", "-0", "+7", "007", "-349/6", "+12/8",
+                                  "0/5", "-10/100", " 3/4 ", str(-10**30) + "/7"])
+def test_rational_parse_equals_fraction_of_the_text(text):
+    value = make_field("Q").parse(text)
+    assert type(value) is Fraction and value == Fraction(text.strip())
+
+
 def test_rational_parse_rejects_floats():
     Q = make_field("Q")
     with pytest.raises(ValueError):

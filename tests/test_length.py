@@ -8,6 +8,8 @@ import pytest
 from lenalg import (
     Algebra,
     algebra,
+    decide_length_one,
+    generate_length_one,
     gaussian_binomial,
     length_of_algebra,
     length_of_set,
@@ -20,10 +22,18 @@ from lenalg import (
     word_spans,
 )
 from lenalg import linalg
-from lenalg.errors import BudgetExceeded, DimensionMismatch, InfiniteFieldUnsupported
+from lenalg.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InfiniteFieldUnsupported,
+    ModeCharacteristicMismatch,
+)
+from lenalg.generate import MODES
 from lenalg.length import count_subspaces, enumerate_subspaces, resolve_budget
+from lenalg.linalg import unit_vec
 
 from tests.corpus import (
+    mutate_one_constant,
     random_table,
     random_unital_algebra,
     random_vector,
@@ -186,13 +196,20 @@ def _counted(monkeypatch, owner, name):
 
 
 def _assert_matches_reference(muls, A, S):
-    """word_spans(A, S) against the reference; `muls` counts A.mul calls."""
+    """word_spans(A, S) against the reference; `muls` counts A.mul calls.
+
+    Returns the sequence and the number of products word_spans made: at
+    most (n - 1)^2, since each level multiplies only new rows, and never
+    more than the reference, which multiplies every row of L_p and L_q.
+    """
     del muls[:]
     spans, stabilized_at = reference_word_spans(A, S)
     reference_muls = len(muls)
     del muls[:]
     seq = word_spans(A, S)
-    assert len(muls) == reference_muls
+    products = len(muls)
+    assert products <= (A.dim - 1) ** 2
+    assert products <= reference_muls
     assert seq.dims == [s.dim for s in spans]
     assert seq.stabilized_at == stabilized_at
     closure = spans[-1]
@@ -202,7 +219,7 @@ def _assert_matches_reference(muls, A, S):
     assert sub.table == tuple(tuple(tuple(closure.coords(A.mul(u, v))) for v in rows)
                               for u in rows)
     assert sub.one == tuple(closure.coords(A.one))
-    return seq
+    return seq, products
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
@@ -223,9 +240,30 @@ def test_word_spans_plateau_then_growth(monkeypatch):
     # window [m, 2m] of equal dims (a seeded search over sparse F2 hulls)
     A = sparse_f2_hull(4, 23)
     muls = _counted(monkeypatch, Algebra, "mul")
-    seq = _assert_matches_reference(muls, A, [A.basis_vector(4)])
+    seq, products = _assert_matches_reference(muls, A, [A.basis_vector(4)])
     assert seq.dims == [1, 2, 3, 3, 4, 4, 4, 4, 4]
     assert seq.stabilized_at == 4
+    assert products == 9   # 264 when every level multiplied all rows
+
+
+def _truncated_polynomials(field, n):
+    """F[x]/(x^n) on the basis 1, x, ..., x^(n-1)."""
+    zero = tuple([field.zero] * n)
+    table = [[unit_vec(field, n, i + j) if i + j < n else zero
+              for j in range(n)] for i in range(n)]
+    return algebra(field, table, unit_vec(field, n, 0))
+
+
+@pytest.mark.parametrize("name, n, expected", [("F2", 7, 15), ("F3", 5, 6)])
+def test_word_spans_multiply_only_new_rows(monkeypatch, name, n, expected):
+    # x generates L_p = span{1, ..., x^p}: each level adds one row, and
+    # level i + 1 makes the i products x^p * x^(i+1-p), (n - 1)(n - 2)/2
+    # in all (155 and 41 when every level multiplied all rows)
+    A = _truncated_polynomials(make_field(name), n)
+    muls = _counted(monkeypatch, Algebra, "mul")
+    seq, products = _assert_matches_reference(muls, A, [A.basis_vector(1)])
+    assert seq.dims == list(range(1, n + 1))
+    assert products == expected == (n - 1) * (n - 2) // 2
 
 
 def test_word_spans_build_no_subspace_until_the_closure_is_read(monkeypatch):
@@ -253,3 +291,31 @@ def test_word_spans_refuse_a_vector_of_the_wrong_length(v):
     M2 = make_matrix_algebra(Q, 2)
     with pytest.raises(DimensionMismatch):
         word_spans(M2, [M2.basis_vector(1), v])
+
+
+def _length_corpus(field, dim):
+    """Each mode's table hidden, the unhidden table with c[1][n-1][n-1]
+    bumped by one, and three random unital tables."""
+    for mode in MODES:
+        try:
+            A = generate_length_one(field, dim, seed=0, mode=mode)
+        except ModeCharacteristicMismatch:
+            continue
+        yield generate_length_one(field, dim, seed=0, mode=mode, hide=True)
+        yield mutate_one_constant(A, 1, dim - 1, dim - 1)
+    for seed in range(3):
+        yield random_unital_algebra(field, dim, seed)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "GF4"])
+def test_length_one_exactly_when_the_decider_says_yes(name):
+    # the paper's definition end to end: l(A) = 1 by enumerating every
+    # generating subspace, against the decider's certified verdict
+    field = make_field(name)
+    verdicts = []
+    for dim in (2, 3, 4, 5):
+        for A in _length_corpus(field, dim):
+            verdict = decide_length_one(A).value
+            assert (length_of_algebra(A).length == 1) == verdict, (dim, A.table)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

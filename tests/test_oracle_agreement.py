@@ -18,7 +18,6 @@ import pytest
 
 from lenalg import (
     ExtensionField,
-    algebra,
     decide_length_one,
     generate_length_one,
     make_field,
@@ -29,7 +28,12 @@ from lenalg import (
 from lenalg.errors import ModeCharacteristicMismatch
 from lenalg.generate import MODES
 
-from tests.corpus import FIELD_NAMES_SMALL, random_unital_algebra, reference_oracle
+from tests.corpus import (
+    FIELD_NAMES_SMALL,
+    mutate_one_constant,
+    random_unital_algebra,
+    reference_oracle,
+)
 
 GF16 = ExtensionField(2, 4, (1, 1, 1, 1, 1))
 
@@ -40,12 +44,9 @@ def _mutations(A):
     e_0 stays the identity and the squares stay put, so these near-misses
     reach the later steps of the decider.
     """
-    field = A.field
     for i, j in ((1, 2), (2, 1)):
         for k in range(A.dim):
-            table = [[list(cell) for cell in row] for row in A.table]
-            table[i][j][k] = field.add(table[i][j][k], field.one)
-            yield algebra(field, table, A.one)
+            yield mutate_one_constant(A, i, j, k)
 
 
 def _corpus(field, dim):

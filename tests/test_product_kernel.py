@@ -1,9 +1,12 @@
-"""The compiled product behind Algebra.mul against field operations alone.
+"""The field kernels behind Algebra.mul and the row operation against
+field operations alone.
 
 `Field.bilinear` sums over integers and reduces once per coordinate (packed
-b-bit digits over F_p and GF(p^k), common denominators over Q).  Every test
-here compares it with `reference_mul`, the bilinear extension of the table
-by one field multiplication and addition per term.
+b-bit digits over F_p and GF(p^k), common denominators over Q).  Its tests
+compare it with `reference_mul`, the bilinear extension of the table by one
+field multiplication and addition per term.  `Field.eliminate` writes
+v - v[pivot] * row out per coordinate; its test compares it with
+`reference_eliminate`, the same loop on `field.sub` and `field.mul`.
 """
 
 import random
@@ -22,7 +25,12 @@ from lenalg import (
 from lenalg.errors import InvalidIdentity
 from lenalg.linalg import unit_vec
 
-from tests.corpus import random_unital_algebra, random_vector, reference_mul
+from tests.corpus import (
+    random_unital_algebra,
+    random_vector,
+    reference_eliminate,
+    reference_mul,
+)
 
 AES_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)              # x^8 + x^4 + x^3 + x + 1
 GF16_MODULUS = (1, 1, 1, 1, 1)                          # x^4 + x^3 + x^2 + x + 1
@@ -65,6 +73,39 @@ def test_kernel_matches_reference(name):
             table = [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
                      for _ in range(n - 1)]
             _assert_matches_reference(unital_hull(F, table), vectors)
+
+
+# log(-1) is 13 here, not 0 as in characteristic 2: the case where an
+# unreduced log(-c) runs into the zero region of the exponent table
+GF27 = ExtensionField(3, 3, (1, 2, 0, 1))
+ELIMINATE_FIELDS = [FIELDS[name] for name in
+                    ("Q", "F2", "F3", "F5", "GF4", "GF8", "GF9")] + [GF27]
+
+
+def _echelon_rows(F, n, count, rng):
+    """`count` random (pivot, row) pairs of F^n, pivots in random order:
+    a one at the row's pivot and zeros at the pivots of the rows before."""
+    pivots = rng.sample(range(n), count)
+    rows = []
+    for i, p in enumerate(pivots):
+        row = list(random_vector(F, n, rng))
+        for q in pivots[:i]:
+            row[q] = F.zero
+        row[p] = F.one
+        rows.append((p, row))
+    return rows
+
+
+@pytest.mark.parametrize("F", ELIMINATE_FIELDS, ids=lambda F: F.label())
+def test_eliminate_matches_reference(F):
+    for n in range(1, 8):
+        rng = random.Random(f"eliminate|{F.label()}|{n}")
+        for count in range(n + 1):
+            rows = _echelon_rows(F, n, count, rng)
+            for v in _vectors(F, n, rng):
+                got = F.eliminate(v, rows)
+                assert list(got) == list(reference_eliminate(F, v, rows)), (v, rows)
+                assert all(got[p] == F.zero for p, _ in rows)
 
 
 def _worst_case_prime(p, shape):
