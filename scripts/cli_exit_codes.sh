@@ -24,7 +24,10 @@
 # `check --json` report exits 0.
 #
 # `identities` on remark-repaired exits 0 and prints the associativity
-# counterexample `associative: fails  (triple at indices [1, 1, 2])`.
+# counterexample `associative: fails  (triple at indices [1, 1, 2])`.  Its
+# `--json` report proves power-associativity by the length-one certificate
+# (`"kind": "length-one"`), while on M_2(F2), which is not length one, the
+# sweep tests all 16 vectors (`"tested": 16`).
 #
 # The word-span commands run the same way on M_2(F2) from `make matrix`:
 # `length` prints `l(A) = 2`, and `length-set --set "e2;e3" --json` and
@@ -112,7 +115,18 @@ fi
 run 1 check --json "$dir/type3-gf4.json" > "$dir/type3-gf4.report.json"
 run 0 verify-cert "$dir/type3-gf4.report.json"
 
+run 0 identities --json "$dir/remark-repaired.json" > "$dir/repaired.identities.json"
+if ! grep -qF '"kind": "length-one"' "$dir/repaired.identities.json"; then
+    echo "FAIL: lenalg identities --json on remark-repaired.json did not prove power-associativity by the certificate" >&2
+    status=1
+fi
+
 run 0 make matrix --field F2 --n 2 -o "$dir/m2.json"
+run 0 identities --json "$dir/m2.json" > "$dir/m2.identities.json"
+if ! grep -qF '"tested": 16' "$dir/m2.identities.json"; then
+    echo "FAIL: lenalg identities --json on m2.json did not report '"tested": 16'" >&2
+    status=1
+fi
 run 0 length "$dir/m2.json" > "$dir/m2.length.txt"
 if ! grep -qx "l(A) = 2" "$dir/m2.length.txt"; then
     echo "FAIL: lenalg length on m2.json did not print 'l(A) = 2'" >&2

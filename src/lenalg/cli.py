@@ -213,6 +213,7 @@ def _cmd_identities(args):
     doc = parse_document(_read_source(args.file))
     A = doc.algebra
     field = A.field
+    report = decide_length_one(A)
     results = {}
     results["commutative"] = is_commutative(A)
     results["associative"] = is_associative(A)
@@ -220,8 +221,7 @@ def _cmd_identities(args):
     if field.characteristic() != 2:
         results["jordan"] = is_jordan(A)
     results[f"power-associative(<={args.degree})"] = is_power_associative_upto(
-        A, args.degree, budget=args.budget)
-    report = decide_length_one(A)
+        A, args.degree, budget=args.budget, decision=report)
     law_rows = None
     if report.value and hasattr(report.certificate, "mu"):
         w = report.certificate
@@ -384,7 +384,8 @@ def build_parser():
                    help="power-associativity degree bound (default 6)")
     common(p, "power-associativity sweep cap: every vector is tested when "
                "q^dim <= BUDGET (default 4096; LENALG_BUDGET is not read), "
-               "100 seeded samples otherwise")
+               "100 seeded samples otherwise; no sweep runs when the algebra "
+               "is certified length one")
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("make", help="emit an algebra document")

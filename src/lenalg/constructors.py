@@ -11,7 +11,7 @@ not associative.  See README "Fixture notes" for the recorded outcomes.
 from __future__ import annotations
 
 from .algebra import Algebra, algebra, identity_first
-from .documents import field_to_json, parse_document
+from .documents import parse_document
 from .errors import CharacteristicTwo, UnknownFixture
 
 
@@ -212,12 +212,13 @@ def make_fixture(name, field=None):
     """Parse the named fixture document; `field` reinterprets its scalars.
 
     Reinterpreting makes sense for integer-scalar tables ("remark-literal"
-    over F5, say); the scalar strings are simply parsed in the other field.
+    over F5, say); the scalar strings are simply parsed in the other field,
+    and the algebra's field is `field` itself.
     """
     if name not in FIXTURES:
         raise UnknownFixture(
             f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
     doc = dict(FIXTURES[name])
     if field is not None:
-        doc = dict(doc, field=field_to_json(field))
+        doc = dict(doc, field=field)
     return parse_document(doc).algebra

@@ -42,7 +42,7 @@ from .errors import (
     ScalarSyntaxError,
     SingularMatrix,
 )
-from .fields import DEFAULT_MODULI, ExtensionField, PrimeField, make_field
+from .fields import DEFAULT_MODULI, ExtensionField, Field, field_handle, make_field
 from .length import length_of_algebra, length_of_set
 from .linalg import BasisChange
 
@@ -69,7 +69,11 @@ _FIELD_ERROR_KEYS = {NonPrimeModulus: ".p", ReducibleModulus: ".modulus"}
 
 def field_from_json(obj, path="field"):
     """The field a document names; anything wrong with it, including a
-    field that cannot be built, is a SchemaError at the key at fault."""
+    field that cannot be built, is a SchemaError at the key at fault.  Each
+    field is built once (`fields.field_handle`), and a `Field` handle in
+    place of the JSON is taken as it is."""
+    if isinstance(obj, Field):
+        return obj
     if isinstance(obj, str):
         try:
             return make_field(obj)
@@ -79,7 +83,7 @@ def field_from_json(obj, path="field"):
         raise SchemaError(path, "field must be a shorthand string or an object")
     kind = obj.get("kind")
     if kind == "rationals":
-        return make_field("Q")
+        return field_handle("rationals")
     if kind not in ("prime", "extension"):
         raise SchemaError(f"{path}.kind", f"unknown field kind {kind!r}")
     for key in ("p",) if kind == "prime" else ("p", "k"):
@@ -92,8 +96,8 @@ def field_from_json(obj, path="field"):
         modulus = tuple(modulus)
     try:
         if kind == "prime":
-            return PrimeField(obj["p"])
-        return ExtensionField(obj["p"], obj["k"], modulus)
+            return field_handle("prime", obj["p"])
+        return field_handle("extension", obj["p"], obj["k"], modulus)
     except LenalgError as exc:
         raise SchemaError(path + _FIELD_ERROR_KEYS.get(type(exc), ""), str(exc))
 

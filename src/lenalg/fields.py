@@ -57,6 +57,7 @@ the term; log(-1) = 0 in characteristic 2 hides this.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -509,7 +510,7 @@ class ExtensionField(Field):
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
         g = next(a for a in self.elements() if a != self.zero
                  and all(power(a, order // r) != one for r in primes))
-        step = PrimeField(p).linear(
+        step = field_handle("prime", p).linear(
             [times(g, self._pad((0,) * t + (1,))) for t in range(k)])
         powers = [one]
         for _ in range(order - 1):
@@ -629,17 +630,42 @@ class ExtensionField(Field):
         return hash(("extension", self.p, self.k, self.modulus))
 
 
+def field_handle(kind, p=None, k=None, modulus=None):
+    """The one shared handle of a field: `kind` is "rationals", "prime"
+    (F_p) or "extension" (GF(p^k) mod `modulus`).
+
+    Handles are immutable and compare equal by value, so every document over
+    the same field can share one, and an extension's log/Zech tables are
+    built once per process.  The key is the resolved modulus: a missing one
+    is looked up in DEFAULT_MODULI first, so "GF9" and GF(3^2) mod (1, 0, 1)
+    share a handle.  A field that cannot be built raises as its constructor
+    does, and nothing is cached for it.
+    """
+    if kind == "extension" and modulus is None:
+        modulus = DEFAULT_MODULI.get((p, k))
+    return _build_field(kind, p, k, None if modulus is None else tuple(modulus))
+
+
+@functools.lru_cache(maxsize=64)
+def _build_field(kind, p, k, modulus):
+    if kind == "rationals":
+        return Rationals()
+    if kind == "prime":
+        return PrimeField(p)
+    return ExtensionField(p, k, modulus)
+
+
 def make_field(name):
     """Field from a shorthand label: "Q", "F<p>", or "GF4"/"GF8"/"GF9"."""
     if isinstance(name, Field):
         return name
     key = name.strip()
     if key == "Q":
-        return Rationals()
+        return field_handle("rationals")
     m = re.match(r"^F(\d+)$", key)
     if m:
-        return PrimeField(int(m.group(1)))
+        return field_handle("prime", int(m.group(1)))
     for (p, k), modulus in DEFAULT_MODULI.items():
         if key == f"GF{p ** k}":
-            return ExtensionField(p, k, modulus)
+            return field_handle("extension", p, k, modulus)
     raise ValueError(f"unknown field shorthand {name!r}")

@@ -33,14 +33,15 @@ verdict can be re-checked by one more evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decide import _first_violation
+from .decide import ViolationWitness, _first_violation, verify_certificate
 from .errors import CharacteristicTwo
-from .linalg import vec_add, vec_is_zero, vec_sub
+from .linalg import _echelon_extend, vec_add, vec_is_zero, vec_sub
 
 
 @dataclass
@@ -100,30 +101,42 @@ def is_flexible(A):
     return _scan(A, "flexible", _flexible_cases(A))
 
 
-def _jordan_defect(A, x, y):
-    x2 = A.mul(x, x)
-    return vec_sub(A.field, A.mul(x2, A.mul(y, x)), A.mul(A.mul(x2, y), x))
+def _jordan_defect(A, x, y, x2, yx):
+    """x^2 (y x) - (x^2 y) x, given x^2 and y x."""
+    return vec_sub(A.field, A.mul(x2, yx), A.mul(A.mul(x2, y), x))
+
+
+def _vec_sum(field, vectors):
+    return functools.reduce(lambda u, v: vec_add(field, u, v), vectors)
 
 
 def _jordan_cases(A):
-    n, field = A.dim, A.field
+    """x^2 and y x of each case are sums of table cells, since x is a sum
+    of at most three basis vectors (minus one in the minus pairs)."""
+    n, field, t = A.dim, A.field, A.table
     e = [A.basis_vector(k) for k in range(n)]
     for case, d in _commutator_cases(A):
         yield dict(case, law="commutativity"), d
     for j, i in itertools.product(range(n), repeat=2):
-        yield {"kind": "single", "indices": [i, j]}, _jordan_defect(A, e[i], e[j])
+        yield ({"kind": "single", "indices": [i, j]},
+               _jordan_defect(A, e[i], e[j], t[i][i], t[j][i]))
     for j in range(n):
         for i, k in itertools.combinations(range(n), 2):
             # plus = C_iik + C_ikk (singles vanish here), minus = -C_iik + C_ikk
             case = {"kind": "mixed-pair", "indices": [i, k, j]}
-            yield case, _jordan_defect(A, vec_add(field, e[i], e[k]), e[j])
-            yield case, _jordan_defect(A, vec_sub(field, e[i], e[k]), e[j])
+            ends, cross = vec_add(field, t[i][i], t[k][k]), vec_add(field, t[i][k], t[k][i])
+            for sign in (vec_add, vec_sub):
+                yield case, _jordan_defect(A, sign(field, e[i], e[k]), e[j],
+                                           sign(field, ends, cross),
+                                           sign(field, t[j][i], t[j][k]))
     for j in range(n):
-        for i, k, l in itertools.combinations(range(n), 3):
+        for idx in itertools.combinations(range(n), 3):
             # the scan gets here only once every single and plus pair of the
             # inclusion-exclusion came out zero: the triple defect is the sum
-            yield ({"kind": "mixed-triple", "indices": [i, k, l, j]},
-                   _jordan_defect(A, vec_add(field, vec_add(field, e[i], e[k]), e[l]), e[j]))
+            yield ({"kind": "mixed-triple", "indices": [*idx, j]},
+                   _jordan_defect(A, _vec_sum(field, [e[a] for a in idx]), e[j],
+                                  _vec_sum(field, [t[a][b] for a in idx for b in idx]),
+                                  _vec_sum(field, [t[j][a] for a in idx])))
 
 
 def is_jordan(A):
@@ -148,16 +161,41 @@ def _first_ambiguity(A, x, d):
     return None
 
 
-def is_power_associative_upto(A, d, *, budget=None):
+def is_power_associative_upto(A, d, *, budget=None, decision=None):
     """All parenthesizations of x^k agree for k <= d.
 
-    The x loop is exhaustive over finite fields when q^dim is at most the
-    budget (default 4096), otherwise it runs over 100 seeded random samples;
-    over Q sampling is the only mode, so a holds-verdict there is evidence,
-    not proof.
+    By certificate.  If `decision` (a `decide_length_one` report) says
+    yes and its certificate verifies on A, the law holds for every x and
+    every k, and no x is tested: length one puts x*x in span{1, x}, so
+    span{1, x} is a unital subalgebra of dimension at most 2, spanned by 1
+    and one generator x with x^2 = a*1 + b*x.  Such an algebra is F[t]/(t^2
+    - b*t - a), commutative and associative, so every bracketing of x^k is
+    the same element of it.  The certificate is checked again here, so a
+    report for another algebra proves nothing.
+
+    Otherwise the x loop is exhaustive over finite fields when q^dim is at
+    most the budget (default 4096), and runs over 100 seeded random samples
+    otherwise; over Q sampling is the only mode, so a holds-verdict there
+    is evidence, not proof.  Either loop tests one x per class of
+    x ~ c*x + d*1 (c != 0), because the first ambiguous degree is the same
+    for the whole class: a bracketing T of (x + d*1)^k expands, 1 being the
+    identity, into T(x) plus d^j times bracketings of x^(k-j), j >= 1, and
+    once every bracketing agrees below degree k those terms do not depend
+    on T; and T(c*x) = c^k T(x).  The key of a class is x - (x_L/1_L)*1,
+    L the pivot of 1, scaled to a leading one; a class whose first x passed
+    lets every later x of it pass without a product, and x in F*1 passes.
+    A tested x is x itself, not a representative, so the first failing x,
+    its values and its defect are those of the sweep over every x.  An
+    exhaustive sweep thus runs the powers of at most (q^(dim-1) - 1)/(q - 1)
+    elements instead of q^dim.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
+    if (decision is not None and decision.value is True
+            and not isinstance(decision.certificate, ViolationWitness)
+            and verify_certificate(A, decision.certificate)):
+        return IdentityVerdict(name="power-associative", holds=True,
+                               counterexample={"kind": "length-one", "max_degree": d})
     field, n = A.field, A.dim
     exhaustive = field.is_finite() and field.order() ** n <= (
         4096 if budget is None else budget)
@@ -171,7 +209,22 @@ def is_power_associative_upto(A, d, *, budget=None):
         else:
             draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         xs = (tuple(draw() for _ in range(n)) for _ in range(100))
-    tested, bad = _first_violation(((x, _first_ambiguity(A, x, d)) for x in xs),
+    identity_row = _echelon_extend(field, [], [A.one], n)[0]
+    passed = set()
+
+    def ambiguity(x):
+        rows = _echelon_extend(field, [identity_row], [x], n)
+        if len(rows) == 1:  # x in F*1
+            return None
+        key = tuple(rows[1][1])
+        if key in passed:
+            return None
+        found = _first_ambiguity(A, x, d)
+        if found is None:
+            passed.add(key)
+        return found
+
+    tested, bad = _first_violation(((x, ambiguity(x)) for x in xs),
                                    lambda case: case[1] is not None)
     if bad is None:
         return IdentityVerdict(

@@ -22,7 +22,7 @@ from lenalg import (
 from lenalg.algebra import with_identity_first
 from lenalg.decide import OracleResult, ViolationWitness
 from lenalg.errors import CapExceeded, DimensionMismatch
-from lenalg.linalg import random_invertible, span, unit_vec, vec_scale
+from lenalg.linalg import random_invertible, span, unit_vec, vec_scale, vec_sub
 
 
 def random_scalar(field, rng):
@@ -234,6 +234,38 @@ def reference_oracle(A, *, samples=None, seed=0, witness=True):
                 return OracleResult(
                     False, ViolationWitness(a, b, "oracle-pair", {}), False, checked)
     raise AssertionError("the sweep found a violation the re-scan did not")
+
+
+def reference_power_associative(A, d, *, budget=None):
+    """(holds, counterexample, defect) of the power-associativity sweep over
+    every x, each x's powers computed anew: the reference for
+    `is_power_associative_upto` without a decision.
+
+    The x are every vector in payload order when q^dim is at most the budget
+    (default 4096), and otherwise the 100 draws of its seeded stream.
+    """
+    field, n = A.field, A.dim
+    exhaustive = field.is_finite() and field.order() ** n <= (
+        4096 if budget is None else budget)
+    if exhaustive:
+        xs = list(itertools.product(field.elements(), repeat=n))
+    else:
+        rng = random.Random("powerassoc|0")
+        elems = list(field.elements()) if field.is_finite() else None
+        xs = [tuple(elems[rng.randrange(len(elems))] if elems is not None
+                    else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(n)) for _ in range(100)]
+    for x in xs:
+        powers = {1: {x}}
+        for k in range(2, d + 1):
+            powers[k] = {A.mul(u, v) for p in range(1, k)
+                         for u in powers[p] for v in powers[k - p]}
+            if len(powers[k]) > 1:
+                two = sorted(powers[k])[:2]
+                return False, {"kind": "power", "x": x, "degree": k, "values": two,
+                               "exhaustive": exhaustive}, vec_sub(field, *two)
+    return True, {"kind": "scope", "exhaustive": exhaustive, "tested": len(xs),
+                  "max_degree": d}, None
 
 
 FIELD_NAMES_SMALL = ("F2", "F3", "F5", "GF4")

@@ -420,20 +420,35 @@ def test_budget_help_says_what_it_caps(capsys):
 
 
 def test_identities_budget_caps_the_power_sweep_only(
-        fixture_file, capsys, monkeypatch):
-    path = fixture_file("dim3-f2-type2")  # 2^3 = 8 vectors
+        tmp_path, capsys, monkeypatch):
+    # M_2(F2) is not length one, so its sweep runs: 2^4 = 16 vectors
+    path = str(tmp_path / "m2f2.json")
+    assert main(["make", "matrix", "--field", "F2", "--n", "2", "-o", path]) == 0
 
     def scope(*extra):
         assert main(["identities", "--json", path, *extra]) == 0
         data = json.loads(capsys.readouterr().out)
+        assert data["length_one"] is False
         ce = data["identities"]["power-associative(<=6)"]["counterexample"]
         return ce["exhaustive"], ce["tested"]
 
-    assert scope() == (True, 8)
-    assert scope("--budget", "8") == (True, 8)
+    assert scope() == (True, 16)
+    assert scope("--budget", "16") == (True, 16)
     assert scope("--budget", "5") == (False, 100)
     monkeypatch.setenv("LENALG_BUDGET", "5")
-    assert scope() == (True, 8)
+    assert scope() == (True, 16)
+
+
+def test_identities_proves_power_associativity_by_the_certificate(
+        fixture_file, capsys):
+    path = fixture_file("dim3-f2-type2")
+    assert main(["identities", "--json", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["length_one"] is True
+    assert data["identities"]["power-associative(<=6)"] == {
+        "holds": True, "counterexample": {"kind": "length-one", "max_degree": 6}}
+    assert main(["identities", path]) == 0
+    assert "power-associative(<=6): holds\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

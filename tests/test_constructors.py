@@ -20,6 +20,7 @@ from lenalg import (
     oracle_length_one,
 )
 from lenalg.constructors import fixture_names
+from lenalg.fields import ExtensionField
 from lenalg.errors import CharacteristicTwo, UnknownFixture
 
 Q = make_field("Q")
@@ -116,3 +117,17 @@ def test_remark_fixture_pair_protocol():
     out = decide_length_one(rep)
     assert out.value is True
     assert is_associative(rep).holds is False
+
+
+@pytest.mark.parametrize("build", [lambda: make_field("GF9"),
+                                   lambda: ExtensionField(3, 2)],
+                         ids=["shared-handle", "own-handle"])
+def test_make_fixture_keeps_the_given_field(build, monkeypatch):
+    F = build()
+    built = []
+    init = ExtensionField.__init__
+    monkeypatch.setattr(ExtensionField, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    A = make_fixture("remark-literal", field=F)
+    assert A.field is F
+    assert built == []

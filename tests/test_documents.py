@@ -93,19 +93,26 @@ def test_field_json_round_trip():
     assert field_from_json({"kind": "prime", "p": 5}) == make_field("F5")
 
 
+def _count_builds(monkeypatch):
+    """The args of every field construction from here on."""
+    from lenalg import ExtensionField, PrimeField, fields
+    built = []
+    for cls in (fields.Rationals, PrimeField, ExtensionField):
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built.append((_cls.__name__, *args))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 def test_field_to_json_builds_no_field(monkeypatch):
     """Labels for shorthand fields, an object for a non-default modulus,
     and no field construction in either case."""
-    from lenalg import ExtensionField, PrimeField, fields
+    from lenalg import ExtensionField
     fields_in = [make_field(name) for name in ("Q", "F2", "F4093", "GF4", "GF8", "GF9")]
     aes = ExtensionField(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))
     other_gf8 = ExtensionField(2, 3, (1, 0, 1, 1))
-    built = []
-    for cls in (fields.Rationals, PrimeField, ExtensionField):
-        def counted(self, *args, _init=cls.__init__, **kwargs):
-            built.append(args)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
+    built = _count_builds(monkeypatch)
     assert [field_to_json(f) for f in fields_in] == [
         "Q", "F2", "F4093", "GF4", "GF8", "GF9"]
     assert field_to_json(aes) == {"kind": "extension", "p": 2, "k": 8,
@@ -158,3 +165,40 @@ def test_set_length_report_verification():
     assert verify_report_dict(data)
     data["value"] = 3
     assert not verify_report_dict(data)
+
+
+def test_one_field_handle_per_resolved_modulus(monkeypatch):
+    from lenalg import fields
+    fields._build_field.cache_clear()
+    built = _count_builds(monkeypatch)
+    aes = {"kind": "extension", "p": 2, "k": 8,
+           "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]}
+    doc = {"field": aes, "dim": 1, "one": ["[1,0,0,0,0,0,0,0]"],
+           "table": [[["[1,0,0,0,0,0,0,0]"]]]}
+    first, second = (parse_document(doc).algebra.field for _ in range(2))
+    assert first is second
+    assert built == [("ExtensionField", 2, 8, tuple(aes["modulus"])),
+                     ("PrimeField", 2)]
+    gf9 = make_field("GF9")
+    assert field_from_json({"kind": "extension", "p": 3, "k": 2}) is gf9
+    assert field_from_json({"kind": "extension", "p": 3, "k": 2,
+                            "modulus": [1, 0, 1]}) is gf9
+    assert field_from_json("GF9") is gf9
+    assert field_from_json({"kind": "prime", "p": 5}) is make_field("F5")
+    assert field_from_json({"kind": "rationals"}) is make_field("Q")
+    assert field_from_json(gf9) is gf9
+
+
+@pytest.mark.parametrize("obj, where, message", [
+    ({"kind": "extension", "p": 3, "k": 2, "modulus": [1, 1, 1]},
+     "field.modulus", "modulus [1, 1, 1] factors over F_3"),
+    ({"kind": "prime", "p": 4}, "field.p", "4 is not prime"),
+    ({"kind": "extension", "p": 3, "k": 5}, "field",
+     "no default modulus for GF(3^5); supply one explicitly"),
+    ("F4", "field", "4 is not prime"),
+])
+def test_field_errors_are_not_cached(obj, where, message):
+    for _ in range(2):
+        with pytest.raises(SchemaError) as exc:
+            field_from_json(obj)
+        assert str(exc.value) == f"{where}: {message}"

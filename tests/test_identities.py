@@ -2,13 +2,18 @@
 
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lenalg import (
+    IdentityVerdict,
     algebra,
     associative_law_holds,
+    change_basis,
+    decide_length_one,
+    generate_length_one,
     flexible_law_holds,
     is_associative,
     is_commutative,
@@ -24,10 +29,20 @@ from lenalg import (
     symmetrized,
     unital_hull,
 )
-from lenalg.errors import CharacteristicTwo
-from lenalg.linalg import vec_add, vec_is_zero, vec_sub
+from lenalg import identities
+from lenalg.errors import CharacteristicTwo, ModeCharacteristicMismatch
+from lenalg.generate import MODES
+from lenalg.identities import _first_ambiguity
+from lenalg.linalg import random_invertible, unit_vec, vec_add, vec_is_zero, vec_sub
 
-from tests.corpus import nilpotent_commutative_hull, random_scalar, random_vector
+from tests.corpus import (
+    mutate_one_constant,
+    nilpotent_commutative_hull,
+    random_scalar,
+    random_unital_algebra,
+    random_vector,
+    reference_power_associative,
+)
 
 Q = make_field("Q")
 F3 = make_field("F3")
@@ -360,3 +375,100 @@ def test_power_scope_of_a_sampled_sweep():
     assert verdict.holds
     assert verdict.counterexample == {"kind": "scope", "exhaustive": False,
                                       "tested": 100, "max_degree": 6}
+
+
+# ---------------------------------------------------------------------------
+# power-associativity: one test per class x ~ c x + d 1, and by certificate
+# ---------------------------------------------------------------------------
+
+def _late_power_failure(field):
+    """Basis g, g^2, g^3, g^4, 1 with g^2 g^2 = g^4 but g^3 g = 0: x^4 is
+    ambiguous once x has a g-coordinate, and every x without one lies in a
+    power-associative subalgebra, so a sweep first fails at (c, 0, 0, 0, 0),
+    c the first nonzero scalar, past q^4 of its q^5 vectors."""
+    n, zero = 5, (field.zero,) * 5
+    table = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        table[i][4] = table[4][i] = unit_vec(field, n, i)
+    table[0][0] = unit_vec(field, n, 1)
+    table[0][1] = table[1][0] = unit_vec(field, n, 2)
+    table[1][1] = unit_vec(field, n, 3)
+    return algebra(field, table, unit_vec(field, n, 4))
+
+
+def _power_corpus(field, dims):
+    """Random unital tables, one-constant mutations of every generator
+    mode's yes-table (bumped before hiding, so 1 stays the identity), the
+    yes-tables themselves, nilpotent commutative hulls and M_2."""
+    for dim in dims:
+        for seed in range(3):
+            yield random_unital_algebra(field, dim, seed)
+        for mode in MODES:
+            try:
+                A = generate_length_one(field, dim, seed=0, mode=mode)
+            except ModeCharacteristicMismatch:
+                continue
+            rng = random.Random(f"power|{mode}|{dim}")
+            yield change_basis(A, random_invertible(field, dim, rng))
+            for i, j, k in ((1, 2, 0), (2, 1, dim - 1), (1, 1, 2 % dim)):
+                yield change_basis(mutate_one_constant(A, i, j, k),
+                                   random_invertible(field, dim, rng))
+        yield nilpotent_commutative_hull(field, dim - 1, 1)
+    yield make_matrix_algebra(field, 2)
+
+
+_POWER_CASES = [("F2", (3, 4, 6)), ("F3", (3, 4)), ("GF4", (3,)),
+                ("F5", (3, 4)), ("GF9", (3,)), ("Q", (3, 4))]
+
+
+@pytest.mark.parametrize("name, dims", _POWER_CASES, ids=[c[0] for c in _POWER_CASES])
+def test_power_class_sweep_matches_the_reference(name, dims, monkeypatch):
+    field = make_field(name)
+    q = field.order() if field.is_finite() else None
+    calls = []
+    monkeypatch.setattr(identities, "_first_ambiguity",
+                        lambda *a: calls.append(1) or _first_ambiguity(*a))
+    late = _late_power_failure(field)
+    for A in [*_power_corpus(field, dims), late]:
+        for d in (4, 6):
+            calls.clear()
+            verdict = is_power_associative_upto(A, d)
+            expected = reference_power_associative(A, d)
+            assert (verdict.holds, verdict.counterexample, verdict.defect) == expected
+            if verdict.holds and verdict.counterexample["exhaustive"]:
+                assert len(calls) <= 1 + (q ** (A.dim - 1) - 1) // (q - 1)
+    ce = is_power_associative_upto(late, 6).counterexample
+    if ce["exhaustive"]:  # fails in the middle of the sweep
+        c = next(c for c in field.elements() if c != field.zero)
+        assert ce["x"] == (c,) + (field.zero,) * 4
+
+
+def test_power_budget_and_sampling_match_the_reference():
+    F2 = make_field("F2")
+    for A in (_late_power_failure(F2), make_matrix_algebra(F2, 2)):
+        for budget in (5, 16, 32):
+            verdict = is_power_associative_upto(A, 6, budget=budget)
+            assert (verdict.holds, verdict.counterexample, verdict.defect) == (
+                reference_power_associative(A, 6, budget=budget))
+
+
+def test_power_associativity_by_certificate(monkeypatch):
+    A = make_fixture("dim3-f2-type2")
+    decision = decide_length_one(A)
+    monkeypatch.setattr(identities, "_first_ambiguity", None)  # no x is tested
+    for d in (3, 6):
+        verdict = is_power_associative_upto(A, d, decision=decision)
+        assert verdict == IdentityVerdict(
+            "power-associative", True, {"kind": "length-one", "max_degree": d})
+
+
+def test_power_decision_of_another_algebra_is_not_trusted():
+    yes = decide_length_one(make_fixture("dim3-f2-type2"))
+    A = random_unital_algebra(make_field("F2"), 3, 0)
+    no = decide_length_one(A)
+    swept = is_power_associative_upto(A, 6)
+    assert not no.value and not swept.holds
+    # a yes for another algebra of the same shape, and A's own violation
+    # witness under a yes verdict
+    for decision in (yes, replace(no, value=True)):
+        assert is_power_associative_upto(A, 6, decision=decision) == swept
