@@ -1,5 +1,5 @@
 #!/bin/sh
-# Runs the installed `lenalg` script out of process on the two remark
+# Runs the `lenalg` command line out of process on the two remark
 # fixtures: make -> check --json -> verify-cert, comparing every command's
 # exit code with the expected one (a pipe would report only the last).
 #
@@ -41,8 +41,16 @@
 # `check --budget 5`, since `check` takes no budget, and `length-set --set e9`
 # on the four-dimensional M_2(F2).
 #
-# Usage: sh scripts/cli_exit_codes.sh   (with `lenalg` on PATH)
+# Usage: sh scripts/cli_exit_codes.sh
+# It runs the `lenalg` on PATH, or, when there is none, `python3 -m lenalg`
+# with this checkout's `src` on PYTHONPATH.
 set -u
+if ! command -v lenalg > /dev/null 2>&1; then
+    src=$(cd "$(dirname "$0")/../src" && pwd)
+    lenalg() {
+        PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" python3 -m lenalg "$@"
+    }
+fi
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 status=0

@@ -21,9 +21,13 @@ class Algebra:
 
     table[i][j] is the coordinate vector of e_i * e_j; `one` is the
     coordinate vector of the identity.  Construction checks the identity
-    axiom on every basis vector, one * e_j == e_j == e_j * one, with `mul`
-    itself (bilinearity extends it to every vector), so the product is
-    built there, once, and kept with the instance.
+    axiom on every basis vector, one * e_j == e_j == e_j * one (bilinearity
+    extends it to every vector).  When `one` is literally a basis vector
+    e_z, the two products are the table cells [z][j] and [j][z], and equal
+    cells accept with no product; this is the case of every basis change to
+    a basis that starts with the identity.  Otherwise, and whenever a cell
+    differs, the check runs on `mul` itself, which decides and raises, so
+    the product is built on first use and kept with the instance.
 
     `mul` runs the field's integer product (`Field.bilinear`).  It packs F_p
     outputs into digits of bit_length(n^2 (p-1)^3) bits and GF(p^k) ones
@@ -44,9 +48,13 @@ class Algebra:
             raise DimensionMismatch("structure-constant table is not n x n x n")
         if len(self.one) != n:
             raise DimensionMismatch("identity vector has wrong length")
-        one = self.one
-        for j in range(n):
-            ej = self.basis_vector(j)
+        one, units = self.one, [self.basis_vector(j) for j in range(n)]
+        if one in units:  # one = e_z: one * e_j and e_j * one are cells
+            z, t = units.index(one), self.table
+            if all(t[z][j] == ej == t[j][z] for j, ej in enumerate(units)):
+                return
+        # a cell that differs decides nothing (unreduced F_p payloads)
+        for j, ej in enumerate(units):
             if not self.mul(one, ej) == ej == self.mul(ej, one):
                 raise InvalidIdentity(
                     f"claimed identity fails on basis vector {j}")
@@ -133,6 +141,9 @@ def change_basis(A, change):
     `change.to_new`, as is the image of the identity.  That map is the
     kernel of the one-row table (R^-1,), so the whole change is n^2 products
     plus n^2 + 1 kernel maps, and no field multiplication outside them.
+    When R[0] is A's identity, the new identity is e_0 and row and column 0
+    of the new table are the e_j, so its identity check reads those cells
+    and builds no kernel for the new algebra.
 
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.
@@ -157,11 +168,22 @@ def complete_to_basis_with_one(A):
     each e_k with k < L is outside the span so far, since coordinate L of
     any combination is the coefficient of 1 times 1_L; e_L is inside, as
     1 - sum_{k<L} 1_k e_k = 1_L e_L; and each e_k with k > L is then outside.
+
+    The inverse is written down, not eliminated: v = c_0 1 + sum_r c_r e_(k_r)
+    over the other indices k_1 < ... < k_(n-1) gives c_0 = v_L / 1_L from
+    coordinate L and c_r = v_(k_r) - 1_(k_r) v_L / 1_L from coordinate k_r.
+    So row k_r of the inverse is e_r, and row L is 1/1_L followed by the
+    -1_(k_r) / 1_L.
     """
     field, n, one = A.field, A.dim, A.one
     last = max(k for k in range(n) if one[k] != field.zero)
-    return BasisChange(field, [one] + [unit_vec(field, n, k)
-                                       for k in range(n) if k != last])
+    others = [k for k in range(n) if k != last]
+    c = field.inv(one[last])
+    inverse = [unit_vec(field, n, r) for r in range(1, n)]
+    inverse.insert(last, (c,) + tuple(field.neg(field.mul(one[k], c))
+                                      for k in others))
+    return BasisChange(field, [one] + [unit_vec(field, n, k) for k in others],
+                       inverse=tuple(inverse))
 
 
 def with_identity_first(A):

@@ -63,6 +63,7 @@ from .errors import (
     BudgetExceeded,
     CharacteristicNotTwo,
     CharacteristicTwo,
+    DimensionMismatch,
     InfiniteFieldExhaustiveUnsupported,
 )
 from .length import resolve_budget
@@ -326,17 +327,29 @@ def _read_squares(field, rows, squares):
 def canonicalize(A, basis, gammas):
     """Basis change to {1, a_i - (gamma_i/2) 1}: squares land in F*1.
 
+    `basis` is rows or a BasisChange, whose held inverse is then reused.
+    The new rows are E @ basis, with E the identity matrix but for -h_i,
+    h_i = gamma_i/2, in column 0 of row i; E^-1 has +h_i there, so the new
+    inverse basis^-1 @ E^-1 is basis^-1 with column 0 replaced by
+    col_0 + sum_i h_i col_i, written down with no elimination.
+
     Requires characteristic != 2 (the shift divides by two); the CharacteristicTwo
     error tells the caller to route to the characteristic-2 decider.
     """
     field = A.field
     if field.characteristic() == 2:
         raise CharacteristicTwo("canonical shift divides by two")
-    rows = [tuple(basis[0])]
-    for idx, g in enumerate(gammas, start=1):
-        shift = vec_scale(field, field.neg(field.halve(g)), basis[0])
-        rows.append(vec_add(field, tuple(basis[idx]), shift))
-    return BasisChange(field, rows)
+    change = BasisChange.of(field, basis)
+    if len(gammas) != change.dim - 1:
+        raise DimensionMismatch("one gamma per non-identity basis vector")
+    rows, halves = change.matrix, [field.halve(g) for g in gammas]
+    shifted = [vec_add(field, r, vec_scale(field, field.neg(h), rows[0]))
+               for r, h in zip(rows[1:], halves)]
+    weights = (field.one, *halves)
+    inverse = tuple(
+        (functools.reduce(field.add, map(field.mul, row, weights)),) + row[1:]
+        for row in change.inverse)
+    return BasisChange(field, [rows[0]] + shifted, inverse=inverse)
 
 
 def special_step(A, basis):
@@ -689,7 +702,7 @@ def decide_length_one(A):
     if isinstance(squares, ViolationWitness):
         return _report(A, squares, path + ["step1:squares-failed"], flags)
     path += ["step1:squares-ok"]
-    shift = canonicalize(A, ch0.matrix, [g for (_, g) in squares])
+    shift = canonicalize(A, ch0, [g for (_, g) in squares])
     path += ["step2:canonical-basis"]
     w = special_step(A, shift)
     if isinstance(w, ViolationWitness):

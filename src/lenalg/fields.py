@@ -42,7 +42,14 @@ can reach, so no digit carries:
   x^s * table[i][j], s < k; per pair the log tables give c = u_i v_j and
   sum_s c_s * P^s adds c * table[i][j]: a digit is at most m r k (p-1)^2;
 * Q: the table, u and v are scaled by the lcm of their own denominators
-  (D, du, dv), and each coordinate is one Fraction(s, du dv D).
+  (D, du, dv).  Coordinate k of the table is stored as one flat list of
+  integers over the cells in (i, j) order, so a product forms the integer
+  outer product u_i v_j once and coordinate k is its dot product with that
+  list, summed at C speed by `sum(map(mul, ...))`, then one
+  Fraction(s, du dv D).  The one zero skip costs two `count` calls on a
+  dense product: a u or v with a single nonzero entry (a scaled basis
+  vector, and the (1,) of `linear`) dots the other vector with the cells
+  of its row or column alone, a slice of each flat list.
 
 A coordinate map v -> v @ M is the product of the one-row table (M,) with
 the left vector (1,), so `linear(M)` is that product and has no kernel of
@@ -259,10 +266,12 @@ class Rationals(Field):
 
     def bilinear(self, table):
         _, n = _shape(table)
+        m = len(table)
+        r = len(table[0]) if m else 0
         scale = math.lcm(*[y.denominator for row in table for cell in row
                            for y in cell])
-        cells = [[[y.numerator * (scale // y.denominator) for y in cell]
-                  for cell in row] for row in table]
+        coords = [[cell[k].numerator * (scale // cell[k].denominator)
+                   for row in table for cell in row] for k in range(n)]
 
         def integers(w):
             d = math.lcm(*[a.denominator for a in w])
@@ -271,15 +280,21 @@ class Rationals(Field):
         def product(u, v):
             du, u = integers(u)
             dv, v = integers(v)
-            acc = [0] * n
-            for x, row in zip(u, cells):
-                if x:
-                    for y, cell in zip(v, row):
-                        if y:
-                            c = x * y
-                            acc = [a + c * t for a, t in zip(acc, cell)]
             den = du * dv * scale
-            return tuple([Fraction(a, den) for a in acc])
+            # u = x e_i (x its one nonzero entry, so its sum) reads only the
+            # cells (i, j), a run of each list; v = y e_j every r-th entry
+            if u.count(0) == m - 1:
+                x = sum(u)
+                s = u.index(x) * r
+                return tuple([Fraction(x * sum(map(mul, v, c[s:s + r])), den)
+                              for c in coords])
+            if v.count(0) == r - 1:
+                y = sum(v)
+                j = v.index(y)
+                return tuple([Fraction(y * sum(map(mul, u, c[j::r])), den)
+                              for c in coords])
+            uv = [x * y for x in u for y in v]
+            return tuple([Fraction(sum(map(mul, uv, c)), den) for c in coords])
         return product
 
     def eliminate(self, v, rows):

@@ -176,7 +176,7 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     Otherwise the x loop is exhaustive over finite fields when q^dim is at
     most the budget (default 4096), and runs over 100 seeded random samples
     otherwise; over Q sampling is the only mode, so a holds-verdict there
-    is evidence, not proof.  Either loop tests one x per class of
+    is evidence, not proof.  The exhaustive loop tests one x per class of
     x ~ c*x + d*1 (c != 0), because the first ambiguous degree is the same
     for the whole class: a bracketing T of (x + d*1)^k expands, 1 being the
     identity, into T(x) plus d^j times bracketings of x^(k-j), j >= 1, and
@@ -187,7 +187,8 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     A tested x is x itself, not a representative, so the first failing x,
     its values and its defect are those of the sweep over every x.  An
     exhaustive sweep thus runs the powers of at most (q^(dim-1) - 1)/(q - 1)
-    elements instead of q^dim.
+    elements instead of q^dim.  Sampled x are tested one by one with no
+    key, since their classes almost never repeat.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
@@ -201,6 +202,20 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
         4096 if budget is None else budget)
     if exhaustive:
         xs = itertools.product(field.elements(), repeat=n)
+        identity_row = _echelon_extend(field, [], [A.one], n)[0]
+        passed = set()
+
+        def ambiguity(x):
+            rows = _echelon_extend(field, [identity_row], [x], n)
+            if len(rows) == 1:  # x in F*1
+                return None
+            key = tuple(rows[1][1])
+            if key in passed:
+                return None
+            found = _first_ambiguity(A, x, d)
+            if found is None:
+                passed.add(key)
+            return found
     else:
         rng = random.Random("powerassoc|0")
         if field.is_finite():
@@ -209,20 +224,7 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
         else:
             draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         xs = (tuple(draw() for _ in range(n)) for _ in range(100))
-    identity_row = _echelon_extend(field, [], [A.one], n)[0]
-    passed = set()
-
-    def ambiguity(x):
-        rows = _echelon_extend(field, [identity_row], [x], n)
-        if len(rows) == 1:  # x in F*1
-            return None
-        key = tuple(rows[1][1])
-        if key in passed:
-            return None
-        found = _first_ambiguity(A, x, d)
-        if found is None:
-            passed.add(key)
-        return found
+        ambiguity = lambda x: _first_ambiguity(A, x, d)
 
     tested, bad = _first_violation(((x, ambiguity(x)) for x in xs),
                                    lambda case: case[1] is not None)

@@ -19,11 +19,15 @@ from lenalg import (
     unital_hull,
     with_identity_first,
 )
-from lenalg.errors import InvalidIdentity
+from lenalg import linalg
+from lenalg.errors import CharacteristicTwo, DimensionMismatch, InvalidIdentity
 from lenalg.fields import PrimeField
 from lenalg.linalg import (
     BasisChange,
+    identity_matrix,
+    invert_matrix,
     random_invertible,
+    unit_vec,
     vec_add,
     vec_scale,
 )
@@ -174,6 +178,103 @@ def test_completion_matches_greedy_reference(field_name):
                 assert change.matrix[0] == A.one
 
 
+def _algebra_with_identity(F, one, rng):
+    """A random unital algebra whose identity is `one`: a hull, identity
+    e_0, rewritten in a basis whose inverse has `one` as its first row."""
+    n = len(one)
+    H = unital_hull(F, [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
+                        for _ in range(n - 1)])
+    while True:
+        inverse = (one,) + tuple(random_vector(F, n, rng) for _ in range(n - 1))
+        rows = invert_matrix(F, inverse)
+        if rows is not None:
+            return change_basis(H, BasisChange(F, rows, inverse=inverse))
+
+
+def _identities_short_of_the_end(F, rng):
+    """Algebras of dims 1-6 whose identity has its last nonzero coordinate
+    L at every position, the last one too, with 1_L != 1 wherever F has
+    such a scalar (not F2)."""
+    scalars = [c for c in (F.elements() if F.is_finite() else
+                           (Fraction(-3, 2), Fraction(5), Fraction(1, 7)))
+               if c not in (F.zero, F.one)] or [F.one]
+    for n in range(1, 7):
+        for last in range(n):
+            one = (random_vector(F, last, rng) + (rng.choice(scalars),)
+                   + (F.zero,) * (n - 1 - last))
+            A = _algebra_with_identity(F, one, rng)
+            assert A.one == one
+            yield A
+
+
+def _assert_inverse_pair(F, change):
+    n = change.dim
+    assert change.inverse == invert_matrix(F, change.matrix)
+    assert tuple(vec_mat(F, r, change.inverse)
+                 for r in change.matrix) == identity_matrix(F, n)
+
+
+def _count_rref(monkeypatch):
+    """The list that gets one entry per `linalg.rref` call from now on."""
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+    return calls
+
+
+CLOSED_FORM_FIELDS = ["Q", "F2", "F3", "F5", "GF4", "GF9"]
+
+
+@pytest.mark.parametrize("field_name", CLOSED_FORM_FIELDS)
+def test_completion_inverse_is_written_down(field_name, monkeypatch):
+    F = make_field(field_name)
+    rng = random.Random(f"completion-inverse|{field_name}")
+    calls = _count_rref(monkeypatch)
+    for A in _identities_short_of_the_end(F, rng):
+        calls.clear()
+        change = complete_to_basis_with_one(A)
+        assert calls == []
+        assert change.matrix == greedy_completion_with_one(A)
+        _assert_inverse_pair(F, change)
+
+
+@pytest.mark.parametrize("field_name", CLOSED_FORM_FIELDS)
+def test_canonicalize_inverse_is_written_down(field_name, monkeypatch):
+    # from the identity-first completion, and from a dense basis, given as
+    # a BasisChange (its inverse is reused) and as rows (one inversion)
+    F = make_field(field_name)
+    rng = random.Random(f"shift-inverse|{field_name}")
+    calls = _count_rref(monkeypatch)
+    for A in _identities_short_of_the_end(F, rng):
+        n = A.dim
+        gammas = random_vector(F, n - 1, rng)
+        for basis in (complete_to_basis_with_one(A), random_invertible(F, n, rng)):
+            if F.characteristic() == 2:
+                with pytest.raises(CharacteristicTwo):
+                    canonicalize(A, basis, gammas)
+                continue
+            calls.clear()
+            shift = canonicalize(A, basis, gammas)
+            assert calls == []
+            from_rows = canonicalize(A, basis.matrix, gammas)
+            assert len(calls) == 1
+            assert shift.matrix == from_rows.matrix
+            assert shift.inverse == from_rows.inverse
+            assert shift.matrix[0] == basis.matrix[0]
+            for r, b, g in zip(shift.matrix[1:], basis.matrix[1:], gammas):
+                assert r == vec_add(F, b, vec_scale(F, F.neg(F.halve(g)),
+                                                     basis.matrix[0]))
+            _assert_inverse_pair(F, shift)
+
+
+def test_canonicalize_wants_one_gamma_per_vector():
+    A = make_matrix_algebra(Q, 2)
+    basis = complete_to_basis_with_one(A)
+    for gammas in (qv(1, 2), qv(1, 2, 3, 4)):
+        with pytest.raises(DimensionMismatch):
+            canonicalize(A, basis, gammas)
+
+
 def _reference_change_basis(A, change):
     """The definition of a basis change: n^2 full products by field
     operations, then the inverse."""
@@ -232,9 +333,10 @@ class _CountingF5(PrimeField):
 def test_change_basis_cost_is_quartic():
     # One kernel product per new basis pair, one kernel map to new
     # coordinates per product and one for the identity, then 2n products
-    # for the new algebra's identity check, and no field multiplication
-    # outside the kernels; the reference takes n^2 full products by field
-    # operations, about n^5 multiplications.
+    # for the new algebra's identity check, which is dense here (a basis
+    # that starts with the identity skips them, see the next test), and no
+    # field multiplication outside the kernels; the reference takes n^2
+    # full products by field operations, about n^5 multiplications.
     F = _CountingF5()
     n = 8
     A = random_unital_algebra(F, n, seed=0)
@@ -245,3 +347,23 @@ def test_change_basis_cost_is_quartic():
     assert F.muls == 0
     assert B.table == _reference_change_basis(A, change)
     assert n ** 4 + n < F.muls
+
+
+def test_change_to_an_identity_first_basis_reads_its_identity_check():
+    # B.one is e_0 and B's row and column 0 are the e_j, so B's identity
+    # check reads the table: n^2 products on A's kernel and n^2 + 1 maps to
+    # new coordinates, and B builds no kernel of its own
+    F = _CountingF5()
+    n = 8
+    A = random_unital_algebra(F, n, seed=0)
+    assert A.one not in [unit_vec(F, n, k) for k in range(n)]
+    for change in (complete_to_basis_with_one(A),
+                   BasisChange(F, [A.one] + list(random_invertible(
+                       F, n, random.Random(1)).matrix[1:]))):
+        F.muls = F.products = 0
+        B = change_basis(A, change)
+        assert F.products == n ** 2 + n ** 2 + 1
+        assert F.muls == 0
+        assert B.one == unit_vec(F, n, 0)
+        assert "_product" not in vars(B)
+        assert B.table == _reference_change_basis(A, change)

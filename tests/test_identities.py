@@ -452,6 +452,28 @@ def test_power_budget_and_sampling_match_the_reference():
                 reference_power_associative(A, 6, budget=budget))
 
 
+def test_sampled_power_sweep_builds_no_class_key(monkeypatch):
+    # a class key is one elimination against the identity's row; only an
+    # exhaustive sweep, where classes repeat, builds one
+    keys = []
+    extend = identities._echelon_extend
+    monkeypatch.setattr(identities, "_echelon_extend",
+                        lambda *a: keys.append(1) or extend(*a))
+    Q, GF9, F7 = (make_field(name) for name in ("Q", "GF9", "F7"))
+    sampled = [random_unital_algebra(Q, 4, 0), make_matrix_algebra(Q, 2),
+               _late_power_failure(Q), make_matrix_algebra(GF9, 2),
+               random_unital_algebra(F7, 5, 0), _late_power_failure(F7)]
+    for A in sampled:
+        keys.clear()
+        verdict = is_power_associative_upto(A, 6)
+        assert not verdict.counterexample["exhaustive"]
+        assert keys == []
+        assert (verdict.holds, verdict.counterexample, verdict.defect) == (
+            reference_power_associative(A, 6))
+    is_power_associative_upto(make_matrix_algebra(make_field("F2"), 2), 6)
+    assert keys
+
+
 def test_power_associativity_by_certificate(monkeypatch):
     A = make_fixture("dim3-f2-type2")
     decision = decide_length_one(A)

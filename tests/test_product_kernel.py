@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenalg import (
     ExtensionField,
@@ -23,13 +25,14 @@ from lenalg import (
     unital_hull,
 )
 from lenalg.errors import InvalidIdentity
-from lenalg.linalg import unit_vec
+from lenalg.linalg import unit_vec, vec_add
 
 from tests.corpus import (
     random_unital_algebra,
     random_vector,
     reference_eliminate,
     reference_mul,
+    vec_mat,
 )
 
 AES_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)              # x^8 + x^4 + x^3 + x + 1
@@ -214,6 +217,72 @@ def test_rationals_large_mixed_denominators():
                 assert all(type(c) is Fraction for c in got)
 
 
+def _q_scalar(rng):
+    """A rational with a negative, small or large numerator and denominator."""
+    num = rng.choice([0, 1, -1, rng.randint(-9, 9), rng.randint(-10 ** 20, 10 ** 20)])
+    den = rng.choice([1, 2, 3, 12, 10 ** 9 + 7, 2 ** 61 - 1])
+    return Fraction(num, den * rng.choice([1, -1]))
+
+
+def _q_vectors(length, rng):
+    """Zero, every unit vector, two scaled ones (a single nonzero entry,
+    the kernel's zero skip) and dense ones."""
+    Q = FIELDS["Q"]
+    dense = [tuple(_q_scalar(rng) for _ in range(length)) for _ in range(4)]
+    units = [unit_vec(Q, length, i) for i in range(length)]
+    scaled = [tuple(c * x for c in rng.choice(units))
+              for x in (Fraction(-1), Fraction(-(10 ** 20) - 3, 2 ** 61 - 1))]
+    return [(Q.zero,) * length] + units + scaled + dense
+
+
+def _assert_q_kernel_matches_reference(table, us, vs):
+    Q = FIELDS["Q"]
+    product = Q.bilinear(table)
+    for u in us:
+        for v in vs:
+            got = product(u, v)
+            assert got == reference_mul(Q, table, u, v), (u, v)
+            assert all(type(c) is Fraction for c in got)
+
+
+# m x r tables of length-n cells: square, non-square both ways, one-row
+# (the shape of `linear`) and one-cell
+Q_SHAPES = [(4, 4, 4), (2, 5, 3), (5, 2, 6), (1, 6, 6), (1, 3, 7), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", Q_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_rationals_kernel_matches_the_fraction_reference(shape):
+    m, r, n = shape
+    rng = random.Random(f"q-kernel|{shape}")
+    Q = FIELDS["Q"]
+    for density in (0.0, 0.3, 1.0):
+        table = [[tuple(_q_scalar(rng) if rng.random() < density else Q.zero
+                        for _ in range(n)) for _ in range(r)] for _ in range(m)]
+        _assert_q_kernel_matches_reference(table, _q_vectors(m, rng), _q_vectors(r, rng))
+    if m == 1:  # `linear` is the product of the one-row table with (1,)
+        matrix = table[0]
+        for v in _q_vectors(r, rng):
+            assert Q.linear(matrix)(v) == vec_mat(Q, v, matrix)
+
+
+@st.composite
+def _q_products(draw):
+    m, r, n = (draw(st.integers(1, 4)) for _ in range(3))
+    scalars = st.fractions(max_denominator=10 ** 12).filter(
+        lambda c: abs(c.numerator) < 10 ** 30)
+    vector = lambda k: st.tuples(*[scalars] * k)
+    table = draw(st.lists(st.lists(vector(n), min_size=r, max_size=r),
+                          min_size=m, max_size=m))
+    return table, draw(vector(m)), draw(vector(r))
+
+
+@settings(derandomize=True)
+@given(_q_products())
+def test_rationals_kernel_matches_the_reference_on_drawn_products(case):
+    table, u, v = case
+    _assert_q_kernel_matches_reference(table, [u], [v])
+
+
 def test_kernel_is_built_once_at_construction(monkeypatch):
     F = make_field("F5")
     B = random_unital_algebra(F, 4, seed=1)
@@ -258,3 +327,76 @@ def test_one_sided_identity_rejected():
         algebra(GF4, table, (o, z))
     with pytest.raises(InvalidIdentity):
         algebra(GF4, [[table[j][i] for j in range(2)] for i in range(2)], (o, z))
+
+
+def _moved_identity(F, n, z, rng):
+    """A random hull table of dimension n with its identity moved from e_0
+    to e_z: coordinates 0 and z swapped in every index and every cell."""
+    H = unital_hull(F, [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
+                        for _ in range(n - 1)])
+    swap = list(range(n))
+    swap[0], swap[z] = z, 0
+    return [[tuple(H.table[swap[i]][swap[j]][swap[k]] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def _assert_identity_check_as_reference(F, table, one):
+    """`algebra` accepts exactly when one e_j = e_j = e_j one for every j by
+    field operations, and otherwise names the first failing j."""
+    n = len(table)
+    units = [unit_vec(F, n, j) for j in range(n)]
+    bad = [j for j, ej in enumerate(units)
+           if not reference_mul(F, table, one, ej) == ej == reference_mul(F, table, ej, one)]
+    if not bad:
+        return algebra(F, table, one)
+    with pytest.raises(InvalidIdentity) as raised:
+        algebra(F, table, one)
+    assert str(raised.value) == f"claimed identity fails on basis vector {bad[0]}"
+
+
+@pytest.mark.parametrize("name", ["Q", "F2", "F3", "F5", "GF4", "GF9"])
+def test_unit_identity_is_checked_on_its_cells(name):
+    # one = e_z, z != 0: a table whose row and column z are the e_j is
+    # accepted with no product; a cell that differs on the left, on the
+    # right or on both falls through to the kernel check, which names the
+    # first failing basis vector
+    F = FIELDS[name]
+    rng = random.Random(f"unit-identity|{name}")
+    for n in range(2, 6):
+        for z in range(1, n):
+            table = _moved_identity(F, n, z, rng)
+            one = unit_vec(F, n, z)
+            A = _assert_identity_check_as_reference(F, table, one)
+            assert "_product" not in vars(A)
+            assert A.mul(one, one) == one
+            for sides in (("left",), ("right",), ("left", "right")):
+                bad = [list(row) for row in table]
+                for side, j in zip(sides, rng.sample(range(n), len(sides))):
+                    wrong = unit_vec(F, n, j)
+                    while wrong == unit_vec(F, n, j):
+                        wrong = random_vector(F, n, rng)
+                    if side == "left":
+                        bad[z][j] = wrong
+                    else:
+                        bad[j][z] = wrong
+                _assert_identity_check_as_reference(F, bad, one)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_unreduced_identity_check_is_decided_by_the_kernel(p):
+    # unreduced cells or an unreduced one are never literally e_j or e_z;
+    # the kernel reduces them and accepts or rejects as for their residues
+    F = PrimeField(p)
+    rng = random.Random(p)
+    shift = lambda v: tuple(y + p * rng.randint(-2, 2) for y in v)
+    for n in range(2, 6):
+        for z in range(n):
+            table = _moved_identity(F, n, z, rng)
+            unreduced = [[shift(cell) for cell in row] for row in table]
+            for one in (unit_vec(F, n, z), shift(unit_vec(F, n, z))):
+                for t in (table, unreduced):
+                    assert _assert_identity_check_as_reference(F, t, one).one == one
+                j = rng.randrange(n)
+                bad = [list(row) for row in unreduced]
+                bad[j][z] = shift(vec_add(F, unit_vec(F, n, j), unit_vec(F, n, z)))
+                _assert_identity_check_as_reference(F, bad, one)
