@@ -15,10 +15,13 @@
 #
 # The characteristic-2 decider runs the same way: on the fixture
 # char2-typeII-seeded (GF4, hidden basis) `check --json` and `verify-cert`
-# both exit 0, and `check` on the fixture dim3-f2-type4 prints
-# `certificate: char-2 form dim3-f2-type4`.  A forged certificate must be
-# refused: `verify-cert` exits 1 on a report that claims the F2-only form
-# dim3-f2-type3 for the table of that form over GF4, which is not length one.
+# both exit 0.  That fixture's identity is dense, so the engines that work
+# modulo F*1 in A's own coordinates run on it too: `oracle` exits 0, and
+# `length --json` and `verify-cert` of its report both exit 0.  `check` on
+# the fixture dim3-f2-type4 prints `certificate: char-2 form dim3-f2-type4`.
+# A forged certificate must be refused: `verify-cert` exits 1 on a report
+# that claims the F2-only form dim3-f2-type3 for the table of that form over
+# GF4, which is not length one.
 # That table fails the crossed relation: `check` exits 1 and prints the
 # witness `  left  = ([0,0], [1,0], [0,1])`, and `verify-cert` of its
 # `check --json` report exits 0.
@@ -95,6 +98,9 @@ fi
 run 0 make fixture --name char2-typeII-seeded -o "$dir/typeII.json"
 run 0 check --json "$dir/typeII.json" > "$dir/typeII.report.json"
 run 0 verify-cert "$dir/typeII.report.json"
+run 0 oracle "$dir/typeII.json"
+run 0 length --json "$dir/typeII.json" > "$dir/typeII.length.json"
+run 0 verify-cert "$dir/typeII.length.json"
 run 0 make fixture --name dim3-f2-type4 -o "$dir/type4.json"
 run 0 check "$dir/type4.json" > "$dir/type4.txt"
 if ! grep -qx "certificate: char-2 form dim3-f2-type4" "$dir/type4.txt"; then

@@ -17,7 +17,6 @@ from .algebra import (
     complete_to_basis_with_one,
     find_identity,
     unital_hull,
-    with_identity_first,
 )
 from .constructors import (
     FIXTURES,

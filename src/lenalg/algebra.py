@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch, InvalidIdentity
-from .linalg import BasisChange, identity_matrix, rref, unit_vec
+from .linalg import BasisChange, identity_matrix, rref, unit_vec, vec_scale
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,16 @@ class Algebra:
     @cached_property
     def _product(self):
         return self.field.bilinear(self.table)
+
+    @cached_property
+    def identity_row(self):
+        """(L, 1/1_L * 1): the identity's echelon row, every engine's reduction
+        modulo F*1.  L is the last coordinate of 1 that is nonzero in the
+        field (an F_p coordinate may be an unreduced multiple of p)."""
+        field, one = self.field, self.one
+        last = max(k for k, c in enumerate(one)
+                   if field.add(c, field.zero) != field.zero)
+        return last, vec_scale(field, field.inv(one[last]), one)
 
     def mul(self, u, v):
         """Bilinear extension of the table to arbitrary coordinate vectors."""
@@ -161,8 +171,8 @@ def change_basis(A, change):
 
 
 def complete_to_basis_with_one(A):
-    """BasisChange with rows 1 and then e_k for every k but L, the last
-    nonzero coordinate of 1.
+    """BasisChange with rows 1 and then e_k for every k but L, the pivot of
+    `A.identity_row`.
 
     These are the rows a greedy completion by standard basis vectors picks:
     each e_k with k < L is outside the span so far, since coordinate L of
@@ -173,26 +183,13 @@ def complete_to_basis_with_one(A):
     over the other indices k_1 < ... < k_(n-1) gives c_0 = v_L / 1_L from
     coordinate L and c_r = v_(k_r) - 1_(k_r) v_L / 1_L from coordinate k_r.
     So row k_r of the inverse is e_r, and row L is 1/1_L followed by the
-    -1_(k_r) / 1_L.
+    -1_(k_r) / 1_L, the identity row's entries negated.
     """
-    field, n, one = A.field, A.dim, A.one
-    last = max(k for k in range(n) if one[k] != field.zero)
+    field, n = A.field, A.dim
+    last, row = A.identity_row
     others = [k for k in range(n) if k != last]
-    c = field.inv(one[last])
     inverse = [unit_vec(field, n, r) for r in range(1, n)]
-    inverse.insert(last, (c,) + tuple(field.neg(field.mul(one[k], c))
-                                      for k in others))
-    return BasisChange(field, [one] + [unit_vec(field, n, k) for k in others],
+    inverse.insert(last, (field.inv(A.one[last]),)
+                   + tuple(field.neg(row[k]) for k in others))
+    return BasisChange(field, [A.one] + [unit_vec(field, n, k) for k in others],
                        inverse=tuple(inverse))
-
-
-def with_identity_first(A):
-    """Conjugate A so its identity is the first basis vector.
-
-    Returns (B, change) with B.one == e_0 and change mapping new coords to
-    the original ones.
-    """
-    change = complete_to_basis_with_one(A)
-    B = change_basis(A, change)
-    return B, change
-

@@ -52,12 +52,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import (
-    change_basis,
-    complete_to_basis_with_one,
-    identity_first,
-    with_identity_first,
-)
+from .algebra import change_basis, complete_to_basis_with_one, identity_first
 from .errors import (
     AssemblyError,
     BudgetExceeded,
@@ -72,7 +67,6 @@ from .linalg import (
     in_span,
     unit_vec,
     vec_add,
-    vec_is_zero,
     vec_scale,
 )
 
@@ -512,11 +506,13 @@ def _char2_inner(A, ch0):
         return squares, path + ["squares"]
     gammas = [g for (_, g) in squares]
     path.append("squares≡γ·b")
-    # rescale so squares have delta in {0, 1}
-    rows = [ch0.matrix[0]] + [
-        r if g == field.zero else vec_scale(field, field.inv(g), r)
-        for r, g in zip(ch0.matrix[1:], gammas)]
-    rescale = BasisChange(field, rows)
+    # rescale so squares have delta in {0, 1}: row i of ch0 scaled by
+    # 1/gamma_i, so the inverse is ch0's with column i scaled by gamma_i
+    weights = [field.one] + [field.one if g == field.zero else g for g in gammas]
+    rows = [r if w == field.one else vec_scale(field, field.inv(w), r)
+            for r, w in zip(ch0.matrix, weights)]
+    rescale = BasisChange(field, rows, inverse=tuple(
+        tuple(map(field.mul, row, weights)) for row in ch0.inverse))
     B2 = change_basis(A, rescale)
     deltas = [field.zero if g == field.zero else field.one for g in gammas]
     path.append("rescale δ∈{0,1}")
@@ -738,39 +734,38 @@ def _projective_reps(field, m):
     return out
 
 
-def _pair_ok(B, u, v):
-    """Membership mul(u, v) in span{1, u, v} for identity-first coordinates.
-
-    The identity absorbs coordinate 0, so the test happens in the quotient.
-    """
-    return in_span(B.field, B.mul(u, v)[1:], (u[1:], v[1:]))
+def _pair_ok(A, u, v):
+    """Membership mul(u, v) in span{1, u, v}."""
+    return in_span(A.field, A.mul(u, v), (A.one, u, v))
 
 
-def _line_ok(B, u):
+def _line_ok(A, u):
     """True when mul(u, v) lies in span{1, u, v} for every v.
 
-    B is identity-first and u is a projective representative: u[0] is zero
-    and u has a one at its first nonzero entry, its pivot p.  By linearity
-    the condition holds exactly when u^2 lies in span{1, u} and
-    v -> u*v mod span{1, u} is a scalar map on W = A/span{1, u}: a linear
-    map under which every vector is an eigenvector is a scalar, over every
-    field.  The e_k with k not 0 or p give a basis of W, so this costs
-    n - 1 products: u^2, and u*e_k reduced by u must be lambda*e_k for one
-    common lambda.
+    u is a projective representative: zero at L, the pivot of
+    `A.identity_row`, and a one at its first nonzero entry, its pivot p.
+    By linearity the condition holds exactly when u^2 lies in span{1, u}
+    and v -> u*v mod span{1, u} is a scalar map on W = A/span{1, u}: a
+    linear map under which every vector is an eigenvector is a scalar, over
+    every field.  The e_k with k not L or p give a basis of W, so this costs
+    n - 1 products: u^2, and u*e_k reduced by the rows of 1 and u must be
+    lambda*e_k for one common lambda.  A residue is zero at L and p, so
+    counting its zeros tests every other coordinate at once.
     """
-    field, n, zero = B.field, B.dim, B.field.zero
-    p = next(k for k in range(1, n) if u[k] != zero)
-    by_u = ((p, u),)
-    if not vec_is_zero(field, field.eliminate(B.mul(u, u), by_u)[1:]):
+    field, n, zero = A.field, A.dim, A.field.zero
+    p = next(k for k, c in enumerate(u) if c != zero)
+    rows = (A.identity_row, (p, u))
+    pivots = (A.identity_row[0], p)
+    if field.eliminate(A.mul(u, u), rows).count(zero) != n:
         return False
     lam = None
-    for k in range(1, n):
-        if k == p:
+    for k in range(n):
+        if k in pivots:
             continue
-        r = field.eliminate(B.mul(u, B.basis_vector(k)), by_u)
+        r = field.eliminate(A.mul(u, A.basis_vector(k)), rows)
         if lam is None:
             lam = r[k]
-        if r[k] != lam or any(r[j] != zero for j in range(1, n) if j != k):
+        if r[k] != lam or r.count(zero) != n - (lam != zero):
             return False
     return True
 
@@ -791,12 +786,14 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     The predicate is invariant under translating either argument by a
     multiple of the identity and under scaling either argument, so the
     sweep runs over projective representatives of the quotient by F*1 (an
-    exactly equivalent reformulation), and by linearity it tests each left
-    factor u once for all its partners (`_line_ok`, n - 1 products).  On a
-    failing line the partners are scanned pair by pair (`_pair_ok`), so
-    `pairs_checked` is the position of the first violating pair in the
-    sweep over all ((q^(n-1) - 1)/(q - 1))^2 pairs, and that whole count
-    on a yes-instance.  When a violation exists the lexicographically first
+    exactly equivalent reformulation), in A's own coordinates: those of
+    F^(n-1) with a zero inserted at L, the pivot of `A.identity_row`.  By
+    linearity it tests each left factor u once for all its partners
+    (`_line_ok`, n - 1 products).  On a failing line the partners are
+    scanned pair by pair (`_pair_ok`), so `pairs_checked` is the position
+    of the first violating pair in the sweep over all
+    ((q^(n-1) - 1)/(q - 1))^2 pairs, and that whole count on a
+    yes-instance.  When a violation exists the lexicographically first
     violating pair of raw coordinate vectors is located and returned as the
     witness: the first raw a off F*1 whose line fails (line verdicts
     memoised by projective class), then the first b for that a; callers
@@ -829,14 +826,14 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     lines = (q ** (n - 1) - 1) // (q - 1)
     if lines ** 2 > budget:
         raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
-    B, change = with_identity_first(A)
-    reps = [(field.zero,) + x for x in _projective_reps(field, n - 1)]
-    i, u = _first_violation(reps, lambda u: not _line_ok(B, u))
+    last, zero = A.identity_row[0], (field.zero,)
+    reps = [x[:last] + zero + x[last:] for x in _projective_reps(field, n - 1)]
+    i, u = _first_violation(reps, lambda u: not _line_ok(A, u))
     if u is None:
         return OracleResult(is_length_one=True, witness=None, sampled=False,
                             pairs_checked=lines ** 2)
     j, bad = _first_violation(((u, v) for v in reps),
-                              lambda uv: not _pair_ok(B, *uv))
+                              lambda uv: not _pair_ok(A, *uv))
     if bad is None:
         raise AssemblyError("line test and pair test disagree")
     checked = (i - 1) * lines + j
@@ -851,13 +848,13 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
     # a scalar factor keeps the product in span{1, a, b}: skip the line F*1
     one_line = {vec_scale(field, c, A.one) for c in elems}
     raw = [a for a in itertools.product(elems, repeat=n) if a not in one_line]
-    line_ok = functools.cache(lambda u: _line_ok(B, u))
+    line_ok = functools.cache(lambda u: _line_ok(A, u))
 
     def line_fails(a):
-        # a's line: its B coordinates after the identity, first nonzero scaled to 1
-        x = change.to_new(a)[1:]
+        # a's line: its residue by the identity's row, scaled to a leading one
+        x = field.eliminate(a, (A.identity_row,))
         c = next(c for c in x if c != field.zero)
-        return not line_ok((field.zero,) + vec_scale(field, field.inv(c), x))
+        return not line_ok(vec_scale(field, field.inv(c), x))
 
     before, a = _first_violation(raw, line_fails)
     if a is None:

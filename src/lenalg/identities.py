@@ -182,8 +182,10 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     identity, into T(x) plus d^j times bracketings of x^(k-j), j >= 1, and
     once every bracketing agrees below degree k those terms do not depend
     on T; and T(c*x) = c^k T(x).  The key of a class is x - (x_L/1_L)*1,
-    L the pivot of 1, scaled to a leading one; a class whose first x passed
-    lets every later x of it pass without a product, and x in F*1 passes.
+    its residue against `A.identity_row` = (L, 1/1_L * 1), scaled to a
+    leading one; one key per class, since the class's vectors with a zero
+    at L are the multiples of it.  A class whose first x passed lets every
+    later x of it pass without a product, and x in F*1 passes.
     A tested x is x itself, not a representative, so the first failing x,
     its values and its defect are those of the sweep over every x.  An
     exhaustive sweep thus runs the powers of at most (q^(dim-1) - 1)/(q - 1)
@@ -202,11 +204,10 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
         4096 if budget is None else budget)
     if exhaustive:
         xs = itertools.product(field.elements(), repeat=n)
-        identity_row = _echelon_extend(field, [], [A.one], n)[0]
         passed = set()
 
         def ambiguity(x):
-            rows = _echelon_extend(field, [identity_row], [x], n)
+            rows = _echelon_extend(field, [A.identity_row], [x], n)
             if len(rows) == 1:  # x in F*1
                 return None
             key = tuple(rows[1][1])

@@ -34,7 +34,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .algebra import Algebra, with_identity_first
+from .algebra import Algebra
 from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported
 from .linalg import _echelon_extend, span
 
@@ -75,9 +75,14 @@ def _iteration_cap(dim):
 
 
 def word_spans(A, vectors):
-    """Compute the word-span sequence for the set `vectors` (may be empty)."""
+    """Compute the word-span sequence for the set `vectors` (may be empty).
+
+    The echelon list starts with `A.identity_row`, which spans L_0 = F*1; a
+    vector with a zero at its pivot L, as every lifted row of
+    `length_of_algebra` has, is its own residue against it.
+    """
     field, n = A.field, A.dim
-    rows = _echelon_extend(field, [], [A.one], n)
+    rows = [A.identity_row]
     dims = [1, len(_echelon_extend(field, rows, vectors, n))]
     cap = _iteration_cap(n)
     for i in itertools.count(1):
@@ -173,6 +178,9 @@ def length_of_algebra(A, budget=None):
     l(S) only depends on span(S + {1}), so maximizing over all generating
     sets reduces to maximizing over subspaces V containing the identity,
     i.e. over subspaces of the (n-1)-dimensional quotient by F*1, lifted.
+    The quotient's coordinates are A's own but for L, the pivot of
+    `A.identity_row`: each enumerated row is lifted by inserting a zero at
+    L, so the word spans run on A itself and the lift is the witness.
     """
     field = A.field
     if not field.is_finite():
@@ -188,20 +196,14 @@ def length_of_algebra(A, budget=None):
     if work > budget:
         raise BudgetExceeded(
             f"{work} subspaces to enumerate exceeds budget {budget}")
-    B, change = with_identity_first(A)
-    zero = field.zero
-    best = -1
-    best_rows = None
-    examined = 0
+    last, zero = A.identity_row[0], (field.zero,)
+    best, best_rows, examined = -1, None, 0
     for rows in enumerate_subspaces(field, n - 1):
         examined += 1
-        lifted = [B.one] + [(zero,) + r for r in rows]
-        res = length_of_set(B, lifted)
-        if not res.generates:
-            continue
-        if res.length > best:
-            best = res.length
-            best_rows = tuple(change.to_old(v) for v in lifted)
+        lifted = [A.one] + [r[:last] + zero + r[last:] for r in rows]
+        res = length_of_set(A, lifted)
+        if res.generates and res.length > best:
+            best, best_rows = res.length, tuple(lifted)
     if best < 0:
         raise AssertionError("no generating subspace found; table is corrupt")
     return AlgebraLengthResult(length=best, witness_rows=best_rows,

@@ -8,8 +8,8 @@ is raw tuple comparison and every reported witness is deterministic.
 The one row operation, v minus v[pivot] * row, lives on the field as
 `Field.eliminate`, next to its product kernel; `rref`, `Subspace.reduce`
 and `_echelon_extend` all reduce through it.  `_echelon_extend` is the one
-echelon routine that builds no `Subspace`: it serves both `in_span` (the
-oracle's line test) and `length`'s word spans.
+echelon routine that builds no `Subspace`: it serves `in_span` (the pair
+test), `length`'s word spans and the power-associativity class keys.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 

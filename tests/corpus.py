@@ -19,10 +19,18 @@ from lenalg import (
     make_field,
     unital_hull,
 )
-from lenalg.algebra import with_identity_first
+from lenalg.algebra import complete_to_basis_with_one
 from lenalg.decide import OracleResult, ViolationWitness
 from lenalg.errors import CapExceeded, DimensionMismatch
-from lenalg.linalg import random_invertible, span, unit_vec, vec_scale, vec_sub
+from lenalg.linalg import (
+    BasisChange,
+    invert_matrix,
+    random_invertible,
+    span,
+    unit_vec,
+    vec_scale,
+    vec_sub,
+)
 
 
 def random_scalar(field, rng):
@@ -38,6 +46,29 @@ def random_vector(field, n, rng):
 
 def random_table(field, n, rng):
     return [[random_vector(field, n, rng) for _ in range(n)] for _ in range(n)]
+
+
+def identities_short_of_the_end(field, n, rng):
+    """One identity vector of length n per position L of its last nonzero
+    coordinate, the last position too, with 1_L != 1 wherever the field has
+    such a scalar (not F2)."""
+    scalars = [c for c in (field.elements() if field.is_finite() else
+                           (Fraction(-3, 2), Fraction(5), Fraction(1, 7)))
+               if c not in (field.zero, field.one)] or [field.one]
+    for last in range(n):
+        yield (random_vector(field, last, rng) + (rng.choice(scalars),)
+               + (field.zero,) * (n - 1 - last))
+
+
+def with_identity(A, one, rng):
+    """A, whose identity is e_0, rewritten in a random basis whose inverse
+    has `one` as its first row, so that the identity's coordinates are `one`."""
+    field, n = A.field, A.dim
+    while True:
+        inverse = (one,) + tuple(random_vector(field, n, rng) for _ in range(n - 1))
+        rows = invert_matrix(field, inverse)
+        if rows is not None:
+            return change_basis(A, BasisChange(field, rows, inverse=inverse))
 
 
 def random_unital_algebra(field, dim, seed, conjugate=True):
@@ -209,7 +240,7 @@ def reference_oracle(A, *, samples=None, seed=0, witness=True):
     zero, one = field.zero, field.one
     reps = [(zero,) * (pos + 1) + (one,) + tail for pos in range(n - 1)
             for tail in itertools.product(elems, repeat=n - pos - 2)]
-    B, _ = with_identity_first(A)
+    B = change_basis(A, complete_to_basis_with_one(A))
     checked = 0
     found = False
     for u in reps:

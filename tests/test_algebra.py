@@ -17,7 +17,6 @@ from lenalg import (
     make_matrix_algebra,
     square_step,
     unital_hull,
-    with_identity_first,
 )
 from lenalg import linalg
 from lenalg.errors import CharacteristicTwo, DimensionMismatch, InvalidIdentity
@@ -34,10 +33,12 @@ from lenalg.linalg import (
 
 from tests.corpus import (
     greedy_completion_with_one,
+    identities_short_of_the_end,
     random_unital_algebra,
     random_vector,
     reference_mul,
     vec_mat,
+    with_identity,
 )
 
 Q = make_field("Q")
@@ -155,13 +156,27 @@ def test_find_identity_transforms_with_basis():
     assert find_identity(A.field, B.table) == P.to_new(A.one) == B.one
 
 
-def test_with_identity_first():
+def test_identity_row():
+    # M_2(Q) in the basis e11, e12, e21, e22: 1 = e11 + e22, so L = 3
     A = make_matrix_algebra(Q, 2)
-    B, change = with_identity_first(A)
-    assert B.one == qv(1, 0, 0, 0)
-    assert change.matrix[0] == A.one
-    # completion is deterministic
-    assert complete_to_basis_with_one(A).matrix == change.matrix
+    assert A.identity_row == (3, A.one)
+    assert A.identity_row is A.identity_row  # computed once per algebra
+    B = change_basis(A, complete_to_basis_with_one(A))
+    assert B.one == qv(1, 0, 0, 0) and B.identity_row == (0, B.one)
+    for name in CLOSED_FORM_FIELDS:
+        F = make_field(name)
+        rng = random.Random(f"identity-row|{name}")
+        for A in _identities_short_of_the_end(F, rng):
+            last, row = A.identity_row
+            assert A.one[last] != F.zero and set(A.one[last + 1:]) <= {F.zero}
+            assert row == vec_scale(F, F.inv(A.one[last]), A.one)
+            assert row[last] == F.one
+            assert complete_to_basis_with_one(A).matrix[1:] == tuple(
+                unit_vec(F, A.dim, k) for k in range(A.dim) if k != last)
+    # an F_p coordinate that is a multiple of p is zero in the field
+    F5 = make_field("F5")
+    A = algebra(F5, [[(1, 0), (0, 1)], [(0, 1), (2, 3)]], (6, 5))
+    assert A.identity_row == (0, (1, 0))
 
 
 @pytest.mark.parametrize("field_name", ["Q", "F2", "F3", "F5", "GF4", "GF9"])
@@ -178,31 +193,15 @@ def test_completion_matches_greedy_reference(field_name):
                 assert change.matrix[0] == A.one
 
 
-def _algebra_with_identity(F, one, rng):
-    """A random unital algebra whose identity is `one`: a hull, identity
-    e_0, rewritten in a basis whose inverse has `one` as its first row."""
-    n = len(one)
-    H = unital_hull(F, [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
-                        for _ in range(n - 1)])
-    while True:
-        inverse = (one,) + tuple(random_vector(F, n, rng) for _ in range(n - 1))
-        rows = invert_matrix(F, inverse)
-        if rows is not None:
-            return change_basis(H, BasisChange(F, rows, inverse=inverse))
-
-
 def _identities_short_of_the_end(F, rng):
-    """Algebras of dims 1-6 whose identity has its last nonzero coordinate
-    L at every position, the last one too, with 1_L != 1 wherever F has
-    such a scalar (not F2)."""
-    scalars = [c for c in (F.elements() if F.is_finite() else
-                           (Fraction(-3, 2), Fraction(5), Fraction(1, 7)))
-               if c not in (F.zero, F.one)] or [F.one]
+    """Random unital algebras of dims 1-6 (hulls, identity e_0, rewritten)
+    whose identity has its last nonzero coordinate L at every position,
+    with 1_L != 1 wherever F has such a scalar (not F2)."""
     for n in range(1, 7):
-        for last in range(n):
-            one = (random_vector(F, last, rng) + (rng.choice(scalars),)
-                   + (F.zero,) * (n - 1 - last))
-            A = _algebra_with_identity(F, one, rng)
+        for one in identities_short_of_the_end(F, n, rng):
+            H = unital_hull(F, [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
+                                for _ in range(n - 1)])
+            A = with_identity(H, one, rng)
             assert A.one == one
             yield A
 

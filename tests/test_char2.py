@@ -18,9 +18,10 @@ from lenalg import (
     verify_certificate,
     verify_char2_witness,
     verify_violation,
-    with_identity_first,
 )
-from lenalg.algebra import identity_first
+from lenalg import decide as decide_module
+from lenalg import linalg
+from lenalg.algebra import complete_to_basis_with_one, identity_first
 from lenalg.decide import (
     CharTwoWitness,
     LengthReport,
@@ -32,6 +33,7 @@ from lenalg.errors import CharacteristicNotTwo
 from lenalg.linalg import (
     BasisChange,
     identity_matrix,
+    invert_matrix,
     random_invertible,
     unit_vec,
     vec_scale,
@@ -241,6 +243,33 @@ def test_mixed_deltas_homogenized():
         assert verify_char2_witness(B, rep.certificate)
 
 
+def test_rescale_inverse_is_written_down(monkeypatch):
+    # the rescale's rows are ch0's scaled by 1/gamma_i, so its inverse is
+    # ch0's with column i scaled by gamma_i; only _finish_dim3's 3x3 bases and
+    # the homogenized one still invert by rref
+    rrefs, changes = [], []
+    rref, real = linalg.rref, decide_module.change_basis
+    monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
+    monkeypatch.setattr(decide_module, "change_basis",
+                        lambda A, c: changes.append(c) or real(A, c))
+    seen = set()
+    for field in (F2, G4, G8):
+        for dim in (2, 4, 5):
+            corpus = [generate_length_one(field, dim, seed, mode, hide=True)
+                      for mode in ("type-i", "type-ii") for seed in range(2)]
+            corpus += [random_unital_algebra(field, dim, seed) for seed in range(3)]
+            for A in corpus:
+                del rrefs[:], changes[:]
+                _, path = char2_decide(A)
+                if "homogenize-squares" not in path:
+                    assert rrefs == [], path
+                if changes:
+                    rescale = changes[0]
+                    assert rescale.inverse == invert_matrix(field, rescale.matrix)
+                    seen.add(path[-1])
+    assert {"type-i", "type-ii"} <= seen
+
+
 def test_char2_decide_public_surface():
     A = make_fixture("char2-typeI-seeded")
     w, path = char2_decide(A)
@@ -300,7 +329,8 @@ def test_product_failure_is_mapped_through_the_rescale(field, identity_last):
     rep = decide_length_one(A)
     assert rep.certificate.condition == "product-not-in-span"
     assert rep.path[-1] == "products"
-    B, ch0 = with_identity_first(A)
+    ch0 = complete_to_basis_with_one(A)
+    B = change_basis(A, ch0)
     i = int(rep.certificate.detail["indices"][0])
     gamma = B.table[i][i][i]
     assert gamma not in (field.zero, field.one)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lenalg import (
+    algebra,
     canonicalize,
     change_basis,
     decide_length_one,
@@ -15,6 +16,7 @@ from lenalg import (
     make_field,
     make_fixture,
     make_matrix_algebra,
+    length_of_algebra,
     oracle_length_one,
     special_step,
     special_table_from_params,
@@ -23,7 +25,6 @@ from lenalg import (
     verify_certificate,
     verify_special_witness,
     verify_violation,
-    with_identity_first,
 )
 from lenalg import decide as decide_module
 from lenalg.algebra import complete_to_basis_with_one
@@ -33,7 +34,7 @@ from lenalg.errors import (
     CharacteristicTwo,
     InfiniteFieldExhaustiveUnsupported,
 )
-from lenalg.linalg import BasisChange, identity_matrix, random_invertible
+from lenalg.linalg import BasisChange, identity_matrix, random_invertible, unit_vec
 
 from tests.corpus import random_unital_algebra, random_two_dim_unital, random_vector
 
@@ -182,7 +183,7 @@ def test_special_witness_scalars_must_be_canonical():
 def test_special_step_f3_triple_sum_fails():
     from lenalg import make_direct_sum_of_fields
     A = make_direct_sum_of_fields(F3, 3)
-    B, ch = with_identity_first(A)
+    B = change_basis(A, complete_to_basis_with_one(A))
     pairs = square_step(B, [B.basis_vector(i) for i in range(3)])
     change = canonicalize(B, [B.basis_vector(i) for i in range(3)],
                           [g for (_, g) in pairs])
@@ -383,3 +384,22 @@ def test_oracle_budget_counts_each_phase():
     with pytest.raises(BudgetExceeded, match="sampled"):
         oracle_length_one(R, samples=20000, budget=10)
     assert oracle_length_one(R, samples=10, budget=10).pairs_checked == 10
+
+
+def test_an_identity_coordinate_divisible_by_p_is_zero():
+    # an F_p coordinate is its residue: (6, 5) is the identity (1, 0) of F5,
+    # and (6, 5, 10) that of the remark tables; the identity's pivot is the
+    # last coordinate nonzero in the field, so every engine runs on them
+    tables = [((6, 5), [[(1, 0), (0, 1)], [(0, 1), (2, 3)]])]
+    for name in ("remark-repaired", "remark-literal"):
+        tables.append(((6, 5, 10), make_fixture(name, field=F5).table))
+    for one, table in tables:
+        A, R = algebra(F5, table, one), algebra(F5, table, unit_vec(F5, len(one), 0))
+        rep, ref = decide_length_one(A), decide_length_one(R)
+        assert rep.value == ref.value and rep.path == ref.path
+        assert verify_certificate(A, rep.certificate)
+        got, want = oracle_length_one(A), oracle_length_one(R)
+        assert (got.is_length_one, got.pairs_checked) == (
+            want.is_length_one, want.pairs_checked)
+        assert got.witness is None or verify_violation(A, got.witness)
+        assert length_of_algebra(A).length == length_of_algebra(R).length

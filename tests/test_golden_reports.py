@@ -22,13 +22,14 @@ import pytest
 
 from lenalg import (
     algebra,
+    change_basis,
+    complete_to_basis_with_one,
     decide_length_one,
     fixture_names,
     generate_length_one,
     make_field,
     make_fixture,
     render_report,
-    with_identity_first,
 )
 from lenalg.generate import DIM3_MODES, MODES
 
@@ -80,7 +81,7 @@ def _bump(A, cells):
 
 def _mutate(A, rng):
     """Bump one non-identity constant of A in identity-first coordinates."""
-    B, _ = with_identity_first(A)
+    B = change_basis(A, complete_to_basis_with_one(A))
     n = B.dim
     field = B.field
     d = field.zero

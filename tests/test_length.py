@@ -8,6 +8,8 @@ import pytest
 from lenalg import (
     Algebra,
     algebra,
+    change_basis,
+    complete_to_basis_with_one,
     decide_length_one,
     generate_length_one,
     gaussian_binomial,
@@ -33,12 +35,14 @@ from lenalg.length import count_subspaces, enumerate_subspaces, resolve_budget
 from lenalg.linalg import unit_vec
 
 from tests.corpus import (
+    identities_short_of_the_end,
     mutate_one_constant,
     random_table,
     random_unital_algebra,
     random_vector,
     reference_word_spans,
     sparse_f2_hull,
+    with_identity,
 )
 
 Q = make_field("Q")
@@ -319,3 +323,40 @@ def test_length_one_exactly_when_the_decider_says_yes(name):
             assert (length_of_algebra(A).length == 1) == verdict, (dim, A.table)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def _identity_first_length(A):
+    """(l(A), witness rows) by the same enumeration run on the identity-first
+    copy change_basis(A, complete_to_basis_with_one(A)), mapped back."""
+    change = complete_to_basis_with_one(A)
+    B = change_basis(A, change)
+    best, best_rows = -1, None
+    for rows in enumerate_subspaces(A.field, A.dim - 1):
+        lifted = [B.one] + [(A.field.zero,) + r for r in rows]
+        res = length_of_set(B, lifted)
+        if res.generates and res.length > best:
+            best, best_rows = res.length, tuple(change.to_old(v) for v in lifted)
+    return best, best_rows
+
+
+@pytest.mark.parametrize("name, dims", [
+    ("F3", (2, 3, 4)), ("F5", (2, 3)), ("GF4", (2, 3, 4)), ("GF9", (2, 3)),
+])
+def test_length_of_algebra_matches_an_identity_first_reference(
+        monkeypatch, name, dims):
+    # the corpus rewritten so that 1 has its pivot L at every position, with
+    # 1_L != 1; the enumeration runs on A itself and builds no kernel
+    field = make_field(name)
+    rng = random.Random(f"identity-pivot|{name}")
+    for dim in dims:
+        for T in _length_corpus(field, dim):
+            H = change_basis(T, complete_to_basis_with_one(T))
+            for last, one in enumerate(identities_short_of_the_end(field, dim, rng)):
+                A = with_identity(H, one, rng)
+                assert A.identity_row[0] == last
+                A.mul(A.one, A.one)  # A's own kernel, built once per algebra
+                kernels = _counted(monkeypatch, type(field), "bilinear")
+                res = length_of_algebra(A)
+                assert kernels == []
+                monkeypatch.undo()
+                assert (res.length, res.witness_rows) == _identity_first_length(A)

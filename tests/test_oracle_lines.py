@@ -1,18 +1,22 @@
 """The oracle's line test restates the pair condition, and the oracle's work
 is bounded by lines, not pairs.
 
-`_line_ok(B, u)` claims that u*v lies in span{1, u, v} for every v exactly
+`_line_ok(A, u)` claims that u*v lies in span{1, u, v} for every v exactly
 when u^2 lies in span{1, u} and v -> u*v mod span{1, u} is a scalar map on
 A/span{1, u}.  The claim is checked against `_pair_ok` over every partner,
-for every projective line u of each table: yes-instances of every generator
+for every projective line u of each table, on A itself (representatives with
+a zero at the pivot of `A.identity_row`): yes-instances of every generator
 mode, near-misses built as the benchmark builds them (one product of the
 un-hidden table bumped, then hidden), every one-constant mutation at dim 3
 over F2 and F3, and random unital tables over F2, F3, F5, GF4, GF8 and GF9 at
 dims 2-5.  Dimension 2, where A/span{1, u} is zero, and F2 are included.
 
-The work tests count calls with monkeypatch: a yes-sweep makes at most
-lines * (n - 1) products, a no-instance at most `lines` pair tests, and the
-witness re-scan at most q^n - q raw pair tests.
+The work tests count calls with monkeypatch: a yes-sweep makes exactly
+lines * (n - 1) products and builds no product kernel or coordinate map, a
+no-instance makes at most `lines` pair tests, and the witness re-scan at
+most q^n - q raw pair tests.  On algebras whose identity has its pivot L at
+every position, with 1_L != 1, verdict, `pairs_checked` and witness equal
+the reference's.
 """
 
 import random
@@ -21,13 +25,18 @@ import pytest
 
 from lenalg import algebra, change_basis, generate_length_one, make_field, oracle_length_one
 from lenalg import decide
-from lenalg.algebra import Algebra, with_identity_first
+from lenalg.algebra import Algebra, complete_to_basis_with_one
 from lenalg.decide import _line_ok, _pair_ok, _projective_reps
 from lenalg.errors import ModeCharacteristicMismatch
 from lenalg.generate import MODES
 from lenalg.linalg import random_invertible
 
-from tests.corpus import random_unital_algebra
+from tests.corpus import (
+    identities_short_of_the_end,
+    random_unital_algebra,
+    reference_oracle,
+    with_identity,
+)
 
 
 def _bumped(A, *changes):
@@ -63,18 +72,20 @@ def _near_miss(A, seed):
     return _hidden(M, seed)
 
 
-def _lines(F, n):
-    return [(F.zero,) + x for x in _projective_reps(F, n - 1)]
+def _lines(A):
+    """The oracle's line representatives: those of F^(n-1), a zero inserted
+    at the pivot of the identity's row."""
+    last, zero = A.identity_row[0], (A.field.zero,)
+    return [x[:last] + zero + x[last:] for x in _projective_reps(A.field, A.dim - 1)]
 
 
 def _check_lines(A):
     """Assert the line test on every line of A; return the set of verdicts."""
-    B, _ = with_identity_first(A)
-    reps = _lines(A.field, A.dim)
+    reps = _lines(A)
     verdicts = set()
     for u in reps:
-        ok = _line_ok(B, u)
-        assert ok == all(_pair_ok(B, u, v) for v in reps), (A.table, u)
+        ok = _line_ok(A, u)
+        assert ok == all(_pair_ok(A, u, v) for v in reps), (A.table, u)
         verdicts.add(ok)
     return verdicts
 
@@ -139,15 +150,20 @@ def _line_count(F, n):
 
 @pytest.mark.parametrize("name, dim", [("F2", 5), ("F3", 4), ("F5", 3), ("GF4", 4)])
 def test_yes_sweep_makes_n_minus_1_products_per_line(name, dim, monkeypatch):
+    # identity-first and hidden (dense identity): the sweep runs on A itself,
+    # so every product counted is a line test's and no kernel is built
     F = make_field(name)
     lines = _line_count(F, dim)
-    for mode, A in _yes(F, dim):
-        # A is identity-first, so every product counted is the sweep's
-        products = _count(monkeypatch, Algebra, "mul")
-        res = oracle_length_one(A)
-        assert res.is_length_one and res.pairs_checked == lines ** 2, mode
-        assert 1 <= products[0] <= lines * (dim - 1), mode
-        monkeypatch.undo()
+    for seed, (mode, Y) in enumerate(_yes(F, dim)):
+        for A in (Y, _hidden(Y, seed)):
+            A.mul(A.one, A.one)  # A's own kernel, built once per algebra
+            products = _count(monkeypatch, Algebra, "mul")
+            kernels = _count(monkeypatch, type(F), "bilinear")
+            res = oracle_length_one(A)
+            assert res.is_length_one and res.pairs_checked == lines ** 2, mode
+            assert products[0] == lines * (dim - 1), mode
+            assert kernels[0] == 0, mode
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name, dim", [("F2", 5), ("F3", 4), ("F5", 3), ("GF4", 4)])
@@ -164,3 +180,24 @@ def test_no_instance_work_is_bounded_by_lines(name, dim, monkeypatch):
         assert 1 <= pair_tests[0] <= lines
         assert 1 <= raw_tests[0] <= q ** dim - q
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name, dims", [
+    ("F3", (2, 3, 4)), ("F5", (2, 3)), ("GF4", (2, 3, 4)), ("GF9", (2, 3)),
+])
+def test_oracle_matches_the_reference_at_every_identity_pivot(name, dims):
+    # yes-instances, their near-misses (the witness re-scan) and random
+    # tables, rewritten so that 1 has its pivot L at every position, 1_L != 1
+    F = make_field(name)
+    rng = random.Random(f"identity-pivot|{name}")
+    for dim in dims:
+        for seed, (mode, Y) in enumerate(_yes(F, dim)):
+            tables = [Y, random_unital_algebra(F, dim, seed, conjugate=False)]
+            if dim >= 3:
+                tables.append(_near_miss(Y, seed))
+            for last, one in enumerate(identities_short_of_the_end(F, dim, rng)):
+                for T in tables:
+                    H = change_basis(T, complete_to_basis_with_one(T))
+                    A = with_identity(H, one, rng)
+                    assert A.one == one and A.identity_row[0] == last
+                    assert oracle_length_one(A) == reference_oracle(A), (mode, last)
