@@ -11,7 +11,10 @@
 # `verify-cert` of the latter's `oracle --json` report exits 0.  The text
 # report on remark-literal over F5 must print `pairs checked: 614`: the
 # position of the first violating pair, found through the line sweep, its
-# partner scan and the witness re-scan.
+# partner scan and the witness re-scan.  Over Q the oracle scans basis
+# lines and is exact too: it exits 0 on remark-repaired and 1 on
+# remark-literal, and `verify-cert` of the latter's `oracle --json` report
+# exits 0.
 #
 # The characteristic-2 decider runs the same way: on the fixture
 # char2-typeII-seeded (GF4, hidden basis) `check --json` and `verify-cert`
@@ -39,8 +42,9 @@
 # `length --json` exits 0 with `"value": 2`, and `verify-cert` of that
 # report, which enumerates the subspaces again, exits 0.
 #
-# Four malformed calls must exit 2: `check` on a document over "F4" (4 is
-# not prime), `oracle` over Q asking for more samples than its budget,
+# Five malformed calls must exit 2: `check` on a document over "F4" (4 is
+# not prime), `oracle --budget 10` on remark-repaired, whose 4 basis lines
+# make 16 pairs, `oracle --samples 5`, since the oracle does not sample,
 # `check --budget 5`, since `check` takes no budget, and `length-set --set e9`
 # on the four-dimensional M_2(F2).
 #
@@ -94,6 +98,11 @@ if ! grep -qx "pairs checked: 614" "$dir/literal-f5.oracle.txt"; then
     echo "FAIL: lenalg oracle on literal-f5.json did not print 'pairs checked: 614'" >&2
     status=1
 fi
+
+run 0 oracle "$dir/remark-repaired.json" > /dev/null
+run 1 oracle "$dir/remark-literal.json" > /dev/null
+run 1 oracle --json "$dir/remark-literal.json" > "$dir/literal.oracle.json"
+run 0 verify-cert "$dir/literal.oracle.json"
 
 run 0 make fixture --name char2-typeII-seeded -o "$dir/typeII.json"
 run 0 check --json "$dir/typeII.json" > "$dir/typeII.report.json"
@@ -159,7 +168,8 @@ run 0 verify-cert "$dir/f3x3.length.json"
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"
 run 2 check "$bad"
-run 2 oracle "$dir/remark-repaired.json" --samples 11 --budget 10
+run 2 oracle --budget 10 "$dir/remark-repaired.json"
+run 2 oracle "$dir/remark-repaired.json" --samples 5
 run 2 check "$dir/remark-repaired.json" --budget 5
 run 2 length-set --set e9 "$dir/m2.json"
 exit $status

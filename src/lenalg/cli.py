@@ -3,8 +3,8 @@
 Exit codes follow a pipeline-friendly contract: for `check` and `oracle`,
 0 means verdict yes, 1 means verdict no, 2 means error; `verify-cert`
 returns 0/1 for valid/invalid certificates; everything else returns 0 on
-success and 2 on error.  `--json` switches any command to machine-readable
-reports (documents are already JSON, so `make` ignores it).
+success and 2 on error.  `--json` switches every command but `make`, whose
+documents are already JSON, to machine-readable reports.
 
 `--budget` caps the enumerations of `oracle`, `length` and `verify-cert`
 (default LENALG_BUDGET or 10^7) and the power sweep of `identities`.
@@ -149,13 +149,11 @@ def _cmd_check(args):
 
 def _cmd_oracle(args):
     doc = parse_document(_read_source(args.file))
-    res = oracle_length_one(doc.algebra, budget=args.budget,
-                            samples=args.samples, seed=args.seed)
-    path = ["oracle: exhaustive pair scan" if not res.sampled
-            else "oracle: sampled pair scan (incomplete)"]
+    res = oracle_length_one(doc.algebra, budget=args.budget)
+    path = ["oracle: exhaustive pair scan" if doc.algebra.field.is_finite()
+            else "oracle: basis-line pair scan"]
     report = LengthReport(kind="length-one-decision", value=res.is_length_one,
-                          certificate=res.witness, path=path,
-                          flags=(["sampled-incomplete"] if res.sampled else []))
+                          certificate=res.witness, path=path, flags=[])
     _print_report(report, doc.algebra, args.json)
     if not args.json:
         print("pairs checked:", res.pairs_checked)
@@ -352,14 +350,8 @@ def build_parser():
     common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("oracle", help="exhaustive pair-span check (finite fields)")
+    p = sub.add_parser("oracle", help="independent pair-span check (exact)")
     p.add_argument("file")
-    p.add_argument("--samples", type=_at_least(1), default=None,
-                   help="sampling mode (incomplete); required over Q, ignored "
-                        "over finite fields (always scanned exhaustively)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the --samples draw over Q; ignored over "
-                        "finite fields (always scanned exhaustively)")
     common(p, enumeration)
     p.set_defaults(func=_cmd_oracle)
 
@@ -403,7 +395,6 @@ def build_parser():
     p.add_argument("--hide", action="store_true",
                    help="conjugate by a seeded random basis change")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    common(p)
     p.set_defaults(func=_cmd_make)
 
     p = sub.add_parser("verify-cert")  # deliberately undocumented in --help text

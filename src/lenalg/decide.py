@@ -4,9 +4,9 @@ The decision procedure never trusts itself: every "yes" carries a basis
 witness, checked by rebuilding the table its parameters claim and comparing
 it literally with A's table in the witness basis, and every "no" carries a
 concrete pair (a, b) with a*b outside span{1, a, b}, re-checked by one
-membership test before the verdict is returned.  An exhaustive pair oracle
-(finite fields) provides a fully independent second route used by the test
-suite.
+membership test before the verdict is returned.  A pair oracle (every
+projective line over a finite field, C(n, 2) + 1 basis lines over Q) provides
+a fully independent second route used by the test suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
 itself.  Each stage writes its basis in A's coordinates, so every table the
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 
 from .algebra import change_basis, complete_to_basis_with_one, identity_first
@@ -59,7 +58,6 @@ from .errors import (
     CharacteristicNotTwo,
     CharacteristicTwo,
     DimensionMismatch,
-    InfiniteFieldExhaustiveUnsupported,
 )
 from .length import resolve_budget
 from .linalg import (
@@ -68,6 +66,7 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -136,7 +135,6 @@ class LengthReport:
 class OracleResult:
     is_length_one: bool
     witness: object
-    sampled: bool
     pairs_checked: int
 
 
@@ -720,18 +718,14 @@ def _report(A, outcome, path, flags):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive pair oracle
+# pair oracle
 # ---------------------------------------------------------------------------
 
 def _projective_reps(field, m):
     """One representative per line of F_q^m: first nonzero entry is 1, lex order."""
     elems = list(field.elements())
-    zero, one = field.zero, field.one
-    out = []
-    for pos in range(m):
-        for tail in itertools.product(elems, repeat=m - pos - 1):
-            out.append((zero,) * pos + (one,) + tail)
-    return out
+    return [(field.zero,) * pos + (field.one,) + tail for pos in range(m)
+            for tail in itertools.product(elems, repeat=m - pos - 1)]
 
 
 def _pair_ok(A, u, v):
@@ -770,6 +764,36 @@ def _line_ok(A, u):
     return True
 
 
+def _basis_lines(field, n, L):
+    """The lines the oracle tests over Q, zero at L: the e_k (k != L), the
+    e_k + e_l (k < l), then e_a - e_b for the first such pair.
+
+    `_line_ok` passes on all of them exactly when A has length one.  They
+    span H, the vectors zero at L, a complement of F*1.
+    * n >= 4.  The 4x4 minors P(u, v) of the n x 4 matrix [1, u, v, u*v]
+      vanish exactly when u*v lies in span{1, u, v} or 1, u, v are
+      dependent.  Each is a form of degree 2 in u and in v, unchanged by
+      u -> u + c*1 (column operations).  A passing line u makes P(u, v) = 0
+      for every v; a quadratic form is fixed by its values at the e_i and
+      e_i + e_j over any field (polarization), so P(u, .) is zero.  Each
+      coefficient of P is thus a quadratic form in u that vanishes at the
+      e_k and e_k + e_l of H, hence on H, and by the invariance everywhere:
+      P = 0, so u*v lies in span{1, u, v} when 1, u, v are independent.
+      For u off F*1 and 1, u, w independent, u*(u + w) and u*w lie in
+      span{1, u, w}, so u^2 does; at n >= 4 two such spans meet in
+      span{1, u}, which thus holds u^2: the dependent pairs pass too.
+    * n = 3.  span{1, u, v} = A unless v lies in span{1, u}, so length one
+      means u^2 in span{1, u} for u in H: the zeros of the binary cubic
+      det[1, u, u^2], which has at most 3 projective zeros unless it is
+      zero.  e_a, e_b, e_a + e_b and e_a - e_b are 4, outside char 2.
+    * n <= 2.  span{1, u} = A, so every line passes and A has length one.
+    """
+    e = [unit_vec(field, n, k) for k in range(n) if k != L]
+    pairs = list(itertools.combinations(e, 2))
+    return (e + [vec_add(field, u, v) for u, v in pairs]
+            + [vec_sub(field, u, v) for u, v in pairs[:1]])
+
+
 def _first_violation(items, fails):
     """(number of items tried, the first item with fails(item), or None)."""
     tried = 0
@@ -780,74 +804,70 @@ def _first_violation(items, fails):
     return tried, None
 
 
-def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
-    """Exhaustively check mul(a, b) in span{1, a, b} over all pairs.
+def oracle_length_one(A, *, budget=None, witness=True):
+    """Check mul(a, b) in span{1, a, b} over all pairs, line by line.
 
     The predicate is invariant under translating either argument by a
     multiple of the identity and under scaling either argument, so the
-    sweep runs over projective representatives of the quotient by F*1 (an
-    exactly equivalent reformulation), in A's own coordinates: those of
-    F^(n-1) with a zero inserted at L, the pivot of `A.identity_row`.  By
-    linearity it tests each left factor u once for all its partners
-    (`_line_ok`, n - 1 products).  On a failing line the partners are
-    scanned pair by pair (`_pair_ok`), so `pairs_checked` is the position
-    of the first violating pair in the sweep over all
-    ((q^(n-1) - 1)/(q - 1))^2 pairs, and that whole count on a
-    yes-instance.  When a violation exists the lexicographically first
-    violating pair of raw coordinate vectors is located and returned as the
-    witness: the first raw a off F*1 whose line fails (line verdicts
-    memoised by projective class), then the first b for that a; callers
-    that only need the verdict can pass witness=False and skip that scan.
-    Each phase is checked against the budget before it starts, by its pair
-    count: the sweep by ((q^(n-1) - 1)/(q - 1))^2, the re-scan by q^(2n).
-    Four generators (projective lines, raw left factors, the partners of
-    one left factor, samples) run through one `_first_violation`.
-
-    Over infinite fields only a seeded sampling mode is available
-    (`samples=N`, at most the budget); it can prove "no" but never "yes",
-    and the result is marked `sampled`.
+    sweep runs over lines of the quotient by F*1, in A's own coordinates:
+    vectors with a zero at L, the pivot of `A.identity_row`.  Over a finite
+    field these are all projective representatives (an exactly equivalent
+    reformulation), over Q the `_basis_lines`, which decide length one by
+    the proof in their docstring.  By linearity the sweep tests each left
+    factor u once for all its partners (`_line_ok`, n - 1 products).  On a
+    failing line the partners among the lines are scanned pair by pair
+    (`_pair_ok`), so `pairs_checked` is the position of the first violating
+    pair in the sweep over all pairs of lines, and that whole count on a
+    yes-instance; it is checked against the budget before the sweep starts.
+    Over Q that pair is the witness; over a finite field `_raw_witness`
+    re-scans for one, unless witness=False asks for the verdict only.
     """
-    field = A.field
-    n = A.dim
+    field, n = A.field, A.dim
     budget = resolve_budget(budget)
-    violates = lambda ab: _violates(A, *ab)
-    if not field.is_finite():
-        if samples is None:
-            raise InfiniteFieldExhaustiveUnsupported(
-                "exhaustive pair enumeration needs a finite field; pass samples=N")
-        if samples > budget:
-            raise BudgetExceeded(f"{samples} sampled pairs exceeds budget {budget}")
-        rng = random.Random(f"oracle|{seed}")
-        draw = lambda: tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
-        checked, bad = _first_violation(
-            ((draw(), draw()) for _ in range(samples)), violates)
-        return _oracle_result(bad, "oracle-pair-sampled", True, checked)
-    q = field.order()
-    lines = (q ** (n - 1) - 1) // (q - 1)
+    last, zero = A.identity_row[0], (field.zero,)
+    if field.is_finite():
+        q = field.order()
+        lines = (q ** (n - 1) - 1) // (q - 1)
+    else:
+        reps = _basis_lines(field, n, last)
+        lines = len(reps)
     if lines ** 2 > budget:
         raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
-    last, zero = A.identity_row[0], (field.zero,)
-    reps = [x[:last] + zero + x[last:] for x in _projective_reps(field, n - 1)]
+    if field.is_finite():
+        reps = [x[:last] + zero + x[last:] for x in _projective_reps(field, n - 1)]
     i, u = _first_violation(reps, lambda u: not _line_ok(A, u))
     if u is None:
-        return OracleResult(is_length_one=True, witness=None, sampled=False,
-                            pairs_checked=lines ** 2)
+        return OracleResult(True, None, lines ** 2)
     j, bad = _first_violation(((u, v) for v in reps),
                               lambda uv: not _pair_ok(A, *uv))
     if bad is None:
         raise AssemblyError("line test and pair test disagree")
     checked = (i - 1) * lines + j
-    if not witness:
-        return OracleResult(is_length_one=False, witness=None, sampled=False,
-                            pairs_checked=checked)
-    # locate the lexicographically first violating pair in original coordinates
-    if q ** (2 * n) > budget:
+    if field.is_finite():
+        if not witness:
+            return OracleResult(False, None, checked)
+        tried, bad = _raw_witness(A, q, budget)
+        checked += tried
+    return OracleResult(False, ViolationWitness(*bad, "oracle-pair", {}), checked)
+
+
+def _raw_witness(A, q, budget):
+    """(pairs tried, pair): the lexicographically first violating pair of raw
+    vectors off F*1 when A over F_q is not length one: the first raw a whose
+    line fails (line verdicts memoised by projective class), then the first
+    b for a.  That walks at most q^n vectors on each side, one side at a
+    time, none stored, so q^n must fit the budget.  `_first_violation` runs
+    all three scans: lines, raw left factors and the partners of one a.
+    """
+    field, n = A.field, A.dim
+    if q ** n > budget:
         raise BudgetExceeded(
-            f"witness re-scan of {q}^{2 * n} pairs exceeds budget {budget}")
+            f"witness re-scan of {q}^{n} raw vectors exceeds budget {budget}")
     elems = list(field.elements())
     # a scalar factor keeps the product in span{1, a, b}: skip the line F*1
     one_line = {vec_scale(field, c, A.one) for c in elems}
-    raw = [a for a in itertools.product(elems, repeat=n) if a not in one_line]
+    raw = lambda: (a for a in itertools.product(elems, repeat=n)
+                   if a not in one_line)
     line_ok = functools.cache(lambda u: _line_ok(A, u))
 
     def line_fails(a):
@@ -856,19 +876,11 @@ def oracle_length_one(A, *, budget=None, samples=None, seed=0, witness=True):
         c = next(c for c in x if c != field.zero)
         return not line_ok(vec_scale(field, field.inv(c), x))
 
-    before, a = _first_violation(raw, line_fails)
+    before, a = _first_violation(raw(), line_fails)
     if a is None:
         raise AssemblyError("reduced oracle scan and full scan disagree")
-    tried, bad = _first_violation(((a, b) for b in raw), violates)
+    tried, bad = _first_violation(((a, b) for b in raw()),
+                                  lambda ab: _violates(A, *ab))
     if bad is None:
         raise AssemblyError("line test and pair test disagree")
-    return _oracle_result(bad, "oracle-pair", False,
-                          checked + (before - 1) * len(raw) + tried)
-
-
-def _oracle_result(bad, condition, sampled, checked):
-    """OracleResult with the pair `bad`, if any, as its violation witness."""
-    w = None if bad is None else ViolationWitness(
-        left=bad[0], right=bad[1], condition=condition, detail={})
-    return OracleResult(is_length_one=bad is None, witness=w, sampled=sampled,
-                        pairs_checked=checked)
+    return (before - 1) * (q ** n - q) + tried, bad

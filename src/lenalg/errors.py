@@ -46,10 +46,6 @@ class InfiniteFieldUnsupported(LenalgError):
     """Exhaustive enumeration was requested over an infinite field."""
 
 
-class InfiniteFieldExhaustiveUnsupported(InfiniteFieldUnsupported):
-    """The pair-enumeration oracle cannot be exhaustive over Q."""
-
-
 class BudgetExceeded(LenalgError):
     """Estimated enumeration work exceeds the configured budget."""
 

@@ -189,7 +189,7 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     A tested x is x itself, not a representative, so the first failing x,
     its values and its defect are those of the sweep over every x.  An
     exhaustive sweep thus runs the powers of at most (q^(dim-1) - 1)/(q - 1)
-    elements instead of q^dim.  Sampled x are tested one by one with no
+    elements instead of q^dim.  Random x are tested one by one with no
     key, since their classes almost never repeat.
     """
     if d < 3:

@@ -208,34 +208,21 @@ def greedy_completion_with_one(A):
     return tuple(rows)
 
 
-def reference_oracle(A, *, samples=None, seed=0, witness=True):
-    """The pair oracle as three plain scans, each pair tested by building
-    span{1, a, b} and asking `contains`: the reference for
+def reference_oracle(A, *, witness=True):
+    """The finite-field pair oracle as two plain scans, each pair tested by
+    building span{1, a, b} and asking `contains`: the reference for
     `oracle_length_one` (budgets aside).
 
-    Sampling draws a and b from the seeded stream the oracle uses; the sweep
-    takes pairs of projective representatives (first nonzero entry 1, in
-    lexicographic order) of the coordinates after the identity, with the
-    identity first; the witness re-scan takes raw coordinate vectors off the
-    line F*1, in lexicographic order.
+    The sweep takes pairs of projective representatives (first nonzero entry
+    1, in lexicographic order) of the coordinates after the identity, with
+    the identity first; the witness re-scan takes raw coordinate vectors off
+    the line F*1, in lexicographic order.
     """
     field, n = A.field, A.dim
 
     def violates(X, a, b):
         return not span(field, [X.one, a, b]).contains(X.mul(a, b))
 
-    if not field.is_finite():
-        rng = random.Random(f"oracle|{seed}")
-        checked = 0
-        for _ in range(samples):
-            a = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
-            b = tuple(field.from_int(rng.randint(-9, 9)) for _ in range(n))
-            checked += 1
-            if violates(A, a, b):
-                return OracleResult(
-                    False, ViolationWitness(a, b, "oracle-pair-sampled", {}),
-                    True, checked)
-        return OracleResult(True, None, True, checked)
     elems = list(field.elements())
     zero, one = field.zero, field.one
     reps = [(zero,) * (pos + 1) + (one,) + tail for pos in range(n - 1)
@@ -252,7 +239,7 @@ def reference_oracle(A, *, samples=None, seed=0, witness=True):
         if found:
             break
     if not found or not witness:
-        return OracleResult(not found, None, False, checked)
+        return OracleResult(not found, None, checked)
     one_line = {vec_scale(field, c, A.one) for c in elems}
     for a in itertools.product(elems, repeat=n):
         if a in one_line:
@@ -263,7 +250,7 @@ def reference_oracle(A, *, samples=None, seed=0, witness=True):
             checked += 1
             if violates(A, a, b):
                 return OracleResult(
-                    False, ViolationWitness(a, b, "oracle-pair", {}), False, checked)
+                    False, ViolationWitness(a, b, "oracle-pair", {}), checked)
     raise AssertionError("the sweep found a violation the re-scan did not")
 
 

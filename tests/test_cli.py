@@ -174,10 +174,6 @@ def test_successive_calls_do_not_leak_arguments(fixture_file, capsys):
     assert "power-associative(<=3)" in capsys.readouterr().out
     assert main(["identities", path]) == 0
     assert "power-associative(<=6)" in capsys.readouterr().out
-    assert main(["oracle", path, "--samples", "5"]) == 0
-    capsys.readouterr()
-    assert main(["oracle", path]) == 2
-    assert "InfiniteFieldExhaustiveUnsupported" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -377,8 +373,9 @@ def test_verify_cert_checks_set_length_dims(tmp_path, capsys, dims, code, where)
     (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,2;3,4"], "--gram"),
     (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,2;2"], "--gram"),
     (["make", "bilinear-jordan", "--field", "Q", "--gram", "1,x;x,1"], "--gram"),
-    (["oracle", "@remark-repaired", "--samples", "0"], "--samples"),
-    (["oracle", "@remark-repaired", "--samples", "-3"], "--samples"),
+    (["make", "matrix", "--field", "Q", "--n", "2", "--json"],
+     "unrecognized arguments: --json"),
+    (["identities", "@remark-repaired", "--degree", "x"], "--degree"),
     (["length-set", "@char2-typeI-seeded", "--set", "e9"],
      "basis index out of range: e9"),
     (["length-set", "@char2-typeI-seeded", "--set", "1,0"], "has 2 entries, need 4"),
@@ -416,7 +413,6 @@ def test_budget_help_says_what_it_caps(capsys):
     assert "default 4096; LENALG_BUDGET is not read" in identities
     for command in ("oracle", "length", "verify-cert"):
         assert "default: LENALG_BUDGET or 10^7" in _help(capsys, command)
-    assert "ignored over finite fields" in _help(capsys, "oracle")
 
 
 def test_identities_budget_caps_the_power_sweep_only(
@@ -464,23 +460,30 @@ def test_budget_is_refused_where_nothing_reads_it(fixture_file, capsys, argv):
     assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
-def test_oracle_samples_ignored_over_finite_fields(fixture_file, capsys):
-    path = fixture_file("dim3-f2-type3")
-    assert main(["oracle", path]) == 0
-    exhaustive = capsys.readouterr().out
-    assert main(["oracle", path, "--samples", "3"]) == 0
-    assert capsys.readouterr().out == exhaustive
-    assert "path: oracle: exhaustive pair scan" in exhaustive
+@pytest.mark.parametrize("option", [["--samples", "3"], ["--seed", "5"]])
+def test_oracle_refuses_samples_and_seed(fixture_file, capsys, option):
+    # the oracle is exact over every field, so it has no sampling knobs
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", fixture_file("remark-repaired"), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
 
 
-def test_oracle_seed_help_and_finite_fields(fixture_file, capsys):
-    assert ("--seed SEED seed of the --samples draw over Q; ignored over finite "
-            "fields" in _help(capsys, "oracle"))
-    path = fixture_file("dim3-f2-type3")
-    assert main(["oracle", path]) == 0
-    exhaustive = capsys.readouterr().out
-    assert main(["oracle", path, "--seed", "5"]) == 0
-    assert capsys.readouterr().out == exhaustive
+def test_oracle_over_q_is_exact(fixture_file, tmp_path, capsys):
+    # remark-repaired is length one: all 4^2 pairs of its basis lines pass
+    assert main(["oracle", fixture_file("remark-repaired")]) == 0
+    out = capsys.readouterr().out
+    assert "path: oracle: basis-line pair scan\n" in out
+    assert out.endswith("pairs checked: 16\n") and "flag:" not in out
+    assert main(["oracle", "--json", fixture_file("remark-literal")]) == 1
+    report = capsys.readouterr().out
+    data = json.loads(report)
+    assert data["path"] == ["oracle: basis-line pair scan"]
+    assert data["flags"] == []
+    assert data["certificate"]["condition"] == "oracle-pair"
+    rp = tmp_path / "oracle.json"
+    rp.write_text(report)
+    assert main(["verify-cert", str(rp)]) == 0
 
 
 @pytest.mark.parametrize("edit, where", [

@@ -29,11 +29,7 @@ from lenalg import (
 from lenalg import decide as decide_module
 from lenalg.algebra import complete_to_basis_with_one
 from lenalg.decide import SpecialBasisWitness, ViolationWitness
-from lenalg.errors import (
-    BudgetExceeded,
-    CharacteristicTwo,
-    InfiniteFieldExhaustiveUnsupported,
-)
+from lenalg.errors import BudgetExceeded, CharacteristicTwo
 from lenalg.linalg import BasisChange, identity_matrix, random_invertible, unit_vec
 
 from tests.corpus import random_unital_algebra, random_two_dim_unital, random_vector
@@ -301,12 +297,11 @@ def test_oracle_budget_and_infinite_field():
     A = make_matrix_algebra(make_field("F2"), 2)
     with pytest.raises(BudgetExceeded):
         oracle_length_one(A, budget=10)
+    # over Q the basis lines decide exactly: M_2(Q) is not length one
     M2Q = make_matrix_algebra(Q, 2)
-    with pytest.raises(InfiniteFieldExhaustiveUnsupported):
-        oracle_length_one(M2Q)
-    res = oracle_length_one(M2Q, samples=200, seed=1)
-    assert res.sampled
-    assert res.is_length_one is False  # sampling finds a violation in M_2(Q)
+    res = oracle_length_one(M2Q)
+    assert res.is_length_one is False
+    assert res.witness.condition == "oracle-pair"
     assert verify_violation(M2Q, res.witness)
 
 
@@ -364,8 +359,8 @@ def test_oracle_budget_counts_each_phase():
     assert oracle_length_one(Y, budget=169).pairs_checked == 169
     with pytest.raises(BudgetExceeded):
         oracle_length_one(Y, budget=168)
-    # GF4 dim 6: 341^2 = 116,281 sweep pairs fit the default budget of 10^7,
-    # the 4^12 pairs of the witness re-scan do not
+    # GF4 dim 6: 341^2 = 116,281 sweep pairs and the 4^6 raw vectors of
+    # the witness re-scan both fit the default budget of 10^7
     GF4 = make_field("GF4")
     A = generate_length_one(GF4, 6, 0, "type-i")
     table = [[list(cell) for cell in row] for row in A.table]
@@ -376,14 +371,19 @@ def test_oracle_budget_counts_each_phase():
     assert res.is_length_one is False
     assert res.pairs_checked <= 341 ** 2
     assert decide_length_one(M).value is False
-    with pytest.raises(BudgetExceeded, match="re-scan"):
-        oracle_length_one(M)
-    # over Q the samples are the work: 20,000 of them do not fit a budget of
-    # 10, and are refused before the first one is drawn
+    w = oracle_length_one(M).witness
+    assert w.condition == "oracle-pair" and verify_violation(M, w)
+    # remark-literal over F5: the 6^2 = 36 sweep pairs fit a budget of 100,
+    # the 5^3 raw vectors of the witness re-scan do not
+    L5 = make_fixture("remark-literal", field=F5)
+    assert oracle_length_one(L5, budget=100, witness=False).pairs_checked <= 36
+    with pytest.raises(BudgetExceeded, match=r"re-scan of 5\^3 raw vectors"):
+        oracle_length_one(L5, budget=100)
+    # over Q the sweep is |T|^2 = 16 pairs of the dim-3 basis lines
     R = make_fixture("remark-repaired")
-    with pytest.raises(BudgetExceeded, match="sampled"):
-        oracle_length_one(R, samples=20000, budget=10)
-    assert oracle_length_one(R, samples=10, budget=10).pairs_checked == 10
+    with pytest.raises(BudgetExceeded, match="16 pair checks"):
+        oracle_length_one(R, budget=15)
+    assert oracle_length_one(R, budget=16).pairs_checked == 16
 
 
 def test_an_identity_coordinate_divisible_by_p_is_zero():
