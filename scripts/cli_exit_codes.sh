@@ -8,12 +8,13 @@
 #
 # The exhaustive pair oracle runs the same way: `oracle` exits 0 on the
 # fixture dim3-f2-type3 and 1 on remark-literal made over F5, and
-# `verify-cert` of the latter's `oracle --json` report exits 0.  The text
+# `verify-cert` of each one's `oracle --json` report exits 0 (a "yes" has no
+# certificate, so `verify-cert` runs the oracle again).  The text
 # report on remark-literal over F5 must print `pairs checked: 614`: the
 # position of the first violating pair, found through the line sweep, its
 # partner scan and the witness re-scan.  Over Q the oracle scans basis
 # lines and is exact too: it exits 0 on remark-repaired and 1 on
-# remark-literal, and `verify-cert` of the latter's `oracle --json` report
+# remark-literal, and `verify-cert` of each one's `oracle --json` report
 # exits 0.
 #
 # The characteristic-2 decider runs the same way: on the fixture
@@ -33,7 +34,7 @@
 # counterexample `associative: fails  (triple at indices [1, 1, 2])`.  Its
 # `--json` report proves power-associativity by the length-one certificate
 # (`"kind": "length-one"`), while on M_2(F2), which is not length one, the
-# sweep tests all 16 vectors (`"tested": 16`).
+# sweep tests one vector per line of A/F*1, 7 of its 16 (`"tested": 7`).
 #
 # The word-span commands run the same way on M_2(F2) from `make matrix`:
 # `length` prints `l(A) = 2`, and `length-set --set "e2;e3" --json` and
@@ -90,6 +91,8 @@ fi
 
 run 0 make fixture --name dim3-f2-type3 -o "$dir/type3.json"
 run 0 oracle "$dir/type3.json"
+run 0 oracle --json "$dir/type3.json" > "$dir/type3.oracle.json"
+run 0 verify-cert "$dir/type3.oracle.json"
 run 0 make fixture --name remark-literal --field F5 -o "$dir/literal-f5.json"
 run 1 oracle --json "$dir/literal-f5.json" > "$dir/literal-f5.oracle.json"
 run 0 verify-cert "$dir/literal-f5.oracle.json"
@@ -100,6 +103,8 @@ if ! grep -qx "pairs checked: 614" "$dir/literal-f5.oracle.txt"; then
 fi
 
 run 0 oracle "$dir/remark-repaired.json" > /dev/null
+run 0 oracle --json "$dir/remark-repaired.json" > "$dir/repaired.oracle.json"
+run 0 verify-cert "$dir/repaired.oracle.json"
 run 1 oracle "$dir/remark-literal.json" > /dev/null
 run 1 oracle --json "$dir/remark-literal.json" > "$dir/literal.oracle.json"
 run 0 verify-cert "$dir/literal.oracle.json"
@@ -146,8 +151,8 @@ fi
 
 run 0 make matrix --field F2 --n 2 -o "$dir/m2.json"
 run 0 identities --json "$dir/m2.json" > "$dir/m2.identities.json"
-if ! grep -qF '"tested": 16' "$dir/m2.identities.json"; then
-    echo "FAIL: lenalg identities --json on m2.json did not report '"tested": 16'" >&2
+if ! grep -qF '"tested": 7' "$dir/m2.identities.json"; then
+    echo "FAIL: lenalg identities --json on m2.json did not report '"tested": 7'" >&2
     status=1
 fi
 run 0 length "$dir/m2.json" > "$dir/m2.length.txt"

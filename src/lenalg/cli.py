@@ -374,10 +374,10 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--degree", type=_at_least(3), default=6,
                    help="power-associativity degree bound (default 6)")
-    common(p, "power-associativity sweep cap: every vector is tested when "
-               "q^dim <= BUDGET (default 4096; LENALG_BUDGET is not read), "
-               "100 seeded samples otherwise; no sweep runs when the algebra "
-               "is certified length one")
+    common(p, "power-associativity sweep cap: one vector per line of A/F*1 "
+               "is tested when q^dim <= BUDGET (default 4096; LENALG_BUDGET is "
+               "not read), 100 seeded samples otherwise; no sweep runs when "
+               "the algebra is certified length one")
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("make", help="emit an algebra document")

@@ -4,9 +4,9 @@ The decision procedure never trusts itself: every "yes" carries a basis
 witness, checked by rebuilding the table its parameters claim and comparing
 it literally with A's table in the witness basis, and every "no" carries a
 concrete pair (a, b) with a*b outside span{1, a, b}, re-checked by one
-membership test before the verdict is returned.  A pair oracle (every
-projective line over a finite field, C(n, 2) + 1 basis lines over Q) provides
-a fully independent second route used by the test suite.
+membership test before the verdict is returned.  A pair oracle (every line
+of A/F*1 over a finite field, the `_quotient_lines`; C(n, 2) + 1 basis lines
+over Q) provides a fully independent second route used by the test suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
 itself.  Each stage writes its basis in A's coordinates, so every table the
@@ -721,11 +721,14 @@ def _report(A, outcome, path, flags):
 # pair oracle
 # ---------------------------------------------------------------------------
 
-def _projective_reps(field, m):
-    """One representative per line of F_q^m: first nonzero entry is 1, lex order."""
-    elems = list(field.elements())
-    return [(field.zero,) * pos + (field.one,) + tail for pos in range(m)
-            for tail in itertools.product(elems, repeat=m - pos - 1)]
+def _quotient_lines(A):
+    """One vector per line of A/F*1 over F_q, lex order: zero at L, the
+    pivot of `A.identity_row`, and one at its first nonzero entry."""
+    field, m, last = A.field, A.dim - 1, A.identity_row[0]
+    elems, zero = list(field.elements()), (field.zero,)
+    reps = (zero * pos + (field.one,) + tail for pos in range(m)
+            for tail in itertools.product(elems, repeat=m - pos - 1))
+    return [x[:last] + zero + x[last:] for x in reps]
 
 
 def _pair_ok(A, u, v):
@@ -811,7 +814,7 @@ def oracle_length_one(A, *, budget=None, witness=True):
     multiple of the identity and under scaling either argument, so the
     sweep runs over lines of the quotient by F*1, in A's own coordinates:
     vectors with a zero at L, the pivot of `A.identity_row`.  Over a finite
-    field these are all projective representatives (an exactly equivalent
+    field they are every line, the `_quotient_lines` (an exactly equivalent
     reformulation), over Q the `_basis_lines`, which decide length one by
     the proof in their docstring.  By linearity the sweep tests each left
     factor u once for all its partners (`_line_ok`, n - 1 products).  On a
@@ -824,17 +827,16 @@ def oracle_length_one(A, *, budget=None, witness=True):
     """
     field, n = A.field, A.dim
     budget = resolve_budget(budget)
-    last, zero = A.identity_row[0], (field.zero,)
     if field.is_finite():
         q = field.order()
         lines = (q ** (n - 1) - 1) // (q - 1)
     else:
-        reps = _basis_lines(field, n, last)
+        reps = _basis_lines(field, n, A.identity_row[0])
         lines = len(reps)
     if lines ** 2 > budget:
         raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
     if field.is_finite():
-        reps = [x[:last] + zero + x[last:] for x in _projective_reps(field, n - 1)]
+        reps = _quotient_lines(A)
     i, u = _first_violation(reps, lambda u: not _line_ok(A, u))
     if u is None:
         return OracleResult(True, None, lines ** 2)

@@ -29,6 +29,7 @@ from .decide import (
     CharTwoWitness,
     SpecialBasisWitness,
     ViolationWitness,
+    oracle_length_one,
     verify_certificate,
 )
 from .errors import (
@@ -357,13 +358,15 @@ def render_report(report, A):
 def verify_report_dict(data, budget=None):
     """Re-verify the certificate embedded in a report (JSON text or dict).
 
-    Decision certificates re-verify directly; length certificates re-verify
-    by recomputing the reported quantity from the recorded set, and an
-    algebra length by an enumeration capped by `budget`.  A report that is
-    not a JSON object with a known `kind`, a boolean `verdict` (decision
-    reports) or a non-negative integer `value` (length reports) and an
-    embedded algebra document, or whose certificate is malformed, raises
-    SchemaError; errors inside the document carry the `algebra.` prefix.
+    Decision certificates re-verify directly, and a "yes" without one (the
+    oracle's report) by running the oracle again under `budget`; length
+    certificates re-verify by recomputing the reported quantity from the
+    recorded set, and an algebra length by an enumeration capped by
+    `budget`.  A report that is not a JSON object with a known `kind`, a
+    boolean `verdict` (decision reports) or a non-negative integer `value`
+    (length reports) and an embedded algebra document, or whose certificate
+    is malformed, raises SchemaError; errors inside the document carry the
+    `algebra.` prefix.
     """
     data = _load_object(data, "report")
     kind = data.get("kind")
@@ -391,6 +394,8 @@ def verify_report_dict(data, budget=None):
             return False
         if not verdict and not isinstance(cert, ViolationWitness):
             return False
+        if cert is None:
+            return oracle_length_one(A, budget=budget, witness=False).is_length_one
         return verify_certificate(A, cert)
     if not isinstance(cert, dict) or any(len(v) != A.dim for v in cert["vectors"]):
         return False

@@ -28,7 +28,9 @@ defect) cases in sweep order, and `_scan` reports the first case whose
 defect is nonzero (the oracle's `_first_violation`), so no product past the
 first failure is computed.  Counterexamples re-evaluate: each records the
 expression that was computed and the nonzero defect vector, so a failed
-verdict can be re-checked by one more evaluation.
+verdict can be re-checked by one more evaluation.  The exhaustive
+power-associativity sweep tests one x per line of A/F*1, the oracle's
+`_quotient_lines`.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decide import ViolationWitness, _first_violation, verify_certificate
+from .decide import ViolationWitness, _first_violation, _quotient_lines, verify_certificate
 from .errors import CharacteristicTwo
-from .linalg import _echelon_extend, vec_add, vec_is_zero, vec_sub
+from .linalg import vec_add, vec_is_zero, vec_sub
 
 
 @dataclass
@@ -176,21 +178,16 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     Otherwise the x loop is exhaustive over finite fields when q^dim is at
     most the budget (default 4096), and runs over 100 seeded random samples
     otherwise; over Q sampling is the only mode, so a holds-verdict there
-    is evidence, not proof.  The exhaustive loop tests one x per class of
-    x ~ c*x + d*1 (c != 0), because the first ambiguous degree is the same
-    for the whole class: a bracketing T of (x + d*1)^k expands, 1 being the
-    identity, into T(x) plus d^j times bracketings of x^(k-j), j >= 1, and
-    once every bracketing agrees below degree k those terms do not depend
-    on T; and T(c*x) = c^k T(x).  The key of a class is x - (x_L/1_L)*1,
-    its residue against `A.identity_row` = (L, 1/1_L * 1), scaled to a
-    leading one; one key per class, since the class's vectors with a zero
-    at L are the multiples of it.  A class whose first x passed lets every
-    later x of it pass without a product, and x in F*1 passes.
-    A tested x is x itself, not a representative, so the first failing x,
-    its values and its defect are those of the sweep over every x.  An
-    exhaustive sweep thus runs the powers of at most (q^(dim-1) - 1)/(q - 1)
-    elements instead of q^dim.  Random x are tested one by one with no
-    key, since their classes almost never repeat.
+    is evidence, not proof.  The exhaustive loop tests one x per line of
+    A/F*1, the `_quotient_lines` of A, because the first ambiguous degree is
+    the same for the whole class x ~ c*x + d*1 (c != 0): a bracketing T of
+    (x + d*1)^k expands, 1 being the identity, into T(x) plus d^j times
+    bracketings of x^(k-j), j >= 1, and once every bracketing agrees below
+    degree k those terms do not depend on T; and T(c*x) = c^k T(x).  Each
+    class off F*1 holds exactly one line representative, and x in F*1
+    passes.  So an exhaustive sweep runs the powers of
+    (q^(dim-1) - 1)/(q - 1) elements instead of q^dim, `tested` counts
+    them, and a failing x is the first failing representative.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
@@ -203,20 +200,7 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     exhaustive = field.is_finite() and field.order() ** n <= (
         4096 if budget is None else budget)
     if exhaustive:
-        xs = itertools.product(field.elements(), repeat=n)
-        passed = set()
-
-        def ambiguity(x):
-            rows = _echelon_extend(field, [A.identity_row], [x], n)
-            if len(rows) == 1:  # x in F*1
-                return None
-            key = tuple(rows[1][1])
-            if key in passed:
-                return None
-            found = _first_ambiguity(A, x, d)
-            if found is None:
-                passed.add(key)
-            return found
+        xs = _quotient_lines(A)
     else:
         rng = random.Random("powerassoc|0")
         if field.is_finite():
@@ -225,9 +209,8 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
         else:
             draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         xs = (tuple(draw() for _ in range(n)) for _ in range(100))
-        ambiguity = lambda x: _first_ambiguity(A, x, d)
 
-    tested, bad = _first_violation(((x, ambiguity(x)) for x in xs),
+    tested, bad = _first_violation(((x, _first_ambiguity(A, x, d)) for x in xs),
                                    lambda case: case[1] is not None)
     if bad is None:
         return IdentityVerdict(

@@ -6,10 +6,10 @@ otherwise zero, pivot columns strictly increasing, no zero rows), which is a
 canonical form: equal subspaces have identical `rows`, so subspace equality
 is raw tuple comparison and every reported witness is deterministic.
 The one row operation, v minus v[pivot] * row, lives on the field as
-`Field.eliminate`, next to its product kernel; `rref`, `Subspace.reduce`
-and `_echelon_extend` all reduce through it.  `_echelon_extend` is the one
-echelon routine that builds no `Subspace`: it serves `in_span` (the pair
-test), `length`'s word spans and the power-associativity class keys.
+`Field.eliminate`, next to its product kernel; `Subspace.reduce` and
+`_echelon_extend` reduce through it.  `_echelon_extend` is the one echelon
+routine: `rref` sorts its rows by pivot and back-reduces them, and it
+serves `in_span` (the pair test) and `length`'s word spans directly.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -76,37 +76,15 @@ def in_span(field, w, vectors):
 
 
 def rref(field, rows):
-    """Canonical reduced row echelon form of the given spanning rows."""
-    work = [list(r) for r in rows]
-    zero, one = field.zero, field.one
-    ncols = len(work[0]) if work else 0
-    out = []
-    pivot_cols = []
-    col = 0
-    r = 0
-    while r < len(work) and col < ncols:
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        if work[r][col] != one:
-            inv_p = field.inv(work[r][col])
-            work[r] = [field.mul(inv_p, a) for a in work[r]]
-        against = ((col, work[r]),)
-        for i in range(len(work)):
-            if i != r and work[i][col] != zero:
-                work[i] = field.eliminate(work[i], against)
-        pivot_cols.append(col)
-        r += 1
-        col += 1
-    for i in range(r):
-        out.append(tuple(work[i]))
-    return tuple(out), tuple(pivot_cols)
+    """Canonical reduced row echelon form of the given spanning rows: the
+    `_echelon_extend` rows sorted by pivot, each then reduced against the
+    rows after it (each zero before its pivot, so every pivot ends zero)."""
+    rows = list(rows)
+    echelon = sorted(_echelon_extend(field, [], rows, len(rows[0]) if rows else 0),
+                     key=lambda pivot_row: pivot_row[0])
+    return (tuple(tuple(field.eliminate(row, echelon[i + 1:]))
+                  for i, (_, row) in enumerate(echelon)),
+            tuple(pivot for pivot, _ in echelon))
 
 
 @dataclass(frozen=True)

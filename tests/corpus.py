@@ -274,16 +274,25 @@ def reference_power_associative(A, d, *, budget=None):
                     else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                     for _ in range(n)) for _ in range(100)]
     for x in xs:
-        powers = {1: {x}}
-        for k in range(2, d + 1):
-            powers[k] = {A.mul(u, v) for p in range(1, k)
-                         for u in powers[p] for v in powers[k - p]}
-            if len(powers[k]) > 1:
-                two = sorted(powers[k])[:2]
-                return False, {"kind": "power", "x": x, "degree": k, "values": two,
-                               "exhaustive": exhaustive}, vec_sub(field, *two)
+        found = reference_ambiguity(A, x, d)
+        if found is not None:
+            k, two = found
+            return False, {"kind": "power", "x": x, "degree": k, "values": two,
+                           "exhaustive": exhaustive}, vec_sub(field, *two)
     return True, {"kind": "scope", "exhaustive": exhaustive, "tested": len(xs),
                   "max_degree": d}, None
+
+
+def reference_ambiguity(A, x, d):
+    """(k, the two smallest values) at the first k <= d where the
+    bracketings of x^k disagree, every power computed anew, or None."""
+    powers = {1: {x}}
+    for k in range(2, d + 1):
+        powers[k] = {A.mul(u, v) for p in range(1, k)
+                     for u in powers[p] for v in powers[k - p]}
+        if len(powers[k]) > 1:
+            return k, sorted(powers[k])[:2]
+    return None
 
 
 FIELD_NAMES_SMALL = ("F2", "F3", "F5", "GF4")

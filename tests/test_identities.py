@@ -30,6 +30,7 @@ from lenalg import (
     unital_hull,
 )
 from lenalg import identities
+from lenalg.decide import _quotient_lines
 from lenalg.errors import CharacteristicTwo, ModeCharacteristicMismatch
 from lenalg.generate import MODES
 from lenalg.identities import _first_ambiguity
@@ -41,6 +42,7 @@ from tests.corpus import (
     random_scalar,
     random_unital_algebra,
     random_vector,
+    reference_ambiguity,
     reference_power_associative,
 )
 
@@ -108,10 +110,10 @@ def test_jordan_refuses_char2():
 
 def test_power_associative_on_associative_table():
     M2 = make_matrix_algebra(F3, 2)
-    verdict = is_power_associative_upto(M2, 6)
+    verdict = _assert_power_sweep(M2, 6)
     assert verdict.holds
     assert verdict.counterexample["exhaustive"] is True
-    assert verdict.counterexample["tested"] == 81  # all of F3^4
+    assert verdict.counterexample["tested"] == 13  # the lines of F3^4 / F3*1
 
 
 def _degree_four_algebra(field):
@@ -381,11 +383,36 @@ def test_power_scope_of_a_sampled_sweep():
 # power-associativity: one test per class x ~ c x + d 1, and by certificate
 # ---------------------------------------------------------------------------
 
+def _assert_power_sweep(A, d, budget=None):
+    """The sweep's verdict, which must be the raw-x reference's.  A sampled
+    report is the reference's; an exhaustive sweep tests the lines of A/F*1
+    in `_quotient_lines` order, so `tested` counts them and a failing x is
+    the first line whose powers, computed anew, turn ambiguous."""
+    verdict = is_power_associative_upto(A, d, budget=budget)
+    holds, ce, defect = reference_power_associative(A, d, budget=budget)
+    assert verdict.holds == holds
+    if not ce["exhaustive"]:
+        assert (verdict.counterexample, verdict.defect) == (ce, defect)
+        return verdict
+    lines = _quotient_lines(A)
+    for x in lines:
+        found = reference_ambiguity(A, x, d)
+        if found is not None:
+            k, two = found
+            assert verdict.counterexample == {"kind": "power", "x": x, "degree": k,
+                                              "values": two, "exhaustive": True}
+            assert verdict.defect == vec_sub(A.field, *two)
+            return verdict
+    assert verdict.counterexample == dict(ce, tested=len(lines))
+    return verdict
+
+
 def _late_power_failure(field):
     """Basis g, g^2, g^3, g^4, 1 with g^2 g^2 = g^4 but g^3 g = 0: x^4 is
     ambiguous once x has a g-coordinate, and every x without one lies in a
-    power-associative subalgebra, so a sweep first fails at (c, 0, 0, 0, 0),
-    c the first nonzero scalar, past q^4 of its q^5 vectors."""
+    power-associative subalgebra, so a sweep over every x first fails at
+    (c, 0, 0, 0, 0), c the first nonzero scalar, past q^4 of its q^5
+    vectors, and the line sweep at its first line, (1, 0, 0, 0, 0)."""
     n, zero = 5, (field.zero,) * 5
     table = [[zero] * n for _ in range(n)]
     for i in range(n):
@@ -432,44 +459,37 @@ def test_power_class_sweep_matches_the_reference(name, dims, monkeypatch):
     for A in [*_power_corpus(field, dims), late]:
         for d in (4, 6):
             calls.clear()
-            verdict = is_power_associative_upto(A, d)
-            expected = reference_power_associative(A, d)
-            assert (verdict.holds, verdict.counterexample, verdict.defect) == expected
+            verdict = _assert_power_sweep(A, d)
             if verdict.holds and verdict.counterexample["exhaustive"]:
-                assert len(calls) <= 1 + (q ** (A.dim - 1) - 1) // (q - 1)
+                assert len(calls) == (q ** (A.dim - 1) - 1) // (q - 1)
     ce = is_power_associative_upto(late, 6).counterexample
-    if ce["exhaustive"]:  # fails in the middle of the sweep
-        c = next(c for c in field.elements() if c != field.zero)
-        assert ce["x"] == (c,) + (field.zero,) * 4
+    if ce["exhaustive"]:
+        assert ce["x"] == (field.one,) + (field.zero,) * 4
 
 
 def test_power_budget_and_sampling_match_the_reference():
     F2 = make_field("F2")
     for A in (_late_power_failure(F2), make_matrix_algebra(F2, 2)):
         for budget in (5, 16, 32):
-            verdict = is_power_associative_upto(A, 6, budget=budget)
-            assert (verdict.holds, verdict.counterexample, verdict.defect) == (
-                reference_power_associative(A, 6, budget=budget))
+            _assert_power_sweep(A, 6, budget=budget)
 
 
 def test_sampled_power_sweep_builds_no_class_key(monkeypatch):
-    # a class key is one elimination against the identity's row; only an
-    # exhaustive sweep, where classes repeat, builds one
+    # the class keys are the `_quotient_lines`; only an exhaustive sweep,
+    # where classes repeat, lists them
     keys = []
-    extend = identities._echelon_extend
-    monkeypatch.setattr(identities, "_echelon_extend",
-                        lambda *a: keys.append(1) or extend(*a))
+    lines = identities._quotient_lines
+    monkeypatch.setattr(identities, "_quotient_lines",
+                        lambda *a: keys.append(1) or lines(*a))
     Q, GF9, F7 = (make_field(name) for name in ("Q", "GF9", "F7"))
     sampled = [random_unital_algebra(Q, 4, 0), make_matrix_algebra(Q, 2),
                _late_power_failure(Q), make_matrix_algebra(GF9, 2),
                random_unital_algebra(F7, 5, 0), _late_power_failure(F7)]
     for A in sampled:
         keys.clear()
-        verdict = is_power_associative_upto(A, 6)
+        verdict = _assert_power_sweep(A, 6)
         assert not verdict.counterexample["exhaustive"]
         assert keys == []
-        assert (verdict.holds, verdict.counterexample, verdict.defect) == (
-            reference_power_associative(A, 6))
     is_power_associative_upto(make_matrix_algebra(make_field("F2"), 2), 6)
     assert keys
 

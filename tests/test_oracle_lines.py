@@ -4,8 +4,9 @@ is bounded by lines, not pairs.
 `_line_ok(A, u)` claims that u*v lies in span{1, u, v} for every v exactly
 when u^2 lies in span{1, u} and v -> u*v mod span{1, u} is a scalar map on
 A/span{1, u}.  The claim is checked against `_pair_ok` over every partner,
-for every projective line u of each table, on A itself (representatives with
-a zero at the pivot of `A.identity_row`): yes-instances of every generator
+for every line u of A/F*1, the `_quotient_lines` of A (checked against the
+classes x ~ c*x + d*1 of every vector, one representative each, at every
+pivot of the identity): yes-instances of every generator
 mode, near-misses built as the benchmark builds them (one product of the
 un-hidden table bumped, then hidden), every one-constant mutation at dim 3
 over F2 and F3, and random unital tables over F2, F3, F5, GF4, GF8 and GF9 at
@@ -19,6 +20,7 @@ every position, with 1_L != 1, verdict, `pairs_checked` and witness equal
 the reference's.
 """
 
+import itertools
 import random
 
 import pytest
@@ -26,7 +28,7 @@ import pytest
 from lenalg import algebra, change_basis, generate_length_one, make_field, oracle_length_one
 from lenalg import decide
 from lenalg.algebra import Algebra, complete_to_basis_with_one
-from lenalg.decide import _line_ok, _pair_ok, _projective_reps
+from lenalg.decide import _line_ok, _pair_ok, _quotient_lines
 from lenalg.errors import ModeCharacteristicMismatch
 from lenalg.generate import MODES
 from lenalg.linalg import random_invertible
@@ -72,16 +74,9 @@ def _near_miss(A, seed):
     return _hidden(M, seed)
 
 
-def _lines(A):
-    """The oracle's line representatives: those of F^(n-1), a zero inserted
-    at the pivot of the identity's row."""
-    last, zero = A.identity_row[0], (A.field.zero,)
-    return [x[:last] + zero + x[last:] for x in _projective_reps(A.field, A.dim - 1)]
-
-
 def _check_lines(A):
     """Assert the line test on every line of A; return the set of verdicts."""
-    reps = _lines(A)
+    reps = _quotient_lines(A)
     verdicts = set()
     for u in reps:
         ok = _line_ok(A, u)
@@ -201,3 +196,22 @@ def test_oracle_matches_the_reference_at_every_identity_pivot(name, dims):
                     A = with_identity(H, one, rng)
                     assert A.one == one and A.identity_row[0] == last
                     assert oracle_length_one(A) == reference_oracle(A), (mode, last)
+
+
+@pytest.mark.parametrize("name, dim", [("F2", 4), ("F3", 3), ("GF4", 3), ("F5", 2)])
+def test_quotient_lines_hold_one_vector_per_class(name, dim):
+    # every class {c*x + d*1 : c != 0} off F*1 meets the list exactly once,
+    # at every pivot L of the identity
+    F = make_field(name)
+    rng = random.Random(f"quotient-lines|{name}")
+    T = random_unital_algebra(F, dim, 0)
+    H = change_basis(T, complete_to_basis_with_one(T))
+    for one in identities_short_of_the_end(F, dim, rng):
+        A = with_identity(H, one, rng)
+        reps = _quotient_lines(A)
+        assert len(reps) == _line_count(F, dim)
+        scalars = list(F.elements())
+        for x in itertools.product(scalars, repeat=dim):
+            cls = {tuple(F.add(F.mul(c, a), F.mul(d, b)) for a, b in zip(x, A.one))
+                   for c in scalars if c != F.zero for d in scalars}
+            assert sum(r in cls for r in reps) == (A.one not in cls), x
