@@ -35,6 +35,10 @@
 # `--json` report proves power-associativity by the length-one certificate
 # (`"kind": "length-one"`), while on M_2(F2), which is not length one, the
 # sweep tests one vector per line of A/F*1, 7 of its 16 (`"tested": 7`).
+# Over Q the sweep tests a grid of C(dim-2+d, d) points: on M_2(Q) from
+# `make matrix`, `identities --json` reports `"tested": 28` and no
+# `"exhaustive"` key, since every verdict is a proof, and `--budget 419`
+# exits 2, below the 28 * 15 = 420 products charged at degree 6.
 #
 # The word-span commands run the same way on M_2(F2) from `make matrix`:
 # `length` prints `l(A) = 2`, and `length-set --set "e2;e3" --json` and
@@ -43,11 +47,12 @@
 # `length --json` exits 0 with `"value": 2`, and `verify-cert` of that
 # report, which enumerates the subspaces again, exits 0.
 #
-# Five malformed calls must exit 2: `check` on a document over "F4" (4 is
+# Six malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), `oracle --budget 10` on remark-repaired, whose 4 basis lines
 # make 16 pairs, `oracle --samples 5`, since the oracle does not sample,
-# `check --budget 5`, since `check` takes no budget, and `length-set --set e9`
-# on the four-dimensional M_2(F2).
+# `check --budget 5`, since `check` takes no budget, `length-set --set e9`
+# on the four-dimensional M_2(F2), and `oracle` on dim3-f2-type3 with
+# LENALG_BUDGET=abc, whose error names LENALG_BUDGET.
 #
 # Usage: sh scripts/cli_exit_codes.sh
 # It runs the `lenalg` on PATH, or, when there is none, `python3 -m lenalg`
@@ -62,6 +67,7 @@ fi
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 status=0
+exec 3>&2  # the script's own stderr, for failures of calls whose stderr is redirected
 
 run() {  # run EXPECTED_EXIT ARG...: one lenalg call
     want=$1
@@ -69,7 +75,7 @@ run() {  # run EXPECTED_EXIT ARG...: one lenalg call
     lenalg "$@"
     got=$?
     if [ "$got" -ne "$want" ]; then
-        echo "FAIL: lenalg $* exited $got, expected $want" >&2
+        echo "FAIL: lenalg $* exited $got, expected $want" >&3
         status=1
     fi
 }
@@ -155,6 +161,18 @@ if ! grep -qF '"tested": 7' "$dir/m2.identities.json"; then
     echo "FAIL: lenalg identities --json on m2.json did not report '"tested": 7'" >&2
     status=1
 fi
+if grep -qF '"exhaustive"' "$dir/m2.identities.json"; then
+    echo "FAIL: lenalg identities --json on m2.json reported an \"exhaustive\" key" >&2
+    status=1
+fi
+run 0 make matrix --field Q --n 2 -o "$dir/m2q.json"
+run 0 identities --json "$dir/m2q.json" > "$dir/m2q.identities.json"
+if ! grep -qF '"tested": 28' "$dir/m2q.identities.json" \
+        || grep -qF '"exhaustive"' "$dir/m2q.identities.json"; then
+    echo "FAIL: lenalg identities --json on m2q.json did not report '"tested": 28' without \"exhaustive\"" >&2
+    status=1
+fi
+run 2 identities --budget 419 "$dir/m2q.json" 2> /dev/null
 run 0 length "$dir/m2.json" > "$dir/m2.length.txt"
 if ! grep -qx "l(A) = 2" "$dir/m2.length.txt"; then
     echo "FAIL: lenalg length on m2.json did not print 'l(A) = 2'" >&2
@@ -177,4 +195,11 @@ run 2 oracle --budget 10 "$dir/remark-repaired.json"
 run 2 oracle "$dir/remark-repaired.json" --samples 5
 run 2 check "$dir/remark-repaired.json" --budget 5
 run 2 length-set --set e9 "$dir/m2.json"
+export LENALG_BUDGET=abc
+run 2 oracle "$dir/type3.json" 2> "$dir/budget.err"
+unset LENALG_BUDGET
+if ! grep -qF "LENALG_BUDGET" "$dir/budget.err"; then
+    echo "FAIL: lenalg oracle with LENALG_BUDGET=abc did not name LENALG_BUDGET" >&2
+    status=1
+fi
 exit $status

@@ -6,8 +6,8 @@ returns 0/1 for valid/invalid certificates; everything else returns 0 on
 success and 2 on error.  `--json` switches every command but `make`, whose
 documents are already JSON, to machine-readable reports.
 
-`--budget` caps the enumerations of `oracle`, `length` and `verify-cert`
-(default LENALG_BUDGET or 10^7) and the power sweep of `identities`.
+`--budget` caps the enumerations of `oracle`, `length` and `verify-cert` and
+the power sweep of `identities` (default LENALG_BUDGET or 10^7).
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
         if budget_help is not None:
-            p.add_argument("--budget", type=int, default=None, help=budget_help)
+            p.add_argument("--budget", type=_at_least(0), default=None, help=budget_help)
 
     enumeration = "enumeration work cap (default: LENALG_BUDGET or 10^7)"
 
@@ -374,10 +374,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--degree", type=_at_least(3), default=6,
                    help="power-associativity degree bound (default 6)")
-    common(p, "power-associativity sweep cap: one vector per line of A/F*1 "
-               "is tested when q^dim <= BUDGET (default 4096; LENALG_BUDGET is "
-               "not read), 100 seeded samples otherwise; no sweep runs when "
-               "the algebra is certified length one")
+    common(p, enumeration)
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("make", help="emit an algebra document")

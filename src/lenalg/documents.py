@@ -151,7 +151,7 @@ def parse_document(source):
         raise SchemaError("$", f"unknown keys: {sorted(unknown)}")
     field = field_from_json(data.get("field"), "field")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError("dim", "dim must be a positive integer")
     table_obj = data.get("table")
     if not isinstance(table_obj, list) or len(table_obj) != dim:

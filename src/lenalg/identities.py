@@ -28,21 +28,21 @@ defect) cases in sweep order, and `_scan` reports the first case whose
 defect is nonzero (the oracle's `_first_violation`), so no product past the
 first failure is computed.  Counterexamples re-evaluate: each records the
 expression that was computed and the nonzero defect vector, so a failed
-verdict can be re-checked by one more evaluation.  The exhaustive
-power-associativity sweep tests one x per line of A/F*1, the oracle's
-`_quotient_lines`.
+verdict can be re-checked by one more evaluation.  Power-associativity is
+decided exactly too, on the oracle's `_quotient_lines` of A/F*1 or on a
+`_chart_grid`, whichever the field allows and is smaller.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decide import ViolationWitness, _first_violation, _quotient_lines, verify_certificate
-from .errors import CharacteristicTwo
+from .errors import BudgetExceeded, CharacteristicTwo
+from .length import resolve_budget
 from .linalg import vec_add, vec_is_zero, vec_sub
 
 
@@ -163,8 +163,35 @@ def _first_ambiguity(A, x, d):
     return None
 
 
+def _chart_grid(A, d):
+    """C(n-2+d, d) points: zero at L, the pivot of `A.identity_row`, and
+    (1, t_a2, ..., t_a(n-1)) with a2 + ... + a(n-1) <= d at the other
+    coordinates, the nodes t_0 = 0, t_1, ..., t_d being the first d + 1
+    field elements in payload order (0, ..., d over Q).
+
+    Why they decide the law up to degree d.  Let H be the vectors zero at
+    L, y_1 its first coordinate and z the others.  For k <= d the
+    difference D of two bracketings of x^k is a form of degree k on H.
+    When every point passes, D(1, z), of degree <= d, vanishes on the lower
+    set, which is unisolvent for degree <= d: at z_1 = t_0 the polynomial
+    vanishes by induction, so z_1 - t_0 divides it, and the quotient has
+    degree <= d - 1 on the lower set over t_1, ..., t_d.  So D(1, z) = 0 as
+    a polynomial.  Write D = sum_j y_1^j D_j(z): the D_j have distinct
+    degrees, so each is zero, D = 0 on H, and the class argument of
+    `is_power_associative_upto` extends that to all of A.  This needs only
+    d + 1 distinct nodes, q > d, and then C(n-2+d, d) <= (d+1)^(n-2) <=
+    q^(n-2) <= the line count.
+    """
+    field, n, last = A.field, A.dim, A.identity_row[0]
+    nodes = (list(itertools.islice(field.elements(), d + 1)) if field.is_finite()
+             else [field.from_int(t) for t in range(d + 1)])
+    for a in itertools.combinations_with_replacement(range(n - 1), d):
+        x = (field.one,) + tuple(nodes[a.count(i)] for i in range(1, n - 1))
+        yield x[:last] + (field.zero,) + x[last:]
+
+
 def is_power_associative_upto(A, d, *, budget=None, decision=None):
-    """All parenthesizations of x^k agree for k <= d.
+    """All parenthesizations of x^k agree for k <= d, decided exactly.
 
     By certificate.  If `decision` (a `decide_length_one` report) says
     yes and its certificate verifies on A, the law holds for every x and
@@ -175,19 +202,17 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
     the same element of it.  The certificate is checked again here, so a
     report for another algebra proves nothing.
 
-    Otherwise the x loop is exhaustive over finite fields when q^dim is at
-    most the budget (default 4096), and runs over 100 seeded random samples
-    otherwise; over Q sampling is the only mode, so a holds-verdict there
-    is evidence, not proof.  The exhaustive loop tests one x per line of
-    A/F*1, the `_quotient_lines` of A, because the first ambiguous degree is
-    the same for the whole class x ~ c*x + d*1 (c != 0): a bracketing T of
-    (x + d*1)^k expands, 1 being the identity, into T(x) plus d^j times
-    bracketings of x^(k-j), j >= 1, and once every bracketing agrees below
-    degree k those terms do not depend on T; and T(c*x) = c^k T(x).  Each
-    class off F*1 holds exactly one line representative, and x in F*1
-    passes.  So an exhaustive sweep runs the powers of
-    (q^(dim-1) - 1)/(q - 1) elements instead of q^dim, `tested` counts
-    them, and a failing x is the first failing representative.
+    Otherwise one x per class x ~ c*x + e*1 (c != 0) is enough, because
+    the first ambiguous degree is the same for the whole class: a
+    bracketing T of (x + e*1)^k expands, 1 being the identity, into T(x)
+    plus e^j times bracketings of x^(k-j), j >= 1, and once every
+    bracketing agrees below degree k those terms do not depend on T; and
+    T(c*x) = c^k T(x).  The field picks the x: over F_q with q <= d, the
+    `_quotient_lines` of A, one per class off F*1 (x in F*1 passes); over
+    Q, or F_q with q > d, the `_chart_grid`, which is never larger.
+    `tested` counts them, and a failing x is the first that fails.  Before
+    the sweep, the budget (`resolve_budget`) is charged with the d(d-1)/2
+    products per x of a sweep that finds no failure.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
@@ -196,32 +221,24 @@ def is_power_associative_upto(A, d, *, budget=None, decision=None):
             and verify_certificate(A, decision.certificate)):
         return IdentityVerdict(name="power-associative", holds=True,
                                counterexample={"kind": "length-one", "max_degree": d})
-    field, n = A.field, A.dim
-    exhaustive = field.is_finite() and field.order() ** n <= (
-        4096 if budget is None else budget)
-    if exhaustive:
-        xs = _quotient_lines(A)
-    else:
-        rng = random.Random("powerassoc|0")
-        if field.is_finite():
-            elems = list(field.elements())
-            draw = lambda: elems[rng.randrange(len(elems))]
-        else:
-            draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        xs = (tuple(draw() for _ in range(n)) for _ in range(100))
-
+    field, n, q = A.field, A.dim, A.field.order()
+    lines = q is not None and q <= d
+    cost = d * (d - 1) // 2 * ((q ** (n - 1) - 1) // (q - 1) if lines
+                               else math.comb(n - 2 + d, d))
+    budget = resolve_budget(budget)
+    if cost > budget:
+        raise BudgetExceeded(f"{cost} power products exceeds budget {budget}")
+    xs = _quotient_lines(A) if lines else _chart_grid(A, d)
     tested, bad = _first_violation(((x, _first_ambiguity(A, x, d)) for x in xs),
                                    lambda case: case[1] is not None)
     if bad is None:
         return IdentityVerdict(
             name="power-associative", holds=True,
-            counterexample={"kind": "scope", "exhaustive": exhaustive,
-                            "tested": tested, "max_degree": d})
+            counterexample={"kind": "scope", "tested": tested, "max_degree": d})
     x, (k, two) = bad
     return IdentityVerdict(
         name="power-associative", holds=False,
-        counterexample={"kind": "power", "x": x, "degree": k,
-                        "values": two, "exhaustive": exhaustive},
+        counterexample={"kind": "power", "x": x, "degree": k, "values": two},
         defect=vec_sub(field, two[0], two[1]))
 
 
@@ -253,11 +270,11 @@ def flexible_law_holds(field, mu, beta, alpha):
 
 def associative_law_holds(field, mu, beta, alpha):
     """Parameter form of associativity: mu_i = beta_i^2 and
-    alpha_ij = beta_i beta_j = alpha_ji."""
+    alpha_ij = beta_i beta_j = alpha_ji.  At m = 1 a beta has no partner to
+    be read from, and F[a]/(a^2 - mu) is associative: nothing is required."""
     m = len(mu)
-    for i in range(m):
-        if mu[i] != field.mul(beta[i], beta[i]):
-            return False
+    if m >= 2 and any(mu[i] != field.mul(beta[i], beta[i]) for i in range(m)):
+        return False
     for i in range(m):
         for j in range(m):
             if i == j:
@@ -269,9 +286,10 @@ def associative_law_holds(field, mu, beta, alpha):
 
 
 def jordan_law_holds(field, mu, beta, alpha):
-    """Parameter form of the Jordan/commutative case: all beta zero, alpha symmetric."""
+    """Parameter form of the Jordan/commutative case: all beta zero (a lone
+    beta, at m = 1, has no partner and is free), alpha symmetric."""
     m = len(mu)
-    if any(b != field.zero for b in beta):
+    if m >= 2 and any(b != field.zero for b in beta):
         return False
     for i in range(m):
         for j in range(i + 1, m):

@@ -35,20 +35,23 @@ import os
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported
+from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported, LenalgError
 from .linalg import _echelon_extend, span
 
 DEFAULT_BUDGET = 10 ** 7
 
 
 def resolve_budget(budget=None):
-    """Explicit argument, else LENALG_BUDGET from the environment, else 10^7."""
+    """Explicit argument, else LENALG_BUDGET from the environment, else 10^7.
+    A LENALG_BUDGET that is not a non-negative integer is an error."""
     if budget is not None:
         return budget
     env = os.environ.get("LENALG_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    if not env.strip().isdecimal():
+        raise LenalgError(f"LENALG_BUDGET must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 @dataclass

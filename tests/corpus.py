@@ -29,7 +29,6 @@ from lenalg.linalg import (
     span,
     unit_vec,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -254,33 +253,22 @@ def reference_oracle(A, *, witness=True):
     raise AssertionError("the sweep found a violation the re-scan did not")
 
 
-def reference_power_associative(A, d, *, budget=None):
-    """(holds, counterexample, defect) of the power-associativity sweep over
-    every x, each x's powers computed anew: the reference for
-    `is_power_associative_upto` without a decision.
+def reference_power_associative(A, d):
+    """Whether every bracketing of x^k agrees for k <= d, each x's powers
+    computed anew: the reference for `is_power_associative_upto`'s verdict.
 
-    The x are every vector in payload order when q^dim is at most the budget
-    (default 4096), and otherwise the 100 draws of its seeded stream.
+    Over F_q the x are every vector.  Over Q they are the affine lower set
+    {x in {0, ..., d}^n : sum(x) <= d} in all n raw coordinates, which is
+    unisolvent for the polynomials of degree <= d in n variables, so each
+    defect, a form of degree k <= d, vanishes there only if it is zero.
     """
     field, n = A.field, A.dim
-    exhaustive = field.is_finite() and field.order() ** n <= (
-        4096 if budget is None else budget)
-    if exhaustive:
-        xs = list(itertools.product(field.elements(), repeat=n))
+    if field.is_finite():
+        xs = itertools.product(field.elements(), repeat=n)
     else:
-        rng = random.Random("powerassoc|0")
-        elems = list(field.elements()) if field.is_finite() else None
-        xs = [tuple(elems[rng.randrange(len(elems))] if elems is not None
-                    else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                    for _ in range(n)) for _ in range(100)]
-    for x in xs:
-        found = reference_ambiguity(A, x, d)
-        if found is not None:
-            k, two = found
-            return False, {"kind": "power", "x": x, "degree": k, "values": two,
-                           "exhaustive": exhaustive}, vec_sub(field, *two)
-    return True, {"kind": "scope", "exhaustive": exhaustive, "tested": len(xs),
-                  "max_degree": d}, None
+        xs = (tuple(map(field.from_int, x))
+              for x in itertools.product(range(d + 1), repeat=n) if sum(x) <= d)
+    return all(reference_ambiguity(A, x, d) is None for x in xs)
 
 
 def reference_ambiguity(A, x, d):

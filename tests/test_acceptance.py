@@ -292,8 +292,7 @@ def test_criterion_9_heredity_and_power_associativity():
                 assert sub_rep.value is True, (field.label(), A.dim)
             verdict = is_power_associative_upto(A, 6)
             assert verdict.holds, (field.label(), A.dim)
-            if field in (F2, F3) and field.order() ** A.dim <= 4096:
-                assert verdict.counterexample["exhaustive"] is True
+            assert verdict.counterexample["kind"] == "scope"  # a swept proof
 
 
 def test_criterion_10_remark_erratum_protocol():

@@ -411,36 +411,40 @@ def _help(capsys, command):
 
 
 def test_budget_help_says_what_it_caps(capsys):
-    identities = _help(capsys, "identities")
-    assert "power-associativity sweep cap" in identities
-    assert "default 4096; LENALG_BUDGET is not read" in identities
-    for command in ("oracle", "length", "verify-cert"):
-        assert "default: LENALG_BUDGET or 10^7" in _help(capsys, command)
+    # one cap, one default, for every budgeted command
+    for command in ("oracle", "length", "verify-cert", "identities"):
+        assert ("--budget BUDGET enumeration work cap (default: LENALG_BUDGET "
+                "or 10^7)") in _help(capsys, command)
 
 
 def test_identities_budget_caps_the_power_sweep_only(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, fixture_file):
     # M_2(F2) is not length one, so its sweep runs: 2^4 = 16 vectors, one
-    # test per line of A/F*1, 7 of them
+    # test per line of A/F*1, 7 of them, charged 15 products each at degree 6
     A = make_matrix_algebra(make_field("F2"), 2)
     path = str(tmp_path / "m2f2.json")
     assert main(["make", "matrix", "--field", "F2", "--n", "2", "-o", path]) == 0
     assert len(_quotient_lines(A)) == 7
 
-    def scope(*extra, budget=None):
-        assert main(["identities", "--json", path, *extra]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["length_one"] is False
-        verdict = data["identities"]["power-associative(<=6)"]
-        assert verdict["holds"] is reference_power_associative(A, 6, budget=budget)[0]
-        ce = verdict["counterexample"]
-        return ce["exhaustive"], ce["tested"]
+    def identities(*extra):
+        code = main(["identities", "--json", path, *extra])
+        out, err = capsys.readouterr()
+        if code != 0:
+            return code, err
+        verdict = json.loads(out)["identities"]["power-associative(<=6)"]
+        assert verdict["holds"] is reference_power_associative(A, 6)
+        return code, verdict["counterexample"]
 
-    assert scope() == (True, 7)
-    assert scope("--budget", "16", budget=16) == (True, 7)
-    assert scope("--budget", "5", budget=5) == (False, 100)
-    monkeypatch.setenv("LENALG_BUDGET", "5")
-    assert scope() == (True, 7)
+    scope = {"kind": "scope", "tested": 7, "max_degree": 6}
+    assert identities() == (0, scope)
+    assert identities("--budget", "105") == (0, scope)
+    assert identities("--budget", "104") == (
+        2, "error[BudgetExceeded]: 105 power products exceeds budget 104\n")
+    monkeypatch.setenv("LENALG_BUDGET", "104")
+    assert identities()[0] == 2
+    # a certified algebra runs no sweep, and the other checks are not capped
+    assert main(["identities", "--budget", "0", fixture_file("dim3-f2-type2")]) == 0
+    assert "power-associative(<=6): holds\n" in capsys.readouterr().out
 
 
 def test_identities_proves_power_associativity_by_the_certificate(
@@ -453,6 +457,27 @@ def test_identities_proves_power_associativity_by_the_certificate(
         "holds": True, "counterexample": {"kind": "length-one", "max_degree": 6}}
     assert main(["identities", path]) == 0
     assert "power-associative(<=6): holds\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["oracle", "length", "verify-cert", "identities"])
+def test_a_bad_budget_exits_2_naming_it(fixture_file, tmp_path, capsys, monkeypatch,
+                                        command):
+    # `identities` reads the budget for a sweep, so on an algebra that is
+    # not length one; `verify-cert` reads it to re-run an oracle "yes"
+    path = fixture_file("remark-literal" if command == "identities" else "dim3-f2-type3")
+    if command == "verify-cert":
+        assert main(["oracle", "--json", path]) == 0
+        path = tmp_path / "oracle.json"
+        path.write_text(capsys.readouterr().out)
+        path = str(path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "argument --budget: must be at least 0, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("LENALG_BUDGET", "abc")
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == (
+        "error[LenalgError]: LENALG_BUDGET must be a non-negative integer, got 'abc'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -499,6 +524,7 @@ def test_oracle_over_q_is_exact(fixture_file, tmp_path, capsys):
     ({"table": [[["1", "0"]], [["0", "1"], ["0", "0"]]]}, "table[0]"),
     ({"metadata": 5}, "metadata"),
     ({"adjoin_identity": "yes"}, "adjoin_identity"),
+    ({"dim": True}, "dim"),  # a JSON boolean is not an integer
 ])
 def test_bad_document_key_exits_2_naming_it(tmp_path, capsys, edit, where):
     path = tmp_path / "doc.json"

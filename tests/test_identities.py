@@ -1,6 +1,8 @@
 """Identity checkers and the special-basis parameter criteria."""
 
 import functools
+import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -31,10 +33,10 @@ from lenalg import (
 )
 from lenalg import identities
 from lenalg.decide import _quotient_lines
-from lenalg.errors import CharacteristicTwo, ModeCharacteristicMismatch
+from lenalg.errors import BudgetExceeded, CharacteristicTwo, ModeCharacteristicMismatch
 from lenalg.generate import MODES
-from lenalg.identities import _first_ambiguity
-from lenalg.linalg import random_invertible, unit_vec, vec_add, vec_is_zero, vec_sub
+from lenalg.identities import _chart_grid, _first_ambiguity
+from lenalg.linalg import random_invertible, rref, unit_vec, vec_add, vec_is_zero, vec_sub
 
 from tests.corpus import (
     mutate_one_constant,
@@ -112,7 +114,6 @@ def test_power_associative_on_associative_table():
     M2 = make_matrix_algebra(F3, 2)
     verdict = _assert_power_sweep(M2, 6)
     assert verdict.holds
-    assert verdict.counterexample["exhaustive"] is True
     assert verdict.counterexample["tested"] == 13  # the lines of F3^4 / F3*1
 
 
@@ -149,7 +150,7 @@ def test_power_associative_exhaustive_small_field():
     A = make_fixture("dim3-f2-type2")
     verdict = is_power_associative_upto(A, 6)
     assert verdict.holds
-    assert verdict.counterexample["exhaustive"] is True
+    assert verdict.counterexample["tested"] == 3  # the lines of F2^3 / F2*1
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ def _random_params(field, m, rng, pattern="free"):
 def test_parameter_criteria_match_identity_checkers(pattern):
     rng = random.Random(pattern)
     for field in (Q, F5):
-        for m in (2, 3, 4):
+        for m in (1, 2, 3, 4):
             for _ in range(8):
                 mu, beta, alpha = _random_params(field, m, rng, pattern)
                 A = special_table_from_params(field, mu, beta, alpha)
@@ -207,13 +208,15 @@ def test_parameter_criteria_edge_cases():
     assert flexible_law_holds(Q, mu, beta, alpha)
     assert jordan_law_holds(Q, mu, beta, alpha)
     assert not associative_law_holds(Q, mu, beta, alpha)  # mu != beta^2
+    assert not is_associative(special_table_from_params(Q, mu, beta, alpha)).holds
     # asymmetric alpha kills all three
     alpha_bad = ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(0)))
     assert not flexible_law_holds(Q, mu, beta, alpha_bad)
     assert not jordan_law_holds(Q, mu, beta, alpha_bad)
-    # A1 fails when beta = 0 but mu != 0
-    assert not associative_law_holds(Q, (Fraction(1),), (Fraction(0),),
-                                     ((Fraction(0),),))
+    # at m = 1 beta has no partner: Q[t]/(t^2 - 1) is associative although
+    # mu = 1 != 0 = beta^2
+    assert associative_law_holds(Q, (Fraction(1),), (Fraction(0),),
+                                 ((Fraction(0),),))
     # all-zero data (scalar line plus square-zero directions) is associative
     zero3 = (Fraction(0),) * 3
     alpha0 = tuple((Fraction(0),) * 3 for _ in range(3))
@@ -359,8 +362,8 @@ def test_power_counterexample_re_evaluates(field, x):
     A = _degree_four_algebra(field)
     verdict = is_power_associative_upto(A, 6)
     ce = verdict.counterexample
-    assert (ce["kind"], ce["degree"], ce["exhaustive"]) == ("power", 4, x is not None)
-    if x is not None:  # the first x of the exhaustive sweep, in payload order
+    assert (ce["kind"], ce["degree"]) == ("power", 4)
+    if x is not None:  # the first x of the line sweep, in payload order
         assert ce["x"] == x
     powers = {1: {ce["x"]}}
     for k in range(2, ce["degree"] + 1):
@@ -372,55 +375,68 @@ def test_power_counterexample_re_evaluates(field, x):
     assert not vec_is_zero(field, verdict.defect)
 
 
-def test_power_scope_of_a_sampled_sweep():
+def test_power_scope_of_a_grid_sweep():
     verdict = is_power_associative_upto(make_matrix_algebra(Q, 2), 6)
     assert verdict.holds
-    assert verdict.counterexample == {"kind": "scope", "exhaustive": False,
-                                      "tested": 100, "max_degree": 6}
+    assert verdict.counterexample == {"kind": "scope", "tested": 28, "max_degree": 6}
+    # the degree-four algebra fails at the first grid point, e2
+    ce = is_power_associative_upto(_degree_four_algebra(Q), 6).counterexample
+    assert ce["x"] == (0, 1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
-# power-associativity: one test per class x ~ c x + d 1, and by certificate
+# power-associativity: one test per class x ~ c x + d 1, on the lines of
+# A/F*1 or on the chart grid, and by certificate
 # ---------------------------------------------------------------------------
 
-def _assert_power_sweep(A, d, budget=None):
-    """The sweep's verdict, which must be the raw-x reference's.  A sampled
-    report is the reference's; an exhaustive sweep tests the lines of A/F*1
-    in `_quotient_lines` order, so `tested` counts them and a failing x is
-    the first line whose powers, computed anew, turn ambiguous."""
-    verdict = is_power_associative_upto(A, d, budget=budget)
-    holds, ce, defect = reference_power_associative(A, d, budget=budget)
+def _assert_power_sweep(A, d, holds=None):
+    """The sweep's verdict, which must be the reference's (every raw x over
+    F_q, the affine lower-set grid over Q), passed in as `holds` when the
+    caller has it.  The sweep tests the lines of A/F*1 when q <= d and the
+    chart grid otherwise, in that order, so `tested` counts them and a
+    failing x is the first whose powers, computed anew, turn ambiguous."""
+    verdict = is_power_associative_upto(A, d)
+    if holds is None:
+        holds = reference_power_associative(A, d)
     assert verdict.holds == holds
-    if not ce["exhaustive"]:
-        assert (verdict.counterexample, verdict.defect) == (ce, defect)
-        return verdict
-    lines = _quotient_lines(A)
-    for x in lines:
+    q = A.field.order()
+    points = _quotient_lines(A) if q is not None and q <= d else list(_chart_grid(A, d))
+    for x in points:
         found = reference_ambiguity(A, x, d)
         if found is not None:
             k, two = found
             assert verdict.counterexample == {"kind": "power", "x": x, "degree": k,
-                                              "values": two, "exhaustive": True}
+                                              "values": two}
             assert verdict.defect == vec_sub(A.field, *two)
             return verdict
-    assert verdict.counterexample == dict(ce, tested=len(lines))
+    assert verdict.counterexample == {"kind": "scope", "tested": len(points),
+                                      "max_degree": d}
     return verdict
 
 
-def _late_power_failure(field):
-    """Basis g, g^2, g^3, g^4, 1 with g^2 g^2 = g^4 but g^3 g = 0: x^4 is
-    ambiguous once x has a g-coordinate, and every x without one lies in a
-    power-associative subalgebra, so a sweep over every x first fails at
+def _late_power_failure(field, g=0):
+    """Basis g, g^2, g^3, g^4, 1, rotated so that g sits at coordinate g,
+    with g^2 g^2 = g^4 but g^3 g = 0: x^4 is ambiguous once x has a
+    g-coordinate, and every x without one lies in a power-associative
+    subalgebra.  At g = 0 a sweep over every x first fails at
     (c, 0, 0, 0, 0), c the first nonzero scalar, past q^4 of its q^5
-    vectors, and the line sweep at its first line, (1, 0, 0, 0, 0)."""
+    vectors, and the line sweep and the chart grid at their first point,
+    (1, 0, 0, 0, 0)."""
     n, zero = 5, (field.zero,) * 5
+    e = [unit_vec(field, n, (i + g) % n) for i in range(n)]
     table = [[zero] * n for _ in range(n)]
+
+    def put(i, j, k):
+        table[(i + g) % n][(j + g) % n] = e[k]
+
     for i in range(n):
-        table[i][4] = table[4][i] = unit_vec(field, n, i)
-    table[0][0] = unit_vec(field, n, 1)
-    table[0][1] = table[1][0] = unit_vec(field, n, 2)
-    table[1][1] = unit_vec(field, n, 3)
-    return algebra(field, table, unit_vec(field, n, 4))
+        put(i, 4, i)
+        put(4, i, i)
+    put(0, 0, 1)
+    put(0, 1, 2)
+    put(1, 0, 2)
+    put(1, 1, 3)
+    return algebra(field, table, e[4])
 
 
 def _power_corpus(field, dims):
@@ -445,51 +461,89 @@ def _power_corpus(field, dims):
 
 
 _POWER_CASES = [("F2", (3, 4, 6)), ("F3", (3, 4)), ("GF4", (3,)),
-                ("F5", (3, 4)), ("GF9", (3,)), ("Q", (3, 4))]
+                ("F5", (3, 4)), ("F7", (3, 4)), ("GF8", (3,)), ("GF9", (3,)),
+                ("Q", (3, 4, 5))]
 
 
 @pytest.mark.parametrize("name, dims", _POWER_CASES, ids=[c[0] for c in _POWER_CASES])
 def test_power_class_sweep_matches_the_reference(name, dims, monkeypatch):
+    # d = 4 and 6 take the lines over F2, F3, GF4, the grid over F7, GF8,
+    # GF9 and Q, and F5 takes one of each
     field = make_field(name)
-    q = field.order() if field.is_finite() else None
     calls = []
     monkeypatch.setattr(identities, "_first_ambiguity",
                         lambda *a: calls.append(1) or _first_ambiguity(*a))
-    late = _late_power_failure(field)
-    for A in [*_power_corpus(field, dims), late]:
+    for A in _power_corpus(field, dims):
+        holds = reference_power_associative(A, 6)  # and so at degree 4 too
         for d in (4, 6):
             calls.clear()
-            verdict = _assert_power_sweep(A, d)
-            if verdict.holds and verdict.counterexample["exhaustive"]:
-                assert len(calls) == (q ** (A.dim - 1) - 1) // (q - 1)
-    ce = is_power_associative_upto(late, 6).counterexample
-    if ce["exhaustive"]:
-        assert ce["x"] == (field.one,) + (field.zero,) * 4
+            verdict = _assert_power_sweep(A, d, holds if holds or d == 6 else None)
+            if verdict.holds:
+                assert len(calls) == verdict.counterexample["tested"]
+    # x^4 is ambiguous, x^3 is not: the law fails exactly at the top degree
+    for g in range(5):
+        late = _late_power_failure(field, g)
+        assert is_power_associative_upto(late, 3).holds
+        assert _assert_power_sweep(late, 4).counterexample["degree"] == 4
+    assert is_power_associative_upto(_late_power_failure(field), 6).counterexample[
+        "x"] == (field.one,) + (field.zero,) * 4
 
 
-def test_power_budget_and_sampling_match_the_reference():
+@pytest.mark.parametrize("name", ["Q", "F7", "F11", "GF8", "GF9"])
+def test_chart_grid_is_unisolvent(name):
+    # the degree-d monomials in the n - 1 coordinates off L, evaluated on
+    # the grid, make a square matrix of full rank C(n-2+d, d)
+    field = make_field(name)
+    for n in (2, 3, 4, 5):
+        A = random_unital_algebra(field, n, 0)
+        last = A.identity_row[0]
+        for d in (3, 4, 6):
+            grid = list(_chart_grid(A, d))
+            assert len(grid) == math.comb(n - 2 + d, d)
+            assert all(x[last] == field.zero for x in grid)
+            monomials = list(itertools.combinations_with_replacement(range(n - 1), d))
+            matrix = [[functools.reduce(field.mul, (y[i] for i in m), field.one)
+                       for m in monomials]
+                      for y in (x[:last] + x[last + 1:] for x in grid)]
+            assert len(rref(field, matrix)[0]) == len(monomials)
+
+
+def test_power_budget_is_charged_before_the_sweep(monkeypatch):
+    # a sweep that finds no failure makes d(d-1)/2 products per x: 7 lines
+    # of M_2(F2), 28 grid points of M_2(Q), 15 lines of the late failure
     F2 = make_field("F2")
-    for A in (_late_power_failure(F2), make_matrix_algebra(F2, 2)):
-        for budget in (5, 16, 32):
-            _assert_power_sweep(A, 6, budget=budget)
+    for A, points in ((make_matrix_algebra(F2, 2), 7), (make_matrix_algebra(Q, 2), 28),
+                      (_late_power_failure(F2), 15)):
+        assert _assert_power_sweep(A, 6) == is_power_associative_upto(
+            A, 6, budget=15 * points)
+        monkeypatch.setattr(identities, "_first_ambiguity", None)  # no x is tested
+        with pytest.raises(BudgetExceeded, match=f"^{15 * points} power products"):
+            is_power_associative_upto(A, 6, budget=15 * points - 1)
+        monkeypatch.setenv("LENALG_BUDGET", str(15 * points - 1))
+        with pytest.raises(BudgetExceeded):
+            is_power_associative_upto(A, 6)
+        monkeypatch.undo()
+    # a certified algebra runs no sweep, so nothing is charged
+    A = make_fixture("dim3-f2-type2")
+    assert is_power_associative_upto(A, 6, budget=0, decision=decide_length_one(A)).holds
 
 
-def test_sampled_power_sweep_builds_no_class_key(monkeypatch):
-    # the class keys are the `_quotient_lines`; only an exhaustive sweep,
-    # where classes repeat, lists them
+def test_grid_power_sweep_builds_no_class_key(monkeypatch):
+    # the class keys are the `_quotient_lines`; only the fields with q <= d
+    # list them, and a holds-verdict on the grid tests C(n-2+d, d) points
     keys = []
     lines = identities._quotient_lines
     monkeypatch.setattr(identities, "_quotient_lines",
                         lambda *a: keys.append(1) or lines(*a))
-    Q, GF9, F7 = (make_field(name) for name in ("Q", "GF9", "F7"))
-    sampled = [random_unital_algebra(Q, 4, 0), make_matrix_algebra(Q, 2),
+    GF9, F7 = (make_field(name) for name in ("GF9", "F7"))
+    gridded = [random_unital_algebra(Q, 4, 0), make_matrix_algebra(Q, 2),
                _late_power_failure(Q), make_matrix_algebra(GF9, 2),
                random_unital_algebra(F7, 5, 0), _late_power_failure(F7)]
-    for A in sampled:
-        keys.clear()
-        verdict = _assert_power_sweep(A, 6)
-        assert not verdict.counterexample["exhaustive"]
-        assert keys == []
+    for A in gridded:  # the sweep's verdicts are compared with the reference above
+        verdict = is_power_associative_upto(A, 6)
+        if verdict.holds:
+            assert verdict.counterexample["tested"] == math.comb(A.dim - 2 + 6, 6)
+    assert keys == []
     is_power_associative_upto(make_matrix_algebra(make_field("F2"), 2), 6)
     assert keys
 

@@ -28,6 +28,7 @@ from lenalg.errors import (
     BudgetExceeded,
     DimensionMismatch,
     InfiniteFieldUnsupported,
+    LenalgError,
     ModeCharacteristicMismatch,
 )
 from lenalg.generate import MODES
@@ -126,6 +127,17 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.delenv("LENALG_BUDGET")
     assert resolve_budget() == 10 ** 7
     assert resolve_budget(55) == 55
+
+
+@pytest.mark.parametrize("env", ["abc", "-5", "1.5", "1e3"])
+def test_budget_env_must_be_a_non_negative_integer(monkeypatch, env):
+    monkeypatch.setenv("LENALG_BUDGET", env)
+    with pytest.raises(LenalgError, match=f"^LENALG_BUDGET must be a non-negative "
+                                          f"integer, got '{env}'$"):
+        resolve_budget()
+    assert resolve_budget(55) == 55  # an explicit budget does not read it
+    monkeypatch.setenv("LENALG_BUDGET", "0")
+    assert resolve_budget() == 0
 
 
 def test_monotone_dims_and_closure_random():
