@@ -47,12 +47,14 @@
 # `length --json` exits 0 with `"value": 2`, and `verify-cert` of that
 # report, which enumerates the subspaces again, exits 0.
 #
-# Six malformed calls must exit 2: `check` on a document over "F4" (4 is
-# not prime), `oracle --budget 10` on remark-repaired, whose 4 basis lines
-# make 16 pairs, `oracle --samples 5`, since the oracle does not sample,
+# Eight malformed calls must exit 2: `check` on a document over "F4" (4 is
+# not prime), `check` on a document whose "metadata" is [] (not an object),
+# `oracle --budget 10` on remark-repaired, whose 4 basis lines make 16
+# pairs, `oracle --samples 5`, since the oracle does not sample,
 # `check --budget 5`, since `check` takes no budget, `length-set --set e9`
-# on the four-dimensional M_2(F2), and `oracle` on dim3-f2-type3 with
-# LENALG_BUDGET=abc, whose error names LENALG_BUDGET.
+# on the four-dimensional M_2(F2), `length-set --set "e²"` there, without
+# a traceback (a superscript is not a basis index), and `oracle` on
+# dim3-f2-type3 with LENALG_BUDGET=abc, whose error names LENALG_BUDGET.
 #
 # Usage: sh scripts/cli_exit_codes.sh
 # It runs the `lenalg` on PATH, or, when there is none, `python3 -m lenalg`
@@ -191,10 +193,18 @@ run 0 verify-cert "$dir/f3x3.length.json"
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"
 run 2 check "$bad"
+echo '{"field": "Q", "dim": 1, "one": ["1"], "table": [[["1"]]], "metadata": []}' \
+    > "$dir/metadata.json"
+run 2 check "$dir/metadata.json"
 run 2 oracle --budget 10 "$dir/remark-repaired.json"
 run 2 oracle "$dir/remark-repaired.json" --samples 5
 run 2 check "$dir/remark-repaired.json" --budget 5
 run 2 length-set --set e9 "$dir/m2.json"
+run 2 length-set --set "e²" "$dir/m2.json" 2> "$dir/superscript.err"
+if grep -qF "Traceback" "$dir/superscript.err"; then
+    echo "FAIL: lenalg length-set --set \"e²\" printed a traceback" >&2
+    status=1
+fi
 export LENALG_BUDGET=abc
 run 2 oracle "$dir/type3.json" 2> "$dir/budget.err"
 unset LENALG_BUDGET

@@ -32,16 +32,19 @@ from .decide import (
     ViolationWitness,
 )
 from .documents import (
+    algebra_length_report,
     document_dict,
     parse_document,
     render_document,
     render_report,
+    set_length_report,
     verify_report_dict,
 )
 from .errors import LenalgError, ScalarSyntaxError
 from .fields import make_field
 from .generate import MODES, generate_length_one
 from .identities import (
+    IdentityVerdict,
     associative_law_holds,
     flexible_law_holds,
     is_associative,
@@ -77,12 +80,25 @@ def _print_report(report, A, as_json):
     if as_json:
         sys.stdout.write(render_report(report, A))
         return
+    cert = report.certificate
+    field = A.field
+    if report.kind == "set-length":
+        dims = cert["dims"]
+        print("l(S) =", report.value)
+        print("generates:", "yes" if cert["generates"] else
+              f"no (closure has dimension {dims[-1]})")
+        print("dims:", ", ".join(str(d) for d in dims))
+        return
+    if report.kind == "algebra-length":
+        print("l(A) =", report.value)
+        print("subspaces examined:", cert["subspaces_examined"])
+        print("maximizing set:",
+              "; ".join(_render_vec(field, v) for v in cert["vectors"]))
+        return
     print("verdict:", "yes (length <= 1)" if report.value else "no (length > 1)")
     print("path:", " > ".join(report.path))
     for flag in report.flags:
         print("flag:", flag)
-    cert = report.certificate
-    field = A.field
     if cert is None:
         return
     if isinstance(cert, ViolationWitness):
@@ -126,7 +142,7 @@ def _parse_set_spec(A, spec):
         token = token.strip()
         if not token:
             continue
-        if token.startswith("e") and token[1:].isdigit():
+        if token.startswith("e") and token[1:].isascii() and token[1:].isdigit():
             idx = int(token[1:])
             if not 1 <= idx <= A.dim:
                 raise LenalgError(f"basis index out of range: {token}")
@@ -161,55 +177,21 @@ def _cmd_oracle(args):
 
 
 def _cmd_length_set(args):
-    doc = parse_document(_read_source(args.file))
-    A = doc.algebra
+    A = parse_document(_read_source(args.file)).algebra
     vectors = _parse_set_spec(A, args.set)
-    res = length_of_set(A, vectors)
-    cert = {
-        "type": "generating-set",
-        "vectors": [[A.field.render(c) for c in v] for v in vectors],
-        "dims": res.dims,
-        "generates": res.generates,
-    }
-    report = LengthReport(kind="set-length", value=res.length, certificate=cert,
-                          path=[f"word spans stabilized at {res.stabilized_at}"],
-                          flags=[])
-    if args.json:
-        sys.stdout.write(render_report(report, A))
-    else:
-        print("l(S) =", res.length)
-        print("generates:", "yes" if res.generates else
-              f"no (closure has dimension {res.closure_dim})")
-        print("dims:", ", ".join(str(d) for d in res.dims))
+    _print_report(set_length_report(vectors, length_of_set(A, vectors)), A, args.json)
     return 0
 
 
 def _cmd_length(args):
-    doc = parse_document(_read_source(args.file))
-    A = doc.algebra
+    A = parse_document(_read_source(args.file)).algebra
     res = length_of_algebra(A, budget=args.budget)
-    cert = {
-        "type": "maximizing-set",
-        "vectors": [[A.field.render(c) for c in v] for v in res.witness_rows],
-        "subspaces_examined": res.subspaces_examined,
-    }
-    report = LengthReport(kind="algebra-length", value=res.length,
-                          certificate=cert,
-                          path=[f"enumerated {res.subspaces_examined} subspaces"],
-                          flags=[])
-    if args.json:
-        sys.stdout.write(render_report(report, A))
-    else:
-        print("l(A) =", res.length)
-        print("subspaces examined:", res.subspaces_examined)
-        print("maximizing set:",
-              "; ".join(_render_vec(A.field, v) for v in res.witness_rows))
+    _print_report(algebra_length_report(res), A, args.json)
     return 0
 
 
 def _cmd_identities(args):
-    doc = parse_document(_read_source(args.file))
-    A = doc.algebra
+    A = parse_document(_read_source(args.file)).algebra
     field = A.field
     report = decide_length_one(A)
     results = {}
@@ -218,8 +200,11 @@ def _cmd_identities(args):
     results["flexible"] = is_flexible(A)
     if field.characteristic() != 2:
         results["jordan"] = is_jordan(A)
-    results[f"power-associative(<={args.degree})"] = is_power_associative_upto(
-        A, args.degree, budget=args.budget, decision=report)
+    # length one proves power-associativity (see the `identities` docstring)
+    results[f"power-associative(<={args.degree})"] = (
+        IdentityVerdict("power-associative", True,
+                        {"kind": "length-one", "max_degree": args.degree})
+        if report.value else is_power_associative_upto(A, args.degree, budget=args.budget))
     law_rows = None
     if report.value and hasattr(report.certificate, "mu"):
         w = report.certificate

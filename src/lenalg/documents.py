@@ -27,6 +27,7 @@ from .algebra import algebra, find_identity, unital_hull
 from .decide import (
     CHAR2_FORMS,
     CharTwoWitness,
+    LengthReport,
     SpecialBasisWitness,
     ViolationWitness,
     oracle_length_one,
@@ -82,6 +83,9 @@ def field_from_json(obj, path="field"):
             raise SchemaError(path, str(exc))
     if not isinstance(obj, dict):
         raise SchemaError(path, "field must be a shorthand string or an object")
+    unknown = set(obj) - {"kind", "p", "k", "modulus"}
+    if unknown:
+        raise SchemaError(path, f"unknown keys: {sorted(unknown)}")
     kind = obj.get("kind")
     if kind == "rationals":
         return field_handle("rationals")
@@ -165,20 +169,19 @@ def parse_document(source):
             for j, cell in enumerate(row)
         ))
     table = tuple(table)
-    metadata = data.get("metadata") or {}
+    metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata", "metadata must be an object")
     adjoin = data.get("adjoin_identity", False)
     if not isinstance(adjoin, bool):
         raise SchemaError("adjoin_identity", "must be a boolean")
-    one_obj = data.get("one")
-    if adjoin and one_obj is not None:
+    if adjoin and "one" in data:
         raise SchemaError("adjoin_identity",
                           "cannot both give an identity and adjoin one")
     if adjoin:
         return AlgebraDocument(unital_hull(field, table), metadata)
-    if one_obj is not None:
-        one = _parse_vector(field, one_obj, dim, "one")
+    if "one" in data:
+        one = _parse_vector(field, data["one"], dim, "one")
         try:
             return AlgebraDocument(algebra(field, table, one), metadata)
         except InvalidIdentity as exc:
@@ -255,8 +258,9 @@ def certificate_to_dict(field, certificate):
             "right": _render_vec(field, certificate.right),
             "detail": certificate.detail,
         }
-    if isinstance(certificate, dict):
-        return certificate
+    if isinstance(certificate, dict):  # a length certificate
+        return dict(certificate, vectors=[_render_vec(field, v)
+                                          for v in certificate["vectors"]])
     raise TypeError(f"cannot serialize certificate {type(certificate).__name__}")
 
 
@@ -332,6 +336,24 @@ def certificate_from_dict(field, obj):
     if kind in ("generating-set", "maximizing-set"):
         return dict(obj, vectors=_parse_rows(field, obj, "vectors", path))
     raise SchemaError(f"{path}.type", f"unknown certificate type {kind!r}")
+
+
+def set_length_report(vectors, res):
+    """The `set-length` report of `length_of_set(A, vectors)`."""
+    cert = {"type": "generating-set", "vectors": tuple(vectors),
+            "dims": res.dims, "generates": res.generates}
+    return LengthReport(kind="set-length", value=res.length, certificate=cert,
+                        path=[f"word spans stabilized at {res.stabilized_at}"],
+                        flags=[])
+
+
+def algebra_length_report(res):
+    """The `algebra-length` report of a `length_of_algebra` result."""
+    cert = {"type": "maximizing-set", "vectors": res.witness_rows,
+            "subspaces_examined": res.subspaces_examined}
+    return LengthReport(kind="algebra-length", value=res.length, certificate=cert,
+                        path=[f"enumerated {res.subspaces_examined} subspaces"],
+                        flags=[])
 
 
 def report_to_dict(report, A):

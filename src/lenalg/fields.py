@@ -178,9 +178,6 @@ class Field:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         raise NotImplementedError
 

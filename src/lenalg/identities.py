@@ -31,6 +31,14 @@ expression that was computed and the nonzero defect vector, so a failed
 verdict can be re-checked by one more evaluation.  Power-associativity is
 decided exactly too, on the oracle's `_quotient_lines` of A/F*1 or on a
 `_chart_grid`, whichever the field allows and is smaller.
+
+By certificate.  An algebra of length one is power-associative at every
+degree, so the `identities` command reports that from its own
+`decide_length_one` verdict and runs no sweep: length one puts x*x in
+span{1, x}, so span{1, x} is a unital subalgebra of dimension at most 2,
+spanned by 1 and one generator x with x^2 = a*1 + b*x.  Such an algebra is
+F[t]/(t^2 - b*t - a), commutative and associative, so every bracketing of
+x^k is the same element of it.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .decide import ViolationWitness, _first_violation, _quotient_lines, verify_certificate
+from .decide import _first_violation, _quotient_lines
 from .errors import BudgetExceeded, CharacteristicTwo
 from .length import resolve_budget
 from .linalg import vec_add, vec_is_zero, vec_sub
@@ -190,37 +198,23 @@ def _chart_grid(A, d):
         yield x[:last] + (field.zero,) + x[last:]
 
 
-def is_power_associative_upto(A, d, *, budget=None, decision=None):
+def is_power_associative_upto(A, d, *, budget=None):
     """All parenthesizations of x^k agree for k <= d, decided exactly.
 
-    By certificate.  If `decision` (a `decide_length_one` report) says
-    yes and its certificate verifies on A, the law holds for every x and
-    every k, and no x is tested: length one puts x*x in span{1, x}, so
-    span{1, x} is a unital subalgebra of dimension at most 2, spanned by 1
-    and one generator x with x^2 = a*1 + b*x.  Such an algebra is F[t]/(t^2
-    - b*t - a), commutative and associative, so every bracketing of x^k is
-    the same element of it.  The certificate is checked again here, so a
-    report for another algebra proves nothing.
-
-    Otherwise one x per class x ~ c*x + e*1 (c != 0) is enough, because
-    the first ambiguous degree is the same for the whole class: a
-    bracketing T of (x + e*1)^k expands, 1 being the identity, into T(x)
-    plus e^j times bracketings of x^(k-j), j >= 1, and once every
-    bracketing agrees below degree k those terms do not depend on T; and
-    T(c*x) = c^k T(x).  The field picks the x: over F_q with q <= d, the
-    `_quotient_lines` of A, one per class off F*1 (x in F*1 passes); over
-    Q, or F_q with q > d, the `_chart_grid`, which is never larger.
-    `tested` counts them, and a failing x is the first that fails.  Before
-    the sweep, the budget (`resolve_budget`) is charged with the d(d-1)/2
-    products per x of a sweep that finds no failure.
+    One x per class x ~ c*x + e*1 (c != 0) is enough, because the first
+    ambiguous degree is the same for the whole class: a bracketing T of
+    (x + e*1)^k expands, 1 being the identity, into T(x) plus e^j times
+    bracketings of x^(k-j), j >= 1, and once every bracketing agrees below
+    degree k those terms do not depend on T; and T(c*x) = c^k T(x).  The
+    field picks the x: over F_q with q <= d, the `_quotient_lines` of A,
+    one per class off F*1 (x in F*1 passes); over Q, or F_q with q > d, the
+    `_chart_grid`, which is never larger.  `tested` counts them, and a
+    failing x is the first that fails.  Before the sweep, the budget
+    (`resolve_budget`) is charged with the d(d-1)/2 products per x of a
+    sweep that finds no failure.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
-    if (decision is not None and decision.value is True
-            and not isinstance(decision.certificate, ViolationWitness)
-            and verify_certificate(A, decision.certificate)):
-        return IdentityVerdict(name="power-associative", holds=True,
-                               counterexample={"kind": "length-one", "max_degree": d})
     field, n, q = A.field, A.dim, A.field.order()
     lines = q is not None and q <= d
     cost = d * (d - 1) // 2 * ((q ** (n - 1) - 1) // (q - 1) if lines

@@ -190,9 +190,6 @@ def length_of_algebra(A, budget=None):
         raise InfiniteFieldUnsupported(
             "exact algebra length needs a finite field (use decide_length_one over Q)")
     n = A.dim
-    if n == 1:
-        return AlgebraLengthResult(length=0, witness_rows=(A.one,),
-                                   subspaces_examined=1)
     q = field.order()
     budget = resolve_budget(budget)
     work = count_subspaces(n - 1, q)

@@ -6,8 +6,9 @@ for n >= 3.  `_line_ok` passes on all of them exactly when A has length
 one; the proof is in their docstring.  These tests check that claim:
 
 * over Q, the oracle's verdict equals `decide_length_one` on the Q tables
-  of the golden corpus, hidden special tables at dims 2-8, one-constant
-  mutations of them and random unital tables; each "no" witness is a
+  of the golden corpus, hidden special tables at dims 2-10, one-constant
+  mutations of them, near-misses that only the pairwise law rejects (dims
+  4-10) and random unital tables; each "no" witness is a
   verified violating pair, witness=False changes neither verdict nor
   `pairs_checked`, and a "yes" reports |T|^2 pairs;
 * on tables whose basis squares are distinct multiples of themselves, every
@@ -65,6 +66,18 @@ def _mutations(A, seed):
         yield _hidden(mutate_one_constant(A, i, j, rng.randrange(A.dim)), seed)
 
 
+def _near_miss(S, seed):
+    """S (identity e_0) with e_3 added to e_1 e_2 and taken from e_2 e_1,
+    hidden: e_1 e_2 leaves span{1, e_1, e_2}, yet x^2 is unchanged for
+    every x, so the decider passes the squares and the canonical shift and
+    fails at the pairwise law."""
+    field = S.field
+    table = [[list(cell) for cell in row] for row in S.table]
+    table[1][2][3] = field.add(table[1][2][3], field.one)
+    table[2][1][3] = field.sub(table[2][1][3], field.one)
+    return _hidden(algebra(field, table, S.one), seed)
+
+
 def _diagonal_squares(field, n):
     """e_0 = 1, e_k^2 = k*e_k and e_k e_l = 0 for k != l: every e_k is a
     passing line, e_1 + e_2 a failing one where 1 != 2."""
@@ -83,7 +96,8 @@ def _diagonal_squares(field, n):
 
 def _q_corpus():
     """Q tables: the golden corpus's, hidden special tables at dims 2-8
-    with their mutations, and random unital tables."""
+    with their mutations and, from dim 4, their near-misses, and random
+    unital tables."""
     yield from (A for _, A in golden_corpus() if not A.field.is_finite())
     for dim in range(2, 9):
         for seed in range(2):
@@ -91,28 +105,53 @@ def _q_corpus():
             yield _hidden(S, seed)
             if dim >= 3:
                 yield from _mutations(S, seed)
+            if dim >= 4:
+                yield _near_miss(S, seed)
     for dim in range(2, 7):
         for seed in range(3):
             yield random_unital_algebra(Q, dim, seed)
 
 
+def _assert_lines_decide(A):
+    """The oracle on A agrees with the decider; the decider's report."""
+    report = decide_length_one(A)
+    res = oracle_length_one(A)
+    assert res.is_length_one == report.value, A.table
+    again = oracle_length_one(A, witness=False)
+    assert (again.is_length_one, again.pairs_checked) == (
+        res.is_length_one, res.pairs_checked)
+    if res.is_length_one:
+        assert res.witness is None
+        assert res.pairs_checked == _line_count(A.dim) ** 2
+    else:
+        assert res.witness.condition == "oracle-pair"
+        assert verify_violation(A, res.witness)
+        assert 1 <= res.pairs_checked <= _line_count(A.dim) ** 2
+    return report
+
+
 def test_basis_lines_decide_length_one_over_q():
-    verdicts = set()
-    for A in _q_corpus():
-        res = oracle_length_one(A)
-        assert res.is_length_one == decide_length_one(A).value, A.table
-        again = oracle_length_one(A, witness=False)
-        assert (again.is_length_one, again.pairs_checked) == (
-            res.is_length_one, res.pairs_checked)
-        if res.is_length_one:
-            assert res.witness is None
-            assert res.pairs_checked == _line_count(A.dim) ** 2
-        else:
-            assert res.witness.condition == "oracle-pair"
-            assert verify_violation(A, res.witness)
-            assert 1 <= res.pairs_checked <= _line_count(A.dim) ** 2
-        verdicts.add(res.is_length_one)
-    assert verdicts == {True, False}
+    ends = [_assert_lines_decide(A).path[-1] for A in _q_corpus()]
+    assert ends.count("step3:not-special") >= 10  # two near-misses per dim 4-8
+    assert "step3:special-basis" in ends
+
+
+@pytest.mark.parametrize("dim", [9, 10])
+def test_basis_lines_decide_length_one_over_q_at_high_dims(dim):
+    """Hidden special tables, their one-constant mutations, near-misses and
+    random unital tables.  The decider's paths end at each step: the
+    special tables pass all three, the near-misses fail the pairwise law
+    (step 3), and the random tables and most mutations the squares (step 1).
+    Left out: the golden corpus, which has no Q table above dim 5, and the
+    other generator modes, which are characteristic 2 only."""
+    ends = []
+    for seed in range(3):
+        S = generate_length_one(Q, dim, seed, "special")
+        for A in (_hidden(S, seed), *_mutations(S, seed), _near_miss(S, seed),
+                  random_unital_algebra(Q, dim, seed)):
+            ends.append(_assert_lines_decide(A).path[-1])
+    assert ends.count("step3:special-basis") >= 3
+    assert ends.count("step3:not-special") >= 3
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

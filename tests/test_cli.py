@@ -266,6 +266,7 @@ def test_verify_cert_malformed_report_field_is_error(
     (5, "field"),
     ({"kind": "foo"}, "field.kind"),
     ({"kind": "extension", "p": 2, "k": 2, "modulus": ["a"]}, "field.modulus"),
+    ({"kind": "prime", "p": 5, "junk": 1}, "field"),
 ])
 @pytest.mark.parametrize("command", ["check", "verify-cert"])
 def test_bad_field_exits_2_naming_its_path(
@@ -391,6 +392,7 @@ def test_verify_cert_checks_set_length_dims(tmp_path, capsys, dims, code, where)
     (["make", "random-l1", "--field", "F2"],
      "random-l1 needs --field, --dim and --mode"),
     (["check", "no-such-dir/doc.json"], "error[FileNotFound]: "),
+    (["length-set", "@remark-repaired", "--set", "e²"], "'e²' has 1 entries"),
 ])
 def test_bad_argument_exits_2_naming_the_flag(fixture_file, capsys, argv, flag):
     argv = [fixture_file(a[1:]) if a.startswith("@") else a for a in argv]
@@ -525,6 +527,12 @@ def test_oracle_over_q_is_exact(fixture_file, tmp_path, capsys):
     ({"metadata": 5}, "metadata"),
     ({"adjoin_identity": "yes"}, "adjoin_identity"),
     ({"dim": True}, "dim"),  # a JSON boolean is not an integer
+    ({"metadata": []}, "metadata"),  # an empty or false value is not an object
+    ({"metadata": 0}, "metadata"),
+    ({"metadata": False}, "metadata"),
+    ({"metadata": ""}, "metadata"),
+    ({"metadata": None}, "metadata"),
+    ({"one": None}, "one"),  # null is not an omitted identity
 ])
 def test_bad_document_key_exits_2_naming_it(tmp_path, capsys, edit, where):
     path = tmp_path / "doc.json"

@@ -148,20 +148,11 @@ def test_tampered_report_fails_verification():
 
 
 def test_set_length_report_verification():
-    from lenalg import LengthReport, length_of_set
-    Q = make_field("Q")
-    M2 = make_matrix_algebra(Q, 2)
+    from lenalg import length_of_set
+    from lenalg.documents import set_length_report
+    M2 = make_matrix_algebra(make_field("Q"), 2)
     vectors = [M2.basis_vector(1), M2.basis_vector(2)]
-    res = length_of_set(M2, vectors)
-    cert = {
-        "type": "generating-set",
-        "vectors": [[Q.render(c) for c in v] for v in vectors],
-        "dims": res.dims,
-        "generates": res.generates,
-    }
-    rep = LengthReport(kind="set-length", value=res.length, certificate=cert,
-                       path=[], flags=[])
-    data = report_to_dict(rep, M2)
+    data = report_to_dict(set_length_report(vectors, length_of_set(M2, vectors)), M2)
     assert verify_report_dict(data)
     data["value"] = 3
     assert not verify_report_dict(data)

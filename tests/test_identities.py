@@ -2,19 +2,17 @@
 
 import functools
 import itertools
+import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lenalg import (
-    IdentityVerdict,
     algebra,
     associative_law_holds,
     change_basis,
-    decide_length_one,
     generate_length_one,
     flexible_law_holds,
     is_associative,
@@ -27,11 +25,13 @@ from lenalg import (
     make_field,
     make_fixture,
     make_matrix_algebra,
+    render_document,
     special_table_from_params,
     symmetrized,
     unital_hull,
 )
-from lenalg import identities
+from lenalg import decide, identities
+from lenalg.cli import main
 from lenalg.decide import _quotient_lines
 from lenalg.errors import BudgetExceeded, CharacteristicTwo, ModeCharacteristicMismatch
 from lenalg.generate import MODES
@@ -523,9 +523,6 @@ def test_power_budget_is_charged_before_the_sweep(monkeypatch):
         with pytest.raises(BudgetExceeded):
             is_power_associative_upto(A, 6)
         monkeypatch.undo()
-    # a certified algebra runs no sweep, so nothing is charged
-    A = make_fixture("dim3-f2-type2")
-    assert is_power_associative_upto(A, 6, budget=0, decision=decide_length_one(A)).holds
 
 
 def test_grid_power_sweep_builds_no_class_key(monkeypatch):
@@ -548,23 +545,17 @@ def test_grid_power_sweep_builds_no_class_key(monkeypatch):
     assert keys
 
 
-def test_power_associativity_by_certificate(monkeypatch):
-    A = make_fixture("dim3-f2-type2")
-    decision = decide_length_one(A)
-    monkeypatch.setattr(identities, "_first_ambiguity", None)  # no x is tested
+def test_power_associativity_by_certificate(tmp_path, monkeypatch, capsys):
+    # `identities` answers a certified algebra from its own decision: no x
+    # is tested and the certificate is not checked a second time
+    path = tmp_path / "doc.json"
+    path.write_text(render_document(make_fixture("dim3-f2-type2")))
+    monkeypatch.setattr(identities, "_first_ambiguity", None)
+    monkeypatch.setattr(decide, "verify_certificate", None)
+    assert not hasattr(identities, "verify_certificate")
     for d in (3, 6):
-        verdict = is_power_associative_upto(A, d, decision=decision)
-        assert verdict == IdentityVerdict(
-            "power-associative", True, {"kind": "length-one", "max_degree": d})
-
-
-def test_power_decision_of_another_algebra_is_not_trusted():
-    yes = decide_length_one(make_fixture("dim3-f2-type2"))
-    A = random_unital_algebra(make_field("F2"), 3, 0)
-    no = decide_length_one(A)
-    swept = is_power_associative_upto(A, 6)
-    assert not no.value and not swept.holds
-    # a yes for another algebra of the same shape, and A's own violation
-    # witness under a yes verdict
-    for decision in (yes, replace(no, value=True)):
-        assert is_power_associative_upto(A, 6, decision=decision) == swept
+        assert main(["identities", "--json", "--degree", str(d), str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["length_one"] is True
+        assert report["identities"][f"power-associative(<={d})"] == {
+            "holds": True, "counterexample": {"kind": "length-one", "max_degree": d}}

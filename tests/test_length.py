@@ -93,8 +93,14 @@ def test_scalar_line_has_length_zero():
     A1 = make_matrix_algebra(Q, 1)
     res = length_of_set(A1, [A1.one])
     assert res.length == 0
-    r = length_of_algebra(make_matrix_algebra(F2, 1))
-    assert r.length == 0
+    # the quotient A/F*1 is zero: one subspace, lifted to the identity alone,
+    # and it is charged against the budget like any other
+    for field in (F2, F3, make_field("GF4")):
+        A = make_matrix_algebra(field, 1)
+        r = length_of_algebra(A, budget=1)
+        assert (r.length, r.witness_rows, r.subspaces_examined) == (0, (A.one,), 1)
+        with pytest.raises(BudgetExceeded, match="^1 subspaces to enumerate exceeds"):
+            length_of_algebra(A, budget=0)
 
 
 def test_length_of_algebra_direct_sums():
