@@ -45,7 +45,11 @@
 # `verify-cert` of its report both exit 0.  An `algebra-length` certificate
 # is checked out of process too: on F3+F3+F3 from `make direct-sum`,
 # `length --json` exits 0 with `"value": 2`, and `verify-cert` of that
-# report, which enumerates the subspaces again, exits 0.
+# report, which enumerates the subspaces again, exits 0.  Over F2 the word
+# spans run on bitmask rows: on F2^5 from `make direct-sum`, `length` prints
+# `l(A) = 2` and `subspaces examined: 67`, and `length --json` and
+# `verify-cert` of its report, which enumerates again on those rows in a
+# fresh process, both exit 0.
 #
 # Eight malformed calls must exit 2: `check` on a document over "F4" (4 is
 # not prime), `check` on a document whose "metadata" is [] (not an object),
@@ -189,6 +193,15 @@ if ! grep -qF '"value": 2,' "$dir/f3x3.length.json"; then
     status=1
 fi
 run 0 verify-cert "$dir/f3x3.length.json"
+run 0 make direct-sum --field F2 --k 5 -o "$dir/f2x5.json"
+run 0 length "$dir/f2x5.json" > "$dir/f2x5.length.txt"
+if ! grep -qx "l(A) = 2" "$dir/f2x5.length.txt" \
+        || ! grep -qx "subspaces examined: 67" "$dir/f2x5.length.txt"; then
+    echo "FAIL: lenalg length on f2x5.json did not print 'l(A) = 2' and 'subspaces examined: 67'" >&2
+    status=1
+fi
+run 0 length --json "$dir/f2x5.json" > "$dir/f2x5.length.json"
+run 0 verify-cert "$dir/f2x5.length.json"
 
 bad="$dir/f4.json"
 echo '{"field": "F4", "dim": 1, "one": ["1"], "table": [[["1"]]]}' > "$bad"

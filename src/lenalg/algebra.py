@@ -71,6 +71,12 @@ class Algebra:
         return self.field.bilinear(self.table)
 
     @cached_property
+    def _row_kernel(self):
+        """The coded forms of the table that `word_spans` runs on
+        (`Field.row_kernel`)."""
+        return self.field.row_kernel(self.table, self._product)
+
+    @cached_property
     def identity_row(self):
         """(L, 1/1_L * 1): the identity's echelon row, every engine's reduction
         modulo F*1.  L is the last coordinate of 1 that is nonzero in the

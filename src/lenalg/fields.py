@@ -60,6 +60,27 @@ algebra, `eliminate(v, rows)`, written out per coordinate with no `sub` or
 `mul` call.  Over GF(p^k), log(-c) = (log c + log(-1)) mod (q - 1) must be
 reduced, or log(-c*b) can pass 2m into the zero region of `_exp` and drop
 the term; log(-1) = 0 in characteristic 2 hides this.
+
+`row_kernel(table, product)` compiles an algebra's table, once per
+algebra, into the coded rows that `length.word_spans` keeps from the
+vectors' entry to its return: (encode, mul, extend, decode).  The default
+form codes nothing: vectors stay payload tuples, `mul` is the table's
+`bilinear` product and `extend` is `linalg._echelon_extend`.  F2 has its
+own form on int bitmasks (Albrecht, Bard & Hart, M4RI, ACM TOMS 2010):
+
+* bit k of a coded vector is its coordinate k, reduced mod 2 on entry, so
+  3 and -1 code as 1;
+* `mul` XORs the table cells e_i * e_j over the set bits i of u and j of v.
+  Each row i holds, per byte of coordinates, the XOR of its cells over
+  every subset of that byte, so a product costs one lookup per set bit of u
+  and byte of v;
+* `extend` XORs in each row whose pivot bit v has set, and a nonzero
+  residue is a new row whose pivot is its lowest set bit.  Over F2 every
+  nonzero entry is one, so no row is scaled.
+
+Q, odd p and GF(p^k) keep the default form.  Two coded GF forms were
+measured slower than it: GF(2^k) bit-sliced into k bitmasks, and GF(p^k)
+rows packed as k rows of F_p digits.
 """
 
 from __future__ import annotations
@@ -78,6 +99,7 @@ from .errors import (
     ReducibleModulus,
     UnsupportedExtension,
 )
+from .linalg import _echelon_extend
 
 # Finite fields are capped well above anything the enumeration engines can
 # use; the cap keeps the irreducibility check (trial division) fast and the
@@ -119,6 +141,71 @@ def _unpacker(count, width, p):
     def unpack(acc):
         return [(acc >> s & mask) % p for s in shifts]
     return unpack
+
+
+def _as_is(x):
+    return x
+
+
+# _BITS[b]: the positions of the set bits of a byte b, lowest first
+_BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
+
+
+def _subset_xors(masks):
+    """The XOR of masks[k] over the set bits k of b, for every b below
+    2^len(masks): one XOR each, from the entry of b without its lowest bit."""
+    out = [0] * (1 << len(masks))
+    for b in range(1, len(out)):
+        low = b & -b
+        out[b] = out[b ^ low] ^ masks[low.bit_length() - 1]
+    return out
+
+
+def _f2_row_kernel(table):
+    """`Field.row_kernel` over F2 on bitmasks: bit k of a coded vector is
+    its coordinate k, reduced mod 2."""
+    n = len(table)
+
+    def encode(v):
+        row = 0
+        for k, c in enumerate(v):
+            if c % 2:
+                row |= 1 << k
+        return row
+
+    # xors[i][c][b]: the XOR of the cells (i, 8c + k) over the set bits k of b
+    shifts = range(0, n, 8)
+    xors = [[_subset_xors([encode(cell) for cell in row[s:s + 8]]) for s in shifts]
+            for row in table]
+    if n <= 8:  # v is one byte: one lookup per set bit of u
+        xors = [x[0] for x in xors]
+
+        def mul(u, v):
+            acc = 0
+            for i in _BITS[u]:
+                acc ^= xors[i][v]
+            return acc
+    else:
+        def mul(u, v):
+            acc, parts = 0, [v >> s & 255 for s in shifts]
+            for s in shifts:
+                for i in _BITS[u >> s & 255]:
+                    for x, b in zip(xors[s + i], parts):
+                        acc ^= x[b]
+            return acc
+
+    def extend(rows, vectors):
+        for v in vectors:
+            for pivot, row in rows:
+                if v >> pivot & 1:
+                    v ^= row
+            if v:
+                rows.append(((v & -v).bit_length() - 1, v))
+        return rows
+
+    def decode(rows):
+        return [(pivot, [row >> k & 1 for k in range(n)]) for pivot, row in rows]
+    return encode, mul, extend, decode
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality
@@ -201,6 +288,18 @@ class Field:
         itself if no row applies).  Each row has a one at its pivot and zeros
         at the pivots before it, so the result is zero at every pivot."""
         raise NotImplementedError
+
+    def row_kernel(self, table, product):
+        """The forms `length.word_spans` runs on for an algebra's n x n
+        `table`: (encode, mul, extend, decode).  encode codes a length-n
+        vector, mul multiplies two coded vectors, extend(rows, coded) appends
+        to an echelon list of (pivot, coded row) pairs as
+        `linalg._echelon_extend` does, and decode(rows) returns such a list
+        with payload rows.  This default form codes nothing: it multiplies
+        with `product`, the table's `bilinear`, which the caller compiled."""
+        n = len(table)
+        return (_as_is, product,
+                lambda rows, vectors: _echelon_extend(self, rows, vectors, n), _as_is)
 
     def linear(self, matrix):
         """The map v -> v @ matrix: the product of (matrix,) with (one,)."""
@@ -388,6 +487,11 @@ class PrimeField(Field):
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
+
+    def row_kernel(self, table, product):
+        if self.p == 2:
+            return _f2_row_kernel(table)
+        return super().row_kernel(table, product)
 
     def from_int(self, n):
         return n % self.p

@@ -20,6 +20,13 @@ L_i.  Each ordered pair (p, q) is multiplied at exactly one level, p + q,
 and the N_p are disjoint parts of at most n - 1 rows, so one call makes at
 most (n - 1)^2 products.
 
+The list is held in A's coded rows (`Field.row_kernel`).  Over F2 they are
+bitmasks, and they are exactly the rows `_echelon_extend` builds on payload
+lists: a residue's lowest set bit is its first nonzero coordinate, the
+pivot `_echelon_extend` picks, and its entry there is already one, the
+only nonzero scalar of F2, so the scaling that `_echelon_extend` would do
+leaves it as it is; XOR is the row operation v - v[pivot] * row.
+
 Stop rule: the dimension sequence is non-decreasing, and once
 dim L_n = dim L_{n+1} = ... = dim L_{2n} holds for some n >= 1 the sequence
 is stationary for good, so the first such window ends the iteration.  An
@@ -35,8 +42,14 @@ import os
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported, LenalgError
-from .linalg import _echelon_extend, span
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    DimensionMismatch,
+    InfiniteFieldUnsupported,
+    LenalgError,
+)
+from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -82,28 +95,38 @@ def word_spans(A, vectors):
 
     The echelon list starts with `A.identity_row`, which spans L_0 = F*1; a
     vector with a zero at its pivot L, as every lifted row of
-    `length_of_algebra` has, is its own residue against it.
+    `length_of_algebra` has, is its own residue against it.  The list is
+    kept in A's coded rows (`Field.row_kernel`) from the vectors' entry to
+    the return, where its at most n rows are decoded once.
     """
     field, n = A.field, A.dim
-    rows = [A.identity_row]
-    dims = [1, len(_echelon_extend(field, rows, vectors, n))]
+    encode, mul, extend, decode = A._row_kernel
+    coded = []
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatch(f"vector length {len(v)} != {n}")
+        coded.append(encode(v))
+    last, one = A.identity_row
+    rows = [(last, encode(one))]
+    dims = [1, len(extend(rows, coded))]
     cap = _iteration_cap(n)
     for i in itertools.count(1):
         if dims[-1] == n:
             # reached the whole algebra; spans are nested so this is final
-            return WordSpanSequence(field, rows, dims, stabilized_at=dims.index(n))
+            return WordSpanSequence(field, decode(rows), dims,
+                                    stabilized_at=dims.index(n))
         # stop rule: some m >= 1 has dims constant on the window [m, 2m]
         for m in range(1, (len(dims) - 1) // 2 + 1):
             if dims[m] == dims[2 * m]:
-                return WordSpanSequence(field, rows, dims, stabilized_at=m)
+                return WordSpanSequence(field, decode(rows), dims, stabilized_at=m)
         if i >= cap:
             raise CapExceeded(
                 f"word spans did not stabilize within {cap} steps (dim {n})")
         # L_{i+1}: the residues of N_p * N_q; dims[0] = 1 skips the identity
-        products = [A.mul(u, v) for p in range(1, i + 1)
+        products = [mul(u, v) for p in range(1, i + 1)
                     for _, u in rows[dims[p - 1]:dims[p]]
                     for _, v in rows[dims[i - p]:dims[i + 1 - p]]]
-        dims.append(len(_echelon_extend(field, rows, products, n)))
+        dims.append(len(extend(rows, products)))
 
 
 @dataclass

@@ -9,7 +9,8 @@ The one row operation, v minus v[pivot] * row, lives on the field as
 `Field.eliminate`, next to its product kernel; `Subspace.reduce` and
 `_echelon_extend` reduce through it.  `_echelon_extend` is the one echelon
 routine: `rref` sorts its rows by pivot and back-reduces them, and it
-serves `in_span` (the pair test) and `length`'s word spans directly.
+serves `in_span` (the pair test) directly and `length`'s word spans as the
+default form of `Field.row_kernel`.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -53,7 +54,10 @@ def vec_is_zero(field, v):
 def _echelon_extend(field, rows, vectors, n):
     """Append to `rows` a (pivot, row) pair for each length-n vector outside
     their span: its residue against the rows so far, scaled to a one at its
-    first nonzero entry, its pivot."""
+    first entry that is nonzero in the field, its pivot.  A vector that no
+    row reduced is returned by `eliminate` as given, so an F_p entry other
+    than 0 may still be an unreduced multiple of p; its inverse raises, and
+    the search moves on, with no reduction pass over reduced input."""
     zero, one = field.zero, field.one
     for v in vectors:
         if len(v) != n:
@@ -62,7 +66,10 @@ def _echelon_extend(field, rows, vectors, n):
         for pivot, c in enumerate(r):
             if c != zero:
                 if c != one:
-                    inv = field.inv(c)
+                    try:
+                        inv = field.inv(c)
+                    except ZeroDivisionError:  # c is zero in the field
+                        continue
                     r = [field.mul(inv, a) for a in r]
                 rows.append((pivot, r))
                 break

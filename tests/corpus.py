@@ -22,6 +22,7 @@ from lenalg import (
 from lenalg.algebra import complete_to_basis_with_one
 from lenalg.decide import OracleResult, ViolationWitness
 from lenalg.errors import CapExceeded, DimensionMismatch
+from lenalg.length import enumerate_subspaces
 from lenalg.linalg import (
     BasisChange,
     invert_matrix,
@@ -142,6 +143,25 @@ def reference_word_spans(A, vectors):
                     for u in spans[p].rows for v in spans[i + 1 - p].rows]
         spans.append(span(field, list(spans[-1].rows) + products))
         i += 1
+
+
+def reference_length(A):
+    """(l(A), witness rows, subspaces examined) by the definition, the
+    reference for `length_of_algebra`: each subspace of A/F*1 from
+    `enumerate_subspaces`, lifted by a zero at L, the pivot of
+    `A.identity_row`, after the identity; its length read off
+    `reference_word_spans`; the first generating one of greatest length
+    is the witness."""
+    field, n = A.field, A.dim
+    last, zero = A.identity_row[0], (field.zero,)
+    best, best_rows, examined = -1, None, 0
+    for rows in enumerate_subspaces(field, n - 1):
+        examined += 1
+        lifted = [A.one] + [r[:last] + zero + r[last:] for r in rows]
+        dims = [s.dim for s in reference_word_spans(A, lifted)[0]]
+        if dims[-1] == n and dims.index(n) > best:
+            best, best_rows = dims.index(n), tuple(lifted)
+    return best, best_rows, examined
 
 
 def reference_mul(field, table, u, v):

@@ -17,6 +17,7 @@ from lenalg import (
     make_fixture,
     make_matrix_algebra,
     length_of_algebra,
+    length_of_set,
     oracle_length_one,
     special_step,
     special_table_from_params,
@@ -403,3 +404,24 @@ def test_an_identity_coordinate_divisible_by_p_is_zero():
             want.is_length_one, want.pairs_checked)
         assert got.witness is None or verify_violation(A, got.witness)
         assert length_of_algebra(A).length == length_of_algebra(R).length
+
+
+def test_an_identity_coordinate_divisible_by_p_is_never_a_pivot():
+    # remark-literal over F5 with e_0 and e_1 swapped has the identity e_1;
+    # as (5, 1, 0) its coordinate 0 is an unreduced zero that no row reduces
+    # before the echelon routine reads it, ahead of the pivot 1
+    T = make_fixture("remark-literal", field=F5).table
+    swap = (1, 0, 2)
+    table = [[tuple(T[swap[i]][swap[j]][k] for k in swap) for j in range(3)]
+             for i in range(3)]
+    A, R = algebra(F5, table, (5, 1, 0)), algebra(F5, table, (0, 1, 0))
+    rep, ref = decide_length_one(A), decide_length_one(R)
+    assert rep.value is False and (rep.value, rep.path) == (ref.value, ref.path)
+    assert verify_violation(A, rep.certificate)
+    for witness in (True, False):
+        got = oracle_length_one(A, witness=witness)
+        want = oracle_length_one(R, witness=witness)
+        assert (got.is_length_one, got.pairs_checked, got.witness) == (
+            want.is_length_one, want.pairs_checked, want.witness)
+    for B in (A, R):
+        assert length_of_set(B, [(5, 0, 1)]) == length_of_set(R, [(0, 0, 1)])

@@ -41,6 +41,7 @@ from tests.corpus import (
     random_table,
     random_unital_algebra,
     random_vector,
+    reference_length,
     reference_word_spans,
     sparse_f2_hull,
     with_identity,
@@ -217,8 +218,24 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
-def _assert_matches_reference(muls, A, S):
-    """word_spans(A, S) against the reference; `muls` counts A.mul calls.
+def _coded_products(monkeypatch, A):
+    """Wrap the product of A's coded rows (`Field.row_kernel`), which
+    `word_spans` multiplies with; the returned list grows by one per call."""
+    encode, mul, extend, decode = A._row_kernel
+    calls = []
+
+    def counted(u, v):
+        calls.append(None)
+        return mul(u, v)
+
+    monkeypatch.setitem(A.__dict__, "_row_kernel", (encode, counted, extend, decode))
+    return calls
+
+
+def _assert_matches_reference(monkeypatch, muls, A, S):
+    """word_spans(A, S) against the reference; `muls` counts A.mul calls,
+    which the reference makes, and word_spans' products are counted on
+    A's coded rows.
 
     Returns the sequence and the number of products word_spans made: at
     most (n - 1)^2, since each level multiplies only new rows, and never
@@ -227,9 +244,9 @@ def _assert_matches_reference(muls, A, S):
     del muls[:]
     spans, stabilized_at = reference_word_spans(A, S)
     reference_muls = len(muls)
-    del muls[:]
+    coded = _coded_products(monkeypatch, A)
     seq = word_spans(A, S)
-    products = len(muls)
+    products = len(coded)
     assert products <= (A.dim - 1) ** 2
     assert products <= reference_muls
     assert seq.dims == [s.dim for s in spans]
@@ -254,7 +271,7 @@ def test_word_spans_match_the_reference(monkeypatch, name, dim):
         A = unital_hull(field, random_table(field, dim - 1, rng))
         S = [random_vector(field, dim, rng) for _ in range(seed % 3)]
         S += [A.basis_vector(rng.randrange(dim))]
-        _assert_matches_reference(muls, A, S)
+        _assert_matches_reference(monkeypatch, muls, A, S)
 
 
 def test_word_spans_plateau_then_growth(monkeypatch):
@@ -262,7 +279,8 @@ def test_word_spans_plateau_then_growth(monkeypatch):
     # window [m, 2m] of equal dims (a seeded search over sparse F2 hulls)
     A = sparse_f2_hull(4, 23)
     muls = _counted(monkeypatch, Algebra, "mul")
-    seq, products = _assert_matches_reference(muls, A, [A.basis_vector(4)])
+    seq, products = _assert_matches_reference(monkeypatch, muls, A,
+                                              [A.basis_vector(4)])
     assert seq.dims == [1, 2, 3, 3, 4, 4, 4, 4, 4]
     assert seq.stabilized_at == 4
     assert products == 9   # 264 when every level multiplied all rows
@@ -283,7 +301,8 @@ def test_word_spans_multiply_only_new_rows(monkeypatch, name, n, expected):
     # in all (155 and 41 when every level multiplied all rows)
     A = _truncated_polynomials(make_field(name), n)
     muls = _counted(monkeypatch, Algebra, "mul")
-    seq, products = _assert_matches_reference(muls, A, [A.basis_vector(1)])
+    seq, products = _assert_matches_reference(monkeypatch, muls, A,
+                                              [A.basis_vector(1)])
     assert seq.dims == list(range(1, n + 1))
     assert products == expected == (n - 1) * (n - 2) // 2
 
@@ -308,11 +327,28 @@ def test_length_of_algebra_rref_calls_do_not_grow_with_subspaces(monkeypatch):
     assert len(set(calls.values())) == 1
 
 
-@pytest.mark.parametrize("v", [qv(1, 0, 0), qv(1, 0, 0, 0, 0)])
+@pytest.mark.parametrize("v", [qv(1, 0, 0), qv(1, 0, 0, 0, 0),
+                               pytest.param((1, 0, 0), id="F2-v0"),
+                               pytest.param((1, 0, 0, 0, 0), id="F2-v1")])
 def test_word_spans_refuse_a_vector_of_the_wrong_length(v):
-    M2 = make_matrix_algebra(Q, 2)
+    # over F2 the length is checked before a vector becomes a bitmask row,
+    # which would take an int vector of any length
+    M2 = make_matrix_algebra(Q if isinstance(v[0], Fraction) else F2, 2)
     with pytest.raises(DimensionMismatch):
         word_spans(M2, [M2.basis_vector(1), v])
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_f2_word_spans_read_payloads_3_and_minus_1_as_1(dim):
+    rng = random.Random(f"unreduced|{dim}")
+    for seed in range(4):
+        A = random_unital_algebra(F2, dim, seed)
+        S = [random_vector(F2, dim, rng) for _ in range(1 + seed % 2)]
+        want = word_spans(A, S)
+        for odd in (3, -1):
+            got = word_spans(A, [tuple(odd if c else c for c in v) for v in S])
+            assert (got.dims, got.stabilized_at, got.closure) == (
+                want.dims, want.stabilized_at, want.closure)
 
 
 def _length_corpus(field, dim):
@@ -341,6 +377,30 @@ def test_length_one_exactly_when_the_decider_says_yes(name):
             assert (length_of_algebra(A).length == 1) == verdict, (dim, A.table)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_f2_length_matches_the_reference(dim):
+    # F2 word spans run on bitmask rows, the reference on canonical
+    # Subspaces of field payloads; the corpus adds F2[x]/(x^dim) and M_2(F2)
+    corpus = list(_length_corpus(F2, dim)) + [_truncated_polynomials(F2, dim)]
+    if dim == 4:
+        corpus.append(make_matrix_algebra(F2, 2))
+    lengths = []
+    for A in corpus:
+        res = length_of_algebra(A)
+        assert (res.length, res.witness_rows, res.subspaces_examined) == (
+            reference_length(A)), A.table
+        lengths.append(res.length)
+    assert 1 in lengths and max(lengths) >= 2
+
+
+def test_f2_length_at_dim_7_matches_the_reference():
+    A = random_unital_algebra(F2, 7, seed=1)
+    res = length_of_algebra(A)
+    assert res.length >= 2
+    assert (res.length, res.witness_rows, res.subspaces_examined) == (
+        reference_length(A))
 
 
 def _identity_first_length(A):

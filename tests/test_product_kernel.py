@@ -1,5 +1,5 @@
 """The field kernels behind Algebra.mul and the row operation against
-field operations alone.
+field operations alone, and the F2 bitmask rows against the default form.
 
 `Field.bilinear` sums over integers and reduces once per coordinate (packed
 b-bit digits over F_p and GF(p^k), common denominators over Q).  Its tests
@@ -76,6 +76,26 @@ def test_kernel_matches_reference(name):
             table = [[random_vector(F, n - 1, rng) for _ in range(n - 1)]
                      for _ in range(n - 1)]
             _assert_matches_reference(unital_hull(F, table), vectors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17])
+def test_f2_row_kernel_matches_the_default_form(n):
+    # the F2 product looks up one byte of v at a time, so n = 8, 9, 16 and
+    # 17 sit on either side of its byte boundaries
+    F = FIELDS["F2"]
+    A = random_unital_algebra(F, n, seed=n)
+    encode, mul, extend, decode = A._row_kernel
+    _, product, echelon, _ = fields.Field.row_kernel(F, A.table, A._product)
+    vectors = _vectors(F, n, random.Random(f"f2-rows|{n}"))
+    for u in vectors:
+        for v in vectors:
+            assert decode([(0, mul(encode(u), encode(v)))]) == [
+                (0, list(product(u, v)))], (u, v)
+    products = [product(u, v) for u in vectors for v in vectors[:3]]
+    last, one = A.identity_row
+    coded = extend([(last, encode(one))], [encode(v) for v in products])
+    assert decode(coded) == [(pivot, list(row)) for pivot, row in
+                             echelon([A.identity_row], products)]
 
 
 # log(-1) is 13 here, not 0 as in characteristic 2: the case where an
