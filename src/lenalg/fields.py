@@ -61,26 +61,9 @@ algebra, `eliminate(v, rows)`, written out per coordinate with no `sub` or
 reduced, or log(-c*b) can pass 2m into the zero region of `_exp` and drop
 the term; log(-1) = 0 in characteristic 2 hides this.
 
-`row_kernel(table, product)` compiles an algebra's table, once per
-algebra, into the coded rows that `length.word_spans` keeps from the
-vectors' entry to its return: (encode, mul, extend, decode).  The default
-form codes nothing: vectors stay payload tuples, `mul` is the table's
-`bilinear` product and `extend` is `linalg._echelon_extend`.  F2 has its
-own form on int bitmasks (Albrecht, Bard & Hart, M4RI, ACM TOMS 2010):
-
-* bit k of a coded vector is its coordinate k, reduced mod 2 on entry, so
-  3 and -1 code as 1;
-* `mul` XORs the table cells e_i * e_j over the set bits i of u and j of v.
-  Each row i holds, per byte of coordinates, the XOR of its cells over
-  every subset of that byte, so a product costs one lookup per set bit of u
-  and byte of v;
-* `extend` XORs in each row whose pivot bit v has set, and a nonzero
-  residue is a new row whose pivot is its lowest set bit.  Over F2 every
-  nonzero entry is one, so no row is scaled.
-
-Q, odd p and GF(p^k) keep the default form.  Two coded GF forms were
-measured slower than it: GF(2^k) bit-sliced into k bitmasks, and GF(p^k)
-rows packed as k rows of F_p digits.
+`row_kernel(table, product)` compiles the coded rows `length.word_spans`
+runs on: F2 up to dim 8 as bitmasks, every other field as it is (contract
+at `Field.row_kernel`, proof of the F2 form in `length`).
 """
 
 from __future__ import annotations
@@ -94,6 +77,7 @@ from operator import mul
 
 from .errors import (
     CharacteristicTwo,
+    DimensionMismatch,
     InfiniteFieldUnsupported,
     NonPrimeModulus,
     ReducibleModulus,
@@ -162,37 +146,29 @@ def _subset_xors(masks):
 
 
 def _f2_row_kernel(table):
-    """`Field.row_kernel` over F2 on bitmasks: bit k of a coded vector is
-    its coordinate k, reduced mod 2."""
+    """`Field.row_kernel` over F2 on bitmasks, for n <= 8: bit k of a coded
+    vector is its coordinate k, reduced mod 2 (Albrecht, Bard & Hart, M4RI,
+    ACM TOMS 2010)."""
     n = len(table)
 
     def encode(v):
+        if len(v) != n:
+            raise DimensionMismatch(f"vector length {len(v)} != {n}")
         row = 0
         for k, c in enumerate(v):
             if c % 2:
                 row |= 1 << k
         return row
 
-    # xors[i][c][b]: the XOR of the cells (i, 8c + k) over the set bits k of b
-    shifts = range(0, n, 8)
-    xors = [[_subset_xors([encode(cell) for cell in row[s:s + 8]]) for s in shifts]
-            for row in table]
-    if n <= 8:  # v is one byte: one lookup per set bit of u
-        xors = [x[0] for x in xors]
+    # xors[i][b]: the XOR of the cells (i, k) over the set bits k of b, so a
+    # product is one lookup per set bit of u
+    xors = [_subset_xors([encode(cell) for cell in row]) for row in table]
 
-        def mul(u, v):
-            acc = 0
-            for i in _BITS[u]:
-                acc ^= xors[i][v]
-            return acc
-    else:
-        def mul(u, v):
-            acc, parts = 0, [v >> s & 255 for s in shifts]
-            for s in shifts:
-                for i in _BITS[u >> s & 255]:
-                    for x, b in zip(xors[s + i], parts):
-                        acc ^= x[b]
-            return acc
+    def mul(u, v):
+        acc = 0
+        for i in _BITS[u]:
+            acc ^= xors[i][v]
+        return acc
 
     def extend(rows, vectors):
         for v in vectors:
@@ -292,7 +268,8 @@ class Field:
     def row_kernel(self, table, product):
         """The forms `length.word_spans` runs on for an algebra's n x n
         `table`: (encode, mul, extend, decode).  encode codes a length-n
-        vector, mul multiplies two coded vectors, extend(rows, coded) appends
+        vector (another length raises DimensionMismatch in encode or
+        extend), mul multiplies two coded vectors, extend(rows, coded) appends
         to an echelon list of (pivot, coded row) pairs as
         `linalg._echelon_extend` does, and decode(rows) returns such a list
         with payload rows.  This default form codes nothing: it multiplies
@@ -489,7 +466,7 @@ class PrimeField(Field):
         return v
 
     def row_kernel(self, table, product):
-        if self.p == 2:
+        if self.p == 2 and len(table) <= 8:
             return _f2_row_kernel(table)
         return super().row_kernel(table, product)
 

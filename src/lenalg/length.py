@@ -20,9 +20,9 @@ L_i.  Each ordered pair (p, q) is multiplied at exactly one level, p + q,
 and the N_p are disjoint parts of at most n - 1 rows, so one call makes at
 most (n - 1)^2 products.
 
-The list is held in A's coded rows (`Field.row_kernel`).  Over F2 they are
-bitmasks, and they are exactly the rows `_echelon_extend` builds on payload
-lists: a residue's lowest set bit is its first nonzero coordinate, the
+The list is held in A's coded rows (`Field.row_kernel`).  Over F2 up to
+dim 8 they are bitmasks, and they are exactly the rows `_echelon_extend`
+builds on payload lists: a residue's lowest set bit is its first nonzero coordinate, the
 pivot `_echelon_extend` picks, and its entry there is already one, the
 only nonzero scalar of F2, so the scaling that `_echelon_extend` would do
 leaves it as it is; XOR is the row operation v - v[pivot] * row.
@@ -42,13 +42,7 @@ import os
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    DimensionMismatch,
-    InfiniteFieldUnsupported,
-    LenalgError,
-)
+from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported, LenalgError
 from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 7
@@ -101,11 +95,7 @@ def word_spans(A, vectors):
     """
     field, n = A.field, A.dim
     encode, mul, extend, decode = A._row_kernel
-    coded = []
-    for v in vectors:
-        if len(v) != n:
-            raise DimensionMismatch(f"vector length {len(v)} != {n}")
-        coded.append(encode(v))
+    coded = [encode(v) for v in vectors]
     last, one = A.identity_row
     rows = [(last, encode(one))]
     dims = [1, len(extend(rows, coded))]

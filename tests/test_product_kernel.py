@@ -78,10 +78,10 @@ def test_kernel_matches_reference(name):
             _assert_matches_reference(unital_hull(F, table), vectors)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
 def test_f2_row_kernel_matches_the_default_form(n):
-    # the F2 product looks up one byte of v at a time, so n = 8, 9, 16 and
-    # 17 sit on either side of its byte boundaries
+    # the F2 product looks v up whole, in a table of 2^n entries per row of
+    # cells; n = 8 is the largest dim that takes the bitmask form
     F = FIELDS["F2"]
     A = random_unital_algebra(F, n, seed=n)
     encode, mul, extend, decode = A._row_kernel
