@@ -42,7 +42,10 @@
 #
 # The word-span commands run the same way on M_2(F2) from `make matrix`:
 # `length` prints `l(A) = 2`, and `length-set --set "e2;e3" --json` and
-# `verify-cert` of its report both exit 0.  An `algebra-length` certificate
+# `verify-cert` of its report both exit 0.  A set that does not generate
+# is reported the same way: `length-set --set e2` prints
+# `generates: no (closure has dimension 2)` and `dims: 1, 2, 2`, and
+# `verify-cert` of its `--json` report exits 0.  An `algebra-length` certificate
 # is checked out of process too: on F3+F3+F3 from `make direct-sum`,
 # `length --json` exits 0 with `"value": 2`, and `verify-cert` of that
 # report, which enumerates the subspaces again, exits 0.  Over F2 the word
@@ -186,6 +189,14 @@ if ! grep -qx "l(A) = 2" "$dir/m2.length.txt"; then
 fi
 run 0 length-set --set "e2;e3" --json "$dir/m2.json" > "$dir/m2.set.json"
 run 0 verify-cert "$dir/m2.set.json"
+run 0 length-set --set e2 "$dir/m2.json" > "$dir/m2.e2.txt"
+if ! grep -qx "generates: no (closure has dimension 2)" "$dir/m2.e2.txt" \
+        || ! grep -qx "dims: 1, 2, 2" "$dir/m2.e2.txt"; then
+    echo "FAIL: lenalg length-set --set e2 on m2.json did not print 'generates: no (closure has dimension 2)' and 'dims: 1, 2, 2'" >&2
+    status=1
+fi
+run 0 length-set --set e2 --json "$dir/m2.json" > "$dir/m2.e2.json"
+run 0 verify-cert "$dir/m2.e2.json"
 run 0 make direct-sum --field F3 --k 3 -o "$dir/f3x3.json"
 run 0 length --json "$dir/f3x3.json" > "$dir/f3x3.length.json"
 if ! grep -qF '"value": 2,' "$dir/f3x3.length.json"; then

@@ -78,7 +78,6 @@ from .identities import (
 )
 from .length import (
     AlgebraLengthResult,
-    SetLengthResult,
     WordSpanSequence,
     enumerate_subspaces,
     gaussian_binomial,

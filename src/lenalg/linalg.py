@@ -8,9 +8,9 @@ is raw tuple comparison and every reported witness is deterministic.
 The one row operation, v minus v[pivot] * row, lives on the field as
 `Field.eliminate`, next to its product kernel; `Subspace.reduce` and
 `_echelon_extend` reduce through it.  `_echelon_extend` is the one echelon
-routine: `rref` sorts its rows by pivot and back-reduces them, and it
-serves `in_span` (the pair test) directly and `length`'s word spans as the
-default form of `Field.row_kernel`.
+routine: `rref` sorts its rows by pivot and back-reduces them; membership
+(`in_span`, the pair test, and `Subspace.contains`) asks whether it appends
+a row; and it is the default form of `Field.row_kernel`, `length`'s rows.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -77,9 +77,11 @@ def _echelon_extend(field, rows, vectors, n):
 
 
 def in_span(field, w, vectors):
-    """True when w lies in the span of the vectors (none: only zero does)."""
+    """True when w lies in the span of the vectors (none: only zero does),
+    that is, when it adds no row to their echelon list (`_echelon_extend`)."""
     rows = _echelon_extend(field, [], vectors, len(w))
-    return vec_is_zero(field, field.eliminate(w, rows))
+    dim = len(rows)
+    return len(_echelon_extend(field, rows, [w], len(w))) == dim
 
 
 def rref(field, rows):
@@ -115,7 +117,8 @@ class Subspace:
         return tuple(self.field.eliminate(v, zip(self.pivots, self.rows)))
 
     def contains(self, v):
-        return vec_is_zero(self.field, self.reduce(v))
+        rows = list(zip(self.pivots, self.rows))
+        return len(_echelon_extend(self.field, rows, [v], self.ambient_dim)) == self.dim
 
     def coords(self, v):
         """Coefficients of v against the stored rows, or None if v is outside.

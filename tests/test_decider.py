@@ -31,7 +31,14 @@ from lenalg import decide as decide_module
 from lenalg.algebra import complete_to_basis_with_one
 from lenalg.decide import SpecialBasisWitness, ViolationWitness
 from lenalg.errors import BudgetExceeded, CharacteristicTwo
-from lenalg.linalg import BasisChange, identity_matrix, random_invertible, unit_vec
+from lenalg.linalg import (
+    BasisChange,
+    identity_matrix,
+    in_span,
+    random_invertible,
+    span,
+    unit_vec,
+)
 
 from tests.corpus import random_unital_algebra, random_two_dim_unital, random_vector
 
@@ -404,6 +411,18 @@ def test_an_identity_coordinate_divisible_by_p_is_zero():
             want.is_length_one, want.pairs_checked)
         assert got.witness is None or verify_violation(A, got.witness)
         assert length_of_algebra(A).length == length_of_algebra(R).length
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_a_vector_divisible_by_p_is_in_every_span(p):
+    # an unreduced zero that no row reduces is read by its residue: (p, 0, 0)
+    # is the zero vector of F_p^3, inside every span, the empty one too
+    F, e1 = make_field(f"F{p}"), (0, 1, 0)
+    assert in_span(F, (p, 0, 0), [e1]) and in_span(F, (p, 0, 0), [])
+    assert span(F, [e1]).contains((p, 0, 0))
+    assert span(F, [e1]).coords((-p, p + 3, 2 * p)) == [p + 3]
+    assert in_span(F, (p, p + 1, 0), [e1]) and not in_span(F, (p + 1, 0, 0), [e1])
+    assert not span(F, [e1]).contains((p, 0, 1))
 
 
 def test_an_identity_coordinate_divisible_by_p_is_never_a_pivot():

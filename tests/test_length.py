@@ -7,6 +7,7 @@ import pytest
 
 from lenalg import (
     Algebra,
+    Field,
     algebra,
     change_basis,
     complete_to_basis_with_one,
@@ -249,8 +250,12 @@ def _assert_matches_reference(monkeypatch, muls, A, S):
     products = len(coded)
     assert products <= (A.dim - 1) ** 2
     assert products <= reference_muls
-    assert seq.dims == [s.dim for s in spans]
+    dims = [s.dim for s in spans]
+    assert seq.dims == dims
     assert seq.stabilized_at == stabilized_at
+    assert seq.length == dims.index(dims[-1])
+    assert seq.generates == (dims[-1] == A.dim)
+    assert length_of_set(A, S) == seq
     closure = spans[-1]
     assert seq.closure == closure
     sub, rows = subalgebra_generated_by(A, S)
@@ -313,6 +318,32 @@ def test_word_spans_build_no_subspace_until_the_closure_is_read(monkeypatch):
     seq = word_spans(M2, [M2.basis_vector(1), M2.basis_vector(2)])
     assert rrefs == []
     assert seq.closure.dim == 4 and len(rrefs) == 1
+
+
+def test_f2_word_spans_decode_their_rows_only_when_read(monkeypatch):
+    # the bitmask rows are decoded once per read of `rows` or `closure`, to
+    # the rows of the default, uncoded form, and never while
+    # `length_of_algebra` enumerates
+    A = random_unital_algebra(F2, 5, seed=0)
+    S = [A.basis_vector(1), A.basis_vector(3)]
+    encode, mul, extend, decode = A._row_kernel
+    monkeypatch.setitem(A.__dict__, "_row_kernel",
+                        Field.row_kernel(F2, A.table, A._product))
+    want = [(pivot, tuple(row)) for pivot, row in word_spans(A, S).rows]
+    decodes = []
+
+    def counted(rows):
+        decodes.append(None)
+        return decode(rows)
+
+    monkeypatch.setitem(A.__dict__, "_row_kernel", (encode, mul, extend, counted))
+    assert length_of_algebra(A).subspaces_examined == 67 and decodes == []
+    seq = word_spans(A, S)
+    assert decodes == []
+    assert [(pivot, tuple(row)) for pivot, row in seq.rows] == want
+    assert len(decodes) == 1
+    assert seq.closure == span(F2, [row for _, row in want])
+    assert len(decodes) == 2
 
 
 def test_length_of_algebra_rref_calls_do_not_grow_with_subspaces(monkeypatch):
