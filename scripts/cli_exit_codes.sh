@@ -62,6 +62,9 @@
 # on the four-dimensional M_2(F2), `length-set --set "e²"` there, without
 # a traceback (a superscript is not a basis index), and `oracle` on
 # dim3-f2-type3 with LENALG_BUDGET=abc, whose error names LENALG_BUDGET.
+# A closed stdout exits 2 too, with no traceback: `check --json` on
+# remark-repaired piped into `true`, which exits before the report is
+# written.
 #
 # Usage: sh scripts/cli_exit_codes.sh
 # It runs the `lenalg` on PATH, or, when there is none, `python3 -m lenalg`
@@ -234,6 +237,12 @@ run 2 oracle "$dir/type3.json" 2> "$dir/budget.err"
 unset LENALG_BUDGET
 if ! grep -qF "LENALG_BUDGET" "$dir/budget.err"; then
     echo "FAIL: lenalg oracle with LENALG_BUDGET=abc did not name LENALG_BUDGET" >&2
+    status=1
+fi
+( lenalg check --json "$dir/remark-repaired.json" 2> "$dir/pipe.err"
+  echo $? > "$dir/pipe.code" ) | true
+if [ "$(cat "$dir/pipe.code")" -ne 2 ] || grep -qF "Traceback" "$dir/pipe.err"; then
+    echo "FAIL: lenalg check --json into a closed pipe exited $(cat "$dir/pipe.code"), expected 2 without a traceback" >&2
     status=1
 fi
 exit $status

@@ -9,7 +9,7 @@ and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DimensionMismatch, InvalidIdentity
 from .linalg import BasisChange, identity_matrix, rref, unit_vec, vec_scale
@@ -148,6 +148,30 @@ def unital_hull(field, table):
                           lambda i, j: (zero,) + tuple(table[i - 1][j - 1]))
 
 
+class Conjugation:
+    """A's table in the basis of the rows R of `change`, cell by cell:
+    cell(a, b) = change.to_new(A.mul(R[a], R[b])), computed when first read
+    and kept; so is `algebra`, change_basis(A, change), built from the cells.
+    An identity change reads A's cells, and its algebra is A itself."""
+
+    def __init__(self, A, change):
+        self.change = change = BasisChange.of(A.field, change)
+        if change.dim != A.dim:
+            raise DimensionMismatch("basis change has wrong dimension")
+        self.A, rows, to_new = A, change.matrix, change.to_new
+        self.same = rows == identity_matrix(A.field, A.dim)
+        self.cell = cache((lambda a, b: A.table[a][b]) if self.same
+                          else lambda a, b: to_new(A.mul(rows[a], rows[b])))
+
+    @cached_property
+    def algebra(self):
+        A, r = self.A, range(self.A.dim)
+        if self.same:
+            return A  # Algebra is immutable, so the table can be shared
+        table = tuple(tuple(self.cell(a, b) for b in r) for a in r)
+        return Algebra(field=A.field, table=table, one=self.change.to_new(A.one))
+
+
 def change_basis(A, change):
     """Rewrite A in the basis given by the rows of `change`.
 
@@ -159,21 +183,13 @@ def change_basis(A, change):
     plus n^2 + 1 kernel maps, and no field multiplication outside them.
     When R[0] is A's identity, the new identity is e_0 and row and column 0
     of the new table are the e_j, so its identity check reads those cells
-    and builds no kernel for the new algebra.
+    and builds no kernel for the new algebra.  The cells are `Conjugation`'s,
+    whose reader lets a decision stage compute only the cells it reads.
 
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.
     """
-    change = BasisChange.of(A.field, change)
-    n = A.dim
-    if change.dim != n:
-        raise DimensionMismatch("basis change has wrong dimension")
-    field = A.field
-    if change.matrix == identity_matrix(field, n):
-        return A  # Algebra is immutable, so the same table can be shared
-    rows, to_new = change.matrix, change.to_new
-    table = tuple(tuple(to_new(A.mul(a, b)) for b in rows) for a in rows)
-    return Algebra(field=field, table=table, one=to_new(A.one))
+    return Conjugation(A, change).algebra
 
 
 def complete_to_basis_with_one(A):

@@ -3,8 +3,9 @@
 Exit codes follow a pipeline-friendly contract: for `check` and `oracle`,
 0 means verdict yes, 1 means verdict no, 2 means error; `verify-cert`
 returns 0/1 for valid/invalid certificates; everything else returns 0 on
-success and 2 on error.  `--json` switches every command but `make`, whose
-documents are already JSON, to machine-readable reports.
+success and 2 on error, a closed stdout included.  `--json` switches every
+command but `make`, whose documents are already JSON, to machine-readable
+reports.
 
 `--budget` caps the enumerations of `oracle`, `length` and `verify-cert` and
 the power sweep of `identities` (default LENALG_BUDGET or 10^7).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -391,12 +393,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except LenalgError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error[FileNotFound]: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

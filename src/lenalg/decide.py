@@ -9,9 +9,9 @@ of A/F*1 over a finite field, the `_quotient_lines`; C(n, 2) + 1 basis lines
 over Q) provides a fully independent second route used by the test suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
-itself.  Each stage writes its basis in A's coordinates, so every table the
-decider reads is change_basis(A, c) for the change c it reports (the squares
-step reads only the n basis squares):
+itself.  Each stage writes its basis c in A's coordinates and computes the
+cells of change_basis(A, c) only as it reads them (`Conjugation`), up to the
+first failing one; the squares step computes only the squares:
 
 * dimension 1: the algebra is the scalar line, exact length 0 (verdict yes,
   meaning length <= 1).
@@ -51,7 +51,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import change_basis, complete_to_basis_with_one, identity_first
+from .algebra import (Conjugation, change_basis, complete_to_basis_with_one,
+                      identity_first)
 from .errors import (
     AssemblyError,
     BudgetExceeded,
@@ -144,9 +145,7 @@ class OracleResult:
 
 def verify_violation(A, w):
     """True when the recorded pair genuinely violates the span condition."""
-    if len(w.left) != A.dim or len(w.right) != A.dim:
-        return False
-    return _violates(A, w.left, w.right)
+    return _sized(A.dim, w.left, w.right) and _violates(A, w.left, w.right)
 
 
 def _violates(A, a, b):
@@ -285,9 +284,9 @@ def square_step(A, basis=None):
     or the ViolationWitness (a_i, a_i), in A's coordinates, for the first
     failing index; failure proves length > 1.  The basis (rows or a
     BasisChange) must have the identity as its first row; by default the
-    identity is completed to a basis deterministically.  Only the n basis
-    squares are computed, each written in the basis; the rest of the table
-    is never read.
+    identity is completed to a basis deterministically.  Only the squares
+    of the non-identity rows are computed, each written in the basis, in
+    order up to the first failing one; the rest of the table is never read.
     """
     if basis is None:
         change = complete_to_basis_with_one(A)
@@ -296,18 +295,17 @@ def square_step(A, basis=None):
     if change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
     rows = change.matrix
-    return _read_squares(A.field, rows, [change.to_new(A.mul(r, r)) for r in rows])
+    return _read_squares(A.field, rows,
+                         (change.to_new(A.mul(r, r)) for r in rows[1:]))
 
 
 def _read_squares(field, rows, squares):
     """(alpha_i, gamma_i) per non-identity index, or a ViolationWitness, from
-    the squares of the basis rows (the identity's first), in basis
-    coordinates."""
-    n = len(squares)
-    zero = field.zero
+    the iterable of the squares of rows[1:], in basis coordinates, read up
+    to the first failing one."""
+    n, zero = len(rows), field.zero
     out = []
-    for i in range(1, n):
-        sq = squares[i]
+    for i, sq in enumerate(squares, 1):
         bad = [k for k in range(1, n) if k != i and sq[k] != zero]
         if bad:
             return _fail("square-not-in-span", rows[i], rows[i],
@@ -349,46 +347,46 @@ def special_step(A, basis):
 
     The basis (rows or a BasisChange) must start with the identity and every
     non-identity row must square into F*1 (i.e. be canonical); a ValueError
-    flags misuse.  A witness is checked before it is returned: the table its
-    parameters claim must equal A's table in the witness basis, the one the
-    parameters were read from.
+    flags misuse.  A's cells in that basis are computed as they are read, up
+    to the first failing product.  A witness is checked before it is
+    returned: the table its parameters claim must equal A's table in the
+    witness basis, the one the parameters were read from.
     """
-    change = BasisChange.of(A.field, basis)
-    B = change_basis(A, change)
-    if B.one != unit_vec(A.field, A.dim, 0):
+    cells = Conjugation(A, basis)
+    if cells.change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
-    res = _read_special(B, change.matrix)
+    res = _read_special(cells, cells.change.matrix)
     if isinstance(res, ViolationWitness):
         return res
     mu, beta, alpha = res
-    if special_table_from_params(A.field, mu, beta, alpha).table != B.table:
+    claimed = special_table_from_params(A.field, mu, beta, alpha)
+    if claimed.table != cells.algebra.table:
         raise AssemblyError("special witness failed literal re-verification")
-    return SpecialBasisWitness(change=change, mu=mu, beta=beta, alpha=alpha)
+    return SpecialBasisWitness(change=cells.change, mu=mu, beta=beta, alpha=alpha)
 
 
-def _read_special(B, rows):
-    """Read (mu, beta, alpha) from an identity-first canonical algebra B, or a
-    ViolationWitness built from `rows`, B's basis in A's coordinates."""
-    field = B.field
-    n = B.dim
+def _read_special(cells, rows):
+    """Read (mu, beta, alpha) from the cells of A in the identity-first
+    canonical basis `rows`, or a ViolationWitness built from `rows`."""
+    field, n = cells.A.field, len(rows)
     zero = field.zero
     mu = []
     for i in range(1, n):
-        sq = B.table[i][i]
+        sq = cells.cell(i, i)
         if any(sq[k] != zero for k in range(1, n)):
             raise ValueError("basis is not canonical: a square leaves F*1")
         mu.append(sq[0])
-    prods = _read_products(B, rows)
+    prods = _read_products(cells, rows)
     if isinstance(prods, ViolationWitness):
         return prods
     s, t, alpha = prods
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            x_coeff = field.add(s[(i, j)], t[(j, i)])
-            y_coeff = field.add(t[(i, j)], s[(j, i)])
-            if x_coeff != zero or y_coeff != zero:
-                return _scalar_square_violation(
-                    B, rows, i, j, "anticommutator-not-scalar", indices=[i, j])
+    for i, j in itertools.combinations(range(1, n), 2):
+        x_coeff = field.add(s[(i, j)], t[(j, i)])
+        y_coeff = field.add(t[(i, j)], s[(j, i)])
+        if x_coeff != zero or y_coeff != zero:
+            return _scalar_square_violation(
+                cells.algebra, rows, i, j, "anticommutator-not-scalar",
+                indices=[i, j])
     kept, bad = _partner_values(n, lambda i, j: t[(i, j)], zero)
     if bad:
         i, j1, j2 = bad
@@ -401,25 +399,22 @@ def _read_special(B, rows):
     return tuple(mu), tuple(field.neg(b) for b in kept), alpha_matrix
 
 
-def _read_products(B, rows):
-    """(s, t, c) with a_i a_j = c 1 + s a_i + t a_j for i != j, or the
-    ViolationWitness (rows[i], rows[j]) of the first product outside."""
-    field = B.field
-    n = B.dim
+def _read_products(cells, rows):
+    """(s, t, c) with a_i a_j = c 1 + s a_i + t a_j for i != j, from the cells
+    of A in the basis `rows`, or the ViolationWitness (rows[i], rows[j]) of
+    the first product outside, after which no cell is computed."""
+    field, n = cells.A.field, len(rows)
     zero = field.zero
     s, t, c = {}, {}, {}
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                continue
-            p = B.table[i][j]
-            bad = [k for k in range(1, n) if k not in (i, j) and p[k] != zero]
-            if bad:
-                return _fail("product-not-in-span", rows[i], rows[j],
-                             indices=[i, j], outside_coordinates=bad)
-            s[(i, j)] = p[i]
-            t[(i, j)] = p[j]
-            c[(i, j)] = p[0]
+    for i, j in itertools.permutations(range(1, n), 2):
+        p = cells.cell(i, j)
+        bad = [k for k in range(1, n) if k not in (i, j) and p[k] != zero]
+        if bad:
+            return _fail("product-not-in-span", rows[i], rows[j],
+                         indices=[i, j], outside_coordinates=bad)
+        s[(i, j)] = p[i]
+        t[(i, j)] = p[j]
+        c[(i, j)] = p[0]
     return s, t, c
 
 
@@ -492,9 +487,9 @@ def _char2_inner(A, ch0):
     """Core characteristic-2 decision on A, from the identity-first basis ch0.
 
     Every later basis is written in A's coordinates, as sums of the rows of
-    ch0 scaled, and each stage reads the table change_basis(A, change) of its
-    own change.  Returns (CharTwoWitness | ViolationWitness, path), in A's
-    coordinates.
+    ch0 scaled, and each stage reads the cells of change_basis(A, change) for
+    its own change, up to the first failing product.  Returns
+    (CharTwoWitness | ViolationWitness, path), in A's coordinates.
     """
     field = A.field
     n = A.dim
@@ -511,22 +506,22 @@ def _char2_inner(A, ch0):
             for r, w in zip(ch0.matrix, weights)]
     rescale = BasisChange(field, rows, inverse=tuple(
         tuple(map(field.mul, row, weights)) for row in ch0.inverse))
-    B2 = change_basis(A, rescale)
+    cells = Conjugation(A, rescale)
     deltas = [field.zero if g == field.zero else field.one for g in gammas]
     path.append("rescale δ∈{0,1}")
     if n == 2:
         form = "type-i" if deltas[0] == field.zero else "type-ii"
-        return (_char2_witness(B2, rescale, form, (field.zero,)),
+        return (_char2_witness(cells.algebra, rescale, form, (field.zero,)),
                 path + ["dim<=2", form])
-    prods = _read_products(B2, rows)
+    prods = _read_products(cells, rows)
     if isinstance(prods, ViolationWitness):
         return prods, path + ["products"]
     s, t, c = prods
     if n == 3:
         if field.is_two_element_field():
             return _char2_dim3_f2(A, rows, deltas, s, t, path)
-        return _char2_dim3_ext(A, B2, rows, deltas, s, t, path)
-    return _char2_dim_ge4(A, B2, rescale, deltas, s, t, path)
+        return _char2_dim3_ext(A, cells, rows, deltas, s, t, path)
+    return _char2_dim_ge4(A, cells, rescale, deltas, s, t, path)
 
 
 def _char2_witness(B, change, form, beta):
@@ -592,7 +587,7 @@ def _char2_dim3_f2(A, rows, deltas, s, t, path):
     return _finish_dim3(A, u, v, form, path)
 
 
-def _char2_dim3_ext(A, B2, rows, deltas, s, t, path):
+def _char2_dim3_ext(A, cells, rows, deltas, s, t, path):
     """Dimension 3 over a proper extension of F_2: crossed relations.
 
     Two isomorphism classes exist here, canonically presented as type 1
@@ -610,7 +605,7 @@ def _char2_dim3_ext(A, B2, rows, deltas, s, t, path):
     r2 = field.add(field.add(s[(2, 1)], t[(1, 2)]), d2)  # beta3+beta3*+delta2
     if r1 != field.zero or r2 != field.zero:
         return (_scalar_square_violation(
-                    B2, rows, 1, 2, "char2-dim3-crossed-relation",
+                    cells.algebra, rows, 1, 2, "char2-dim3-crossed-relation",
                     relation="beta2+beta2*+delta3 = 0 = beta3+beta3*+delta2"),
                 path + ["relation-failed"])
     zero, one = field.zero, field.one
@@ -623,7 +618,7 @@ def _char2_dim3_ext(A, B2, rows, deltas, s, t, path):
     return _finish_dim3(A, u, v, form, path)
 
 
-def _char2_dim_ge4(A, B2, rescale, deltas, s, t, path):
+def _char2_dim_ge4(A, cells, rescale, deltas, s, t, path):
     """Dimension >= 4, characteristic 2: coefficient independence + homogenize."""
     field = A.field
     n = A.dim
@@ -653,13 +648,13 @@ def _char2_dim_ge4(A, B2, rescale, deltas, s, t, path):
                           index=i),
                     path + ["condition-iii-failed"])
     # homogenize mixed squares: replace delta-0 rows b_s by b_s + b_w
-    total, B3 = rescale, B2
+    total = rescale
     if zero in deltas and one in deltas:
         w = deltas.index(one) + 1
         total = BasisChange(field, [rows[0]] + [
             plus(i, w) if deltas[i - 1] == zero else rows[i] for i in range(1, n)])
-        B3 = change_basis(A, total)
         path = path + ["homogenize-squares"]
+    B3 = cells.algebra if total is rescale else change_basis(A, total)
     # beta_j is the coefficient a_i keeps in a_i a_j, for any partner i
     beta = [B3.table[2 if j == 1 else 1][j][2 if j == 1 else 1]
             for j in range(1, n)]

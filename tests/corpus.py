@@ -16,6 +16,7 @@ from lenalg import (
     algebra,
     change_basis,
     find_identity,
+    generate_length_one,
     make_field,
     unital_hull,
 )
@@ -29,6 +30,7 @@ from lenalg.linalg import (
     random_invertible,
     span,
     unit_vec,
+    vec_add,
     vec_scale,
 )
 
@@ -190,6 +192,35 @@ def reference_eliminate(field, v, rows):
         if c != zero:
             v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
     return v
+
+
+def near_miss(field, dim, seed, mode="special"):
+    """The length-one table of `seed` and `mode` (identity e_0) with e_3
+    added to e_1 e_2 and taken from e_2 e_1, in a seeded random basis: x^2
+    is unchanged for every x, so the decider passes the squares (and the
+    canonical shift) and fails on a product outside its span.  Which product
+    of the stage's basis fails first depends on the hiding basis."""
+    S = generate_length_one(field, dim, seed, mode)
+    table = [[list(cell) for cell in row] for row in S.table]
+    table[1][2][3] = field.add(table[1][2][3], field.one)
+    table[2][1][3] = field.sub(table[2][1][3], field.one)
+    rng = random.Random(f"near|{field.label()}|{dim}|{seed}")
+    return change_basis(algebra(field, table, S.one),
+                        random_invertible(field, dim, rng))
+
+
+def anticommutator_miss(field, dim, seed):
+    """The special length-one table of `seed` with e_2 added to e_2 e_4,
+    written in the basis e_0 = 1, e_i + i*1: every product of the canonical
+    basis stays in its span and the anticommutator of e_2 and e_4 leaves
+    F*1, so the decider fails on it after a real basis change."""
+    S = generate_length_one(field, dim, seed, "special")
+    table = [[list(cell) for cell in row] for row in S.table]
+    table[2][4][2] = field.add(table[2][4][2], field.one)
+    rows = [vec_add(field, unit_vec(field, dim, i),
+                    vec_scale(field, field.from_int(i), S.one)) if i else S.one
+            for i in range(dim)]
+    return change_basis(algebra(field, table, S.one), rows)
 
 
 def mutate_one_constant(A, i, j, k):

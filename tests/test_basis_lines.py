@@ -142,7 +142,7 @@ def test_basis_lines_decide_length_one_over_q_at_high_dims(dim):
     random unital tables.  The decider's paths end at each step: the
     special tables pass all three, the near-misses fail the pairwise law
     (step 3), and the random tables and most mutations the squares (step 1).
-    Left out: the golden corpus, which has no Q table above dim 5, and the
+    Left out: the golden corpus, which has no Q table above dim 8, and the
     other generator modes, which are characteristic 2 only."""
     ends = []
     for seed in range(3):

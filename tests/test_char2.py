@@ -248,9 +248,9 @@ def test_rescale_inverse_is_written_down(monkeypatch):
     # ch0's with column i scaled by gamma_i; only _finish_dim3's 3x3 bases and
     # the homogenized one still invert by rref
     rrefs, changes = [], []
-    rref, real = linalg.rref, decide_module.change_basis
+    rref, real = linalg.rref, decide_module.Conjugation
     monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
-    monkeypatch.setattr(decide_module, "change_basis",
+    monkeypatch.setattr(decide_module, "Conjugation",
                         lambda A, c: changes.append(c) or real(A, c))
     seen = set()
     for field in (F2, G4, G8):

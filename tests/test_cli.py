@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON reports, round trips."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -185,6 +186,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_2_without_traceback(fixture_file, flags):
+    # the reader of stdout is gone before the report is written
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as closed:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lenalg", "check", *flags,
+             fixture_file("remark-repaired")],
+            stdout=closed, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 def test_stdin_input(monkeypatch, capsys):

@@ -1,12 +1,12 @@
 """The decider runs on A itself: one conjugation per stage, one check per witness.
 
 Every table the decider reads is change_basis(A, c) for a change c written
-in A's coordinates, and each witness is compared literally with the table
-its parameters were read from, once, before it is returned.  A failing step
+in A's coordinates, read through one `Conjugation` per stage, which computes
+a cell when it is first read, so a stage that fails at a product computes no
+later cell.  Each witness is compared literally with the table its
+parameters were read from, once, before it is returned.  A failing step
 returns its ViolationWitness in A's coordinates, built from its basis rows.
 """
-
-import sys
 
 import pytest
 
@@ -30,7 +30,8 @@ from lenalg.algebra import Algebra, algebra
 from lenalg.errors import AssemblyError
 from lenalg.linalg import BasisChange
 
-from tests.test_golden_reports import CONDITIONS, corpus
+from tests.corpus import near_miss, random_unital_algebra
+from tests.test_golden_reports import CONDITIONS, NEAR_MISSES, corpus
 
 Q = make_field("Q")
 F5 = make_field("F5")
@@ -60,20 +61,34 @@ YES_INSTANCES = [
 
 @pytest.fixture
 def conjugations(monkeypatch):
-    """Record (algebra, change) for every change_basis call of the decider.
-
-    `lenalg.algebra` names both the module and the function the package
-    exports, so the module is reached through sys.modules.
-    """
+    """Record (algebra, change) for every conjugation the decider makes: each
+    `Conjugation` it reads cells from and each change_basis call."""
     calls = []
-    real = decide_module.change_basis
-
-    def counted(A, change):
-        calls.append((A, change))
-        return real(A, change)
-    monkeypatch.setattr(decide_module, "change_basis", counted)
-    monkeypatch.setattr(sys.modules["lenalg.algebra"], "change_basis", counted)
+    for name in ("Conjugation", "change_basis"):
+        def counted(A, change, real=getattr(decide_module, name)):
+            calls.append((A, change))
+            return real(A, change)
+        monkeypatch.setattr(decide_module, name, counted)
     return calls
+
+
+def _count_products(monkeypatch):
+    """A list that records (u, v) for every Algebra.mul call from now on."""
+    calls = []
+    real = Algebra.mul
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return real(self, u, v)
+    monkeypatch.setattr(Algebra, "mul", counted)
+    return calls
+
+
+def _cell_position(witness, n):
+    """The position, from 1, of the witness's product among the products
+    a_i a_j (i != j) of an n-dimensional basis, read row by row."""
+    i, j = map(int, witness.detail["indices"])
+    return (i - 1) * (n - 2) + j - (j > i)
 
 
 @pytest.mark.parametrize("build, expected, changes",
@@ -111,18 +126,53 @@ def test_one_conjugation_of_a_per_stage(conjugations, monkeypatch, build,
 def test_square_step_reads_only_the_squares(conjugations, monkeypatch, field):
     mode = "special" if field is Q else "type-ii"
     A = generate_length_one(field, 5, 4, mode, hide=True)
-    products = []
-    real = Algebra.mul
-
-    def counted(self, u, v):
-        products.append((u, v))
-        return real(self, u, v)
-    monkeypatch.setattr(Algebra, "mul", counted)
+    products = _count_products(monkeypatch)
     res = square_step(A)
     assert not isinstance(res, ViolationWitness)
     assert conjugations == []
-    assert len(products) == A.dim
+    # the identity's square is never read, so it is not computed
+    assert len(products) == A.dim - 1
     assert all(u == v for u, v in products)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+def test_square_step_stops_at_the_first_bad_square(monkeypatch, field):
+    A = next(A for A in (random_unital_algebra(field, 6, seed) for seed in range(9))
+             if getattr(square_step(A), "detail", {}).get("index") == 1)
+    products = _count_products(monkeypatch)
+    w = square_step(A)
+    assert w.condition == "square-not-in-span"
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("name, dim, seed, cell", NEAR_MISSES,
+                         ids=[f"{m[0]}-{m[1]}" for m in NEAR_MISSES])
+def test_special_step_stops_at_the_first_failing_product(monkeypatch, name, dim,
+                                                         seed, cell):
+    # n - 1 squares, then the products up to the first one outside its span
+    A = near_miss(make_field(name), dim, seed)
+    ch0 = complete_to_basis_with_one(A)
+    shift = canonicalize(A, ch0, [g for (_, g) in square_step(A, ch0)])
+    products = _count_products(monkeypatch)
+    w = special_step(A, shift)
+    assert w.condition == "product-not-in-span"
+    assert _cell_position(w, dim) == cell > 1
+    assert len(products) == (dim - 1) + cell
+    monkeypatch.undo()
+    assert verify_violation(A, w)
+
+
+def test_char2_products_stop_at_the_first_failing_product(monkeypatch):
+    # square_step's n - 1 squares, then the rescaled basis's products up to
+    # the first one outside its span
+    A = near_miss(G4, 5, 3, "type-ii")
+    products = _count_products(monkeypatch)
+    w, path = char2_decide(A)
+    assert path[-1] == "products"
+    assert w.condition == "product-not-in-span"
+    cell = _cell_position(w, A.dim)
+    assert cell > 1
+    assert len(products) == (A.dim - 1) + cell
 
 
 @pytest.mark.parametrize("builder_name", ["special_table_from_params",

@@ -154,12 +154,12 @@ def test_special_step_conjugates_once(monkeypatch):
     ch0 = complete_to_basis_with_one(Y)
     shift = canonicalize(Y, ch0.matrix, [g for (_, g) in square_step(Y, ch0)])
     calls = []
-    real = decide_module.change_basis
+    real = decide_module.Conjugation
 
     def counted(A, change):
         calls.append(change)
         return real(A, change)
-    monkeypatch.setattr(decide_module, "change_basis", counted)
+    monkeypatch.setattr(decide_module, "Conjugation", counted)
     w = special_step(Y, shift)
     assert isinstance(w, SpecialBasisWitness)
     assert calls == [shift]

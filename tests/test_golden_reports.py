@@ -33,7 +33,12 @@ from lenalg import (
 )
 from lenalg.generate import DIM3_MODES, MODES
 
-from tests.corpus import random_scalar, random_unital_algebra
+from tests.corpus import (
+    anticommutator_miss,
+    near_miss,
+    random_scalar,
+    random_unital_algebra,
+)
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -58,6 +63,10 @@ FORMS = {
     "dim3-f2-type1", "dim3-f2-type2", "dim3-f2-type3", "dim3-f2-type4",
     "dim3-ext-type1", "dim3-ext-type3",
 }
+
+# (field, dim, seed, position of the first failing product) of `near_miss`
+NEAR_MISSES = [("Q", 6, 0, 2), ("Q", 7, 47, 7), ("Q", 8, 55, 8),
+               ("F5", 6, 4, 3), ("F5", 7, 28, 7), ("F5", 8, 17, 8)]
 
 
 def _modes(field, dim):
@@ -121,6 +130,13 @@ def corpus():
     T = generate_length_one(GF4, 4, 0, "type-i")
     out.append(("built|char2-beta-sum-mismatch",
                 _bump(T, [(1, j, j, GF4.one) for j in (2, 3)])))
+    # hidden near-misses whose first product outside its span is not the
+    # first product the pairwise law reads (its position after the key)
+    for name, dim, seed, cell in NEAR_MISSES:
+        out.append((f"near|{name}|{dim}|{seed}|cell{cell}",
+                    near_miss(make_field(name), dim, seed)))
+    out.append(("built|anticommutator-not-scalar|F5|6",
+                anticommutator_miss(F5, 6, 0)))
     return out
 
 
