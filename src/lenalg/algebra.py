@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import DimensionMismatch, InvalidIdentity
-from .linalg import BasisChange, identity_matrix, rref, unit_vec, vec_scale
+from .linalg import BasisChange, rref, unit_vec, vec_scale
 
 
 @dataclass(frozen=True)
@@ -152,22 +152,18 @@ class Conjugation:
     """A's table in the basis of the rows R of `change`, cell by cell:
     cell(a, b) = change.to_new(A.mul(R[a], R[b])), computed when first read
     and kept; so is `algebra`, change_basis(A, change), built from the cells.
-    An identity change reads A's cells, and its algebra is A itself."""
+    Every cell is a product, reduced as `mul` reduces, under every change."""
 
     def __init__(self, A, change):
         self.change = change = BasisChange.of(A.field, change)
         if change.dim != A.dim:
             raise DimensionMismatch("basis change has wrong dimension")
         self.A, rows, to_new = A, change.matrix, change.to_new
-        self.same = rows == identity_matrix(A.field, A.dim)
-        self.cell = cache((lambda a, b: A.table[a][b]) if self.same
-                          else lambda a, b: to_new(A.mul(rows[a], rows[b])))
+        self.cell = cache(lambda a, b: to_new(A.mul(rows[a], rows[b])))
 
     @cached_property
     def algebra(self):
         A, r = self.A, range(self.A.dim)
-        if self.same:
-            return A  # Algebra is immutable, so the table can be shared
         table = tuple(tuple(self.cell(a, b) for b in r) for a in r)
         return Algebra(field=A.field, table=table, one=self.change.to_new(A.one))
 
@@ -184,7 +180,8 @@ def change_basis(A, change):
     When R[0] is A's identity, the new identity is e_0 and row and column 0
     of the new table are the e_j, so its identity check reads those cells
     and builds no kernel for the new algebra.  The cells are `Conjugation`'s,
-    whose reader lets a decision stage compute only the cells it reads.
+    whose reader lets a decision stage compute only the cells it reads; an
+    identity change, too, gives A's table with every payload reduced.
 
     Verdicts downstream (length, identities) are invariant under this
     operation; tests rely on that.

@@ -9,9 +9,9 @@ of A/F*1 over a finite field, the `_quotient_lines`; C(n, 2) + 1 basis lines
 over Q) provides a fully independent second route used by the test suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
-itself.  Each stage writes its basis c in A's coordinates and computes the
-cells of change_basis(A, c) only as it reads them (`Conjugation`), up to the
-first failing one; the squares step computes only the squares:
+itself.  Each stage writes its basis c in A's coordinates and reads A in it
+through one `Conjugation`, which computes a cell only when it is first read,
+up to the first failing one; the squares step reads only the squares:
 
 * dimension 1: the algebra is the scalar line, exact length 0 (verdict yes,
   meaning length <= 1).
@@ -41,8 +41,8 @@ A step that fails returns the "no" certificate itself: a ViolationWitness
 whose pair is built from the rows of the step's basis, so it is already in
 A's coordinates.  `_char2_pattern` alone knows the char-2 normal forms.  Each
 witness is checked once before it is returned, by rebuilding the table it
-claims and comparing it literally with the table its parameters were read
-from, change_basis(A, witness.change).
+claims (`_claimed_table`, as the verifiers do) and comparing it literally
+with the table its parameters were read from, its stage's Conjugation.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ def verify_special_witness(A, w):
     n = A.dim
     if w.change.dim != n or not _sized(n - 1, w.alpha, w.mu, w.beta, *w.alpha):
         return False
-    claimed = special_table_from_params(A.field, w.mu, w.beta, w.alpha)
-    return change_basis(A, w.change).table == claimed.table
+    return change_basis(A, w.change).table == _claimed_table(A.field, w)
 
 
 def verify_char2_witness(A, w):
@@ -176,9 +175,15 @@ def verify_char2_witness(A, w):
         return False
     if w.form in ("type-i", "type-ii") and len(w.beta) != n - 1:
         return False
-    claimed = char2_table_from_params(field, w.form, w.beta, w.square_constants,
-                                      w.product_constants)
-    return change_basis(A, w.change).table == claimed.table
+    return change_basis(A, w.change).table == _claimed_table(field, w)
+
+
+def _claimed_table(field, w):
+    """The table a SpecialBasisWitness or CharTwoWitness claims in its basis."""
+    if isinstance(w, SpecialBasisWitness):
+        return special_table_from_params(field, w.mu, w.beta, w.alpha).table
+    return char2_table_from_params(field, w.form, w.beta, w.square_constants,
+                                   w.product_constants).table
 
 
 # Dimension-3 normal forms: (delta_2, delta_3), then (s, t) for a_2 a_3 and
@@ -285,18 +290,22 @@ def square_step(A, basis=None):
     failing index; failure proves length > 1.  The basis (rows or a
     BasisChange) must have the identity as its first row; by default the
     identity is completed to a basis deterministically.  Only the squares
-    of the non-identity rows are computed, each written in the basis, in
+    of the non-identity rows are read, cells (i, i) of A in the basis, in
     order up to the first failing one; the rest of the table is never read.
     """
-    if basis is None:
-        change = complete_to_basis_with_one(A)
-    else:
-        change = BasisChange.of(A.field, basis)
-    if change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
+    cells = _identity_first_cells(
+        A, complete_to_basis_with_one(A) if basis is None else basis)
+    return _read_squares(A.field, cells.change.matrix,
+                         (cells.cell(i, i) for i in range(1, A.dim)))
+
+
+def _identity_first_cells(A, basis):
+    """Conjugation(A, basis) for a basis (rows or a BasisChange) whose first
+    row is A's identity; any other basis raises ValueError."""
+    cells = Conjugation(A, basis)
+    if cells.change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
         raise ValueError("basis must start with the identity")
-    rows = change.matrix
-    return _read_squares(A.field, rows,
-                         (change.to_new(A.mul(r, r)) for r in rows[1:]))
+    return cells
 
 
 def _read_squares(field, rows, squares):
@@ -352,17 +361,15 @@ def special_step(A, basis):
     returned: the table its parameters claim must equal A's table in the
     witness basis, the one the parameters were read from.
     """
-    cells = Conjugation(A, basis)
-    if cells.change.to_new(A.one) != unit_vec(A.field, A.dim, 0):
-        raise ValueError("basis must start with the identity")
+    cells = _identity_first_cells(A, basis)
     res = _read_special(cells, cells.change.matrix)
     if isinstance(res, ViolationWitness):
         return res
     mu, beta, alpha = res
-    claimed = special_table_from_params(A.field, mu, beta, alpha)
-    if claimed.table != cells.algebra.table:
+    w = SpecialBasisWitness(change=cells.change, mu=mu, beta=beta, alpha=alpha)
+    if _claimed_table(A.field, w) != cells.algebra.table:
         raise AssemblyError("special witness failed literal re-verification")
-    return SpecialBasisWitness(change=cells.change, mu=mu, beta=beta, alpha=alpha)
+    return w
 
 
 def _read_special(cells, rows):
@@ -385,7 +392,7 @@ def _read_special(cells, rows):
         y_coeff = field.add(t[(i, j)], s[(j, i)])
         if x_coeff != zero or y_coeff != zero:
             return _scalar_square_violation(
-                cells.algebra, rows, i, j, "anticommutator-not-scalar",
+                cells.A, rows, i, j, "anticommutator-not-scalar",
                 indices=[i, j])
     kept, bad = _partner_values(n, lambda i, j: t[(i, j)], zero)
     if bad:
@@ -438,27 +445,25 @@ def _partner_values(n, coeff, default):
     return values, None
 
 
-def _scalar_square_violation(B, rows, i, j, condition, **detail):
+def _scalar_square_violation(A, rows, i, j, condition, **detail):
     """The ViolationWitness (x, x), x = rows[i] + c rows[j], whose square
     leaves span{1, x}.
 
     Exists whenever the anticommutator of a_i, a_j leaves F*1 (canonical
     basis, characteristic != 2; c in {1, -1} always suffices) and whenever
-    the crossed char-2 dimension-3 relations fail.  c is searched on B, the
-    table in the basis `rows`, where e_i + c e_j is sparse.  Over a finite
-    field every scalar is tried so the returned witness is the first in
-    payload order.
+    the crossed char-2 dimension-3 relations fail.  c is searched on A: the
+    test does not depend on the basis, so it is the first c for e_i + c e_j
+    in the basis `rows`.  Over a finite field every scalar is tried so the
+    returned witness is the first in payload order.
     """
-    field = B.field
+    field = A.field
     if field.is_finite():
         candidates = [c for c in field.elements() if c != field.zero]
     else:
         candidates = [field.one, field.neg(field.one)]
     for c in candidates:
-        x = vec_add(field, B.basis_vector(i),
-                    vec_scale(field, c, B.basis_vector(j)))
-        if _violates(B, x, x):
-            x = vec_add(field, rows[i], vec_scale(field, c, rows[j]))
+        x = vec_add(field, rows[i], vec_scale(field, c, rows[j]))
+        if _violates(A, x, x):
             return _fail(condition, x, x, **detail)
     raise AssemblyError("relation failure produced no square violation")
 
@@ -487,8 +492,9 @@ def _char2_inner(A, ch0):
     """Core characteristic-2 decision on A, from the identity-first basis ch0.
 
     Every later basis is written in A's coordinates, as sums of the rows of
-    ch0 scaled, and each stage reads the cells of change_basis(A, change) for
-    its own change, up to the first failing product.  Returns
+    ch0 scaled, and each stage, the squares and the dimension-3 re-pick
+    included, reads A in its own basis through one `Conjugation`, up to the
+    first failing product.  Returns
     (CharTwoWitness | ViolationWitness, path), in A's coordinates.
     """
     field = A.field
@@ -504,14 +510,13 @@ def _char2_inner(A, ch0):
     weights = [field.one] + [field.one if g == field.zero else g for g in gammas]
     rows = [r if w == field.one else vec_scale(field, field.inv(w), r)
             for r, w in zip(ch0.matrix, weights)]
-    rescale = BasisChange(field, rows, inverse=tuple(
-        tuple(map(field.mul, row, weights)) for row in ch0.inverse))
-    cells = Conjugation(A, rescale)
+    cells = Conjugation(A, BasisChange(field, rows, inverse=tuple(
+        tuple(map(field.mul, row, weights)) for row in ch0.inverse)))
     deltas = [field.zero if g == field.zero else field.one for g in gammas]
     path.append("rescale δ∈{0,1}")
     if n == 2:
         form = "type-i" if deltas[0] == field.zero else "type-ii"
-        return (_char2_witness(cells.algebra, rescale, form, (field.zero,)),
+        return (_char2_witness(cells, form, (field.zero,)),
                 path + ["dim<=2", form])
     prods = _read_products(cells, rows)
     if isinstance(prods, ViolationWitness):
@@ -520,28 +525,24 @@ def _char2_inner(A, ch0):
     if n == 3:
         if field.is_two_element_field():
             return _char2_dim3_f2(A, rows, deltas, s, t, path)
-        return _char2_dim3_ext(A, cells, rows, deltas, s, t, path)
-    return _char2_dim_ge4(A, cells, rescale, deltas, s, t, path)
+        return _char2_dim3_ext(A, rows, deltas, s, t, path)
+    return _char2_dim_ge4(A, cells, deltas, s, t, path)
 
 
-def _char2_witness(B, change, form, beta):
-    """CharTwoWitness for `form` with the F*1 constants read from B's table.
-
-    B is change_basis(A, change), the table the witness was read from; the
-    table the witness claims is rebuilt and compared with it literally, and
-    a mismatch raises AssemblyError.
-    """
-    r = range(1, B.dim)
+def _char2_witness(cells, form, beta):
+    """CharTwoWitness for `form` with the F*1 constants read from `cells`, a
+    Conjugation of A; the table it claims is rebuilt and compared literally
+    with cells.algebra, the table it was read from, and a mismatch raises
+    AssemblyError."""
+    field, r = cells.A.field, range(1, cells.A.dim)
     w = CharTwoWitness(
-        change=change, form=form, beta=tuple(beta),
-        square_constants=tuple(B.table[i][i][0] for i in r),
+        change=cells.change, form=form, beta=tuple(beta),
+        square_constants=tuple(cells.cell(i, i)[0] for i in r),
         product_constants=tuple(
-            tuple(B.table[i][j][0] if i != j else B.field.zero for j in r)
+            tuple(cells.cell(i, j)[0] if i != j else field.zero for j in r)
             for i in r),
     )
-    claimed = char2_table_from_params(B.field, form, w.beta, w.square_constants,
-                                      w.product_constants)
-    if claimed.table != B.table:
+    if _claimed_table(field, w) != cells.algebra.table:
         raise AssemblyError("char-2 witness failed literal re-verification")
     return w
 
@@ -550,16 +551,16 @@ def _finish_dim3(A, u, v, form, path):
     """Re-pick the basis as {1, u, v} (u, v in A's coordinates), shift u and
     v by F*1 into `form`."""
     field, one = A.field, A.one
-    pick = BasisChange(field, [one, u, v])
+    pick = Conjugation(A, [one, u, v])
     # with u' = u + s 1 and v' = v + t 1, u' keeps beta_u + t in u'v' and v'
     # keeps beta_v + s in v'u'; choose s, t so that these match the form,
     # reading beta_v and beta_u from vu and uv written in the basis {1, u, v}
     _, pat = _char2_pattern(form, field, (), 3)
-    s = field.add(pick.to_new(A.mul(v, u))[2], pat(2, 1)[0])
-    t = field.add(pick.to_new(A.mul(u, v))[1], pat(1, 2)[0])
-    total = BasisChange(field, [one, vec_add(field, u, vec_scale(field, s, one)),
-                                vec_add(field, v, vec_scale(field, t, one))])
-    return _char2_witness(change_basis(A, total), total, form, ()), path + [form]
+    s = field.add(pick.cell(2, 1)[2], pat(2, 1)[0])
+    t = field.add(pick.cell(1, 2)[1], pat(1, 2)[0])
+    total = Conjugation(A, [one, vec_add(field, u, vec_scale(field, s, one)),
+                            vec_add(field, v, vec_scale(field, t, one))])
+    return _char2_witness(total, form, ()), path + [form]
 
 
 def _char2_dim3_f2(A, rows, deltas, s, t, path):
@@ -587,7 +588,7 @@ def _char2_dim3_f2(A, rows, deltas, s, t, path):
     return _finish_dim3(A, u, v, form, path)
 
 
-def _char2_dim3_ext(A, cells, rows, deltas, s, t, path):
+def _char2_dim3_ext(A, rows, deltas, s, t, path):
     """Dimension 3 over a proper extension of F_2: crossed relations.
 
     Two isomorphism classes exist here, canonically presented as type 1
@@ -605,7 +606,7 @@ def _char2_dim3_ext(A, cells, rows, deltas, s, t, path):
     r2 = field.add(field.add(s[(2, 1)], t[(1, 2)]), d2)  # beta3+beta3*+delta2
     if r1 != field.zero or r2 != field.zero:
         return (_scalar_square_violation(
-                    cells.algebra, rows, 1, 2, "char2-dim3-crossed-relation",
+                    A, rows, 1, 2, "char2-dim3-crossed-relation",
                     relation="beta2+beta2*+delta3 = 0 = beta3+beta3*+delta2"),
                 path + ["relation-failed"])
     zero, one = field.zero, field.one
@@ -618,11 +619,12 @@ def _char2_dim3_ext(A, cells, rows, deltas, s, t, path):
     return _finish_dim3(A, u, v, form, path)
 
 
-def _char2_dim_ge4(A, cells, rescale, deltas, s, t, path):
-    """Dimension >= 4, characteristic 2: coefficient independence + homogenize."""
+def _char2_dim_ge4(A, cells, deltas, s, t, path):
+    """Dimension >= 4, characteristic 2: coefficient independence + homogenize,
+    from `cells`, the rescaled basis's Conjugation that s and t were read from."""
     field = A.field
     n = A.dim
-    rows = rescale.matrix
+    rows = cells.change.matrix
     plus = lambda i, j: vec_add(field, rows[i], rows[j])
     path = path + ["dim>=4"]
     zero, one = field.zero, field.one
@@ -648,18 +650,16 @@ def _char2_dim_ge4(A, cells, rescale, deltas, s, t, path):
                           index=i),
                     path + ["condition-iii-failed"])
     # homogenize mixed squares: replace delta-0 rows b_s by b_s + b_w
-    total = rescale
     if zero in deltas and one in deltas:
         w = deltas.index(one) + 1
-        total = BasisChange(field, [rows[0]] + [
+        cells = Conjugation(A, [rows[0]] + [
             plus(i, w) if deltas[i - 1] == zero else rows[i] for i in range(1, n)])
         path = path + ["homogenize-squares"]
-    B3 = cells.algebra if total is rescale else change_basis(A, total)
     # beta_j is the coefficient a_i keeps in a_i a_j, for any partner i
-    beta = [B3.table[2 if j == 1 else 1][j][2 if j == 1 else 1]
+    beta = [cells.cell(2 if j == 1 else 1, j)[2 if j == 1 else 1]
             for j in range(1, n)]
     form = "type-ii" if one in deltas else "type-i"
-    return _char2_witness(B3, total, form, beta), path + [form]
+    return _char2_witness(cells, form, beta), path + [form]
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +727,8 @@ def _quotient_lines(A):
 
 
 def _pair_ok(A, u, v):
-    """Membership mul(u, v) in span{1, u, v}."""
-    return in_span(A.field, A.mul(u, v), (A.one, u, v))
+    """Membership mul(u, v) in span{1, u, v}: the oracle's pair test."""
+    return not _violates(A, u, v)
 
 
 def _line_ok(A, u):

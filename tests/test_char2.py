@@ -246,7 +246,8 @@ def test_mixed_deltas_homogenized():
 def test_rescale_inverse_is_written_down(monkeypatch):
     # the rescale's rows are ch0's scaled by 1/gamma_i, so its inverse is
     # ch0's with column i scaled by gamma_i; only _finish_dim3's 3x3 bases and
-    # the homogenized one still invert by rref
+    # the homogenized one still invert by rref.  The squares stage's
+    # Conjugation by ch0 comes first, the rescale's second
     rrefs, changes = [], []
     rref, real = linalg.rref, decide_module.Conjugation
     monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
@@ -263,8 +264,8 @@ def test_rescale_inverse_is_written_down(monkeypatch):
                 _, path = char2_decide(A)
                 if "homogenize-squares" not in path:
                     assert rrefs == [], path
-                if changes:
-                    rescale = changes[0]
+                if len(changes) > 1:
+                    rescale = changes[1]
                     assert rescale.inverse == invert_matrix(field, rescale.matrix)
                     seen.add(path[-1])
     assert {"type-i", "type-ii"} <= seen

@@ -47,27 +47,30 @@ def _mixed_type_ii(field):
 
 
 # (label, builder, conjugations of A and BasisChange constructions a
-# yes-decision makes)
+# yes-decision makes): the squares, then the special basis or the rescale,
+# then the dimension-3 re-pick and its shift or the homogenized basis
 YES_INSTANCES = [
-    ("special-Q", lambda: generate_length_one(Q, 5, 1, "special", hide=True), 1, 2),
-    ("special-F5", lambda: generate_length_one(F5, 4, 2, "special", hide=True), 1, 2),
-    ("char2-dim2", lambda: generate_length_one(G4, 2, 3, "type-ii", hide=True), 1, 2),
-    ("dim3-F2", lambda: make_fixture("dim3-f2-type4"), 2, 4),
-    ("dim3-GF4", lambda: generate_length_one(G4, 3, 5, "dim3-type3", hide=True), 2, 4),
-    ("dim4-homogeneous", lambda: generate_length_one(G4, 5, 3, "type-i", hide=True), 1, 2),
-    ("dim4-mixed", lambda: _mixed_type_ii(G4), 2, 3),
+    ("special-Q", lambda: generate_length_one(Q, 5, 1, "special", hide=True), 2, 2),
+    ("special-F5", lambda: generate_length_one(F5, 4, 2, "special", hide=True), 2, 2),
+    ("char2-dim2", lambda: generate_length_one(G4, 2, 3, "type-ii", hide=True), 2, 2),
+    ("dim3-F2", lambda: make_fixture("dim3-f2-type4"), 4, 4),
+    ("dim3-GF4", lambda: generate_length_one(G4, 3, 5, "dim3-type3", hide=True), 4, 4),
+    ("dim4-homogeneous", lambda: generate_length_one(G4, 5, 3, "type-i", hide=True), 2, 2),
+    ("dim4-mixed", lambda: _mixed_type_ii(G4), 3, 3),
 ]
 
 
 @pytest.fixture
 def conjugations(monkeypatch):
-    """Record (algebra, change) for every conjugation the decider makes: each
-    `Conjugation` it reads cells from and each change_basis call."""
+    """Record (name, algebra, change) for every conjugation the decider makes:
+    each `Conjugation` it reads cells from, with the BasisChange it holds,
+    and each change_basis call."""
     calls = []
     for name in ("Conjugation", "change_basis"):
-        def counted(A, change, real=getattr(decide_module, name)):
-            calls.append((A, change))
-            return real(A, change)
+        def counted(A, change, name=name, real=getattr(decide_module, name)):
+            out = real(A, change)
+            calls.append((name, A, out.change if name == "Conjugation" else change))
+            return out
         monkeypatch.setattr(decide_module, name, counted)
     return calls
 
@@ -111,13 +114,15 @@ def test_one_conjugation_of_a_per_stage(conjugations, monkeypatch, build,
     rep = decide_length_one(A)
     assert rep.value is True
     assert ("homogenize-squares" in rep.path) == (
-        "dim>=4" in rep.path and expected == 2)
-    assert len(conjugations) == expected
+        "dim>=4" in rep.path and expected == 3)
+    # every stage reads A through a Conjugation; only the verifiers, not
+    # called here, conjugate by change_basis
+    assert [name for name, _, _ in conjugations] == ["Conjugation"] * expected
     assert len(built) == changes
-    assert all(B is A for B, _ in conjugations)
+    assert all(B is A for _, B, _ in conjugations)
     assert rechecks == []
     # the witness was read from, and checked on, A in the witness basis
-    assert conjugations[-1][1] is rep.certificate.change
+    assert conjugations[-1][2] is rep.certificate.change
     monkeypatch.undo()
     assert verify_certificate(A, rep.certificate)
 
@@ -129,7 +134,7 @@ def test_square_step_reads_only_the_squares(conjugations, monkeypatch, field):
     products = _count_products(monkeypatch)
     res = square_step(A)
     assert not isinstance(res, ViolationWitness)
-    assert conjugations == []
+    assert [(name, B) for name, B, _ in conjugations] == [("Conjugation", A)]
     # the identity's square is never read, so it is not computed
     assert len(products) == A.dim - 1
     assert all(u == v for u, v in products)

@@ -444,3 +444,19 @@ def test_an_identity_coordinate_divisible_by_p_is_never_a_pivot():
             want.is_length_one, want.pairs_checked, want.witness)
     for B in (A, R):
         assert length_of_set(B, [(5, 0, 1)]) == length_of_set(R, [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("name, mode", [("F5", "special"), ("F3", "special"),
+                                        ("F2", "type-i"), ("F2", "type-ii")])
+def test_an_unreduced_cell_of_an_identity_first_table_is_its_residue(name, mode):
+    # the basis the decider completes from 1 = e_0 is the identity change,
+    # whose cells are still products, so a payload p reads as zero
+    F = make_field(name)
+    R = generate_length_one(F, 4, 0, mode)
+    table = [[list(cell) for cell in row] for row in R.table]
+    table[1][2][3] += F.characteristic()
+    A = algebra(F, table, R.one)
+    rep, ref = decide_length_one(A), decide_length_one(R)
+    assert (rep.value, rep.path) == (ref.value, ref.path)
+    assert verify_certificate(A, rep.certificate)
+    assert change_basis(A, identity_matrix(F, 4)).table == R.table

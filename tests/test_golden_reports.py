@@ -135,8 +135,9 @@ def corpus():
     for name, dim, seed, cell in NEAR_MISSES:
         out.append((f"near|{name}|{dim}|{seed}|cell{cell}",
                     near_miss(make_field(name), dim, seed)))
-    out.append(("built|anticommutator-not-scalar|F5|6",
-                anticommutator_miss(F5, 6, 0)))
+    for name in ("Q", "F3", "F5", "F7"):
+        out.append((f"built|anticommutator-not-scalar|{name}|6",
+                    anticommutator_miss(make_field(name), 6, 0)))
     return out
 
 
