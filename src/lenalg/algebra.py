@@ -33,7 +33,7 @@ class Algebra:
     outputs into digits of bit_length(n^2 (p-1)^3) bits and GF(p^k) ones
     into digits of bit_length(n^2 k (p-1)^2) bits, and reduces F_p
     coordinates mod p on entry, so an unreduced or negative int multiplies
-    as its residue.
+    as its residue; a GF(p^k) coefficient off [0, p) is read so too.
     """
 
     field: object

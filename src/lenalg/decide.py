@@ -5,8 +5,8 @@ witness, checked by rebuilding the table its parameters claim and comparing
 it literally with A's table in the witness basis, and every "no" carries a
 concrete pair (a, b) with a*b outside span{1, a, b}, re-checked by one
 membership test before the verdict is returned.  A pair oracle (every line
-of A/F*1 over a finite field, the `_quotient_lines`; C(n, 2) + 1 basis lines
-over Q) provides a fully independent second route used by the test suite.
+of A/F*1 over a finite field, `length._quotient_lines`; C(n, 2) + 1 basis
+lines over Q) is a fully independent second route used by the test suite.
 
 `decide_length_one` is one pipeline composed of the public steps, run on A
 itself.  Each stage writes its basis c in A's coordinates and reads A in it
@@ -55,12 +55,11 @@ from .algebra import (Conjugation, change_basis, complete_to_basis_with_one,
                       identity_first)
 from .errors import (
     AssemblyError,
-    BudgetExceeded,
     CharacteristicNotTwo,
     CharacteristicTwo,
     DimensionMismatch,
 )
-from .length import resolve_budget
+from .length import _first_violation, _quotient_lines, charge, gaussian_binomial
 from .linalg import (
     BasisChange,
     in_span,
@@ -716,16 +715,6 @@ def _report(A, outcome, path, flags):
 # pair oracle
 # ---------------------------------------------------------------------------
 
-def _quotient_lines(A):
-    """One vector per line of A/F*1 over F_q, lex order: zero at L, the
-    pivot of `A.identity_row`, and one at its first nonzero entry."""
-    field, m, last = A.field, A.dim - 1, A.identity_row[0]
-    elems, zero = list(field.elements()), (field.zero,)
-    reps = (zero * pos + (field.one,) + tail for pos in range(m)
-            for tail in itertools.product(elems, repeat=m - pos - 1))
-    return [x[:last] + zero + x[last:] for x in reps]
-
-
 def _pair_ok(A, u, v):
     """Membership mul(u, v) in span{1, u, v}: the oracle's pair test."""
     return not _violates(A, u, v)
@@ -792,16 +781,6 @@ def _basis_lines(field, n, L):
             + [vec_sub(field, u, v) for u, v in pairs[:1]])
 
 
-def _first_violation(items, fails):
-    """(number of items tried, the first item with fails(item), or None)."""
-    tried = 0
-    for item in items:
-        tried += 1
-        if fails(item):
-            return tried, item
-    return tried, None
-
-
 def oracle_length_one(A, *, budget=None, witness=True):
     """Check mul(a, b) in span{1, a, b} over all pairs, line by line.
 
@@ -809,29 +788,22 @@ def oracle_length_one(A, *, budget=None, witness=True):
     multiple of the identity and under scaling either argument, so the
     sweep runs over lines of the quotient by F*1, in A's own coordinates:
     vectors with a zero at L, the pivot of `A.identity_row`.  Over a finite
-    field they are every line, the `_quotient_lines` (an exactly equivalent
+    field they are every line, `length._quotient_lines` (an exactly equivalent
     reformulation), over Q the `_basis_lines`, which decide length one by
     the proof in their docstring.  By linearity the sweep tests each left
     factor u once for all its partners (`_line_ok`, n - 1 products).  On a
     failing line the partners among the lines are scanned pair by pair
     (`_pair_ok`), so `pairs_checked` is the position of the first violating
     pair in the sweep over all pairs of lines, and that whole count on a
-    yes-instance; it is checked against the budget before the sweep starts.
+    yes-instance; `length.charge` gates it before the sweep starts.
     Over Q that pair is the witness; over a finite field `_raw_witness`
     re-scans for one, unless witness=False asks for the verdict only.
     """
-    field, n = A.field, A.dim
-    budget = resolve_budget(budget)
-    if field.is_finite():
-        q = field.order()
-        lines = (q ** (n - 1) - 1) // (q - 1)
-    else:
-        reps = _basis_lines(field, n, A.identity_row[0])
-        lines = len(reps)
-    if lines ** 2 > budget:
-        raise BudgetExceeded(f"{lines ** 2} pair checks exceeds budget {budget}")
-    if field.is_finite():
-        reps = _quotient_lines(A)
+    field, n, q = A.field, A.dim, A.field.order()
+    basis = () if q else _basis_lines(field, n, A.identity_row[0])
+    lines = gaussian_binomial(n - 1, 1, q) if q else len(basis)
+    budget = charge(lines ** 2, budget, f"{lines ** 2} pair checks")
+    reps = _quotient_lines(A) if q else basis
     i, u = _first_violation(reps, lambda u: not _line_ok(A, u))
     if u is None:
         return OracleResult(True, None, lines ** 2)
@@ -840,7 +812,7 @@ def oracle_length_one(A, *, budget=None, witness=True):
     if bad is None:
         raise AssemblyError("line test and pair test disagree")
     checked = (i - 1) * lines + j
-    if field.is_finite():
+    if q:
         if not witness:
             return OracleResult(False, None, checked)
         tried, bad = _raw_witness(A, q, budget)
@@ -857,9 +829,7 @@ def _raw_witness(A, q, budget):
     all three scans: lines, raw left factors and the partners of one a.
     """
     field, n = A.field, A.dim
-    if q ** n > budget:
-        raise BudgetExceeded(
-            f"witness re-scan of {q}^{n} raw vectors exceeds budget {budget}")
+    charge(q ** n, budget, f"witness re-scan of {q}^{n} raw vectors")
     elems = list(field.elements())
     # a scalar factor keeps the product in span{1, a, b}: skip the line F*1
     one_line = {vec_scale(field, c, A.one) for c in elems}

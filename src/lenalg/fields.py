@@ -23,7 +23,9 @@ m = q - 1 its order, construction builds three tables in O(q) steps:
 
 Then a*b = exp[log a + log b], 1/a = exp[m - log a], -a = exp[log a +
 log(-1)] and a + b = exp[log a + zech[log b - log a]] once neither
-summand is zero.
+summand is zero.  A tuple with a coefficient off [0, p) is no key of
+`_log`: each kernel catches that KeyError and runs again on residues
+(`_residue`), so reduced input pays nothing for it.
 
 Every field also compiles a structure-constant table into a product,
 `bilinear(table) -> product(u, v)`, that sums over integers and reduces
@@ -265,6 +267,10 @@ class Field:
         at the pivots before it, so the result is zero at every pivot."""
         raise NotImplementedError
 
+    def canonical(self, v):
+        """v with each coordinate its canonical payload, so `==` is equality."""
+        raise NotImplementedError
+
     def row_kernel(self, table, product):
         """The forms `length.word_spans` runs on for an algebra's n x n
         `table`: (encode, mul, extend, decode).  encode codes a length-n
@@ -377,6 +383,9 @@ class Rationals(Field):
                 v = [a - c * b for a, b in zip(v, row)]
         return v
 
+    def canonical(self, v):
+        return v   # a Fraction is in lowest terms
+
     def from_int(self, n):
         return Fraction(n)
 
@@ -464,6 +473,9 @@ class PrimeField(Field):
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
+
+    def canonical(self, v):
+        return [a % self.p for a in v]
 
     def row_kernel(self, table, product):
         if self.p == 2 and len(table) <= 8:
@@ -619,8 +631,19 @@ class ExtensionField(Field):
     def elements(self):
         return (tuple(t) for t in itertools.product(range(self.p), repeat=self.k))
 
+    def canonical(self, v):
+        log = self._log
+        return [a if a in log else self._residue(a) for a in v]
+
+    def _residue(self, a):
+        """The payload a coefficient tuple is, read mod p (KeyError if none)."""
+        return self._exp[self._log[tuple(c % self.p for c in a)]]
+
     def add(self, a, b):
-        la, lb = self._log[a], self._log[b]
+        try:
+            la, lb = self._log[a], self._log[b]
+        except KeyError:  # an unreduced coefficient: read its residue
+            return self.add(self._residue(a), self._residue(b))
         if la == self._zero_log:
             return b
         if lb == self._zero_log:
@@ -628,7 +651,10 @@ class ExtensionField(Field):
         return self._exp[la + self._zech[lb - la]]
 
     def sub(self, a, b):
-        la, lb = self._log[a], self._log[b]
+        try:
+            la, lb = self._log[a], self._log[b]
+        except KeyError:  # an unreduced coefficient: read its residue
+            return self.sub(self._residue(a), self._residue(b))
         if lb == self._zero_log:
             return a
         lb += self._neg_one_log
@@ -637,16 +663,25 @@ class ExtensionField(Field):
         return self._exp[la + self._zech[lb - la]]
 
     def neg(self, a):
-        return self._exp[self._log[a] + self._neg_one_log]
+        try:
+            return self._exp[self._log[a] + self._neg_one_log]
+        except KeyError:  # an unreduced coefficient: read its residue
+            return self.neg(self._residue(a))
 
     def _pad(self, c):
         return tuple(c) + (0,) * (self.k - len(c))
 
     def mul(self, a, b):
-        return self._exp[self._log[a] + self._log[b]]
+        try:
+            return self._exp[self._log[a] + self._log[b]]
+        except KeyError:  # an unreduced coefficient: read its residue
+            return self.mul(self._residue(a), self._residue(b))
 
     def inv(self, a):
-        la = self._log[a]
+        try:
+            la = self._log[a]
+        except KeyError:  # an unreduced coefficient: read its residue
+            return self.inv(self._residue(a))
         if la == self._zero_log:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._unit_order - la]
@@ -657,35 +692,50 @@ class ExtensionField(Field):
         zero, log, exp = self.zero, self._log, self._exp
         width = _digit_width(pairs * k * (p - 1) ** 2)
         x_logs = [log[self._pad((0,) * s + (1,))] for s in range(k)]
-        cells = [[[_pack([c for y in cell for c in exp[log[y] + ls]], width)
-                   for ls in x_logs]
-                  for cell in row] for row in table]
+        try:
+            cells = [[[_pack([c for y in cell for c in exp[log[y] + ls]], width)
+                       for ls in x_logs]
+                      for cell in row] for row in table]
+        except KeyError:  # an unreduced coefficient: compile the residues
+            return self.bilinear([[[self._residue(y) for y in cell] for cell in row]
+                                  for row in table])
         unpack = _unpacker(n * k, width, p)
         starts = range(0, n * k, k)
 
         def product(u, v):
-            v = [(log[y], j) for j, y in enumerate(v) if y != zero]
-            coeffs, packed = [], []
-            for a, row in zip(u, cells):
-                if a != zero:
-                    la = log[a]
-                    for lb, j in v:
-                        coeffs += exp[la + lb]
-                        packed += row[j]
+            try:
+                logs = [(log[y], j) for j, y in enumerate(v) if y != zero]
+                coeffs, packed = [], []
+                for a, row in zip(u, cells):
+                    if a != zero:
+                        la = log[a]
+                        for lb, j in logs:
+                            coeffs += exp[la + lb]
+                            packed += row[j]
+            except KeyError:  # an unreduced coefficient: read its residue
+                return product(*[[self._residue(y) for y in w] for w in (u, v)])
             digits = unpack(sum(map(mul, coeffs, packed)))
             return tuple([tuple(digits[i:i + k]) for i in starts])
         return product
 
     def eliminate(self, v, rows):
         log, exp, zech, zero_log = self._log, self._exp, self._zech, self._zero_log
-        for pivot, row in rows:
-            lc = log[v[pivot]]
-            if lc != zero_log:
-                neg_c = (lc + self._neg_one_log) % self._unit_order  # see above
-                # a + exp[lb + neg_c] = a - c*b, by the Zech table
-                v = [a if (lb := log[b]) == zero_log
-                     else exp[lb + neg_c] if (la := log[a]) == zero_log
-                     else exp[la + zech[lb + neg_c - la]] for a, b in zip(v, row)]
+        try:
+            for pivot, row in rows:
+                lc = log[v[pivot]]
+                if lc != zero_log:
+                    neg_c = (lc + self._neg_one_log) % self._unit_order  # see above
+                    # a + exp[lb + neg_c] = a - c*b, by the Zech table
+                    v = [a if (lb := log[b]) == zero_log
+                         else exp[lb + neg_c] if (la := log[a]) == zero_log
+                         else exp[la + zech[lb + neg_c - la]] for a, b in zip(v, row)]
+        except KeyError:
+            # an unreduced coefficient: go on from this row on residues.  The
+            # rows before it leave v zero at their pivots, so a second pass
+            # over them, if `rows` is a list, changes nothing.
+            rest = itertools.chain([(pivot, row)], rows)
+            return self.eliminate([self._residue(a) for a in v],
+                                  [(k, [self._residue(b) for b in r]) for k, r in rest])
         return v
 
     def from_int(self, n):

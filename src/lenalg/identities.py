@@ -25,11 +25,11 @@ field is big enough for the degree).
 
 The checkers share one scan: each is a lazy generator of (counterexample,
 defect) cases in sweep order, and `_scan` reports the first case whose
-defect is nonzero (the oracle's `_first_violation`), so no product past the
+defect is nonzero (`length._first_violation`), so no product past the
 first failure is computed.  Counterexamples re-evaluate: each records the
 expression that was computed and the nonzero defect vector, so a failed
 verdict can be re-checked by one more evaluation.  Power-associativity is
-decided exactly too, on the oracle's `_quotient_lines` of A/F*1 or on a
+decided exactly too, on `length._quotient_lines` of A/F*1 or on a
 `_chart_grid`, whichever the field allows and is smaller.
 
 By certificate.  An algebra of length one is power-associative at every
@@ -48,9 +48,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .decide import _first_violation, _quotient_lines
-from .errors import BudgetExceeded, CharacteristicTwo
-from .length import resolve_budget
+from .errors import CharacteristicTwo
+from .length import _first_violation, _quotient_lines, charge, gaussian_binomial
 from .linalg import vec_add, vec_is_zero, vec_sub
 
 
@@ -210,18 +209,16 @@ def is_power_associative_upto(A, d, *, budget=None):
     one per class off F*1 (x in F*1 passes); over Q, or F_q with q > d, the
     `_chart_grid`, which is never larger.  `tested` counts them, and a
     failing x is the first that fails.  Before the sweep, the budget
-    (`resolve_budget`) is charged with the d(d-1)/2 products per x of a
+    (`length.charge`) is charged with the d(d-1)/2 products per x of a
     sweep that finds no failure.
     """
     if d < 3:
         raise ValueError("power-associativity starts mattering at degree 3")
     field, n, q = A.field, A.dim, A.field.order()
     lines = q is not None and q <= d
-    cost = d * (d - 1) // 2 * ((q ** (n - 1) - 1) // (q - 1) if lines
+    cost = d * (d - 1) // 2 * (gaussian_binomial(n - 1, 1, q) if lines
                                else math.comb(n - 2 + d, d))
-    budget = resolve_budget(budget)
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} power products exceeds budget {budget}")
+    charge(cost, budget, f"{cost} power products")
     xs = _quotient_lines(A) if lines else _chart_grid(A, d)
     tested, bad = _first_violation(((x, _first_ambiguity(A, x, d)) for x in xs),
                                    lambda case: case[1] is not None)

@@ -33,6 +33,11 @@ is stationary for good, so the first such window ends the iteration.  An
 additional early exit fires when L_i reaches the ambient dimension.  The
 hard cap 2 * 2^(dim-2) + 2 (stabilization happens by index 2^(dim-2), the
 window doubles it) is provably unreachable, so CapExceeded means a bug.
+
+The quotient A/F*1 is enumerated here, one dimension at a time
+(`_subspaces`): `length_of_algebra` reads every subspace, and the oracle
+and the power sweep read the lines, its dimension-1 layer
+(`_quotient_lines`).  `charge` is the one budget gate of every enumeration.
 """
 
 from __future__ import annotations
@@ -59,6 +64,25 @@ def resolve_budget(budget=None):
     if not env.strip().isdecimal():
         raise LenalgError(f"LENALG_BUDGET must be a non-negative integer, got {env!r}")
     return int(env)
+
+
+def charge(work, budget, what):
+    """The budget (`resolve_budget`) once `work` fits it, else BudgetExceeded
+    "{what} exceeds budget {budget}": the one gate of every enumeration."""
+    budget = resolve_budget(budget)
+    if work > budget:
+        raise BudgetExceeded(f"{what} exceeds budget {budget}")
+    return budget
+
+
+def _first_violation(items, fails):
+    """(number of items tried, the first item with fails(item), or None)."""
+    tried = 0
+    for item in items:
+        tried += 1
+        if fails(item):
+            return tried, item
+    return tried, None
 
 
 @dataclass
@@ -151,29 +175,38 @@ def count_subspaces(m, q):
     return sum(gaussian_binomial(m, d, q) for d in range(m + 1))
 
 
-def enumerate_subspaces(field, m):
-    """All subspaces of F_q^m as canonical echelon row tuples, deterministic order.
+def _subspaces(field, m, d):
+    """The d-dimensional subspaces of F_q^m as canonical echelon row tuples,
+    by pivot columns, then free entries in payload-lexicographic order: for
+    each pivot set, the product of the rows each pivot can head, whose
+    entries after the pivot are zero at a pivot column and free elsewhere."""
+    elems, zero, one = list(field.elements()), field.zero, field.one
+    for pivots in itertools.combinations(range(m), d):
+        heads = [[(zero,) * p + (one,) + tail for tail in itertools.product(
+            *[(zero,) if c in pivots else elems for c in range(p + 1, m)])]
+            for p in pivots]
+        yield from itertools.product(*heads)
 
-    Enumerates by dimension, then pivot columns, then free entries in
-    payload-lexicographic order.
-    """
-    elems = list(field.elements())
-    zero, one = field.zero, field.one
-    yield ()
-    for d in range(1, m + 1):
-        for pivots in itertools.combinations(range(m), d):
-            free_positions = []
-            for r in range(d):
-                for c in range(pivots[r] + 1, m):
-                    if c not in pivots:
-                        free_positions.append((r, c))
-            for values in itertools.product(elems, repeat=len(free_positions)):
-                rows = [[zero] * m for _ in range(d)]
-                for r in range(d):
-                    rows[r][pivots[r]] = one
-                for (r, c), val in zip(free_positions, values):
-                    rows[r][c] = val
-                yield tuple(tuple(r) for r in rows)
+
+def enumerate_subspaces(field, m):
+    """All subspaces of F_q^m as canonical echelon row tuples, deterministic
+    order: by dimension, each as `_subspaces` lists it."""
+    for d in range(m + 1):
+        yield from _subspaces(field, m, d)
+
+
+def _lifted(A, rows):
+    """Rows of A/F*1 as vectors of A: a zero inserted at L, the pivot of
+    `A.identity_row`, so the quotient's coordinates are A's own but for L."""
+    last, zero = A.identity_row[0], (A.field.zero,)
+    return [r[:last] + zero + r[last:] for r in rows]
+
+
+def _quotient_lines(A):
+    """One vector per line of A/F*1 over F_q, lex order: the dimension-1
+    `_subspaces` of the quotient, lifted, so each is zero at L and one at
+    its first nonzero entry; there are gaussian_binomial(n - 1, 1, q)."""
+    return _lifted(A, (r for (r,) in _subspaces(A.field, A.dim - 1, 1)))
 
 
 @dataclass
@@ -191,26 +224,20 @@ def length_of_algebra(A, budget=None):
     l(S) only depends on span(S + {1}), so maximizing over all generating
     sets reduces to maximizing over subspaces V containing the identity,
     i.e. over subspaces of the (n-1)-dimensional quotient by F*1, lifted.
-    The quotient's coordinates are A's own but for L, the pivot of
-    `A.identity_row`: each enumerated row is lifted by inserting a zero at
-    L, so the word spans run on A itself and the lift is the witness.
+    Each enumerated row is `_lifted` into A's own coordinates, so the word
+    spans run on A itself and the lift is the witness.
     """
     field = A.field
     if not field.is_finite():
         raise InfiniteFieldUnsupported(
             "exact algebra length needs a finite field (use decide_length_one over Q)")
     n = A.dim
-    q = field.order()
-    budget = resolve_budget(budget)
-    work = count_subspaces(n - 1, q)
-    if work > budget:
-        raise BudgetExceeded(
-            f"{work} subspaces to enumerate exceeds budget {budget}")
-    last, zero = A.identity_row[0], (field.zero,)
+    work = count_subspaces(n - 1, field.order())
+    charge(work, budget, f"{work} subspaces to enumerate")
     best, best_rows, examined = -1, None, 0
     for rows in enumerate_subspaces(field, n - 1):
         examined += 1
-        lifted = [A.one] + [r[:last] + zero + r[last:] for r in rows]
+        lifted = [A.one] + _lifted(A, rows)
         res = length_of_set(A, lifted)
         if res.generates and res.length > best:
             best, best_rows = res.length, tuple(lifted)

@@ -87,11 +87,13 @@ def in_span(field, w, vectors):
 def rref(field, rows):
     """Canonical reduced row echelon form of the given spanning rows: the
     `_echelon_extend` rows sorted by pivot, each then reduced against the
-    rows after it (each zero before its pivot, so every pivot ends zero)."""
+    rows after it (each zero before its pivot, so every pivot ends zero),
+    and each coordinate read as its canonical payload (`Field.canonical`),
+    since `_echelon_extend` keeps a row with a leading one as it comes."""
     rows = list(rows)
     echelon = sorted(_echelon_extend(field, [], rows, len(rows[0]) if rows else 0),
                      key=lambda pivot_row: pivot_row[0])
-    return (tuple(tuple(field.eliminate(row, echelon[i + 1:]))
+    return (tuple(tuple(field.canonical(field.eliminate(row, echelon[i + 1:])))
                   for i, (_, row) in enumerate(echelon)),
             tuple(pivot for pivot, _ in echelon))
 

@@ -166,6 +166,18 @@ def reference_length(A):
     return best, best_rows, examined
 
 
+def reference_quotient_lines(A):
+    """One vector per line of A/F*1 over F_q, written out with no subspace
+    enumeration, the reference for `_quotient_lines`: zero at L, the pivot
+    of `A.identity_row`, and one at its first nonzero entry, in lex order
+    of the quotient's coordinates."""
+    field, m, last = A.field, A.dim - 1, A.identity_row[0]
+    elems, zero = list(field.elements()), (field.zero,)
+    reps = (zero * pos + (field.one,) + tail for pos in range(m)
+            for tail in itertools.product(elems, repeat=m - pos - 1))
+    return [x[:last] + zero + x[last:] for x in reps]
+
+
 def reference_mul(field, table, u, v):
     """The product of an m x r structure-constant table of length-n cells
     by field operations alone: its bilinear extension, one field

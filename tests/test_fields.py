@@ -1,6 +1,7 @@
 """Exact field arithmetic: canonical forms, axioms, parsing, moduli."""
 
 import itertools
+import random
 import time
 import pytest
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lenalg import ExtensionField, PrimeField, fields, make_field
+from lenalg import ExtensionField, PrimeField, fields, make_field, make_fixture
 from lenalg.errors import (
     CharacteristicTwo,
     InfiniteFieldUnsupported,
@@ -16,6 +17,7 @@ from lenalg.errors import (
     ReducibleModulus,
     UnsupportedExtension,
 )
+from lenalg.linalg import _echelon_extend, in_span
 
 ALL_FINITE = ["F2", "F3", "F5", "F7", "GF4", "GF8", "GF9"]
 
@@ -304,3 +306,54 @@ def test_extension_construction_takes_linear_products(monkeypatch):
         calls[0] = 0
         ExtensionField(p, k, modulus)
         assert calls[0] <= 8 * p ** k, (p, k, modulus, calls[0])
+
+
+def _unreduced(F, a, rng):
+    """The GF(p^k) payload a with every coefficient moved off [0, p) by a
+    nonzero multiple of p."""
+    return tuple(c + F.p * rng.choice((-1, 1, 2)) for c in a)
+
+
+@pytest.mark.parametrize("name", ["GF4", "GF9"])
+def test_an_unreduced_extension_coefficient_is_read_by_its_residue(name):
+    # a coefficient off [0, p) is no key of the log tables; every kernel
+    # reads it by its residue and returns what the reduced input gives
+    F = make_field(name)
+    rng = random.Random(f"unreduced|{name}")
+    elems = list(F.elements())
+    for a, b in itertools.product(elems, repeat=2):
+        ua, ub = _unreduced(F, a, rng), _unreduced(F, b, rng)
+        for op in (F.add, F.sub, F.mul):
+            assert op(ua, ub) == op(a, b)
+        assert F.neg(ua) == F.neg(a)
+        assert F.canonical([ua, ub]) == [a, b]
+        if a == F.zero:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(ua)
+        else:
+            assert F.inv(ua) == F.inv(a)
+    vector = lambda n: tuple(rng.choice(elems) for _ in range(n))
+    moved = lambda v: tuple(_unreduced(F, a, rng) for a in v)
+    for _ in range(30):
+        table = [[vector(3) for _ in range(3)] for _ in range(3)]
+        u, v = vector(3), vector(3)
+        product = F.bilinear(table)
+        assert product(moved(u), moved(v)) == product(u, v)
+        unreduced_table = [[moved(cell) for cell in row] for row in table]
+        assert F.bilinear(unreduced_table)(u, v) == product(u, v)
+        rows = _echelon_extend(F, [], [vector(4) for _ in range(3)], 4)
+        w = vector(4)
+        unreduced_rows = [(k, moved(r)) for k, r in rows]
+        want = F.eliminate(w, rows)
+        assert F.canonical(F.eliminate(moved(w), unreduced_rows)) == want
+        assert F.canonical(F.eliminate(moved(w), iter(unreduced_rows))) == want
+        assert in_span(F, moved(w), [moved(r) for _, r in rows]) == in_span(
+            F, w, [r for _, r in rows])
+    # the two ways in: a product with the identity, and the empty span
+    zero, one = F.zero, F.one
+    unreduced_zero = (F.p,) + zero[1:]
+    A = make_fixture("dim3-f2-type3" if F.p == 2 else "remark-repaired", field=F)
+    x = (one, zero, F.from_int(-1))
+    assert A.mul((one, zero, unreduced_zero), A.one) == A.mul((one, zero, zero), A.one)
+    assert A.mul(moved(x), A.one) == A.mul(x, A.one) == x
+    assert in_span(F, (unreduced_zero, zero, zero), [])

@@ -42,3 +42,17 @@ def test_every_import_is_used(module):
 
 def test_modules_found():
     assert "decide.py" in MODULES and "linalg.py" in MODULES
+
+
+def test_identities_imports_nothing_from_the_decider():
+    # the line sweep and the first-violation scan that `identities` shares
+    # with the oracle live in `length`
+    tree = ast.parse((PACKAGE / "identities.py").read_text(), filename="identities.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "decide" not in imported

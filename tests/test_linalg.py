@@ -208,3 +208,37 @@ def test_basis_change_wrong_length_raises():
             P.to_old(v)
         with pytest.raises(DimensionMismatch):
             P.to_new(v)
+
+
+def _shifted(F, v, rng):
+    """v with each payload moved by a nonzero multiple of p, one coordinate
+    (or GF(p^k) coefficient) in two, so a leading one may stay as it is."""
+    p = F.characteristic()
+    move = lambda c: c + p * rng.choice((-1, 1, 2)) if rng.random() < 0.5 else c
+    if isinstance(F, ExtensionField):
+        return tuple(tuple(move(c) for c in a) for a in v)
+    return tuple(move(a) for a in v)
+
+
+def test_rref_reduces_the_rows_it_keeps_as_given():
+    F5, GF4 = make_field("F5"), make_field("GF4")
+    assert span(F5, [(1, 5, 7)]).rows == ((1, 0, 2),)
+    assert span(F5, [(1, 5, 7)]) == span(F5, [(1, 0, 2)])
+    assert span(GF4, [((1, 0), (2, 1))]) == span(GF4, [((1, 0), (0, 1))])
+    assert rref(GF4, [((1, 0), (2, 1))]) == ((((1, 0), (0, 1)),), (0,))
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "F7", "GF4"])
+def test_payloads_shifted_by_multiples_of_p_span_the_same_subspace(name):
+    F = make_field(name)
+    rng = random.Random(f"shifted|{name}")
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        vs = [random_vector(F, n, rng) for _ in range(rng.randint(1, n + 1))]
+        # a leading one keeps its row out of the scaling step
+        vs += [(F.zero,) * k + (F.one,) + random_vector(F, n - k - 1, rng)
+               for k in rng.sample(range(n), rng.randint(1, n))]
+        moved = [_shifted(F, v, rng) for v in vs]
+        assert rref(F, moved) == rref(F, vs)
+        got, want = span(F, moved), span(F, vs)
+        assert got.rows == want.rows and got == want

@@ -37,6 +37,7 @@ from tests.corpus import (
     identities_short_of_the_end,
     random_unital_algebra,
     reference_oracle,
+    reference_quotient_lines,
     with_identity,
 )
 
@@ -215,3 +216,20 @@ def test_quotient_lines_hold_one_vector_per_class(name, dim):
             cls = {tuple(F.add(F.mul(c, a), F.mul(d, b)) for a, b in zip(x, A.one))
                    for c in scalars if c != F.zero for d in scalars}
             assert sum(r in cls for r in reps) == (A.one not in cls), x
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "GF4", "GF9"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_quotient_lines_are_the_reference_list_in_its_order(name, dim):
+    # the oracle's `pairs checked` and the power sweep's first failing x read
+    # the lines in this order, at every pivot L of the identity
+    F = make_field(name)
+    rng = random.Random(f"quotient-order|{name}|{dim}")
+    T = random_unital_algebra(F, dim, 0)
+    H = change_basis(T, complete_to_basis_with_one(T))
+    pivots = set()
+    for one in identities_short_of_the_end(F, dim, rng):
+        A = with_identity(H, one, rng)
+        pivots.add(A.identity_row[0])
+        assert _quotient_lines(A) == reference_quotient_lines(A)
+    assert pivots == set(range(dim))
