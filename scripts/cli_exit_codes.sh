@@ -21,7 +21,16 @@
 # char2-typeII-seeded (GF4, hidden basis) `check --json` and `verify-cert`
 # both exit 0.  That fixture's identity is dense, so the engines that work
 # modulo F*1 in A's own coordinates run on it too: `oracle` exits 0, and
-# `length --json` and `verify-cert` of its report both exit 0.  `check` on
+# `length --json` and `verify-cert` of its report both exit 0.
+#
+# Reading a document checks its identity on every basis vector, by 2n
+# products over a finite field (the GF4 fixture above) and in integers over
+# Q.  The Q check runs here on a dense identity both ways: on
+# `make random-l1 --field Q --dim 5 --seed 1 --mode special --hide`,
+# `check --json` and `verify-cert` both exit 0; and `check` on a Q document
+# of dimension 2 whose identity (1, -1) fails on e_1 exits 2 and prints
+# `one: claimed identity fails on basis vector 1`, while the same document
+# with its last cell set to zero, where (1, -1) is the identity, exits 0.  `check` on
 # the fixture dim3-f2-type4 prints `certificate: char-2 form dim3-f2-type4`.
 # A forged certificate must be refused: `verify-cert` exits 1 on a report
 # that claims the F2-only form dim3-f2-type3 for the table of that form over
@@ -140,6 +149,19 @@ run 0 verify-cert "$dir/typeII.report.json"
 run 0 oracle "$dir/typeII.json"
 run 0 length --json "$dir/typeII.json" > "$dir/typeII.length.json"
 run 0 verify-cert "$dir/typeII.length.json"
+run 0 make random-l1 --field Q --dim 5 --seed 1 --mode special --hide -o "$dir/q5.json"
+run 0 check --json "$dir/q5.json" > "$dir/q5.report.json"
+run 0 verify-cert "$dir/q5.report.json"
+echo '{"field":"Q","dim":2,"one":["1","-1"],"table":[[["1","1"],["0","1"]],[["0","1"],["0","1"]]]}' \
+    > "$dir/q-bad-one.json"
+run 2 check "$dir/q-bad-one.json" 2> "$dir/q-bad-one.err"
+if ! grep -qF "one: claimed identity fails on basis vector 1" "$dir/q-bad-one.err"; then
+    echo "FAIL: lenalg check on q-bad-one.json did not print 'one: claimed identity fails on basis vector 1'" >&2
+    status=1
+fi
+echo '{"field":"Q","dim":2,"one":["1","-1"],"table":[[["1","1"],["0","1"]],[["0","1"],["0","0"]]]}' \
+    > "$dir/q-one.json"
+run 0 check "$dir/q-one.json" > /dev/null
 run 0 make fixture --name dim3-f2-type4 -o "$dir/type4.json"
 run 0 check "$dir/type4.json" > "$dir/type4.txt"
 if ! grep -qx "certificate: char-2 form dim3-f2-type4" "$dir/type4.txt"; then

@@ -25,7 +25,6 @@ from .constructors import (
     make_direct_sum_of_fields,
     make_fixture,
     make_matrix_algebra,
-    symmetrized,
 )
 from .decide import (
     CharTwoWitness,

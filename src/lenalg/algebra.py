@@ -26,14 +26,11 @@ class Algebra:
     e_z, the two products are the table cells [z][j] and [j][z], and equal
     cells accept with no product; this is the case of every basis change to
     a basis that starts with the identity.  Otherwise, and whenever a cell
-    differs, the field's kernel decides (`Field.kernel`): over Q in
-    integers, from the table `mul` runs on, with no Fraction built, and
-    over F_p and GF(p^k) by the 2n products; its product is the one `mul`
-    keeps with the instance.
+    differs, the identity test of the table's kernel decides.
 
-    `mul` runs the field's integer product (`Field.bilinear`).  It packs F_p
-    outputs into digits of bit_length(n^2 (p-1)^3) bits and GF(p^k) ones
-    into digits of bit_length(n^2 k (p-1)^2) bits, and reduces F_p
+    The kernel is compiled once per algebra, when first read (`_kernel`,
+    from `Field.compile`); `mul` runs its product, and `length.word_spans`
+    its coded rows.  The product sums over integers: it reduces F_p
     coordinates mod p on entry, so an unreduced or negative int multiplies
     as its residue; a GF(p^k) coefficient off [0, p) is read so too.
     """
@@ -56,9 +53,7 @@ class Algebra:
             if all(t[z][j] == ej == t[j][z] for j, ej in enumerate(units)):
                 return
         # a cell that differs decides nothing (unreduced F_p payloads)
-        product, non_unit = self.field.kernel(self.table)
-        object.__setattr__(self, "_product", product)
-        j = non_unit(one)
+        j = self._kernel.non_unit(one)
         if j is not None:
             raise InvalidIdentity(f"claimed identity fails on basis vector {j}")
 
@@ -70,14 +65,8 @@ class Algebra:
         return unit_vec(self.field, self.dim, i)
 
     @cached_property
-    def _product(self):
-        return self.field.bilinear(self.table)
-
-    @cached_property
-    def _row_kernel(self):
-        """The coded forms of the table that `word_spans` runs on
-        (`Field.row_kernel`)."""
-        return self.field.row_kernel(self.table, self._product)
+    def _kernel(self):
+        return self.field.compile(self.table)
 
     @cached_property
     def identity_row(self):
@@ -94,7 +83,7 @@ class Algebra:
         n = self.dim
         if len(u) != n or len(v) != n:
             raise DimensionMismatch("vector length does not match algebra dim")
-        return self._product(u, v)
+        return self._kernel.product(u, v)
 
 
 def algebra(field, table, one):

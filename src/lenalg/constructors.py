@@ -10,7 +10,7 @@ not associative.  See README "Fixture notes" for the recorded outcomes.
 
 from __future__ import annotations
 
-from .algebra import Algebra, algebra, identity_first
+from .algebra import algebra, identity_first
 from .documents import parse_document
 from .errors import CharacteristicTwo, UnknownFixture
 
@@ -65,22 +65,6 @@ def make_direct_sum_of_fields(field, k):
         for i in range(k)
     ]
     return algebra(field, table, tuple(one for _ in range(k)))
-
-
-def symmetrized(A):
-    """A with product (xy + yx)/2; classic source of Jordan algebras."""
-    field = A.field
-    if field.characteristic() == 2:
-        raise CharacteristicTwo("symmetrization divides by two")
-    n = A.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(tuple(field.halve(field.add(a, b))
-                             for a, b in zip(A.table[i][j], A.table[j][i])))
-        table.append(tuple(row))
-    return Algebra(field=field, table=tuple(table), one=A.one)
 
 
 # ---------------------------------------------------------------------------

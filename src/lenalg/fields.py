@@ -55,21 +55,18 @@ can reach, so no digit carries:
   of its row or column alone, a slice of each flat list.
 
 A coordinate map v -> v @ M is the product of the one-row table (M,) with
-the left vector (1,), so `linear(M)` is that product and has no kernel of
-its own.  `kernel(table)` pairs an algebra's product with its identity
-test, the first j with one e_j != e_j or e_j one != e_j: 2n products by
-default, and over Q dot products of one's integers with the flat lists,
-with no Fraction built.
+the left vector (1,), so `linear(M)` is that product.  An algebra's table
+is compiled once, by `compile(table)`, into a `Kernel`: its `product`, its
+identity test `non_unit` (2n products by default, and over Q dot products
+of one's integers with the flat lists, with no Fraction built), and the
+coded `rows` that `length.word_spans` runs on (F2 up to dim 8 as bitmasks,
+every other field as it is; proof of the F2 form in `length`).
 
 Next to `bilinear`, every field owns the row operation of the linear
 algebra, `eliminate(v, rows)`, written out per coordinate with no `sub` or
 `mul` call.  Over GF(p^k), log(-c) = (log c + log(-1)) mod (q - 1) must be
 reduced, or log(-c*b) can pass 2m into the zero region of `_exp` and drop
 the term; log(-1) = 0 in characteristic 2 hides this.
-
-`row_kernel(table, product)` compiles the coded rows `length.word_spans`
-runs on: F2 up to dim 8 as bitmasks, every other field as it is (contract
-at `Field.row_kernel`, proof of the F2 form in `length`).
 """
 
 from __future__ import annotations
@@ -151,43 +148,77 @@ def _subset_xors(masks):
     return out
 
 
-def _f2_row_kernel(table):
-    """`Field.row_kernel` over F2 on bitmasks, for n <= 8: bit k of a coded
+class Kernel:
+    """An algebra's n x n `table` compiled by its `field` (`Field.compile`).
+
+    `product` is `field.bilinear(table)`, and non_unit(one) the first j with
+    one e_j != e_j or e_j one != e_j, else None: by default 2n products.
+    `rows`, built when first read, is (encode, mul, extend, decode), the
+    forms `length.word_spans` runs on: encode codes a length-n vector
+    (another length raises DimensionMismatch in encode or extend), mul
+    multiplies two coded vectors, extend(rows, coded) appends to an echelon
+    list of (pivot, coded row) pairs as `linalg._echelon_extend` does, and
+    decode(rows) returns such a list with payload rows; by default uncoded."""
+
+    def __init__(self, field, table):
+        self.field, self.table = field, table
+        self.product = field.bilinear(table)
+
+    def non_unit(self, one):
+        field, product, n = self.field, self.product, len(self.table)
+        for j in range(n):
+            ej = unit_vec(field, n, j)
+            if not product(one, ej) == ej == product(ej, one):
+                return j
+        return None
+
+    @functools.cached_property
+    def rows(self):
+        field, n = self.field, len(self.table)
+        return (_as_is, self.product,
+                lambda rows, vectors: _echelon_extend(field, rows, vectors, n), _as_is)
+
+
+class _F2Kernel(Kernel):
+    """F2's kernel for n <= 8, whose `rows` are bitmasks: bit k of a coded
     vector is its coordinate k, reduced mod 2 (Albrecht, Bard & Hart, M4RI,
     ACM TOMS 2010)."""
-    n = len(table)
 
-    def encode(v):
-        if len(v) != n:
-            raise DimensionMismatch(f"vector length {len(v)} != {n}")
-        row = 0
-        for k, c in enumerate(v):
-            if c % 2:
-                row |= 1 << k
-        return row
+    @functools.cached_property
+    def rows(self):
+        table, n = self.table, len(self.table)
 
-    # xors[i][b]: the XOR of the cells (i, k) over the set bits k of b, so a
-    # product is one lookup per set bit of u
-    xors = [_subset_xors([encode(cell) for cell in row]) for row in table]
+        def encode(v):
+            if len(v) != n:
+                raise DimensionMismatch(f"vector length {len(v)} != {n}")
+            row = 0
+            for k, c in enumerate(v):
+                if c % 2:
+                    row |= 1 << k
+            return row
 
-    def mul(u, v):
-        acc = 0
-        for i in _BITS[u]:
-            acc ^= xors[i][v]
-        return acc
+        # xors[i][b]: the XOR of the cells (i, k) over the set bits k of b, so
+        # a product is one lookup per set bit of u
+        xors = [_subset_xors([encode(cell) for cell in row]) for row in table]
 
-    def extend(rows, vectors):
-        for v in vectors:
-            for pivot, row in rows:
-                if v >> pivot & 1:
-                    v ^= row
-            if v:
-                rows.append(((v & -v).bit_length() - 1, v))
-        return rows
+        def mul(u, v):
+            acc = 0
+            for i in _BITS[u]:
+                acc ^= xors[i][v]
+            return acc
 
-    def decode(rows):
-        return [(pivot, [row >> k & 1 for k in range(n)]) for pivot, row in rows]
-    return encode, mul, extend, decode
+        def extend(rows, vectors):
+            for v in vectors:
+                for pivot, row in rows:
+                    if v >> pivot & 1:
+                        v ^= row
+                if v:
+                    rows.append(((v & -v).bit_length() - 1, v))
+            return rows
+
+        def decode(rows):
+            return [(pivot, [row >> k & 1 for k in range(n)]) for pivot, row in rows]
+        return encode, mul, extend, decode
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality
@@ -273,20 +304,10 @@ class Field:
         length-r v (lengths are the caller's to check)."""
         raise NotImplementedError
 
-    def kernel(self, table):
-        """(product, non_unit) for an algebra's n x n `table`: product is
-        `bilinear(table)`, and non_unit(one) is the first j with one e_j !=
-        e_j or e_j one != e_j, else None.  This default makes those 2n
-        products."""
-        product, n = self.bilinear(table), len(table)
-
-        def non_unit(one):
-            for j in range(n):
-                ej = unit_vec(self, n, j)
-                if not product(one, ej) == ej == product(ej, one):
-                    return j
-            return None
-        return product, non_unit
+    def compile(self, table):
+        """The `Kernel` of an algebra's n x n `table`, this default one
+        unless the field specialises it."""
+        return Kernel(self, table)
 
     def eliminate(self, v, rows):
         """v minus v[pivot] * row for each (pivot, row) in turn, as a list (v
@@ -297,19 +318,6 @@ class Field:
     def canonical(self, v):
         """v with each coordinate its canonical payload, so `==` is equality."""
         raise NotImplementedError
-
-    def row_kernel(self, table, product):
-        """The forms `length.word_spans` runs on for an algebra's n x n
-        `table`: (encode, mul, extend, decode).  encode codes a length-n
-        vector (another length raises DimensionMismatch in encode or
-        extend), mul multiplies two coded vectors, extend(rows, coded) appends
-        to an echelon list of (pivot, coded row) pairs as
-        `linalg._echelon_extend` does, and decode(rows) returns such a list
-        with payload rows.  This default form codes nothing: it multiplies
-        with `product`, the table's `bilinear`, which the caller compiled."""
-        n = len(table)
-        return (_as_is, product,
-                lambda rows, vectors: _echelon_extend(self, rows, vectors, n), _as_is)
 
     def linear(self, matrix):
         """The map v -> v @ matrix: the product of (matrix,) with (one,)."""
@@ -337,6 +345,63 @@ class Field:
 
     def __repr__(self):
         return f"<field {self.label()}>"
+
+
+class _RationalKernel(Kernel):
+    """Q's kernel, on the table's flat integer lists `coords` over their
+    denominator D.  `product`, which `Rationals.bilinear` returns, is the
+    module docstring's Q product: every payload is read once, by
+    `as_integer_ratio`, which takes `int`s too, and a coordinate whose
+    integer sum is 0 or the denominator is `zero` or `one` itself, with no
+    Fraction built and no gcd.  The table may be m x r here."""
+
+    def __init__(self, field, table):
+        self.field, self.table = field, table
+        ratios = [[y.as_integer_ratio() for y in cell] for row in table for cell in row]
+        self.scale = scale = math.lcm(*[b for cell in ratios for _, b in cell])
+        self.coords = coords = [[a * (scale // b) for a, b in column]
+                                for column in zip(*ratios)]
+        m = len(table)
+        r = len(table[0]) if m else 0
+        zero, one = field.zero, field.one
+
+        def rationals(sums, den):
+            return tuple([zero if not s else one if s == den else Fraction(s, den)
+                          for s in sums])
+
+        def product(u, v):
+            du, u = _integers(u)
+            dv, v = _integers(v)
+            den = du * dv * scale
+            # u = x e_i (x its one nonzero entry, so its sum) reads only the
+            # cells (i, j), a run of each list; v = y e_j every r-th entry
+            if u.count(0) == m - 1:
+                x = sum(u)
+                s = u.index(x) * r
+                return rationals([x * sum(map(mul, v, c[s:s + r])) for c in coords], den)
+            if v.count(0) == r - 1:
+                y = sum(v)
+                j = v.index(y)
+                return rationals([y * sum(map(mul, u, c[j::r])) for c in coords], den)
+            uv = [x * y for x in u for y in v]
+            return rationals([sum(map(mul, uv, c)) for c in coords], den)
+        self.product = product
+
+    def non_unit(self, one):
+        """`Kernel.non_unit` on the integer table: with one scaled to
+        integers over d and the table over D, one e_j = e_j exactly when the
+        dot products of one with the cells (i, j) are d D at coordinate j and
+        0 elsewhere, and e_j one = e_j likewise with the cells (j, i); no
+        Fraction is built."""
+        coords, r = self.coords, len(self.table)
+        d, w = _integers(one)
+        for j in range(r):
+            unit = [0] * r
+            unit[j] = d * self.scale
+            if ([sum(map(mul, w, c[j::r])) for c in coords] != unit
+                    or [sum(map(mul, w, c[j * r:j * r + r])) for c in coords] != unit):
+                return j
+        return None
 
 
 class Rationals(Field):
@@ -371,63 +436,10 @@ class Rationals(Field):
         return a / b
 
     def bilinear(self, table):
-        """The product of the module docstring's Q kernel.  Every payload is
-        read once, by `as_integer_ratio`, which takes `int`s too, and a
-        coordinate whose integer sum is 0 or the denominator is `zero` or
-        `one` itself, with no Fraction built and no gcd."""
-        return self._integer_kernel(table)[0]
+        return _RationalKernel(self, table).product
 
-    def kernel(self, table):
-        """`Field.kernel`, whose non_unit reads the integer table: with one
-        scaled to integers over d and the table over D, one e_j = e_j
-        exactly when the dot products of one with the cells (i, j) are d D
-        at coordinate j and 0 elsewhere, and e_j one = e_j likewise with the
-        cells (j, i); no Fraction is built."""
-        product, coords, scale = self._integer_kernel(table)
-        r = len(table)
-
-        def non_unit(identity):
-            d, w = _integers(identity)
-            for j in range(r):
-                unit = [0] * r
-                unit[j] = d * scale
-                if ([sum(map(mul, w, c[j::r])) for c in coords] != unit
-                        or [sum(map(mul, w, c[j * r:j * r + r])) for c in coords] != unit):
-                    return j
-            return None
-        return product, non_unit
-
-    def _integer_kernel(self, table):
-        """(product, coords, D): `bilinear`'s product with the table's flat
-        integer lists over their denominator D, which `kernel` reads too."""
-        ratios = [[y.as_integer_ratio() for y in cell] for row in table for cell in row]
-        scale = math.lcm(*[b for cell in ratios for _, b in cell])
-        coords = [[a * (scale // b) for a, b in column] for column in zip(*ratios)]
-        m = len(table)
-        r = len(table[0]) if m else 0
-        zero, one = self.zero, self.one
-
-        def rationals(sums, den):
-            return tuple([zero if not s else one if s == den else Fraction(s, den)
-                          for s in sums])
-
-        def product(u, v):
-            du, u = _integers(u)
-            dv, v = _integers(v)
-            den = du * dv * scale
-            # u = x e_i (x its one nonzero entry, so its sum) reads only the
-            # cells (i, j), a run of each list; v = y e_j every r-th entry
-            if u.count(0) == m - 1:
-                x = sum(u)
-                s = u.index(x) * r
-                return rationals([x * sum(map(mul, v, c[s:s + r])) for c in coords], den)
-            if v.count(0) == r - 1:
-                y = sum(v)
-                j = v.index(y)
-                return rationals([y * sum(map(mul, u, c[j::r])) for c in coords], den)
-            uv = [x * y for x in u for y in v]
-            return rationals([sum(map(mul, uv, c)) for c in coords], den)
-        return product, coords, scale
+    def compile(self, table):
+        return _RationalKernel(self, table)
 
     def eliminate(self, v, rows):
         for pivot, row in rows:
@@ -531,10 +543,8 @@ class PrimeField(Field):
     def canonical(self, v):
         return [a % self.p for a in v]
 
-    def row_kernel(self, table, product):
-        if self.p == 2 and len(table) <= 8:
-            return _f2_row_kernel(table)
-        return super().row_kernel(table, product)
+    def compile(self, table):
+        return (_F2Kernel if self.p == 2 and len(table) <= 8 else Kernel)(self, table)
 
     def from_int(self, n):
         return n % self.p

@@ -20,7 +20,7 @@ L_i.  Each ordered pair (p, q) is multiplied at exactly one level, p + q,
 and the N_p are disjoint parts of at most n - 1 rows, so one call makes at
 most (n - 1)^2 products.
 
-The list is held in A's coded rows (`Field.row_kernel`).  Over F2 up to
+The list is held in A's coded rows (`fields.Kernel.rows`).  Over F2 up to
 dim 8 they are bitmasks, and they are exactly the rows `_echelon_extend`
 builds on payload lists: a residue's lowest set bit is its first nonzero coordinate, the
 pivot `_echelon_extend` picks, and its entry there is already one, the
@@ -125,11 +125,11 @@ def word_spans(A, vectors):
     The echelon list starts with `A.identity_row`, which spans L_0 = F*1; a
     vector with a zero at its pivot L, as every lifted row of
     `length_of_algebra` has, is its own residue against it.  The list is
-    kept in A's coded rows (`Field.row_kernel`) and returned so, with the
+    kept in A's coded rows (`fields.Kernel.rows`) and returned so, with the
     kernel's `decode`, which runs only when `rows` or `closure` is read.
     """
     field, n = A.field, A.dim
-    encode, mul, extend, decode = A._row_kernel
+    encode, mul, extend, decode = A._kernel.rows
     coded = [encode(v) for v in vectors]
     last, one = A.identity_row
     rows = [(last, encode(one))]

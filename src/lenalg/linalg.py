@@ -10,7 +10,7 @@ The one row operation, v minus v[pivot] * row, lives on the field as
 `_echelon_extend` reduce through it.  `_echelon_extend` is the one echelon
 routine: `rref` sorts its rows by pivot and back-reduces them; membership
 (`in_span`, the pair test, and `Subspace.contains`) asks whether it appends
-a row; and it is the default form of `Field.row_kernel`, `length`'s rows.
+a row; and it is the default form of `fields.Kernel.rows`, `length`'s rows.
 `BasisChange` is the only code that maps coordinates between bases.
 """
 
@@ -149,10 +149,6 @@ def span(field, vectors, ambient_dim=None):
     return Subspace(field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
 
 
-def identity_matrix(field, n):
-    return tuple(unit_vec(field, n, i) for i in range(n))
-
-
 def invert_matrix(field, m):
     """Inverse of a square matrix, or None if singular."""
     n = len(m)
@@ -168,12 +164,11 @@ def invert_matrix(field, m):
 class BasisChange:
     """An invertible change of basis; rows are the new basis in old coordinates.
 
-    `to_old` maps coordinates w.r.t. the new basis back to old coordinates
-    (v @ matrix) and `to_new` is the inverse map (v @ inverse).  `matrix`
-    and `inverse` are dense tuples of rows; both maps are compiled at
-    construction by `Field.linear`, so they run on the field's integer
-    product kernel.  The inverse is computed once; a caller that already
-    holds it passes it as `inverse`, which is trusted, not checked.
+    `to_new` maps old coordinates to coordinates w.r.t. the new basis
+    (v @ inverse).  `matrix` and `inverse` are dense tuples of rows; the map
+    is compiled at construction by `Field.linear`, so it runs on the
+    field's integer product.  The inverse is computed once; a caller that
+    already holds it passes it as `inverse`, which is trusted, not checked.
     """
 
     def __init__(self, field, rows, inverse=None):
@@ -185,7 +180,6 @@ class BasisChange:
         self.field = field
         self.matrix = rows
         self.inverse = inverse
-        self._to_old = field.linear(rows)
         self._to_new = field.linear(inverse)
 
     @staticmethod
@@ -197,16 +191,10 @@ class BasisChange:
     def dim(self):
         return len(self.matrix)
 
-    def to_old(self, v_new):
-        return self._to_old(self._checked(v_new))
-
     def to_new(self, v_old):
-        return self._to_new(self._checked(v_old))
-
-    def _checked(self, v):
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"vector length {len(v)} != basis dim {self.dim}")
-        return v
+        if len(v_old) != self.dim:
+            raise DimensionMismatch(f"vector length {len(v_old)} != basis dim {self.dim}")
+        return self._to_new(v_old)
 
 
 def random_invertible(field, n, rng):

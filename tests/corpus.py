@@ -20,9 +20,15 @@ from lenalg import (
     make_field,
     unital_hull,
 )
-from lenalg.algebra import complete_to_basis_with_one
+from lenalg.algebra import Algebra, complete_to_basis_with_one
 from lenalg.decide import OracleResult, ViolationWitness
-from lenalg.errors import CapExceeded, DimensionMismatch, SchemaError, ScalarSyntaxError
+from lenalg.errors import (
+    CapExceeded,
+    CharacteristicTwo,
+    DimensionMismatch,
+    SchemaError,
+    ScalarSyntaxError,
+)
 from lenalg.length import enumerate_subspaces
 from lenalg.linalg import (
     BasisChange,
@@ -258,6 +264,26 @@ def mutate_one_constant(A, i, j, k):
     table = [[list(cell) for cell in row] for row in A.table]
     table[i][j][k] = field.add(table[i][j][k], field.one)
     return algebra(field, table, A.one)
+
+
+def identity_matrix(field, n):
+    return tuple(unit_vec(field, n, i) for i in range(n))
+
+
+def symmetrized(A):
+    """A with product (xy + yx)/2; classic source of Jordan algebras."""
+    field = A.field
+    if field.characteristic() == 2:
+        raise CharacteristicTwo("symmetrization divides by two")
+    n = A.dim
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            row.append(tuple(field.halve(field.add(a, b))
+                             for a, b in zip(A.table[i][j], A.table[j][i])))
+        table.append(tuple(row))
+    return Algebra(field=field, table=tuple(table), one=A.one)
 
 
 def vec_mat(field, v, m):

@@ -32,14 +32,13 @@ from lenalg.documents import render_report, verify_report_dict
 from lenalg.errors import CharacteristicNotTwo
 from lenalg.linalg import (
     BasisChange,
-    identity_matrix,
     invert_matrix,
     random_invertible,
     unit_vec,
     vec_scale,
 )
 
-from tests.corpus import random_unital_algebra
+from tests.corpus import identity_matrix, random_unital_algebra
 
 F2 = make_field("F2")
 G4 = make_field("GF4")

@@ -33,14 +33,18 @@ from lenalg.decide import SpecialBasisWitness, ViolationWitness
 from lenalg.errors import BudgetExceeded, CharacteristicTwo
 from lenalg.linalg import (
     BasisChange,
-    identity_matrix,
     in_span,
     random_invertible,
     span,
     unit_vec,
 )
 
-from tests.corpus import random_unital_algebra, random_two_dim_unital, random_vector
+from tests.corpus import (
+    identity_matrix,
+    random_two_dim_unital,
+    random_unital_algebra,
+    random_vector,
+)
 
 Q = make_field("Q")
 F3 = make_field("F3")

@@ -27,7 +27,6 @@ from lenalg import (
     make_matrix_algebra,
     render_document,
     special_table_from_params,
-    symmetrized,
     unital_hull,
 )
 from lenalg import decide, identities
@@ -46,6 +45,7 @@ from tests.corpus import (
     random_vector,
     reference_ambiguity,
     reference_power_associative,
+    symmetrized,
 )
 
 Q = make_field("Q")

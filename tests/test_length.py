@@ -7,7 +7,6 @@ import pytest
 
 from lenalg import (
     Algebra,
-    Field,
     algebra,
     change_basis,
     complete_to_basis_with_one,
@@ -24,7 +23,7 @@ from lenalg import (
     unital_hull,
     word_spans,
 )
-from lenalg import linalg
+from lenalg import fields, linalg
 from lenalg.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -45,6 +44,7 @@ from tests.corpus import (
     reference_length,
     reference_word_spans,
     sparse_f2_hull,
+    vec_mat,
     with_identity,
 )
 
@@ -220,16 +220,16 @@ def _counted(monkeypatch, owner, name):
 
 
 def _coded_products(monkeypatch, A):
-    """Wrap the product of A's coded rows (`Field.row_kernel`), which
+    """Wrap the product of A's coded rows (`fields.Kernel.rows`), which
     `word_spans` multiplies with; the returned list grows by one per call."""
-    encode, mul, extend, decode = A._row_kernel
+    encode, mul, extend, decode = A._kernel.rows
     calls = []
 
     def counted(u, v):
         calls.append(None)
         return mul(u, v)
 
-    monkeypatch.setitem(A.__dict__, "_row_kernel", (encode, counted, extend, decode))
+    monkeypatch.setitem(vars(A._kernel), "rows", (encode, counted, extend, decode))
     return calls
 
 
@@ -326,9 +326,8 @@ def test_f2_word_spans_decode_their_rows_only_when_read(monkeypatch):
     # `length_of_algebra` enumerates
     A = random_unital_algebra(F2, 5, seed=0)
     S = [A.basis_vector(1), A.basis_vector(3)]
-    encode, mul, extend, decode = A._row_kernel
-    monkeypatch.setitem(A.__dict__, "_row_kernel",
-                        Field.row_kernel(F2, A.table, A._product))
+    encode, mul, extend, decode = A._kernel.rows
+    monkeypatch.setitem(vars(A._kernel), "rows", fields.Kernel(F2, A.table).rows)
     want = [(pivot, tuple(row)) for pivot, row in word_spans(A, S).rows]
     decodes = []
 
@@ -336,7 +335,7 @@ def test_f2_word_spans_decode_their_rows_only_when_read(monkeypatch):
         decodes.append(None)
         return decode(rows)
 
-    monkeypatch.setitem(A.__dict__, "_row_kernel", (encode, mul, extend, counted))
+    monkeypatch.setitem(vars(A._kernel), "rows", (encode, mul, extend, counted))
     assert length_of_algebra(A).subspaces_examined == 67 and decodes == []
     seq = word_spans(A, S)
     assert decodes == []
@@ -444,7 +443,8 @@ def _identity_first_length(A):
         lifted = [B.one] + [(A.field.zero,) + r for r in rows]
         res = length_of_set(B, lifted)
         if res.generates and res.length > best:
-            best, best_rows = res.length, tuple(change.to_old(v) for v in lifted)
+            best, best_rows = res.length, tuple(vec_mat(A.field, v, change.matrix)
+                                                for v in lifted)
     return best, best_rows
 
 

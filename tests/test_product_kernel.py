@@ -9,6 +9,7 @@ v - v[pivot] * row out per coordinate; its test compares it with
 `reference_eliminate`, the same loop on `field.sub` and `field.mul`.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -20,9 +21,13 @@ from lenalg import (
     ExtensionField,
     PrimeField,
     algebra,
+    change_basis,
+    complete_to_basis_with_one,
     fields,
+    length_of_algebra,
     make_field,
     unital_hull,
+    word_spans,
 )
 from lenalg.algebra import Algebra
 from lenalg.errors import InvalidIdentity
@@ -79,24 +84,27 @@ def test_kernel_matches_reference(name):
             _assert_matches_reference(unital_hull(F, table), vectors)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9])
 def test_f2_row_kernel_matches_the_default_form(n):
     # the F2 product looks v up whole, in a table of 2^n entries per row of
-    # cells; n = 8 is the largest dim that takes the bitmask form
+    # cells; n = 8 is the largest dim that takes the bitmask form, and from
+    # n = 9 on F2 compiles the default kernel
     F = FIELDS["F2"]
     A = random_unital_algebra(F, n, seed=n)
-    encode, mul, extend, decode = A._row_kernel
-    _, product, echelon, _ = fields.Field.row_kernel(F, A.table, A._product)
+    assert (type(A._kernel) is fields.Kernel) == (n > 8)
+    encode, mul, extend, decode = A._kernel.rows
+    _, product, echelon, _ = fields.Kernel(F, A.table).rows
+    decoded = lambda rows: [(pivot, list(row)) for pivot, row in decode(rows)]
     vectors = _vectors(F, n, random.Random(f"f2-rows|{n}"))
     for u in vectors:
         for v in vectors:
-            assert decode([(0, mul(encode(u), encode(v)))]) == [
+            assert decoded([(0, mul(encode(u), encode(v)))]) == [
                 (0, list(product(u, v)))], (u, v)
     products = [product(u, v) for u in vectors for v in vectors[:3]]
     last, one = A.identity_row
     coded = extend([(last, encode(one))], [encode(v) for v in products])
-    assert decode(coded) == [(pivot, list(row)) for pivot, row in
-                             echelon([A.identity_row], products)]
+    assert decoded(coded) == [(pivot, list(row)) for pivot, row in
+                              echelon([A.identity_row], products)]
 
 
 # log(-1) is 13 here, not 0 as in characteristic 2: the case where an
@@ -304,23 +312,43 @@ def test_rationals_kernel_matches_the_reference_on_drawn_products(case):
     _assert_q_kernel_matches_reference(table, [u], [v])
 
 
-def test_kernel_is_built_once_at_construction(monkeypatch):
-    F = make_field("F5")
-    B = random_unital_algebra(F, 4, seed=1)
-    built = []
-    bilinear = PrimeField.bilinear
+def _counted(monkeypatch, owner, name, real):
+    """The list that gets one entry per call of `real`, set as
+    owner.name, from now on."""
+    calls = []
 
-    def counted(self, table):
-        built.append(table)
-        return bilinear(self, table)
-    monkeypatch.setattr(PrimeField, "bilinear", counted)
-    A = algebra(F, B.table, B.one)
-    assert len(built) == 1
-    product = vars(A)["_product"]
-    A.mul(A.one, A.one)
-    A.mul(B.one, random_vector(F, 4, random.Random(1)))
-    assert len(built) == 1
-    assert vars(A)["_product"] is product
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_kernel_is_built_once_at_construction(monkeypatch):
+    # one Field.compile per algebra, at construction here (the identity is
+    # dense), whatever reads the kernel after it, and its coded rows built
+    # once for every subspace of length_of_algebra; an identity-first
+    # basis change compiles nothing until its result multiplies
+    for name, n, subspaces in (("F2", 5, 67), ("F3", 4, 28)):
+        F = FIELDS[name]
+        B = random_unital_algebra(F, n, seed=0)
+        assert B.one not in [unit_vec(F, n, j) for j in range(n)]
+        compiled = _counted(monkeypatch, PrimeField, "compile", PrimeField.compile)
+        A = algebra(F, B.table, B.one)
+        assert len(compiled) == 1
+        kernel = vars(A)["_kernel"]
+        rows = inspect.getattr_static(type(kernel), "rows")
+        built = _counted(monkeypatch, rows, "func", rows.func)
+        A.mul(A.one, A.one)
+        A.mul(B.one, random_vector(F, n, random.Random(1)))
+        word_spans(A, [A.basis_vector(1)])
+        assert length_of_algebra(A).subspaces_examined == subspaces
+        assert len(compiled) == len(built) == 1 and vars(A)["_kernel"] is kernel
+        C = change_basis(A, complete_to_basis_with_one(A))
+        assert len(compiled) == 1 and "_kernel" not in vars(C)
+        C.mul(C.one, C.one)
+        assert len(compiled) == 2
+        monkeypatch.undo()
 
 
 def test_one_sided_identity_rejected():
@@ -388,7 +416,7 @@ def test_unit_identity_is_checked_on_its_cells(name):
             table = _moved_identity(F, n, z, rng)
             one = unit_vec(F, n, z)
             A = _assert_identity_check_as_reference(F, table, one)
-            assert "_product" not in vars(A)
+            assert "_kernel" not in vars(A)
             assert A.mul(one, one) == one
             for sides in (("left",), ("right",), ("left", "right")):
                 bad = [list(row) for row in table]
@@ -426,7 +454,7 @@ def test_dense_q_identity_is_checked_as_reference():
         hidden, one = _conjugated(Q, table, unit_vec(Q, n, z), change)
         assert one not in [unit_vec(Q, n, j) for j in range(n)]
         A = _assert_identity_check_as_reference(Q, hidden, one)
-        assert A.one == one and "_product" in vars(A)
+        assert A.one == one and "_kernel" in vars(A)
         for sides in (("left",), ("right",), ("left", "right")):
             bad = [list(row) for row in table]
             for side, j in zip(sides, rng.sample(range(n), len(sides))):
@@ -441,6 +469,39 @@ def test_dense_q_identity_is_checked_as_reference():
                 Q, *_conjugated(Q, bad, unit_vec(Q, n, z), change)) is None
 
 
+def test_q_identity_test_matches_the_default():
+    # Q's non_unit compares integer dot products; the default Kernel makes
+    # the 2n products on the same table.  On hidden tables whose identity
+    # holds, or fails on the left, the right or both, they name the same j
+    Q = FIELDS["Q"]
+    rng = random.Random("q-non-unit")
+    found = set()
+    for n in range(2, 9):
+        z = rng.randrange(n)
+        table = _moved_identity(Q, n, z, rng)
+        change = random_invertible(Q, n, rng)
+        cases = [table]
+        for sides in (("left",), ("right",), ("left", "right")):
+            bad = [list(row) for row in table]
+            for side, j in zip(sides, rng.sample(range(n), len(sides))):
+                wrong = unit_vec(Q, n, j)
+                while wrong == unit_vec(Q, n, j):
+                    wrong = random_vector(Q, n, rng)
+                if side == "left":
+                    bad[z][j] = wrong
+                else:
+                    bad[j][z] = wrong
+            cases.append(bad)
+        for case in cases:
+            hidden, one = _conjugated(Q, case, unit_vec(Q, n, z), change)
+            kernel = Q.compile(hidden)
+            assert type(kernel) is not fields.Kernel
+            j = fields.Kernel(Q, hidden).non_unit(one)
+            assert kernel.non_unit(one) == j, (n, case)
+            found.add(j is None)
+    assert found == {True, False}
+
+
 @pytest.mark.parametrize("name", ["Q", "F5", "GF4"])
 def test_identity_check_makes_no_algebra_product(name, monkeypatch):
     # the check runs on the field's kernel, whose product `mul` then keeps
@@ -450,7 +511,7 @@ def test_identity_check_makes_no_algebra_product(name, monkeypatch):
     products = []
     monkeypatch.setattr(Algebra, "mul", lambda self, u, v: products.append((u, v)))
     A = algebra(F, B.table, B.one)
-    assert products == [] and "_product" in vars(A)
+    assert products == [] and "_kernel" in vars(A)
 
 
 def _assert_zero_and_one_are_the_fields_own(coords):
