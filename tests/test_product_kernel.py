@@ -94,7 +94,10 @@ def test_f2_row_kernel_matches_the_default_form(n):
     assert (type(A._kernel) is fields.Kernel) == (n > 8)
     encode, mul, extend, decode = A._kernel.rows
     _, product, echelon, _ = fields.Kernel(F, A.table).rows
-    decoded = lambda rows: [(pivot, list(row)) for pivot, row in decode(rows)]
+    # the bitmask decode returns list rows; the default one returns rows as
+    # the echelon routine kept them, so only its rows are made lists
+    decoded = decode if n <= 8 else (
+        lambda rows: [(pivot, list(row)) for pivot, row in decode(rows)])
     vectors = _vectors(F, n, random.Random(f"f2-rows|{n}"))
     for u in vectors:
         for v in vectors:
