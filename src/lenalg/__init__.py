@@ -35,9 +35,11 @@ from .decide import (
     ViolationWitness,
     canonicalize,
     char2_decide,
+    char2_table_from_params,
     decide_length_one,
     oracle_length_one,
     special_step,
+    special_table_from_params,
     square_step,
     verify_certificate,
     verify_char2_witness,
@@ -59,11 +61,7 @@ from .fields import (
     Rationals,
     make_field,
 )
-from .generate import (
-    char2_table_from_params,
-    generate_length_one,
-    special_table_from_params,
-)
+from .generate import generate_length_one
 from .identities import (
     IdentityVerdict,
     associative_law_holds,
@@ -82,7 +80,6 @@ from .length import (
     gaussian_binomial,
     length_of_algebra,
     length_of_set,
-    subalgebra_generated_by,
     word_spans,
 )
 from .linalg import BasisChange, Subspace, span

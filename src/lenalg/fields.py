@@ -8,7 +8,9 @@ be used as dict keys and sorted (payload order is the deterministic
 enumeration order used everywhere for witnesses and reports).
 
 A `Field` handle owns the operations; payloads themselves carry no field
-reference.  Mixing payloads from different fields is a caller error.
+reference.  Mixing payloads from different fields is a caller error.  Each
+field supplies only its primitives and its identifying `key`; `Field`
+derives subtraction, division, rendering, equality and hash from them.
 
 An extension field computes on logarithms, as word-size finite-field
 kernels do (Dumas, Giorgi & Pernet, FFLAS and FFPACK, ACM TOMS 2008), while
@@ -158,7 +160,7 @@ class Kernel:
     (another length raises DimensionMismatch in encode or extend), mul
     multiplies two coded vectors, extend(rows, coded) appends to an echelon
     list of (pivot, coded row) pairs as `linalg._echelon_extend` does, and
-    decode(rows) returns such a list with payload rows; by default uncoded."""
+    decode(rows) returns such a list with list payload rows; by default uncoded."""
 
     def __init__(self, field, table):
         self.field, self.table = field, table
@@ -176,7 +178,8 @@ class Kernel:
     def rows(self):
         field, n = self.field, len(self.table)
         return (_as_is, self.product,
-                lambda rows, vectors: _echelon_extend(field, rows, vectors, n), _as_is)
+                lambda rows, vectors: _echelon_extend(field, rows, vectors, n),
+                lambda rows: [(pivot, list(row)) for pivot, row in rows])
 
 
 class _F2Kernel(Kernel):
@@ -261,7 +264,11 @@ def _shape(table):
 
 
 class Field:
-    """Common surface of all field handles."""
+    """Common surface of all field handles.  A field supplies `add`, `neg`,
+    `mul`, `inv`, `bilinear`, `eliminate`, `canonical`, `from_int`, `parse`,
+    `label` and `key`, the tuple `field_handle` resolves; the base derives
+    `sub` = add(a, neg(b)), `div` and `halve` through `inv`, `linear`,
+    `render` (`str`, which GF(p^k) overrides), and equality and hash by key."""
 
     zero = None
     one = None
@@ -285,6 +292,9 @@ class Field:
 
     def add(self, a, b):
         raise NotImplementedError
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -338,10 +348,16 @@ class Field:
         raise NotImplementedError
 
     def render(self, value):
-        raise NotImplementedError
+        return str(value)
 
     def label(self):
         raise NotImplementedError
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __repr__(self):
         return f"<field {self.label()}>"
@@ -361,8 +377,7 @@ class _RationalKernel(Kernel):
         self.scale = scale = math.lcm(*[b for cell in ratios for _, b in cell])
         self.coords = coords = [[a * (scale // b) for a, b in column]
                                 for column in zip(*ratios)]
-        m = len(table)
-        r = len(table[0]) if m else 0
+        m, r = len(table), len(table[0]) if table else 0
         zero, one = field.zero, field.one
 
         def rationals(sums, den):
@@ -409,15 +424,13 @@ class Rationals(Field):
 
     zero = Fraction(0)
     one = Fraction(1)
+    key = ("rationals",)
 
     def characteristic(self):
         return 0
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -429,11 +442,6 @@ class Rationals(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
 
     def bilinear(self, table):
         return _RationalKernel(self, table).product
@@ -462,17 +470,8 @@ class Rationals(Field):
         num, den = match.groups()
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
-    def render(self, value):
-        return str(value)
-
     def label(self):
         return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rationals")
 
 
 class PrimeField(Field):
@@ -485,8 +484,8 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
+        self.key = ("prime", p)
+        self.zero, self.one = 0, 1 % p
 
     def characteristic(self):
         return self.p
@@ -499,9 +498,6 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -555,17 +551,8 @@ class PrimeField(Field):
             raise ValueError(f"not an integer scalar: {text!r}")
         return int(text) % self.p
 
-    def render(self, value):
-        return str(value)
-
     def label(self):
         return f"F{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
 
 
 def _poly_trim(c):
@@ -637,9 +624,8 @@ class ExtensionField(Field):
             )
         if k >= 1 and not _poly_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
+        self.p, self.k, self.modulus = p, k, modulus
+        self.key = ("extension", p, k, modulus)
         self.zero = (0,) * k
         self.one = tuple([1 % p] + [0] * (k - 1))
         # Log/Zech tables over a primitive element g; see the module docstring.
@@ -712,18 +698,6 @@ class ExtensionField(Field):
             return b
         if lb == self._zero_log:
             return a
-        return self._exp[la + self._zech[lb - la]]
-
-    def sub(self, a, b):
-        try:
-            la, lb = self._log[a], self._log[b]
-        except KeyError:  # an unreduced coefficient: read its residue
-            return self.sub(self._residue(a), self._residue(b))
-        if lb == self._zero_log:
-            return a
-        lb += self._neg_one_log
-        if la == self._zero_log:
-            return self._exp[lb]
         return self._exp[la + self._zech[lb - la]]
 
     def neg(self, a):
@@ -828,13 +802,6 @@ class ExtensionField(Field):
         if DEFAULT_MODULI.get((self.p, self.k)) == self.modulus:
             return f"GF{self.p ** self.k}"
         return f"GF({self.p}^{self.k})"
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField) and other.p == self.p
-                and other.k == self.k and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("extension", self.p, self.k, self.modulus))
 
 
 def field_handle(kind, p=None, k=None, modulus=None):

@@ -46,7 +46,6 @@ import itertools
 import os
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Algebra
 from .errors import BudgetExceeded, CapExceeded, InfiniteFieldUnsupported, LenalgError
 from .linalg import span
 
@@ -247,30 +246,3 @@ def length_of_algebra(A, budget=None):
         raise AssertionError("no generating subspace found; table is corrupt")
     return AlgebraLengthResult(length=best, witness_rows=best_rows,
                                subspaces_examined=examined)
-
-
-def subalgebra_generated_by(A, vectors):
-    """The unital subalgebra generated by `vectors`, as its own Algebra.
-
-    Returns (S, rows) where rows are the canonical basis of the subalgebra
-    inside A and S is the induced structure-constant algebra on that basis.
-    """
-    seq = word_spans(A, vectors)
-    closure = seq.closure
-    rows = closure.rows
-    field = A.field
-    d = len(rows)
-    table = []
-    for u in rows:
-        row = []
-        for v in rows:
-            prod = A.mul(u, v)
-            coords = closure.coords(prod)
-            if coords is None:
-                raise AssertionError("closure is not multiplicatively closed")
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    one_coords = closure.coords(A.one)
-    if one_coords is None:
-        raise AssertionError("closure lost the identity")
-    return Algebra(field=field, table=tuple(table), one=tuple(one_coords)), rows

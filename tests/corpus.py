@@ -29,7 +29,7 @@ from lenalg.errors import (
     SchemaError,
     ScalarSyntaxError,
 )
-from lenalg.length import enumerate_subspaces
+from lenalg.length import enumerate_subspaces, word_spans
 from lenalg.linalg import (
     BasisChange,
     invert_matrix,
@@ -394,3 +394,29 @@ FIELD_NAMES_SMALL = ("F2", "F3", "F5", "GF4")
 
 def field_by_name(name):
     return make_field(name)
+
+
+def subalgebra_generated_by(A, vectors):
+    """The unital subalgebra generated by `vectors`, as its own Algebra.
+
+    Returns (S, rows) where rows are the canonical basis of the subalgebra
+    inside A and S is the induced structure-constant algebra on that basis.
+    """
+    seq = word_spans(A, vectors)
+    closure = seq.closure
+    rows = closure.rows
+    field = A.field
+    table = []
+    for u in rows:
+        row = []
+        for v in rows:
+            prod = A.mul(u, v)
+            coords = closure.coords(prod)
+            if coords is None:
+                raise AssertionError("closure is not multiplicatively closed")
+            row.append(tuple(coords))
+        table.append(tuple(row))
+    one_coords = closure.coords(A.one)
+    if one_coords is None:
+        raise AssertionError("closure lost the identity")
+    return Algebra(field=field, table=tuple(table), one=tuple(one_coords)), rows

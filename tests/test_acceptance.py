@@ -34,7 +34,6 @@ from lenalg import (
     special_step,
     special_table_from_params,
     square_step,
-    subalgebra_generated_by,
     verify_certificate,
     verify_special_witness,
 )
@@ -47,6 +46,7 @@ from tests.corpus import (
     random_two_dim_unital,
     random_unital_algebra,
     random_vector,
+    subalgebra_generated_by,
 )
 
 Q = make_field("Q")

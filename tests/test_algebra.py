@@ -86,6 +86,17 @@ def test_invalid_identity_rejected():
         algebra(Q, [[qv(0, 0), qv(0, 0)], [qv(0, 0), qv(0, 0)]], qv(1, 0))
 
 
+@pytest.mark.parametrize("table, one, message", [
+    ([[qv(1, 0), qv(0, 1)]], qv(1, 0), "not n x n x n"),                  # 1 x 2
+    ([[qv(1, 0), qv(0, 1)], [qv(0, 1)]], qv(1, 0), "not n x n x n"),      # ragged
+    ([[qv(1, 0), qv(0, 1)], [qv(0, 1), qv(0,)]], qv(1, 0), "not n x n x n"),
+    ([[qv(1, 0), qv(0, 1)], [qv(0, 1), qv(0, 0)]], qv(1, 0, 0), "identity"),
+])
+def test_algebra_refuses_a_table_or_identity_of_the_wrong_shape(table, one, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        algebra(Q, table, one)
+
+
 def test_find_identity_matrix_algebra():
     M2 = make_matrix_algebra(Q, 2)
     assert find_identity(Q, M2.table) == qv(1, 0, 0, 1)

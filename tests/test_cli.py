@@ -363,13 +363,19 @@ def test_verify_cert_mistyped_length_report_is_error(
     ("dim3-f2-type2", ("certificate", "congruence_constants", "squares"), ["0"]),
     ("dim3-f2-type2", ("certificate", "congruence_constants", "products"), [["0"]]),
     ("remark-literal", ("certificate", "right"), ["0"]),
+    # char2-typeI-seeded is GF4 of dim 4 with a type-i form and three betas
+    ("char2-typeI-seeded", ("certificate", "form"), "dim3-ext-type1"),
+    ("char2-typeI-seeded", ("certificate", "beta"), ["[1,0]", "[0,1]"]),
+    ("char2-typeI-seeded", ("certificate", "beta"),
+     ["[1,0]", "[0,1]", "[1,0]", "[0,0]"]),
 ])
 def test_verify_cert_certificate_of_wrong_size_is_invalid(
         fixture_file, tmp_path, capsys, name, keys, value):
     path = _edited_report(tmp_path, capsys, ["check", fixture_file(name), "--json"],
                           keys, value)
     assert main(["verify-cert", path]) == 1
-    assert "INVALID" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert out == "certificate: INVALID\n" and "Traceback" not in err
 
 
 def test_verify_cert_honours_budget(tmp_path, capsys):
@@ -409,6 +415,26 @@ def test_verify_cert_checks_set_length_dims(tmp_path, capsys, dims, code, where)
                        else "certificate: INVALID\n")
     else:
         assert err.startswith(f"error[SchemaError]: {where}: ")
+
+
+@pytest.mark.parametrize("name, argv, edits", [
+    # l({e2}) = 1 on remark-repaired, relabelled as an algebra's maximizing set
+    ("remark-repaired", ["length-set", "--set", "e2"], {"type": "maximizing-set"}),
+    # l(A) = 1 on dim3-f2-type1, relabelled as a generating set with the
+    # dims and flag that its maximizing set has as one
+    ("dim3-f2-type1", ["length"],
+     {"type": "generating-set", "dims": [1, 3], "generates": True}),
+])
+def test_verify_cert_length_certificate_of_the_other_type_is_invalid(
+        fixture_file, tmp_path, capsys, name, argv, edits):
+    main([argv[0], fixture_file(name), *argv[1:], "--json"])
+    data = json.loads(capsys.readouterr().out)
+    data["certificate"].update(edits)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify-cert", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "certificate: INVALID\n" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [

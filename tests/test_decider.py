@@ -22,7 +22,6 @@ from lenalg import (
     special_step,
     special_table_from_params,
     square_step,
-    subalgebra_generated_by,
     verify_certificate,
     verify_special_witness,
     verify_violation,
@@ -44,6 +43,7 @@ from tests.corpus import (
     random_two_dim_unital,
     random_unital_algebra,
     random_vector,
+    subalgebra_generated_by,
 )
 
 Q = make_field("Q")
@@ -95,6 +95,31 @@ def test_square_step_failure_is_a_verdict():
     assert isinstance(res, ViolationWitness)
     assert res.condition == "square-not-in-span"
     assert verify_violation(A, res)
+
+
+def test_steps_refuse_a_basis_that_does_not_start_with_the_identity():
+    A = make_fixture("remark-repaired")  # basis (1, a, b): a^2 = 0, b^2 = b
+    rows = [A.basis_vector(1), A.one, A.basis_vector(2)]
+    for step in (square_step, special_step):
+        with pytest.raises(ValueError, match="must start with the identity"):
+            step(A, rows)
+
+
+def test_special_step_refuses_a_basis_that_is_not_canonical():
+    A = make_fixture("remark-repaired")  # b^2 = b leaves F*1
+    with pytest.raises(ValueError, match="basis is not canonical"):
+        special_step(A, complete_to_basis_with_one(A))
+
+
+def test_verify_certificate_refuses_none_past_dim_1_and_a_foreign_object():
+    # no certificate verifies a dim-1 algebra only; an object of no
+    # certificate type (here a length report's) verifies none
+    foreign = {"type": "generating-set", "vectors": [], "dims": [1], "generates": True}
+    for A, none_ok in ((make_matrix_algebra(Q, 1), True),
+                       (make_matrix_algebra(F3, 2), False),   # dim 4
+                       (make_fixture("remark-repaired"), False)):
+        assert verify_certificate(A, None) is none_ok
+        assert verify_certificate(A, foreign) is False
 
 
 # ---------------------------------------------------------------------------

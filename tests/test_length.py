@@ -19,7 +19,6 @@ from lenalg import (
     make_field,
     make_matrix_algebra,
     span,
-    subalgebra_generated_by,
     unital_hull,
     word_spans,
 )
@@ -44,6 +43,7 @@ from tests.corpus import (
     reference_length,
     reference_word_spans,
     sparse_f2_hull,
+    subalgebra_generated_by,
     vec_mat,
     with_identity,
 )

@@ -94,20 +94,27 @@ def test_f2_row_kernel_matches_the_default_form(n):
     assert (type(A._kernel) is fields.Kernel) == (n > 8)
     encode, mul, extend, decode = A._kernel.rows
     _, product, echelon, _ = fields.Kernel(F, A.table).rows
-    # the bitmask decode returns list rows; the default one returns rows as
-    # the echelon routine kept them, so only its rows are made lists
-    decoded = decode if n <= 8 else (
-        lambda rows: [(pivot, list(row)) for pivot, row in decode(rows)])
+    # both forms decode to list rows
     vectors = _vectors(F, n, random.Random(f"f2-rows|{n}"))
     for u in vectors:
         for v in vectors:
-            assert decoded([(0, mul(encode(u), encode(v)))]) == [
+            assert decode([(0, mul(encode(u), encode(v)))]) == [
                 (0, list(product(u, v)))], (u, v)
     products = [product(u, v) for u in vectors for v in vectors[:3]]
     last, one = A.identity_row
     coded = extend([(last, encode(one))], [encode(v) for v in products])
-    assert decoded(coded) == [(pivot, list(row)) for pivot, row in
-                              echelon([A.identity_row], products)]
+    assert decode(coded) == [(pivot, list(row)) for pivot, row in
+                             echelon([A.identity_row], products)]
+
+
+@pytest.mark.parametrize("name, n", [("F2", 5), ("F2", 9), ("F3", 4),
+                                     ("GF4", 4), ("Q", 4)])
+def test_word_span_rows_are_lists(name, n):
+    # a vector that no row reduces is kept as it came, here a tuple, by the
+    # echelon routine: the decoded rows are lists over every field all the same
+    A = random_unital_algebra(FIELDS[name], n, seed=n)
+    rows = word_spans(A, [A.basis_vector(2), A.basis_vector(3)]).rows
+    assert len(rows) >= 3 and all(type(row) is list for _, row in rows)
 
 
 # log(-1) is 13 here, not 0 as in characteristic 2: the case where an
