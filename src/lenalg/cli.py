@@ -258,12 +258,9 @@ def _json_safe(field, obj):
 
 
 def _describe_counterexample(ce):
-    kind = ce.get("kind", "?")
     if "indices" in ce:
-        return f"{kind} at indices {ce['indices']}"
-    if kind == "power":
-        return f"x^{ce['degree']} is ambiguous"
-    return kind
+        return f"{ce['kind']} at indices {ce['indices']}"
+    return f"x^{ce['degree']} is ambiguous"
 
 
 def _cmd_make(args):
@@ -404,7 +401,8 @@ def main(argv=None):
         return 2
     except BrokenPipeError:
         # the reader closed stdout: what is still buffered goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
 
 

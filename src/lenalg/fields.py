@@ -264,17 +264,25 @@ def _shape(table):
 
 
 class Field:
-    """Common surface of all field handles.  A field supplies `add`, `neg`,
-    `mul`, `inv`, `bilinear`, `eliminate`, `canonical`, `from_int`, `parse`,
-    `label` and `key`, the tuple `field_handle` resolves; the base derives
-    `sub` = add(a, neg(b)), `div` and `halve` through `inv`, `linear`,
-    `render` (`str`, which GF(p^k) overrides), and equality and hash by key."""
+    """Common surface of all field handles.  A field supplies its `key`,
+    the tuple `field_handle` resolves, and these primitives:
+
+    * `characteristic()`, `add`, `neg`, `mul`, `inv`, `parse(text)`, `label()`;
+    * `bilinear(table)`: the product (u, v) -> sum_ij u_i v_j table[i][j] of
+      an m x r table of length-n cells, for a length-m u and a length-r v
+      (lengths are the caller's to check);
+    * `eliminate(v, rows)`: v minus v[pivot] * row for each (pivot, row) in
+      turn, as a list (v itself if no row applies); a row is one at its
+      pivot and zero at earlier pivots, so the result is zero at every pivot;
+    * `canonical(v)`: v with each coordinate its canonical payload, so `==`
+      is equality; `from_int(n)`: the image of the integer n.
+
+    The base derives `sub` = add(a, neg(b)), `div` and `halve` through
+    `inv`, `linear`, `compile`, `render` (`str`, which GF(p^k) overrides),
+    and equality and hash by key."""
 
     zero = None
     one = None
-
-    def characteristic(self):
-        raise NotImplementedError
 
     def order(self):
         """Number of elements, or None for infinite fields."""
@@ -290,44 +298,16 @@ class Field:
         """All elements in payload-lexicographic order (finite fields only)."""
         raise InfiniteFieldUnsupported(f"{self.label()} has infinitely many elements")
 
-    def add(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def bilinear(self, table):
-        """The product (u, v) -> sum_ij u_i v_j table[i][j] of an m x r
-        table of length-n cells, as a function of a length-m u and a
-        length-r v (lengths are the caller's to check)."""
-        raise NotImplementedError
 
     def compile(self, table):
         """The `Kernel` of an algebra's n x n `table`, this default one
         unless the field specialises it."""
         return Kernel(self, table)
-
-    def eliminate(self, v, rows):
-        """v minus v[pivot] * row for each (pivot, row) in turn, as a list (v
-        itself if no row applies).  Each row has a one at its pivot and zeros
-        at the pivots before it, so the result is zero at every pivot."""
-        raise NotImplementedError
-
-    def canonical(self, v):
-        """v with each coordinate its canonical payload, so `==` is equality."""
-        raise NotImplementedError
 
     def linear(self, matrix):
         """The map v -> v @ matrix: the product of (matrix,) with (one,)."""
@@ -340,18 +320,8 @@ class Field:
             raise CharacteristicTwo("cannot divide by two in characteristic 2")
         return self.div(a, self.from_int(2))
 
-    def from_int(self, n):
-        """The image of the integer n in this field."""
-        raise NotImplementedError
-
-    def parse(self, text):
-        raise NotImplementedError
-
     def render(self, value):
         return str(value)
-
-    def label(self):
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.key == self.key
@@ -563,8 +533,6 @@ def _poly_trim(c):
 
 
 def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -589,8 +557,6 @@ def _poly_mod(a, m, p):
 def _poly_irreducible(m, p):
     """Trial division by every monic polynomial of degree 1..deg(m)//2."""
     deg = len(m) - 1
-    if deg <= 0:
-        return False
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             if not _poly_mod(m, tuple(tail) + (1,), p):
@@ -622,7 +588,7 @@ class ExtensionField(Field):
             raise ReducibleModulus(
                 f"modulus must be monic of degree {k}, got {list(modulus)}"
             )
-        if k >= 1 and not _poly_irreducible(modulus, p):
+        if not _poly_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
         self.p, self.k, self.modulus = p, k, modulus
         self.key = ("extension", p, k, modulus)
@@ -831,8 +797,6 @@ def _build_field(kind, p, k, modulus):
 
 def make_field(name):
     """Field from a shorthand label: "Q", "F<p>", or "GF4"/"GF8"/"GF9"."""
-    if isinstance(name, Field):
-        return name
     key = name.strip()
     if key == "Q":
         return field_handle("rationals")

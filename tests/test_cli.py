@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from lenalg.cli import main
-from lenalg import FIXTURES, make_field, make_fixture, make_matrix_algebra, render_document
+from lenalg import (FIXTURES, algebra, make_field, make_fixture, make_matrix_algebra,
+                    render_document)
 from lenalg.decide import _quotient_lines
 
 from tests.corpus import reference_power_associative
@@ -649,3 +650,76 @@ def test_identities_text_names_the_ambiguous_power(tmp_path, capsys):
     assert main(["identities", str(path)]) == 0
     out = capsys.readouterr().out
     assert "power-associative(<=6): fails  (x^3 is ambiguous)\n" in out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    """An in-process `main` whose stdout reader is gone exits 2 and leaves
+    the process holding as many descriptors as before, call after call."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "w") as closed:
+            monkeypatch.setattr("sys.stdout", closed)
+            assert main(["make", "matrix", "--field", "F2", "--n", "2"]) == 2
+            monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("document, error", [
+    ({"field": {"kind": "extension", "p": 2, "k": 0}, "dim": 1, "one": ["1"],
+      "table": [[["1"]]]},
+     "error[SchemaError]: field: extension degree 0 < 1\n"),
+    ({"field": "GF4", "dim": 2, "one": ["1", "0"],
+      "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["[1,x]", "0"]]]},
+     "error[ScalarSyntaxError]: table[1][1][0]: bad coefficient list: '[1,x]'\n"),
+], ids=["extension-degree-0", "gf4-bad-coefficient"])
+def test_bad_document_exits_2_with_the_exact_error(tmp_path, capsys, document, error):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == error
+
+
+def test_random_l1_refuses_dimension_1(capsys):
+    assert main(["make", "random-l1", "--field", "F3", "--dim", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error[ModeCharacteristicMismatch]: generators need dimension >= 2\n")
+
+
+def test_length_set_skips_an_empty_set_entry(fixture_file, capsys):
+    path = fixture_file("remark-repaired")
+    assert main(["length-set", path, "--set", "e2;e3"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["length-set", path, "--set", "e2;;e3"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_check_text_prints_the_gloss_divergence_flag(tmp_path, capsys):
+    # the F5 table of test_decider.test_gloss_divergence_flag_at_dim4
+    t = [[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+         [(0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 4, 0), (0, 0, 0, 0)],
+         [(0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0)],
+         [(0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]]
+    path = tmp_path / "doc.json"
+    path.write_text(render_document(algebra(make_field("F5"), t, (1, 0, 0, 0))))
+    assert main(["check", str(path)]) == 1
+    assert "flag: gloss-definition-divergence\n" in capsys.readouterr().out
+
+
+def test_identities_json_renders_the_power_counterexample(fixture_file, capsys):
+    assert main(["identities", "--json", fixture_file("remark-literal")]) == 0
+    power = json.loads(capsys.readouterr().out)["identities"]["power-associative(<=6)"]
+    assert power == {"holds": False, "counterexample": {
+        "kind": "power", "x": ["0", "1", "1"], "degree": 3,
+        "values": [["0", "1", "2"], ["2", "3", "4"]]}}
+
+
+def test_make_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    argv = ["make", "matrix", "--field", "F2", "--n", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main([*argv, "-o", str(tmp_path / "m.json")]) == 0
+    assert (tmp_path / "m.json").read_bytes() == out.encode("utf-8")

@@ -236,6 +236,21 @@ def test_deliberate_flex_violation_detected_both_ways():
     assert not is_flexible(A).holds
 
 
+@pytest.mark.parametrize("a23", [1, 0])
+def test_flex_triple_condition_detected_both_ways(a23):
+    # dim 4: every pair condition holds, but with alpha_23 = alpha_32 = 1 the
+    # triple beta_1 alpha_23 + beta_2 alpha_13 = 2 beta_3 alpha_21 reads 1 = 0
+    mu = (Fraction(5), Fraction(0), Fraction(0))
+    beta = (Fraction(1), Fraction(0), Fraction(0))
+    alpha = tuple(tuple(Fraction(a23 if {i, j} == {1, 2} else 0) for j in range(3))
+                  for i in range(3))
+    verdict = is_flexible(special_table_from_params(Q, mu, beta, alpha))
+    assert flexible_law_holds(Q, mu, beta, alpha) == verdict.holds == (a23 == 0)
+    if a23:
+        assert verdict.counterexample == {"kind": "linearized-triple",
+                                          "indices": [1, 3, 2]}
+
+
 def test_checkers_agree_with_direct_evaluation():
     rng = random.Random(77)
     fields_and_algebras = [
