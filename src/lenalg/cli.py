@@ -5,7 +5,7 @@ Exit codes follow a pipeline-friendly contract: for `check` and `oracle`,
 returns 0/1 for valid/invalid certificates; everything else returns 0 on
 success and 2 on error, a closed stdout included.  `--json` switches every
 command but `make`, whose documents are already JSON, to machine-readable
-reports.
+reports.  `documents` writes every report, JSON and text.
 
 `--budget` caps the enumerations of `oracle`, `length` and `verify-cert` and
 the power sweep of `identities` (default LENALG_BUDGET or 10^7).
@@ -27,18 +27,15 @@ from .constructors import (
     make_fixture,
     make_matrix_algebra,
 )
-from .decide import (
-    LengthReport,
-    decide_length_one,
-    oracle_length_one,
-    ViolationWitness,
-)
+from .decide import decide_length_one, oracle_length_one
 from .documents import (
     algebra_length_report,
-    document_dict,
+    identities_report,
+    oracle_report,
     parse_document,
     render_document,
     render_report,
+    report_text,
     set_length_report,
     verify_report_dict,
 )
@@ -47,14 +44,11 @@ from .fields import make_field
 from .generate import MODES, generate_length_one
 from .identities import (
     IdentityVerdict,
-    associative_law_holds,
-    flexible_law_holds,
     is_associative,
     is_commutative,
     is_flexible,
     is_jordan,
     is_power_associative_upto,
-    jordan_law_holds,
 )
 from .length import length_of_algebra, length_of_set
 
@@ -74,48 +68,8 @@ def _write_output(text, path):
             fh.write(text)
 
 
-def _render_vec(field, v):
-    return "(" + ", ".join(field.render(c) for c in v) + ")"
-
-
-def _print_report(report, A, as_json):
-    if as_json:
-        sys.stdout.write(render_report(report, A))
-        return
-    cert = report.certificate
-    field = A.field
-    if report.kind == "set-length":
-        dims = cert["dims"]
-        print("l(S) =", report.value)
-        print("generates:", "yes" if cert["generates"] else
-              f"no (closure has dimension {dims[-1]})")
-        print("dims:", ", ".join(str(d) for d in dims))
-        return
-    if report.kind == "algebra-length":
-        print("l(A) =", report.value)
-        print("subspaces examined:", cert["subspaces_examined"])
-        print("maximizing set:",
-              "; ".join(_render_vec(field, v) for v in cert["vectors"]))
-        return
-    print("verdict:", "yes (length <= 1)" if report.value else "no (length > 1)")
-    print("path:", " > ".join(report.path))
-    for flag in report.flags:
-        print("flag:", flag)
-    if cert is None:
-        return
-    if isinstance(cert, ViolationWitness):
-        print("witness pair:")
-        print("  left  =", _render_vec(field, cert.left))
-        print("  right =", _render_vec(field, cert.right))
-        print("  condition:", cert.condition)
-    elif hasattr(cert, "form"):
-        print("certificate: char-2 form", cert.form)
-        if cert.beta:
-            print("  beta =", _render_vec(field, cert.beta))
-    elif hasattr(cert, "mu"):
-        print("certificate: special basis")
-        print("  mu   =", _render_vec(field, cert.mu))
-        print("  beta =", _render_vec(field, cert.beta))
+def _write_report(report, A, as_json):
+    sys.stdout.write(render_report(report, A) if as_json else report_text(report, A.field))
 
 
 def _parse_scalars(field, token, flag):
@@ -161,18 +115,14 @@ def _parse_set_spec(A, spec):
 def _cmd_check(args):
     doc = parse_document(_read_source(args.file))
     report = decide_length_one(doc.algebra)
-    _print_report(report, doc.algebra, args.json)
+    _write_report(report, doc.algebra, args.json)
     return 0 if report.value else 1
 
 
 def _cmd_oracle(args):
-    doc = parse_document(_read_source(args.file))
-    res = oracle_length_one(doc.algebra, budget=args.budget)
-    path = ["oracle: exhaustive pair scan" if doc.algebra.field.is_finite()
-            else "oracle: basis-line pair scan"]
-    report = LengthReport(kind="length-one-decision", value=res.is_length_one,
-                          certificate=res.witness, path=path, flags=[])
-    _print_report(report, doc.algebra, args.json)
+    A = parse_document(_read_source(args.file)).algebra
+    res = oracle_length_one(A, budget=args.budget)
+    _write_report(oracle_report(A, res), A, args.json)
     if not args.json:
         print("pairs checked:", res.pairs_checked)
     return 0 if res.is_length_one else 1
@@ -181,86 +131,31 @@ def _cmd_oracle(args):
 def _cmd_length_set(args):
     A = parse_document(_read_source(args.file)).algebra
     vectors = _parse_set_spec(A, args.set)
-    _print_report(set_length_report(vectors, length_of_set(A, vectors)), A, args.json)
+    _write_report(set_length_report(vectors, length_of_set(A, vectors)), A, args.json)
     return 0
 
 
 def _cmd_length(args):
     A = parse_document(_read_source(args.file)).algebra
     res = length_of_algebra(A, budget=args.budget)
-    _print_report(algebra_length_report(res), A, args.json)
+    _write_report(algebra_length_report(res), A, args.json)
     return 0
 
 
 def _cmd_identities(args):
     A = parse_document(_read_source(args.file)).algebra
-    field = A.field
     report = decide_length_one(A)
-    results = {}
-    results["commutative"] = is_commutative(A)
-    results["associative"] = is_associative(A)
-    results["flexible"] = is_flexible(A)
-    if field.characteristic() != 2:
+    results = {"commutative": is_commutative(A), "associative": is_associative(A),
+               "flexible": is_flexible(A)}
+    if A.field.characteristic() != 2:
         results["jordan"] = is_jordan(A)
     # length one proves power-associativity (see the `identities` docstring)
     results[f"power-associative(<={args.degree})"] = (
         IdentityVerdict("power-associative", True,
                         {"kind": "length-one", "max_degree": args.degree})
         if report.value else is_power_associative_upto(A, args.degree, budget=args.budget))
-    law_rows = None
-    if report.value and hasattr(report.certificate, "mu"):
-        w = report.certificate
-        law_rows = {
-            "flexible-law(params)": flexible_law_holds(field, w.mu, w.beta, w.alpha),
-            "associative-law(params)": associative_law_holds(field, w.mu, w.beta, w.alpha),
-            "jordan-law(params)": jordan_law_holds(field, w.mu, w.beta, w.alpha),
-        }
-    if args.json:
-        out = {
-            "identities": {
-                name: {"holds": v.holds,
-                       "counterexample": _json_safe(field, v.counterexample)}
-                for name, v in results.items()
-            },
-            "length_one": bool(report.value),
-        }
-        if field.characteristic() == 2:
-            out["identities"]["jordan"] = {"holds": None,
-                                           "counterexample": "undefined in characteristic 2"}
-        if law_rows is not None:
-            out["special_basis_laws"] = law_rows
-        out["algebra"] = document_dict(A)
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-        return 0
-    for name, verdict in results.items():
-        line = f"{name}: {'holds' if verdict.holds else 'fails'}"
-        if not verdict.holds and verdict.counterexample:
-            line += f"  ({_describe_counterexample(verdict.counterexample)})"
-        print(line)
-    if field.characteristic() == 2:
-        print("jordan: skipped (not defined in characteristic 2)")
-    if law_rows is not None:
-        print("special-basis parameter laws (length-one witness):")
-        for name, val in law_rows.items():
-            print(f"  {name}: {val}")
+    sys.stdout.write(identities_report(A, report, results, args.json))
     return 0
-
-
-def _json_safe(field, obj):
-    """A counterexample as JSON: its tuples are vectors of scalars."""
-    if isinstance(obj, dict):
-        return {k: _json_safe(field, v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_json_safe(field, v) for v in obj]
-    if isinstance(obj, tuple):
-        return [field.render(c) for c in obj]
-    return obj
-
-
-def _describe_counterexample(ce):
-    if "indices" in ce:
-        return f"{ce['kind']} at indices {ce['indices']}"
-    return f"x^{ce['degree']} is ambiguous"
 
 
 def _cmd_make(args):

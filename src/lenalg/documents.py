@@ -1,4 +1,4 @@
-"""JSON document format for algebras and machine-readable reports.
+"""JSON document format for algebras, and every command's report, JSON and text.
 
 Scalars travel as strings ("5", "-1/2", "[0,1]") so exact values never pass
 through binary floating point; integers appear only where they are exact in
@@ -45,6 +45,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import DEFAULT_MODULI, ExtensionField, Field, field_handle, make_field
+from .identities import associative_law_holds, flexible_law_holds, jordan_law_holds
 from .length import length_of_algebra, length_of_set
 from .linalg import BasisChange
 
@@ -328,9 +329,11 @@ def certificate_from_dict(field, obj):
             square_constants=vector("squares", cc, cc_path),
             product_constants=_parse_rows(field, cc, "products", cc_path))
     if kind == "violation":
+        if not isinstance(obj.get("detail", {}), dict):
+            raise SchemaError(f"{path}.detail", "must be an object")
         return ViolationWitness(
             left=vector("left"), right=vector("right"),
-            condition=obj.get("condition", "oracle-pair"),
+            condition=_entry(obj, "condition", path, str),
             detail=obj.get("detail", {}),
         )
     if kind == "generating-set":
@@ -360,6 +363,15 @@ def algebra_length_report(res):
                         flags=[])
 
 
+def oracle_report(A, res):
+    """The `length-one-decision` report of `oracle_length_one(A)`; its path
+    names the scan the oracle ran."""
+    scan = "exhaustive" if A.field.is_finite() else "basis-line"
+    return LengthReport(kind="length-one-decision", value=res.is_length_one,
+                        certificate=res.witness, path=[f"oracle: {scan} pair scan"],
+                        flags=[])
+
+
 def report_to_dict(report, A):
     """Machine-readable report with the algebra embedded for re-verification."""
     out = {
@@ -379,6 +391,93 @@ def report_to_dict(report, A):
 
 def render_report(report, A):
     return json.dumps(report_to_dict(report, A), indent=2) + "\n"
+
+
+def _vector_text(v):
+    return "(" + ", ".join(v) + ")"
+
+
+def report_text(report, field):
+    """The text form of a report, read from its certificate as `--json`
+    writes it; the algebra is not rendered."""
+    cert = certificate_to_dict(field, report.certificate) or {}
+    if report.kind == "set-length":
+        dims = cert["dims"]
+        closure = "yes" if cert["generates"] else f"no (closure has dimension {dims[-1]})"
+        return (f"l(S) = {report.value}\ngenerates: {closure}\n"
+                f"dims: {', '.join(map(str, dims))}\n")
+    if report.kind == "algebra-length":
+        return (f"l(A) = {report.value}\nsubspaces examined: {cert['subspaces_examined']}\n"
+                f"maximizing set: {'; '.join(map(_vector_text, cert['vectors']))}\n")
+    lines = ["verdict: " + ("yes (length <= 1)" if report.value else "no (length > 1)"),
+             "path: " + " > ".join(report.path)]
+    lines += [f"flag: {flag}" for flag in report.flags]
+    kind = cert.get("type")
+    if kind == "violation":
+        lines += ["witness pair:", f"  left  = {_vector_text(cert['left'])}",
+                  f"  right = {_vector_text(cert['right'])}",
+                  f"  condition: {cert['condition']}"]
+    elif kind == "char2-form":
+        lines.append(f"certificate: char-2 form {cert['form']}")
+        if cert["beta"]:
+            lines.append(f"  beta = {_vector_text(cert['beta'])}")
+    elif kind == "special-basis":
+        lines += ["certificate: special basis", f"  mu   = {_vector_text(cert['mu'])}",
+                  f"  beta = {_vector_text(cert['beta'])}"]
+    return "\n".join(lines) + "\n"
+
+
+def _json_safe(field, obj):
+    """A counterexample as JSON: its tuples are vectors of scalars."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(field, v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(field, v) for v in obj]
+    if isinstance(obj, tuple):
+        return _render_vec(field, obj)
+    return obj
+
+
+_LAWS = {"flexible-law(params)": flexible_law_holds,
+         "associative-law(params)": associative_law_holds,
+         "jordan-law(params)": jordan_law_holds}
+
+
+def identities_report(A, decision, results, as_json):
+    """The `identities` report, JSON or text, of the verdicts `results`
+    (check name -> `IdentityVerdict`; a missing `jordan` is undefined in
+    characteristic 2) and of A's decision, whose special-basis certificate
+    adds the parameter laws."""
+    field = A.field
+    out = {"identities": {name: {"holds": v.holds,
+                                 "counterexample": _json_safe(field, v.counterexample)}
+                          for name, v in results.items()},
+           "length_one": bool(decision.value)}
+    if "jordan" not in results:
+        out["identities"]["jordan"] = {"holds": None,
+                                       "counterexample": "undefined in characteristic 2"}
+    w = decision.certificate
+    if decision.value and isinstance(w, SpecialBasisWitness):
+        out["special_basis_laws"] = {name: law(field, w.mu, w.beta, w.alpha)
+                                     for name, law in _LAWS.items()}
+    if as_json:
+        out["algebra"] = document_dict(A)
+        return json.dumps(out, indent=2) + "\n"
+    lines = []
+    for name, entry in out["identities"].items():
+        ce = entry["counterexample"]
+        if entry["holds"] is None:
+            lines.append(f"{name}: skipped (not defined in characteristic 2)")
+        elif entry["holds"] or not ce:
+            lines.append(f"{name}: {'holds' if entry['holds'] else 'fails'}")
+        elif "indices" in ce:
+            lines.append(f"{name}: fails  ({ce['kind']} at indices {ce['indices']})")
+        else:
+            lines.append(f"{name}: fails  (x^{ce['degree']} is ambiguous)")
+    if "special_basis_laws" in out:
+        lines.append("special-basis parameter laws (length-one witness):")
+        lines += [f"  {name}: {val}" for name, val in out["special_basis_laws"].items()]
+    return "\n".join(lines) + "\n"
 
 
 def verify_report_dict(data, budget=None):

@@ -9,6 +9,7 @@ hides any privileged coordinates.  Everything is seeded and deterministic.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -21,13 +22,25 @@ from lenalg import (
     unital_hull,
 )
 from lenalg.algebra import Algebra, complete_to_basis_with_one
-from lenalg.decide import OracleResult, ViolationWitness
+from lenalg.decide import LengthReport, OracleResult, ViolationWitness
+from lenalg.documents import document_dict
 from lenalg.errors import (
     CapExceeded,
     CharacteristicTwo,
     DimensionMismatch,
     SchemaError,
     ScalarSyntaxError,
+)
+from lenalg.identities import (
+    IdentityVerdict,
+    associative_law_holds,
+    flexible_law_holds,
+    is_associative,
+    is_commutative,
+    is_flexible,
+    is_jordan,
+    is_power_associative_upto,
+    jordan_law_holds,
 )
 from lenalg.length import enumerate_subspaces, word_spans
 from lenalg.linalg import (
@@ -420,3 +433,134 @@ def subalgebra_generated_by(A, vectors):
     if one_coords is None:
         raise AssertionError("closure lost the identity")
     return Algebra(field=field, table=tuple(table), one=tuple(one_coords)), rows
+
+
+# ---------------------------------------------------------------------------
+# The text and `identities` writers as the command line wrote them before
+# `documents` took them over, dispatching on witness objects: the references
+# for `documents.report_text` and `documents.identities_report`.  Each
+# prints what the command printed.
+# ---------------------------------------------------------------------------
+
+def _render_vec(field, v):
+    return "(" + ", ".join(field.render(c) for c in v) + ")"
+
+
+def reference_print_report(report, A):
+    """The text form of a decision or length report."""
+    cert = report.certificate
+    field = A.field
+    if report.kind == "set-length":
+        dims = cert["dims"]
+        print("l(S) =", report.value)
+        print("generates:", "yes" if cert["generates"] else
+              f"no (closure has dimension {dims[-1]})")
+        print("dims:", ", ".join(str(d) for d in dims))
+        return
+    if report.kind == "algebra-length":
+        print("l(A) =", report.value)
+        print("subspaces examined:", cert["subspaces_examined"])
+        print("maximizing set:",
+              "; ".join(_render_vec(field, v) for v in cert["vectors"]))
+        return
+    print("verdict:", "yes (length <= 1)" if report.value else "no (length > 1)")
+    print("path:", " > ".join(report.path))
+    for flag in report.flags:
+        print("flag:", flag)
+    if cert is None:
+        return
+    if isinstance(cert, ViolationWitness):
+        print("witness pair:")
+        print("  left  =", _render_vec(field, cert.left))
+        print("  right =", _render_vec(field, cert.right))
+        print("  condition:", cert.condition)
+    elif hasattr(cert, "form"):
+        print("certificate: char-2 form", cert.form)
+        if cert.beta:
+            print("  beta =", _render_vec(field, cert.beta))
+    elif hasattr(cert, "mu"):
+        print("certificate: special basis")
+        print("  mu   =", _render_vec(field, cert.mu))
+        print("  beta =", _render_vec(field, cert.beta))
+
+
+def reference_oracle_report(A, res):
+    """The report of `res = oracle_length_one(A)`."""
+    path = ["oracle: exhaustive pair scan" if A.field.is_finite()
+            else "oracle: basis-line pair scan"]
+    return LengthReport(kind="length-one-decision", value=res.is_length_one,
+                        certificate=res.witness, path=path, flags=[])
+
+
+def reference_oracle_text(A, res):
+    """`oracle`'s text output for `res = oracle_length_one(A)`."""
+    reference_print_report(reference_oracle_report(A, res), A)
+    print("pairs checked:", res.pairs_checked)
+
+
+def reference_identities(A, report, degree, as_json, budget=None):
+    """`identities`' output, JSON or text, with `report` A's decision."""
+    field = A.field
+    results = {}
+    results["commutative"] = is_commutative(A)
+    results["associative"] = is_associative(A)
+    results["flexible"] = is_flexible(A)
+    if field.characteristic() != 2:
+        results["jordan"] = is_jordan(A)
+    results[f"power-associative(<={degree})"] = (
+        IdentityVerdict("power-associative", True,
+                        {"kind": "length-one", "max_degree": degree})
+        if report.value else is_power_associative_upto(A, degree, budget=budget))
+    law_rows = None
+    if report.value and hasattr(report.certificate, "mu"):
+        w = report.certificate
+        law_rows = {
+            "flexible-law(params)": flexible_law_holds(field, w.mu, w.beta, w.alpha),
+            "associative-law(params)": associative_law_holds(field, w.mu, w.beta, w.alpha),
+            "jordan-law(params)": jordan_law_holds(field, w.mu, w.beta, w.alpha),
+        }
+    if as_json:
+        out = {
+            "identities": {
+                name: {"holds": v.holds,
+                       "counterexample": _json_safe(field, v.counterexample)}
+                for name, v in results.items()
+            },
+            "length_one": bool(report.value),
+        }
+        if field.characteristic() == 2:
+            out["identities"]["jordan"] = {"holds": None,
+                                           "counterexample": "undefined in characteristic 2"}
+        if law_rows is not None:
+            out["special_basis_laws"] = law_rows
+        out["algebra"] = document_dict(A)
+        print(json.dumps(out, indent=2))
+        return
+    for name, verdict in results.items():
+        line = f"{name}: {'holds' if verdict.holds else 'fails'}"
+        if not verdict.holds and verdict.counterexample:
+            line += f"  ({_describe_counterexample(verdict.counterexample)})"
+        print(line)
+    if field.characteristic() == 2:
+        print("jordan: skipped (not defined in characteristic 2)")
+    if law_rows is not None:
+        print("special-basis parameter laws (length-one witness):")
+        for name, val in law_rows.items():
+            print(f"  {name}: {val}")
+
+
+def _json_safe(field, obj):
+    """A counterexample as JSON: its tuples are vectors of scalars."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(field, v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(field, v) for v in obj]
+    if isinstance(obj, tuple):
+        return [field.render(c) for c in obj]
+    return obj
+
+
+def _describe_counterexample(ce):
+    if "indices" in ce:
+        return f"{ce['kind']} at indices {ce['indices']}"
+    return f"x^{ce['degree']} is ambiguous"

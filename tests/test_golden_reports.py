@@ -13,7 +13,9 @@ Regenerate the golden file only when reports are meant to change:
     PYTHONPATH=src python -m tests.test_golden_reports
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -31,6 +33,7 @@ from lenalg import (
     make_fixture,
     render_report,
 )
+from lenalg.documents import report_text
 from lenalg.generate import DIM3_MODES, MODES
 
 from tests.corpus import (
@@ -38,6 +41,7 @@ from tests.corpus import (
     near_miss,
     random_scalar,
     random_unital_algebra,
+    reference_print_report,
 )
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -167,6 +171,19 @@ def test_reports_match_golden(decided):
     assert sorted(got) == sorted(golden)
     changed = [key for key in got if got[key] != golden[key]]
     assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+def test_text_reports_match_the_reference_writer(decided):
+    # the text form has no golden file: it is pinned to the writer that
+    # dispatched on witness objects (`tests/corpus.py`)
+    changed = []
+    for key, A, rep in decided:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            reference_print_report(rep, A)
+        if report_text(rep, A.field) != out.getvalue():
+            changed.append(key)
+    assert not changed, f"{len(changed)} text reports differ, first: {changed[:5]}"
 
 
 if __name__ == "__main__":

@@ -56,3 +56,21 @@ def test_identities_imports_nothing_from_the_decider():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert "decide" not in imported
+
+
+def test_cli_writes_no_report():
+    # every report, text and JSON, is written in `documents`; `cli` runs the
+    # decider and the oracle and reads no witness object
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), filename="cli.py")
+    from_decide = set()
+    imported = set(_imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "decide":
+            from_decide.update(alias.name for alias in node.names)
+    assert from_decide == {"decide_length_one", "oracle_length_one"}
+    assert not imported & {"LengthReport", "SpecialBasisWitness", "CharTwoWitness",
+                           "ViolationWitness", "StepFail", "document_dict"}
+    renders = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "render"]
+    assert not renders, f"cli.py renders scalars at lines {renders}"

@@ -8,18 +8,24 @@ import pytest
 
 from lenalg import (
     decide_length_one,
+    generate_length_one,
     length_of_algebra,
     length_of_set,
     make_field,
     make_fixture,
     make_matrix_algebra,
+    oracle_length_one,
     parse_document,
     render_document,
     report_to_dict,
+    verify_report_dict,
 )
+from lenalg.cli import main
 from lenalg.constructors import fixture_names
-from lenalg.documents import algebra_length_report, set_length_report
+from lenalg.documents import algebra_length_report, oracle_report, set_length_report
 from lenalg.errors import SchemaError
+
+from tests.test_golden_reports import corpus
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 DOC_SCHEMA = json.loads((DOCS / "algebra-document.schema.json").read_text())
@@ -68,3 +74,61 @@ def test_schema_rejects_what_the_parser_rejects(edit):
         jsonschema.validate(doc, DOC_SCHEMA)
     with pytest.raises(SchemaError, match=f"^{next(iter(edit))}: "):
         parse_document(doc)
+
+
+def _report_validator():
+    return jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+
+
+def test_golden_decision_reports_validate():
+    validator = _report_validator()
+    for key, A in corpus():
+        data = report_to_dict(decide_length_one(A), A)
+        assert not list(validator.iter_errors(data)), key
+
+
+@pytest.mark.parametrize("name, scan", [
+    ("Q", "basis-line"), ("F5", "exhaustive"), ("GF4", "exhaustive"),
+])
+def test_oracle_reports_validate(name, scan):
+    field = make_field(name)
+    mode = "type-i" if field.characteristic() == 2 else "special"
+    validator = _report_validator()
+    for A, verdict in ((generate_length_one(field, 4, 0, mode, hide=True), True),
+                       (make_matrix_algebra(field, 2), False)):
+        res = oracle_length_one(A)
+        assert res.is_length_one is verdict
+        data = report_to_dict(oracle_report(A, res), A)
+        assert data["path"] == [f"oracle: {scan} pair scan"]
+        assert (data["certificate"] is None) is verdict
+        validator.validate(data)
+
+
+_DELETED = object()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("condition", 5, "must be a string"),
+    ("condition", ["x"], "must be a string"),
+    ("condition", _DELETED, "missing"),
+    ("detail", "x", "must be an object"),
+    ("detail", [1], "must be an object"),
+], ids=["condition-int", "condition-list", "condition-missing",
+        "detail-string", "detail-list"])
+def test_report_schema_rejects_what_the_verifier_rejects(tmp_path, capsys,
+                                                          key, value, message):
+    A = make_fixture("remark-literal")
+    data = report_to_dict(decide_length_one(A), A)
+    assert data["certificate"]["type"] == "violation"
+    if value is _DELETED:
+        del data["certificate"][key]
+    else:
+        data["certificate"][key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, REPORT_SCHEMA)
+    with pytest.raises(SchemaError, match=f"^certificate\\.{key}: {message}$"):
+        verify_report_dict(data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify-cert", str(path)]) == 2
+    assert f"certificate.{key}: {message}" in capsys.readouterr().err
