@@ -61,7 +61,9 @@
 # spans run on bitmask rows: on F2^5 from `make direct-sum`, `length` prints
 # `l(A) = 2` and `subspaces examined: 67`, and `length --json` and
 # `verify-cert` of its report, which enumerates again on those rows in a
-# fresh process, both exit 0.
+# fresh process, both exit 0.  Over GF(2^k) they run on bitmask rows of k
+# bits per coordinate: on M_2(GF4) from `make matrix`, `length` prints
+# `l(A) = 2` and `subspaces examined: 44`.
 #
 # A prime field of 61 bits answers as a small one below dimension 3, where
 # the quotient A/F*1 has no subspace with a free column and no field
@@ -245,6 +247,13 @@ if ! grep -qx "l(A) = 2" "$dir/f2x5.length.txt" \
 fi
 run 0 length --json "$dir/f2x5.json" > "$dir/f2x5.length.json"
 run 0 verify-cert "$dir/f2x5.length.json"
+run 0 make matrix --field GF4 --n 2 -o "$dir/m2gf4.json"
+run 0 length "$dir/m2gf4.json" > "$dir/m2gf4.length.txt"
+if ! grep -qx "l(A) = 2" "$dir/m2gf4.length.txt" \
+        || ! grep -qx "subspaces examined: 44" "$dir/m2gf4.length.txt"; then
+    echo "FAIL: lenalg length on m2gf4.json did not print 'l(A) = 2' and 'subspaces examined: 44'" >&2
+    status=1
+fi
 
 cat > "$dir/huge-p.json" <<'EOF'
 {"field": {"kind": "prime", "p": 2305843009213693951}, "dim": 2,

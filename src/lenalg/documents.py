@@ -290,6 +290,16 @@ def _parse_rows(field, obj, key, path):
                  for i, row in enumerate(rows))
 
 
+# The keys some certificate type holds (docs/report.schema.json): a key of
+# another type than its own makes a certificate invalid, not malformed
+_CERTIFICATE_KEYS = {"type", "change", "mu", "beta", "alpha", "form",
+                     "congruence_constants", "condition", "left", "right",
+                     "detail", "vectors", "dims", "generates",
+                     "subspaces_examined"}
+_REPORT_KEYS = {"report_version", "kind", "verdict", "value", "path", "flags",
+                "certificate", "algebra"}
+
+
 def certificate_from_dict(field, obj):
     """The certificate object of a report; SchemaError names what is malformed.
 
@@ -313,6 +323,9 @@ def certificate_from_dict(field, obj):
         except (DimensionMismatch, SingularMatrix) as exc:
             raise SchemaError(f"{path}.change", str(exc))
 
+    unknown = set(obj) - _CERTIFICATE_KEYS
+    if unknown:
+        raise SchemaError(path, f"unknown keys: {sorted(unknown)}")
     kind = obj.get("type")
     if kind == "special-basis":
         return SpecialBasisWitness(
@@ -324,6 +337,9 @@ def certificate_from_dict(field, obj):
             raise SchemaError(f"{path}.form", f"unknown char-2 form {form!r}")
         cc = _entry(obj, "congruence_constants", path, dict)
         cc_path = f"{path}.congruence_constants"
+        unknown = set(cc) - {"squares", "products"}
+        if unknown:
+            raise SchemaError(cc_path, f"unknown keys: {sorted(unknown)}")
         return CharTwoWitness(
             change=change(), form=form, beta=vector("beta"),
             square_constants=vector("squares", cc, cc_path),
@@ -340,6 +356,8 @@ def certificate_from_dict(field, obj):
         _entry(obj, "generates", path, bool)
         if any(type(d) is not int for d in _entry(obj, "dims", path)):
             raise SchemaError(f"{path}.dims", "must be an array of integers")
+    if kind == "maximizing-set" and type(obj.get("subspaces_examined", 0)) is not int:
+        raise SchemaError(f"{path}.subspaces_examined", "must be an integer")
     if kind in ("generating-set", "maximizing-set"):
         return dict(obj, vectors=_parse_rows(field, obj, "vectors", path))
     raise SchemaError(f"{path}.type", f"unknown certificate type {kind!r}")
@@ -489,8 +507,10 @@ def verify_report_dict(data, budget=None):
     recorded set, and an algebra length by an enumeration capped by
     `budget`.  A report that is not a JSON object with a known `kind`, a
     boolean `verdict` (decision reports) or a non-negative integer `value`
-    (length reports) and an embedded algebra document, or whose certificate
-    is malformed, raises SchemaError; errors inside the document carry the
+    (length reports), an embedded algebra document, `report_version` 1,
+    `path` and `flags` lists of strings and a `certificate`, or that has a
+    key docs/report.schema.json does not define, or whose certificate is
+    malformed, raises SchemaError; errors inside the document carry the
     `algebra.` prefix.
     """
     data = _load_object(data, "report")
@@ -513,6 +533,20 @@ def verify_report_dict(data, budget=None):
     value = data.get("value")
     if kind != "length-one-decision" and (type(value) is not int or value < 0):
         raise SchemaError("value", "must be a non-negative integer")
+    version = data.get("report_version")
+    if type(version) is not int or version != 1:
+        raise SchemaError("report_version",
+                          "missing" if "report_version" not in data else "must be 1")
+    unknown = set(data) - _REPORT_KEYS
+    if unknown:
+        raise SchemaError("$", f"unknown keys: {sorted(unknown)}")
+    for key in ("path", "flags"):
+        lines = data.get(key)
+        if not isinstance(lines, list) or any(type(x) is not str for x in lines):
+            raise SchemaError(key, "missing" if key not in data
+                              else "must be an array of strings")
+    if "certificate" not in data:
+        raise SchemaError("certificate", "missing")
     cert = certificate_from_dict(field, data.get("certificate"))
     if kind == "length-one-decision":
         if verdict and isinstance(cert, ViolationWitness):

@@ -61,8 +61,11 @@ the left vector (1,), so `linear(M)` is that product.  An algebra's table
 is compiled once, by `compile(table)`, into a `Kernel`: its `product`, its
 identity test `non_unit` (2n products by default, and over Q dot products
 of one's integers with the flat lists, with no Fraction built), and the
-coded `rows` that `length.word_spans` runs on (F2 up to dim 8 as bitmasks,
-every other field as it is; proof of the F2 form in `length`).
+coded `rows` that `length.word_spans` runs on: over F2 and GF(2^k) for
+n k <= 12 bitmasks of k bits per coordinate, whose products read tables
+built from the cells with no field operation (`_Char2Kernel`), and every
+other field's payload vectors as they are; the proof that both give the
+same rows is in `length`.
 
 Next to `bilinear`, every field owns the row operation of the linear
 algebra, `eliminate(v, rows)`, written out per coordinate with no `sub` or
@@ -139,14 +142,21 @@ def _as_is(x):
 # _BITS[b]: the positions of the set bits of a byte b, lowest first
 _BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
 
+# The characteristic-2 kernel codes vectors of at most this many bits: a
+# product looks v up in two halves of at most 6 bits (whole for F2 up to
+# n = 8), so that each table it builds on first use stays small
+_CHAR2_BITS = 12
+
+# F2's (reduction, payloads, codes, inverses) for `_Char2Kernel`
+_F2_CODING = (1, [0, 1], {0: 0, 1: 1}, [0, 1])
+
 
 def _subset_xors(masks):
     """The XOR of masks[k] over the set bits k of b, for every b below
-    2^len(masks): one XOR each, from the entry of b without its lowest bit."""
-    out = [0] * (1 << len(masks))
-    for b in range(1, len(out)):
-        low = b & -b
-        out[b] = out[b ^ low] ^ masks[low.bit_length() - 1]
+    2^len(masks): one XOR each, the table doubling once per mask."""
+    out = [0]
+    for m in masks:
+        out += [x ^ m for x in out]
     return out
 
 
@@ -160,7 +170,9 @@ class Kernel:
     (another length raises DimensionMismatch in encode or extend), mul
     multiplies two coded vectors, extend(rows, coded) appends to an echelon
     list of (pivot, coded row) pairs as `linalg._echelon_extend` does, and
-    decode(rows) returns such a list with list payload rows; by default uncoded."""
+    decode(rows) returns such a list with list payload rows.  By default a
+    coded vector is the payload vector itself; `_Char2Kernel` codes F2 and
+    GF(2^k) vectors as bitmasks."""
 
     def __init__(self, field, table):
         self.field, self.table = field, table
@@ -182,45 +194,138 @@ class Kernel:
                 lambda rows: [(pivot, list(row)) for pivot, row in rows])
 
 
-class _F2Kernel(Kernel):
-    """F2's kernel for n <= 8, whose `rows` are bitmasks: bit k of a coded
-    vector is its coordinate k, reduced mod 2 (Albrecht, Bard & Hart, M4RI,
-    ACM TOMS 2010)."""
+class _Char2Kernel(Kernel):
+    """The kernel of F2 (k = 1) or GF(2^k), for n k <= 12, whose `rows` are
+    bitmasks (Albrecht, Bard & Hart, M4RI, ACM TOMS 2010): bits jk to
+    jk + k - 1 of a coded vector are the coefficients of x^0 to x^(k-1) in
+    its coordinate j, reduced mod 2, so XOR adds coded vectors.  `coding`
+    is the field's (reduction, payloads, codes, inverses): x^k mod its
+    modulus coded, the payload of each code and the code of each payload,
+    and the code of 1/c at each code c != 0.
+
+    mul(u, v) is the XOR, over the set bits (i, s) of u, of x^s e_i times v:
+    one lookup of v, whole for F2 up to n = 8 and else in two halves, in a
+    table of x^s e_i times each value of those bits, whose entry for bit
+    (j, r) is x^(s+r) cell(i, j).  A bit's table is built from the cells
+    alone, with no field operation, when a product first reads it.  extend
+    subtracts c row, for c the entry of v at the row's pivot, where the row
+    is one: the row itself, or its multiple c, memoised on the kernel for
+    every word span it runs.  A new row is scaled by the inverse of its
+    entry at its pivot, as `_echelon_extend` scales it."""
+
+    def __init__(self, field, table, coding):
+        super().__init__(field, table)
+        self.coding = coding
 
     @functools.cached_property
     def rows(self):
-        table, n = self.table, len(self.table)
+        field, table = self.field, self.table
+        reduction, payloads, codes, inverses = self.coding
+        n, k = len(table), len(payloads).bit_length() - 1
+        width, mask, full = n * k, (1 << k) - 1, (1 << n * k) - 1
+        # bit k - 1 of every coordinate of a row of n cells
+        top = ((1 << n * width) - 1) // mask << k - 1
+
+        def x_powers(w, count):
+            """[x^t w for t below count], x times every coordinate at once."""
+            out = [w]
+            while len(out) < count:
+                w = (w & ~top) << 1 ^ ((w & top) >> k - 1) * reduction
+                out.append(w)
+            return out
+
+        def times(c, w):
+            """c w for the coefficient coded c: x^s w summed over its bits s."""
+            out = 0
+            for xw in x_powers(w, c.bit_length()):
+                if c & 1:
+                    out ^= xw
+                c >>= 1
+            return out
 
         def encode(v):
             if len(v) != n:
                 raise DimensionMismatch(f"vector length {len(v)} != {n}")
             row = 0
-            for k, c in enumerate(v):
-                if c % 2:
-                    row |= 1 << k
+            try:
+                for c in reversed(v):
+                    row = row << k | codes[c]
+            except KeyError:  # an unreduced coefficient: read its residue
+                return _pack([codes[c] for c in field.canonical(v)], k)
             return row
 
-        # xors[i][b]: the XOR of the cells (i, k) over the set bits k of b, so
-        # a product is one lookup per set bit of u
-        xors = [_subset_xors([encode(cell) for cell in row]) for row in table]
+        half = width if k == 1 and width <= 8 else (width + 1) // 2
+        low = (1 << half) - 1
+        tables = [None] * width
+        unbuilt = full   # the bits of u whose tables are not built yet
 
-        def mul(u, v):
-            acc = 0
-            for i in _BITS[u]:
-                acc ^= xors[i][v]
-            return acc
+        def fill(u):
+            nonlocal unbuilt
+            todo, unbuilt = u & unbuilt, unbuilt & ~u
+            for b in range(width):
+                if todo >> b & 1:
+                    i, s = divmod(b, k)
+                    cells = _pack([encode(cell) for cell in table[i]], width)
+                    # bit (j, r) of v adds (x^s e_i)(x^r e_j) = x^(s+r) cell(i, j)
+                    masks = [w >> j * width & full for j in range(n)
+                             for w in x_powers(cells, s + k)[s:]]
+                    tables[b] = (_subset_xors(masks) if half == width else
+                                 (_subset_xors(masks[:half]), _subset_xors(masks[half:])))
 
-        def extend(rows, vectors):
-            for v in vectors:
-                for pivot, row in rows:
-                    if v >> pivot & 1:
-                        v ^= row
-                if v:
-                    rows.append(((v & -v).bit_length() - 1, v))
-            return rows
+        if half == width:   # F2 up to n = 8
+            def mul(u, v):
+                if u & unbuilt:
+                    fill(u)
+                acc = 0
+                for b in _BITS[u]:
+                    acc ^= tables[b][v]
+                return acc
+        else:
+            def mul(u, v):
+                if u & unbuilt:
+                    fill(u)
+                acc, lo_v, hi_v = 0, v & low, v >> half
+                for b in _BITS[u & 255]:
+                    lo, hi = tables[b]
+                    acc ^= lo[lo_v] ^ hi[hi_v]
+                for b in _BITS[u >> 8]:
+                    lo, hi = tables[b + 8]
+                    acc ^= lo[lo_v] ^ hi[hi_v]
+                return acc
+
+        if k == 1:   # every nonzero entry is one
+            def extend(rows, vectors):
+                for v in vectors:
+                    for pivot, row in rows:
+                        if v >> pivot & 1:
+                            v ^= row
+                    if v:
+                        rows.append(((v & -v).bit_length() - 1, v))
+                return rows
+        else:
+            multiples = {}   # row << k | c -> c row
+
+            def extend(rows, vectors):
+                for v in vectors:
+                    for pivot, row in rows:
+                        c = v >> pivot * k & mask
+                        if c == 1:
+                            v ^= row
+                        elif c:
+                            key = row << k | c
+                            cw = multiples.get(key)
+                            if cw is None:
+                                cw = multiples[key] = times(c, row)
+                            v ^= cw
+                    if v:
+                        pivot = ((v & -v).bit_length() - 1) // k
+                        c = v >> pivot * k & mask
+                        rows.append((pivot, v if c == 1 else times(inverses[c], v)))
+                return rows
 
         def decode(rows):
-            return [(pivot, [row >> k & 1 for k in range(n)]) for pivot, row in rows]
+            return [(pivot, [payloads[row >> s & mask] for s in range(0, width, k)])
+                    for pivot, row in rows]
         return encode, mul, extend, decode
 
 
@@ -510,7 +615,9 @@ class PrimeField(Field):
         return [a % self.p for a in v]
 
     def compile(self, table):
-        return (_F2Kernel if self.p == 2 and len(table) <= 8 else Kernel)(self, table)
+        if self.p == 2 and len(table) <= _CHAR2_BITS:
+            return _Char2Kernel(self, table, _F2_CODING)
+        return Kernel(self, table)
 
     def from_int(self, n):
         return n % self.p
@@ -689,6 +796,21 @@ class ExtensionField(Field):
         if la == self._zero_log:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._unit_order - la]
+
+    def compile(self, table):
+        if self.p == 2 and len(table) * self.k <= _CHAR2_BITS:
+            return _Char2Kernel(self, table, self._char2_coding)
+        return Kernel(self, table)
+
+    @functools.cached_property
+    def _char2_coding(self):
+        """The `coding` of `_Char2Kernel`: code c has coefficient bit s for
+        x^s, and inverses are read off the log tables."""
+        payloads = [tuple(c >> s & 1 for s in range(self.k)) for c in range(1 << self.k)]
+        codes = {a: c for c, a in enumerate(payloads)}
+        m, exp, log = self._unit_order, self._exp, self._log
+        return (_pack(self.modulus[:-1], 1), payloads, codes,
+                [0] + [codes[exp[m - log[a]]] for a in payloads[1:]])
 
     def bilinear(self, table):
         p, k = self.p, self.k

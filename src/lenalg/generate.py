@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import change_basis
 from .decide import char2_table_from_params, special_table_from_params
-from .errors import ModeCharacteristicMismatch
+from .errors import DimensionMismatch, ModeCharacteristicMismatch
 from .linalg import random_invertible
 
 SPECIAL = "special"
@@ -53,7 +53,7 @@ def generate_length_one(field, dim, seed, mode, hide=False):
         raise ModeCharacteristicMismatch(
             "dim3-type4 exists only over the two-element field")
     if dim < 2:
-        raise ModeCharacteristicMismatch("generators need dimension >= 2")
+        raise DimensionMismatch("generators need dimension >= 2")
     rng = random.Random(f"{field.label()}|{dim}|{mode}|{seed}")
     draw = _scalar_drawer(field, rng)
     m = dim - 1

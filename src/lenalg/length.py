@@ -20,12 +20,18 @@ L_i.  Each ordered pair (p, q) is multiplied at exactly one level, p + q,
 and the N_p are disjoint parts of at most n - 1 rows, so one call makes at
 most (n - 1)^2 products.
 
-The list is held in A's coded rows (`fields.Kernel.rows`).  Over F2 up to
-dim 8 they are bitmasks, and they are exactly the rows `_echelon_extend`
-builds on payload lists: a residue's lowest set bit is its first nonzero coordinate, the
-pivot `_echelon_extend` picks, and its entry there is already one, the
-only nonzero scalar of F2, so the scaling that `_echelon_extend` would do
-leaves it as it is; XOR is the row operation v - v[pivot] * row.
+The list is held in A's coded rows (`fields.Kernel.rows`).  Over F2 and
+GF(2^k), for dim n with n k <= 12, they are bitmasks of k bits per
+coordinate (coordinate j at bits jk to jk + k - 1, bit s the coefficient of
+x^s), and they are exactly the rows `_echelon_extend` builds on payload
+lists.  A residue's lowest set bit lies in its lowest nonzero k-bit group,
+which codes its first nonzero coordinate: the pivot `_echelon_extend`
+picks.  A new row is multiplied by the inverse of its entry there, as
+`_echelon_extend` scales it, so every row has a one at its pivot (over F2
+the entry is already one, the only nonzero scalar, and nothing is scaled).
+The row operation v - v[pivot] * row then subtracts the multiple v[pivot]
+of the row, and subtraction is XOR: in characteristic 2, adding two field
+elements adds their coefficient bits mod 2, coordinate by coordinate.
 
 Stop rule: the dimension sequence is non-decreasing, and once
 dim L_n = dim L_{n+1} = ... = dim L_{2n} holds for some n >= 1 the sequence

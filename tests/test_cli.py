@@ -686,7 +686,7 @@ def test_bad_document_exits_2_with_the_exact_error(tmp_path, capsys, document, e
 def test_random_l1_refuses_dimension_1(capsys):
     assert main(["make", "random-l1", "--field", "F3", "--dim", "1"]) == 2
     assert capsys.readouterr().err == (
-        "error[ModeCharacteristicMismatch]: generators need dimension >= 2\n")
+        "error[DimensionMismatch]: generators need dimension >= 2\n")
 
 
 def test_length_set_skips_an_empty_set_entry(fixture_file, capsys):

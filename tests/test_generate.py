@@ -9,7 +9,7 @@ from lenalg import (
     oracle_length_one,
     verify_certificate,
 )
-from lenalg.errors import ModeCharacteristicMismatch
+from lenalg.errors import DimensionMismatch, ModeCharacteristicMismatch
 
 Q = make_field("Q")
 F2 = make_field("F2")
@@ -54,6 +54,8 @@ def test_mode_validation():
         generate_length_one(G4, 3, 0, "dim3-type4")  # type4 is F2-only
     with pytest.raises(ValueError):
         generate_length_one(F2, 4, 0, "nonsense")
+    with pytest.raises(DimensionMismatch):  # every mode needs dim >= 2
+        generate_length_one(F2, 1, 0, "type-i")
 
 
 def test_special_mode_jordan_pattern():

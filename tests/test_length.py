@@ -425,6 +425,28 @@ def test_f2_length_matches_the_reference(dim):
     assert 1 in lengths and max(lengths) >= 2
 
 
+@pytest.mark.parametrize("name, dim", [("GF4", 3), ("GF4", 4), ("GF4", 5), ("GF8", 3)])
+def test_char2_length_matches_the_reference(name, dim):
+    # GF(2^k) word spans run on bitmask rows of k bits per coordinate, the
+    # reference on canonical Subspaces of field payloads; M_2(GF4) has
+    # length 2, over the 44 subspaces of its quotient
+    field = make_field(name)
+    corpus = list(_length_corpus(field, dim))
+    if dim == 4:
+        M2 = make_matrix_algebra(field, 2)
+        res = length_of_algebra(M2)
+        assert (res.length, res.subspaces_examined) == (2, 44)
+        corpus.append(M2)
+    lengths = []
+    for A in corpus:
+        assert isinstance(A._kernel, fields._Char2Kernel)
+        res = length_of_algebra(A)
+        assert (res.length, res.witness_rows, res.subspaces_examined) == (
+            reference_length(A)), A.table
+        lengths.append(res.length)
+    assert 1 in lengths and max(lengths) >= 2
+
+
 def test_f2_length_at_dim_7_matches_the_reference():
     A = random_unital_algebra(F2, 7, seed=1)
     res = length_of_algebra(A)

@@ -84,18 +84,11 @@ def test_kernel_matches_reference(name):
             _assert_matches_reference(unital_hull(F, table), vectors)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9])
-def test_f2_row_kernel_matches_the_default_form(n):
-    # the F2 product looks v up whole, in a table of 2^n entries per row of
-    # cells; n = 8 is the largest dim that takes the bitmask form, and from
-    # n = 9 on F2 compiles the default kernel
-    F = FIELDS["F2"]
-    A = random_unital_algebra(F, n, seed=n)
-    assert (type(A._kernel) is fields.Kernel) == (n > 8)
+def _assert_rows_match_the_default_form(A, vectors):
+    """A's coded rows decode to the default form's rows, as list rows: the
+    products of the vectors, and the echelon list of some of them."""
     encode, mul, extend, decode = A._kernel.rows
-    _, product, echelon, _ = fields.Kernel(F, A.table).rows
-    # both forms decode to list rows
-    vectors = _vectors(F, n, random.Random(f"f2-rows|{n}"))
+    _, product, echelon, _ = fields.Kernel(A.field, A.table).rows
     for u in vectors:
         for v in vectors:
             assert decode([(0, mul(encode(u), encode(v)))]) == [
@@ -105,6 +98,57 @@ def test_f2_row_kernel_matches_the_default_form(n):
     coded = extend([(last, encode(one))], [encode(v) for v in products])
     assert decode(coded) == [(pivot, list(row)) for pivot, row in
                              echelon([A.identity_row], products)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12, 13])
+def test_f2_row_kernel_matches_the_default_form(n):
+    # the F2 product looks v up whole, in a table of 2^n entries per row of
+    # cells, up to n = 8, and in two halves from n = 9; n = 12 is the
+    # largest dim that takes the bitmask form, and from n = 13 on F2
+    # compiles the default kernel
+    F = FIELDS["F2"]
+    A = random_unital_algebra(F, n, seed=n)
+    assert (type(A._kernel) is fields.Kernel) == (n > 12)
+    _assert_rows_match_the_default_form(A, _vectors(F, n, random.Random(f"f2-rows|{n}")))
+
+
+@pytest.mark.parametrize("name", ["F2", "GF4", "GF8", "GF16"])
+def test_char2_rows_match_the_default_form(name):
+    # a coded vector packs the k coefficient bits of each coordinate, for
+    # every n up to the bound on n k; one past it the field compiles the
+    # default kernel
+    F = FIELDS[name]
+    k = F.order().bit_length() - 1
+    for n in range(1, fields._CHAR2_BITS // k + 2):
+        A = random_unital_algebra(F, n, seed=n)
+        assert (type(A._kernel) is fields.Kernel) == (n * k > fields._CHAR2_BITS), n
+        _assert_rows_match_the_default_form(
+            A, _vectors(F, n, random.Random(f"char2-rows|{name}|{n}")))
+
+
+def test_char2_rows_read_unreduced_coefficients_as_their_residues():
+    # (3, 2) and (-1, 0) are 1 in GF4: encode reads the residue, so the
+    # coded rows equal those of the reduced vectors, and the default form's
+    # up to the coordinates it keeps as they came
+    F = FIELDS["GF4"]
+    A = random_unital_algebra(F, 3, seed=3)
+    encode, mul, extend, decode = A._kernel.rows
+    _, product, echelon, _ = fields.Kernel(F, A.table).rows
+    a = (0, 1)
+    unreduced = [((3, 2), a, (0, 0)), ((0, 0), (-1, 0), (2, 5)),
+                 (a, (1, 1), (-1, -1)), ((0, 0), (0, 0), (3, 2))]
+    reduced = [tuple(F.canonical(v)) for v in unreduced]
+    assert reduced[0] == ((1, 0), a, (0, 0)) and reduced[1][1:] == ((1, 0), (0, 1))
+    assert [encode(v) for v in unreduced] == [encode(v) for v in reduced]
+    for u, ru in zip(unreduced, reduced):
+        for v, rv in zip(unreduced, reduced):
+            assert decode([(0, mul(encode(u), encode(v)))]) == [
+                (0, list(product(u, v)))] == [(0, list(product(ru, rv)))]
+    last, one = A.identity_row
+    rows = decode(extend([(last, encode(one))], [encode(v) for v in unreduced]))
+    assert rows == decode(extend([(last, encode(one))], [encode(v) for v in reduced]))
+    assert rows == [(pivot, F.canonical(row)) for pivot, row in
+                    echelon([A.identity_row], unreduced)]
 
 
 @pytest.mark.parametrize("name, n", [("F2", 5), ("F2", 9), ("F3", 4),
@@ -339,11 +383,11 @@ def test_kernel_is_built_once_at_construction(monkeypatch):
     # dense), whatever reads the kernel after it, and its coded rows built
     # once for every subspace of length_of_algebra; an identity-first
     # basis change compiles nothing until its result multiplies
-    for name, n, subspaces in (("F2", 5, 67), ("F3", 4, 28)):
+    for name, n, subspaces in (("F2", 5, 67), ("F3", 4, 28), ("GF4", 4, 44)):
         F = FIELDS[name]
         B = random_unital_algebra(F, n, seed=0)
         assert B.one not in [unit_vec(F, n, j) for j in range(n)]
-        compiled = _counted(monkeypatch, PrimeField, "compile", PrimeField.compile)
+        compiled = _counted(monkeypatch, type(F), "compile", type(F).compile)
         A = algebra(F, B.table, B.one)
         assert len(compiled) == 1
         kernel = vars(A)["_kernel"]

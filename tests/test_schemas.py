@@ -107,28 +107,71 @@ def test_oracle_reports_validate(name, scan):
 _DELETED = object()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("condition", 5, "must be a string"),
-    ("condition", ["x"], "must be a string"),
-    ("condition", _DELETED, "missing"),
-    ("detail", "x", "must be an object"),
-    ("detail", [1], "must be an object"),
-], ids=["condition-int", "condition-list", "condition-missing",
-        "detail-string", "detail-list"])
-def test_report_schema_rejects_what_the_verifier_rejects(tmp_path, capsys,
-                                                          key, value, message):
+def _violation_report():
     A = make_fixture("remark-literal")
     data = report_to_dict(decide_length_one(A), A)
     assert data["certificate"]["type"] == "violation"
+    return data
+
+
+def _char2_report():
+    A = make_fixture("dim3-f2-type1")
+    data = report_to_dict(decide_length_one(A), A)
+    assert data["certificate"]["type"] == "char2-form"
+    return data
+
+
+def _maximizing_report():
+    M2 = make_matrix_algebra(make_field("F2"), 2)
+    return report_to_dict(algebra_length_report(length_of_algebra(M2)), M2)
+
+
+@pytest.mark.parametrize("report, at, value, message", [
+    (_violation_report, "certificate.condition", 5, "must be a string"),
+    (_violation_report, "certificate.condition", ["x"], "must be a string"),
+    (_violation_report, "certificate.condition", _DELETED, "missing"),
+    (_violation_report, "certificate.detail", "x", "must be an object"),
+    (_violation_report, "certificate.detail", [1], "must be an object"),
+    (_violation_report, "report_version", 2, "must be 1"),
+    (_violation_report, "report_version", "1", "must be 1"),
+    (_violation_report, "report_version", _DELETED, "missing"),
+    (_violation_report, "junk", 0, None),
+    (_violation_report, "path", "oracle", "must be an array of strings"),
+    (_violation_report, "path", [1], "must be an array of strings"),
+    (_violation_report, "flags", _DELETED, "missing"),
+    (_violation_report, "certificate", _DELETED, "missing"),
+    (_violation_report, "certificate.junk", 0, None),
+    (_char2_report, "certificate.congruence_constants.junk", [], None),
+    (_maximizing_report, "certificate.subspaces_examined", "44",
+     "must be an integer"),
+    (_maximizing_report, "certificate.subspaces_examined", 44.5,
+     "must be an integer"),
+], ids=["condition-int", "condition-list", "condition-missing",
+        "detail-string", "detail-list", "version-2", "version-string",
+        "version-missing", "unknown-key", "path-string", "path-int",
+        "flags-missing", "certificate-missing", "certificate-unknown-key",
+        "constants-unknown-key", "subspaces-string", "subspaces-fraction"])
+def test_report_schema_rejects_what_the_verifier_rejects(tmp_path, capsys, report,
+                                                          at, value, message):
+    # `at` is the dotted path of the edited key; an unknown key (message
+    # None) is named by the object that holds it
+    data = report()
+    *parents, key = at.split(".")
+    holder = data
+    for parent in parents:
+        holder = holder[parent]
     if value is _DELETED:
-        del data["certificate"][key]
+        del holder[key]
     else:
-        data["certificate"][key] = value
+        holder[key] = value
+    if message is None:
+        at, message = ".".join(parents) or "$", f"unknown keys: ['{key}']"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, REPORT_SCHEMA)
-    with pytest.raises(SchemaError, match=f"^certificate\\.{key}: {message}$"):
+    with pytest.raises(SchemaError) as exc:
         verify_report_dict(data)
+    assert (exc.value.path, exc.value.message) == (at, message)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     assert main(["verify-cert", str(path)]) == 2
-    assert f"certificate.{key}: {message}" in capsys.readouterr().err
+    assert f"{at}: {message}" in capsys.readouterr().err
