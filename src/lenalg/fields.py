@@ -62,8 +62,8 @@ is compiled once, by `compile(table)`, into a `Kernel`: its `product`, its
 identity test `non_unit` (2n products by default, and over Q dot products
 of one's integers with the flat lists, with no Fraction built), and the
 coded `rows` that `length.word_spans` runs on: over F2 and GF(2^k) for
-n k <= 12 bitmasks of k bits per coordinate, whose products read tables
-built from the cells with no field operation (`_Char2Kernel`), and every
+n k <= 10 bitmasks of k bits per coordinate, whose products read masks
+shifted from the cells with no field operation (`_Char2Kernel`), and every
 other field's payload vectors as they are; the proof that both give the
 same rows is in `length`.
 
@@ -142,13 +142,10 @@ def _as_is(x):
 # _BITS[b]: the positions of the set bits of a byte b, lowest first
 _BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
 
-# The characteristic-2 kernel codes vectors of at most this many bits: a
-# product looks v up in two halves of at most 6 bits (whole for F2 up to
-# n = 8), so that each table it builds on first use stays small
-_CHAR2_BITS = 12
-
-# F2's (reduction, payloads, codes, inverses) for `_Char2Kernel`
-_F2_CODING = (1, [0, 1], {0: 0, 1: 1}, [0, 1])
+# The characteristic-2 kernel codes vectors of at most this many bits, the
+# largest the benchmark runs (GF4 at n = 5): a product looks v up in two
+# halves of at most 5 bits, so that each table it builds stays small
+_CHAR2_BITS = 10
 
 
 def _subset_xors(masks):
@@ -195,7 +192,7 @@ class Kernel:
 
 
 class _Char2Kernel(Kernel):
-    """The kernel of F2 (k = 1) or GF(2^k), for n k <= 12, whose `rows` are
+    """The kernel of F2 (k = 1) or GF(2^k), for n k <= 10, whose `rows` are
     bitmasks (Albrecht, Bard & Hart, M4RI, ACM TOMS 2010): bits jk to
     jk + k - 1 of a coded vector are the coefficients of x^0 to x^(k-1) in
     its coordinate j, reduced mod 2, so XOR adds coded vectors.  `coding`
@@ -204,10 +201,13 @@ class _Char2Kernel(Kernel):
     and the code of 1/c at each code c != 0.
 
     mul(u, v) is the XOR, over the set bits (i, s) of u, of x^s e_i times v:
-    one lookup of v, whole for F2 up to n = 8 and else in two halves, in a
-    table of x^s e_i times each value of those bits, whose entry for bit
-    (j, r) is x^(s+r) cell(i, j).  A bit's table is built from the cells
-    alone, with no field operation, when a product first reads it.  extend
+    the XOR of the bit's masks at the set bits (j, r) of v, where mask
+    (j, r) is x^(s+r) cell(i, j), shifted from row i's coded cells with no
+    field operation.  The first product that reads a bit XORs its masks
+    one by one; the second builds from them two tables of x^s e_i times
+    each value of the low and high half of v's bits, and every later
+    product looks v up in both.  Row i's cells are coded once, when a
+    product first reads one of its bits.  extend
     subtracts c row, for c the entry of v at the row's pivot, where the row
     is one: the row itself, or its multiple c, memoised on the kernel for
     every word span it runs.  A new row is scaled by the inverse of its
@@ -254,74 +254,74 @@ class _Char2Kernel(Kernel):
                 return _pack([codes[c] for c in field.canonical(v)], k)
             return row
 
-        half = width if k == 1 and width <= 8 else (width + 1) // 2
+        half = (width + 1) // 2
         low = (1 << half) - 1
-        tables = [None] * width
-        unbuilt = full   # the bits of u whose tables are not built yet
+        powers = [None] * n   # per row i of cells, when read: x^t times it, t < 2k - 1
+        tables = [None] * width   # per bit of u: its masks, then its two tables
+        unbuilt = full   # the bits of u that have no tables yet
 
-        def fill(u):
+        def masks(b):
+            i, s = divmod(b, k)
+            if powers[i] is None:
+                powers[i] = x_powers(_pack([encode(cell) for cell in table[i]], width),
+                                     2 * k - 1)
+            # bit (j, r) of v adds (x^s e_i)(x^r e_j) = x^(s+r) cell(i, j)
+            return [w >> j * width & full for j in range(n) for w in powers[i][s:s + k]]
+
+        def first_mul(u, v):
+            """mul(u, v) while some bit of u has no tables: a bit read the
+            first time XORs its masks at the set bits of v, and one read
+            the second time builds its tables."""
             nonlocal unbuilt
-            todo, unbuilt = u & unbuilt, unbuilt & ~u
+            acc = 0
             for b in range(width):
-                if todo >> b & 1:
-                    i, s = divmod(b, k)
-                    cells = _pack([encode(cell) for cell in table[i]], width)
-                    # bit (j, r) of v adds (x^s e_i)(x^r e_j) = x^(s+r) cell(i, j)
-                    masks = [w >> j * width & full for j in range(n)
-                             for w in x_powers(cells, s + k)[s:]]
-                    tables[b] = (_subset_xors(masks) if half == width else
-                                 (_subset_xors(masks[:half]), _subset_xors(masks[half:])))
+                if u >> b & 1:
+                    bit = tables[b]
+                    if bit is None:
+                        bit = tables[b] = masks(b)
+                        for j in _BITS[v & 255]:
+                            acc ^= bit[j]
+                        for j in _BITS[v >> 8]:
+                            acc ^= bit[j + 8]
+                        continue
+                    if unbuilt >> b & 1:
+                        bit = tables[b] = _subset_xors(bit[:half]), _subset_xors(bit[half:])
+                        unbuilt ^= 1 << b
+                    lo, hi = bit
+                    acc ^= lo[v & low] ^ hi[v >> half]
+            return acc
 
-        if half == width:   # F2 up to n = 8
-            def mul(u, v):
-                if u & unbuilt:
-                    fill(u)
-                acc = 0
-                for b in _BITS[u]:
-                    acc ^= tables[b][v]
-                return acc
-        else:
-            def mul(u, v):
-                if u & unbuilt:
-                    fill(u)
-                acc, lo_v, hi_v = 0, v & low, v >> half
-                for b in _BITS[u & 255]:
-                    lo, hi = tables[b]
-                    acc ^= lo[lo_v] ^ hi[hi_v]
-                for b in _BITS[u >> 8]:
-                    lo, hi = tables[b + 8]
-                    acc ^= lo[lo_v] ^ hi[hi_v]
-                return acc
+        def mul(u, v):
+            if u & unbuilt:
+                return first_mul(u, v)
+            acc, lo_v, hi_v = 0, v & low, v >> half
+            for b in _BITS[u & 255]:
+                lo, hi = tables[b]
+                acc ^= lo[lo_v] ^ hi[hi_v]
+            for b in _BITS[u >> 8]:
+                lo, hi = tables[b + 8]
+                acc ^= lo[lo_v] ^ hi[hi_v]
+            return acc
 
-        if k == 1:   # every nonzero entry is one
-            def extend(rows, vectors):
-                for v in vectors:
-                    for pivot, row in rows:
-                        if v >> pivot & 1:
-                            v ^= row
-                    if v:
-                        rows.append(((v & -v).bit_length() - 1, v))
-                return rows
-        else:
-            multiples = {}   # row << k | c -> c row
+        multiples = {}   # row << k | c -> c row
 
-            def extend(rows, vectors):
-                for v in vectors:
-                    for pivot, row in rows:
-                        c = v >> pivot * k & mask
-                        if c == 1:
-                            v ^= row
-                        elif c:
-                            key = row << k | c
-                            cw = multiples.get(key)
-                            if cw is None:
-                                cw = multiples[key] = times(c, row)
-                            v ^= cw
-                    if v:
-                        pivot = ((v & -v).bit_length() - 1) // k
-                        c = v >> pivot * k & mask
-                        rows.append((pivot, v if c == 1 else times(inverses[c], v)))
-                return rows
+        def extend(rows, vectors):
+            for v in vectors:
+                for pivot, row in rows:
+                    c = v >> pivot * k & mask
+                    if c == 1:
+                        v ^= row
+                    elif c:
+                        key = row << k | c
+                        cw = multiples.get(key)
+                        if cw is None:
+                            cw = multiples[key] = times(c, row)
+                        v ^= cw
+                if v:
+                    pivot = ((v & -v).bit_length() - 1) // k
+                    c = v >> pivot * k & mask
+                    rows.append((pivot, v if c == 1 else times(inverses[c], v)))
+            return rows
 
         def decode(rows):
             return [(pivot, [payloads[row >> s & mask] for s in range(0, width, k)])
@@ -410,8 +410,12 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def compile(self, table):
-        """The `Kernel` of an algebra's n x n `table`, this default one
-        unless the field specialises it."""
+        """The `Kernel` of an algebra's n x n `table`: `_Char2Kernel`, with
+        the field's `_char2_coding`, in characteristic 2 while n k <=
+        `_CHAR2_BITS` for order 2^k, and else this default one."""
+        if (self.characteristic() == 2
+                and len(table) * (self.order().bit_length() - 1) <= _CHAR2_BITS):
+            return _Char2Kernel(self, table, self._char2_coding)
         return Kernel(self, table)
 
     def linear(self, matrix):
@@ -552,6 +556,9 @@ class Rationals(Field):
 class PrimeField(Field):
     """F_p for a prime p; payloads are ints in [0, p)."""
 
+    # F2's (reduction, payloads, codes, inverses) for `_Char2Kernel`
+    _char2_coding = (1, [0, 1], {0: 0, 1: 1}, [0, 1])
+
     def __init__(self, p):
         if p >= MAX_PRIME:
             raise UnsupportedExtension(
@@ -613,11 +620,6 @@ class PrimeField(Field):
 
     def canonical(self, v):
         return [a % self.p for a in v]
-
-    def compile(self, table):
-        if self.p == 2 and len(table) <= _CHAR2_BITS:
-            return _Char2Kernel(self, table, _F2_CODING)
-        return Kernel(self, table)
 
     def from_int(self, n):
         return n % self.p
@@ -796,11 +798,6 @@ class ExtensionField(Field):
         if la == self._zero_log:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self._unit_order - la]
-
-    def compile(self, table):
-        if self.p == 2 and len(table) * self.k <= _CHAR2_BITS:
-            return _Char2Kernel(self, table, self._char2_coding)
-        return Kernel(self, table)
 
     @functools.cached_property
     def _char2_coding(self):

@@ -21,7 +21,7 @@ and the N_p are disjoint parts of at most n - 1 rows, so one call makes at
 most (n - 1)^2 products.
 
 The list is held in A's coded rows (`fields.Kernel.rows`).  Over F2 and
-GF(2^k), for dim n with n k <= 12, they are bitmasks of k bits per
+GF(2^k), for dim n with n k <= 10, they are bitmasks of k bits per
 coordinate (coordinate j at bits jk to jk + k - 1, bit s the coefficient of
 x^s), and they are exactly the rows `_echelon_extend` builds on payload
 lists.  A residue's lowest set bit lies in its lowest nonzero k-bit group,

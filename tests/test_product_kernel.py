@@ -100,15 +100,14 @@ def _assert_rows_match_the_default_form(A, vectors):
                              echelon([A.identity_row], products)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 12, 13])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 10, 11])
 def test_f2_row_kernel_matches_the_default_form(n):
-    # the F2 product looks v up whole, in a table of 2^n entries per row of
-    # cells, up to n = 8, and in two halves from n = 9; n = 12 is the
-    # largest dim that takes the bitmask form, and from n = 13 on F2
-    # compiles the default kernel
+    # the F2 product looks v up in two halves of its bits, as every field's
+    # does; n = 10 is the largest dim that takes the bitmask form, and from
+    # n = 11 on F2 compiles the default kernel
     F = FIELDS["F2"]
     A = random_unital_algebra(F, n, seed=n)
-    assert (type(A._kernel) is fields.Kernel) == (n > 12)
+    assert (type(A._kernel) is fields.Kernel) == (n > 10)
     _assert_rows_match_the_default_form(A, _vectors(F, n, random.Random(f"f2-rows|{n}")))
 
 
