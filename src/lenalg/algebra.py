@@ -8,14 +8,13 @@ and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import DimensionMismatch, InvalidIdentity
+from .fields import Kernel
 from .linalg import BasisChange, rref, unit_vec, vec_scale
 
 
-@dataclass(frozen=True)
 class Algebra:
     """A finite-dimensional unital algebra given by structure constants.
 
@@ -33,22 +32,31 @@ class Algebra:
     its coded rows.  The product sums over integers: it reduces F_p
     coordinates mod p on entry, so an unreduced or negative int multiplies
     as its residue; a GF(p^k) coefficient off [0, p) is read so too.
+
+    `table` may instead be a compiled table, a `fields.Kernel`, as
+    `Field.read_table` reads a Q document's: then the kernel is that one,
+    and the table of payloads is built from it when first read.  Either way
+    equality and hash are those of (field, table, one), and `table_texts`
+    writes the table as `field.render` does, from the kernel's integers
+    while the table is unbuilt.
     """
 
-    field: object
-    table: tuple
-    one: tuple
-
-    def __post_init__(self):
-        n = len(self.table)
-        if any(len(row) != n for row in self.table) or any(
-            len(cell) != n for row in self.table for cell in row
-        ):
-            raise DimensionMismatch("structure-constant table is not n x n x n")
-        if len(self.one) != n:
+    def __init__(self, field, table, one):
+        if isinstance(table, Kernel):
+            n = table.dim
+            vars(self).update(field=field, _kernel=table, one=one)
+        else:
+            n = len(table)
+            vars(self).update(field=field, table=table, one=one)
+            if any(len(row) != n for row in table) or any(
+                len(cell) != n for row in table for cell in row
+            ):
+                raise DimensionMismatch("structure-constant table is not n x n x n")
+        if len(one) != n:
             raise DimensionMismatch("identity vector has wrong length")
-        one, units = self.one, [self.basis_vector(j) for j in range(n)]
-        if one in units:  # one = e_z: one * e_j and e_j * one are cells
+        units = [self.basis_vector(j) for j in range(n)]
+        if "table" in vars(self) and one in units:
+            # one = e_z: one * e_j and e_j * one are cells
             z, t = units.index(one), self.table
             if all(t[z][j] == ej == t[j][z] for j, ej in enumerate(units)):
                 return
@@ -57,9 +65,34 @@ class Algebra:
         if j is not None:
             raise InvalidIdentity(f"claimed identity fails on basis vector {j}")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Algebra is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.table, self.one) == (other.field, other.table, other.one)
+
+    def __hash__(self):
+        return hash((self.field, self.table, self.one))
+
+    def __repr__(self):
+        return f"Algebra(field={self.field!r}, table={self.table!r}, one={self.one!r})"
+
+    @cached_property
+    def table(self):
+        return self._kernel.table
+
+    def table_texts(self):
+        """The table's scalars as `field.render` writes them, in nested lists."""
+        if "table" not in vars(self):
+            return self._kernel.texts()
+        render = self.field.render
+        return [[[render(c) for c in cell] for cell in row] for row in self.table]
+
     @property
     def dim(self):
-        return len(self.table)
+        return len(self.one)
 
     def basis_vector(self, i):
         return unit_vec(self.field, self.dim, i)
@@ -87,9 +120,11 @@ class Algebra:
 
 
 def algebra(field, table, one):
-    """Build an Algebra from nested lists, normalizing to tuples."""
-    t = tuple(tuple(tuple(cell) for cell in row) for row in table)
-    return Algebra(field=field, table=t, one=tuple(one))
+    """Build an Algebra from nested lists, normalizing to tuples; a compiled
+    table (`Field.read_table`) is taken as it is."""
+    if not isinstance(table, Kernel):
+        table = tuple(tuple(tuple(cell) for cell in row) for row in table)
+    return Algebra(field=field, table=table, one=tuple(one))
 
 
 def find_identity(field, table):

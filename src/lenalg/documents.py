@@ -7,6 +7,12 @@ fixed key order, canonical scalar strings, two-space indentation, trailing
 newline.  `render_document(parse_document(text))` is byte-identical whenever
 `text` was itself produced by `render_document`.
 
+A Q table with a given identity is read in one pass, as integers, into the
+algebra's kernel (`Field.read_table`); its Fraction table is built only
+when something reads it, and a report writes it from those integers
+(`Algebra.table_texts`).  Any other table, and a Q table that pass cannot
+read, is read cell by cell, which names the first bad entry.
+
 Document shape:
 
     {
@@ -165,15 +171,18 @@ def parse_document(source):
     table_obj = data.get("table")
     if not isinstance(table_obj, list) or len(table_obj) != dim:
         raise SchemaError("table", f"table must be a {dim}x{dim} array")
-    table = []
-    for i, row in enumerate(table_obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"table[{i}]", f"expected {dim} entries")
-        table.append(tuple(
-            _parse_vector(field, cell, dim, f"table[{i}][{j}]")
-            for j, cell in enumerate(row)
-        ))
-    table = tuple(table)
+    # the one-pass read of the module docstring, or None
+    table = field.read_table(table_obj, dim) if "one" in data else None
+    if table is None:
+        table = []
+        for i, row in enumerate(table_obj):
+            if not isinstance(row, list) or len(row) != dim:
+                raise SchemaError(f"table[{i}]", f"expected {dim} entries")
+            table.append(tuple(
+                _parse_vector(field, cell, dim, f"table[{i}][{j}]")
+                for j, cell in enumerate(row)
+            ))
+        table = tuple(table)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata", "metadata must be an object")
@@ -205,8 +214,7 @@ def document_dict(A, metadata=None):
         "field": field_to_json(field),
         "dim": A.dim,
         "one": [field.render(c) for c in A.one],
-        "table": [[[field.render(c) for c in cell] for cell in row]
-                  for row in A.table],
+        "table": A.table_texts(),
     }
     if metadata:
         doc["metadata"] = metadata

@@ -54,7 +54,11 @@ can reach, so no digit carries:
   du dv D.  The one zero skip costs two `count` calls on a
   dense product: a u or v with a single nonzero entry (a scaled basis
   vector, and the (1,) of `linear`) dots the other vector with the cells
-  of its row or column alone, a slice of each flat list.
+  of its row or column alone, a slice of each flat list.  A document's
+  table is read as integers, the numerator and denominator of each scalar
+  as written (`Rationals.read_table`), straight into these lists; its
+  Fraction payloads are built from them only when something reads them,
+  and a report writes the table from them.
 
 A coordinate map v -> v @ M is the product of the one-row table (M,) with
 the left vector (1,), so `linear(M)` is that product.  An algebra's table
@@ -169,14 +173,14 @@ class Kernel:
     list of (pivot, coded row) pairs as `linalg._echelon_extend` does, and
     decode(rows) returns such a list with list payload rows.  By default a
     coded vector is the payload vector itself; `_Char2Kernel` codes F2 and
-    GF(2^k) vectors as bitmasks."""
+    GF(2^k) vectors as bitmasks.  `dim` is n."""
 
     def __init__(self, field, table):
-        self.field, self.table = field, table
+        self.field, self.table, self.dim = field, table, len(table)
         self.product = field.bilinear(table)
 
     def non_unit(self, one):
-        field, product, n = self.field, self.product, len(self.table)
+        field, product, n = self.field, self.product, self.dim
         for j in range(n):
             ej = unit_vec(field, n, j)
             if not product(one, ej) == ej == product(ej, one):
@@ -185,7 +189,7 @@ class Kernel:
 
     @functools.cached_property
     def rows(self):
-        field, n = self.field, len(self.table)
+        field, n = self.field, self.dim
         return (_as_is, self.product,
                 lambda rows, vectors: _echelon_extend(field, rows, vectors, n),
                 lambda rows: [(pivot, list(row)) for pivot, row in rows])
@@ -383,8 +387,9 @@ class Field:
       is equality; `from_int(n)`: the image of the integer n.
 
     The base derives `sub` = add(a, neg(b)), `div` and `halve` through
-    `inv`, `linear`, `compile`, `render` (`str`, which GF(p^k) overrides),
-    and equality and hash by key."""
+    `inv`, `linear`, `compile`, `read_table` (None, which Q overrides),
+    `render` (`str`, which GF(p^k) overrides), and equality and hash by
+    key."""
 
     zero = None
     one = None
@@ -418,6 +423,12 @@ class Field:
             return _Char2Kernel(self, table, self._char2_coding)
         return Kernel(self, table)
 
+    def read_table(self, obj, n):
+        """The kernel of a document's n x n table of scalar strings, read in
+        one pass, or None: then the caller reads the table cell by cell.
+        Only Q reads in one pass (`Rationals.read_table`)."""
+        return None
+
     def linear(self, matrix):
         """The map v -> v @ matrix: the product of (matrix,) with (one,)."""
         product, one = self.bilinear((matrix,)), (self.one,)
@@ -443,20 +454,25 @@ class Field:
 
 
 class _RationalKernel(Kernel):
-    """Q's kernel, on the table's flat integer lists `coords` over their
-    denominator D.  `product`, which `Rationals.bilinear` returns, is the
-    module docstring's Q product: every payload is read once, by
-    `as_integer_ratio`, which takes `int`s too, and a coordinate whose
-    integer sum is 0 or the denominator is `zero` or `one` itself, with no
-    Fraction built and no gcd.  The table may be m x r here."""
+    """Q's kernel, on the flat integer lists `coords` of an m x r table over
+    their denominator D, `scale`, built from the table's cells of
+    (numerator, denominator) pairs, unreduced: each payload's
+    `as_integer_ratio` (`Rationals.compile`), or a document's integers as
+    written (`Rationals.read_table`).  `product`, which `Rationals.bilinear`
+    returns, is the module docstring's Q product: every payload is read
+    once, by `as_integer_ratio`, which takes `int`s too, and a coordinate
+    whose integer sum is 0 or the denominator is `zero` or `one` itself,
+    with no Fraction built and no gcd.  A kernel read from a document builds
+    its `table` of Fraction payloads from the integers when first read, and
+    `texts` writes the table without it."""
 
-    def __init__(self, field, table):
-        self.field, self.table = field, table
-        ratios = [[y.as_integer_ratio() for y in cell] for row in table for cell in row]
-        self.scale = scale = math.lcm(*[b for cell in ratios for _, b in cell])
+    def __init__(self, field, ratios):
+        cells = [cell for row in ratios for cell in row]
+        self.field, self.dim = field, len(ratios)
+        self.scale = scale = math.lcm(*[b for cell in cells for _, b in cell])
         self.coords = coords = [[a * (scale // b) for a, b in column]
-                                for column in zip(*ratios)]
-        m, r = len(table), len(table[0]) if table else 0
+                                for column in zip(*cells)]
+        m, r = len(ratios), len(ratios[0]) if ratios else 0
         zero, one = field.zero, field.one
 
         def rationals(sums, den):
@@ -479,7 +495,29 @@ class _RationalKernel(Kernel):
                 return rationals([y * sum(map(mul, u, c[j::r])) for c in coords], den)
             uv = [x * y for x in u for y in v]
             return rationals([sum(map(mul, uv, c)) for c in coords], den)
-        self.product = product
+        self.product, self.rationals = product, rationals
+
+    @functools.cached_property
+    def table(self):
+        cells = [self.rationals(column, self.scale) for column in zip(*self.coords)]
+        return tuple(tuple(cells[i:i + self.dim]) for i in range(0, len(cells), self.dim))
+
+    def texts(self):
+        """The square table as nested lists of the text `Rationals.render`
+        gives each payload, from the integers: c/D in lowest terms is c//g
+        over D//g for g = gcd(c, D), and each g's "/(D//g)" is written once."""
+        scale, n, gcd = self.scale, self.dim, math.gcd
+        tails, cells = {scale: ""}, []
+        for column in zip(*self.coords):
+            cell = []
+            for c in column:
+                g = gcd(c, scale)
+                tail = tails.get(g)
+                if tail is None:
+                    tail = tails[g] = f"/{scale // g}"
+                cell.append(f"{c // g}{tail}")
+            cells.append(cell)
+        return [cells[i:i + n] for i in range(0, len(cells), n)]
 
     def non_unit(self, one):
         """`Kernel.non_unit` on the integer table: with one scaled to
@@ -487,7 +525,7 @@ class _RationalKernel(Kernel):
         dot products of one with the cells (i, j) are d D at coordinate j and
         0 elsewhere, and e_j one = e_j likewise with the cells (j, i); no
         Fraction is built."""
-        coords, r = self.coords, len(self.table)
+        coords, r = self.coords, self.dim
         d, w = _integers(one)
         for j in range(r):
             unit = [0] * r
@@ -523,10 +561,30 @@ class Rationals(Field):
         return 1 / a
 
     def bilinear(self, table):
-        return _RationalKernel(self, table).product
+        return self.compile(table).product
 
     def compile(self, table):
-        return _RationalKernel(self, table)
+        kernel = _RationalKernel(self, [[[y.as_integer_ratio() for y in cell]
+                                         for cell in row] for row in table])
+        kernel.table = table   # the payloads it was given
+        return kernel
+
+    def read_table(self, obj, n):
+        """The kernel of `obj`, an n x n table of cells of n scalar strings,
+        read through `ratio` with no Fraction built; None at the first entry
+        that does not read (a wrong shape, a non-string, a bad scalar)."""
+        if not isinstance(obj, list) or len(obj) != n:
+            return None
+        ratio, ratios = self.ratio, []
+        try:
+            for row in obj:
+                if not isinstance(row, list) or len(row) != n or any(
+                        not isinstance(cell, list) or len(cell) != n for cell in row):
+                    return None
+                ratios.append([list(map(ratio, cell)) for cell in row])
+        except (AttributeError, TypeError, ValueError):
+            return None
+        return _RationalKernel(self, ratios)
 
     def eliminate(self, v, rows):
         for pivot, row in rows:
@@ -541,13 +599,18 @@ class Rationals(Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def parse(self, text):
+    def ratio(self, text):
+        """The (numerator, denominator) ints of a scalar string as written,
+        unreduced: "2/4" is (2, 4) and "-0" is (0, 1)."""
         text = text.strip()
         match = _RATIONAL_RE.fullmatch(text)
         if match is None:
             raise ValueError(f"not a rational scalar: {text!r}")
         num, den = match.groups()
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return int(num), int(den) if den else 1
+
+    def parse(self, text):
+        return Fraction(*self.ratio(text))
 
     def label(self):
         return "Q"
@@ -692,13 +755,12 @@ class ExtensionField(Field):
                 raise UnsupportedExtension(
                     f"no default modulus for GF({p}^{k}); supply one explicitly"
                 )
-        modulus = tuple(c % p for c in modulus)
+        # an error quotes the modulus as given, not reduced mod p
+        given, modulus = list(modulus), tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ReducibleModulus(
-                f"modulus must be monic of degree {k}, got {list(modulus)}"
-            )
+            raise ReducibleModulus(f"modulus must be monic of degree {k}, got {given}")
         if not _poly_irreducible(modulus, p):
-            raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
+            raise ReducibleModulus(f"modulus {given} factors over F_{p}")
         self.p, self.k, self.modulus = p, k, modulus
         self.key = ("extension", p, k, modulus)
         self.zero = (0,) * k

@@ -675,7 +675,11 @@ def test_closed_stdout_leaks_no_descriptor(monkeypatch):
     ({"field": "GF4", "dim": 2, "one": ["1", "0"],
       "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["[1,x]", "0"]]]},
      "error[ScalarSyntaxError]: table[1][1][0]: bad coefficient list: '[1,x]'\n"),
-], ids=["extension-degree-0", "gf4-bad-coefficient"])
+    # the modulus as the document gives it, not reduced mod p
+    ({"field": {"kind": "extension", "p": 2, "k": 2, "modulus": [1, 1, 2]}, "dim": 1,
+      "one": ["1"], "table": [[["1"]]]},
+     "error[SchemaError]: field.modulus: modulus must be monic of degree 2, got [1, 1, 2]\n"),
+], ids=["extension-degree-0", "gf4-bad-coefficient", "modulus-as-given"])
 def test_bad_document_exits_2_with_the_exact_error(tmp_path, capsys, document, error):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))

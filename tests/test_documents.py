@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lenalg import (
+    algebra,
     decide_length_one,
     make_field,
     make_fixture,
@@ -16,9 +17,10 @@ from lenalg import (
     report_to_dict,
     verify_report_dict,
 )
+from lenalg.algebra import Algebra
 from lenalg.constructors import FIXTURES
 from lenalg.documents import _parse_vector, field_from_json, field_to_json
-from lenalg.errors import NoIdentityError, SchemaError, ScalarSyntaxError
+from lenalg.errors import InvalidIdentity, NoIdentityError, SchemaError, ScalarSyntaxError
 
 from tests.corpus import reference_parse_vector
 
@@ -131,6 +133,84 @@ def test_vector_parsing_edge_cases_read_as_before():
     with pytest.raises(ScalarSyntaxError) as exc:
         _parse_vector(make_field("F5"), ["9" * 5000], 1, "one")
     assert exc.value.path == "one[0]" and "Exceeds the limit" in exc.value.message
+
+
+# A Q dim-3 document with identity e_2, so that the cells (0, 0) and (1, 0)
+# carry no identity condition; each PARSE_CASES entry replaces one scalar
+_Q3 = {"field": "Q", "dim": 3, "one": ["0", "0", "1"],
+       "table": [[["1/3", "-2", "0"], ["0", "5/7", "1"], ["1", "0", "0"]],
+                 [["2", "0", "-1/2"], ["3", "1", "4"], ["0", "1", "0"]],
+                 [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}
+
+
+def _reference_document(doc):
+    """The algebra of `doc` read one scalar at a time, or its error's class,
+    path and message."""
+    Q = make_field("Q")
+    try:
+        table = []
+        for i, row in enumerate(doc["table"]):
+            if not isinstance(row, list) or len(row) != 3:
+                raise SchemaError(f"table[{i}]", "expected 3 entries")
+            table.append([reference_parse_vector(Q, cell, 3, f"table[{i}][{j}]")
+                          for j, cell in enumerate(row)])
+        one = reference_parse_vector(Q, doc["one"], 3, "one")
+        try:
+            return algebra(Q, table, one)
+        except InvalidIdentity as exc:
+            raise SchemaError("one", str(exc))
+    except SchemaError as exc:
+        return type(exc), exc.path, exc.message
+
+
+def _edited(doc, keys, value):
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in keys[:-1]:
+        holder = holder[key]
+    holder[keys[-1]] = value
+    return doc
+
+
+def test_q_document_parsing_matches_the_per_scalar_reference():
+    # a Q table is read in one pass as integers, and its Fraction table built
+    # only when read; errors, payloads, equality, hash and the rendered text
+    # are those of the scalar-by-scalar parse, also for cells and rows of
+    # the wrong shape ("123" has three digit entries)
+    edits = [(keys, case) for case in PARSE_CASES
+             for keys in (("table", 0, 0, 0), ("table", 1, 0, 2), ("one", 1))]
+    edits += [(("table", 1, 0), bad) for bad in ("123", dict.fromkeys("123", 0), ["1"])]
+    edits += [(("table", 1), bad) for bad in ("123", [["1", "0", "0"]] * 2)]
+    for keys, case in edits:
+        doc = _edited(_Q3, keys, case)
+        want = _reference_document(doc)
+        try:
+            A = parse_document(doc).algebra
+        except SchemaError as exc:
+            assert (type(exc), exc.path, exc.message) == want, (case, keys)
+            continue
+        assert isinstance(want, Algebra), (case, keys)
+        text = render_document(A)   # from the integers, the table unbuilt
+        assert "table" not in vars(A), (case, keys)
+        assert text == render_document(want)
+        assert A.table == want.table and A.one == want.one
+        payloads = [x for row in A.table for cell in row for x in cell] + list(A.one)
+        assert all(type(x) is Fraction for x in payloads)
+        assert A == want and hash(A) == hash(want)
+        assert render_document(A) == text
+        if case in ("2/4", "-0") and keys[0] == "table":
+            _, i, j, k = keys
+            assert json.loads(text)["table"][i][j][k] == {"2/4": "1/2", "-0": "0"}[case]
+
+
+def test_verify_cert_names_a_bad_scalar_of_the_embedded_algebra():
+    A = parse_document(_Q3).algebra
+    data = report_to_dict(decide_length_one(A), A)
+    data["algebra"]["table"][1][0][2] = "1/0"
+    with pytest.raises(ScalarSyntaxError) as exc:
+        verify_report_dict(data)
+    assert (exc.value.path, exc.value.message) == (
+        "algebra.table[1][0][2]", "not a rational scalar: '1/0'")
 
 
 def test_field_json_round_trip():

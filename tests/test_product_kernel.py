@@ -26,14 +26,17 @@ from lenalg import (
     fields,
     length_of_algebra,
     make_field,
+    render_document,
     unital_hull,
     word_spans,
 )
 from lenalg.algebra import Algebra
+from lenalg.cli import main
 from lenalg.errors import InvalidIdentity
 from lenalg.linalg import random_invertible, unit_vec, vec_add
 
 from tests.corpus import (
+    near_miss,
     random_unital_algebra,
     random_vector,
     reference_eliminate,
@@ -553,6 +556,69 @@ def test_q_identity_test_matches_the_default():
             assert kernel.non_unit(one) == j, (n, case)
             found.add(j is None)
     assert found == {True, False}
+
+
+def _spelled(x, rng):
+    """A scalar string of the rational x, often unreduced: 2/4 for 1/2, -0
+    or 000 for 0, 007 for 7."""
+    a, b = x.as_integer_ratio()
+    if a == 0:
+        return rng.choice(("0", "-0", "+0", "000"))
+    if b == 1 and rng.random() < 0.5:
+        return ("-" if a < 0 else "") + "00" + str(abs(a))
+    k = rng.choice((1, 2, 6))
+    return f"{a * k}/{b * k}"
+
+
+def test_q_kernel_read_as_integers_matches_the_compiled_one():
+    # Rationals.read_table reads a document's integers as written into the
+    # kernel Rationals.compile builds from the payloads' integer ratios: the
+    # same products of dense, unit and zero vectors, the same identity test
+    # and coded rows, and from the integers the same table and its text
+    Q = FIELDS["Q"]
+    rng = random.Random("q-read-table")
+    for n in range(1, 7):
+        A = random_unital_algebra(Q, n, seed=n)
+        text = [[[_spelled(x, rng) for x in cell] for cell in row] for row in A.table]
+        read, compiled = Q.read_table(text, n), Q.compile(A.table)
+        vectors = _q_vectors(n, rng) + [A.one]
+        for u in vectors:
+            for v in vectors:
+                assert read.product(u, v) == compiled.product(u, v), (u, v)
+        assert read.non_unit(A.one) is None
+        for one in vectors:
+            assert read.non_unit(one) == compiled.non_unit(one), one
+        encode, mul, extend, decode = read.rows
+        _, product, echelon, _ = compiled.rows
+        products = [product(u, v) for u in vectors for v in vectors[:3]]
+        assert [mul(encode(u), encode(v)) for u in vectors for v in vectors[:3]] == products
+        assert decode(extend([A.identity_row], [encode(v) for v in products])) == [
+            (pivot, list(row)) for pivot, row in echelon([A.identity_row], products)]
+        assert "table" not in vars(read)
+        assert read.texts() == [[[Q.render(x) for x in cell] for cell in row]
+                                for row in A.table]
+        assert read.table == A.table
+        assert all(type(x) is Fraction for row in read.table for cell in row for x in cell)
+
+
+def test_a_parsed_q_table_is_built_only_where_it_is_read(tmp_path, capsys, monkeypatch):
+    # on a hidden near-miss, check --json decides on the kernel and writes
+    # the report's algebra from its integers, and verify-cert reads only the
+    # kernel: neither builds the parsed algebra's Fraction table; identities
+    # reads the table, and builds it once
+    Q = FIELDS["Q"]
+    A = near_miss(Q, 6, 1)
+    assert A.one not in [unit_vec(Q, 6, j) for j in range(6)]
+    doc, report = tmp_path / "doc.json", tmp_path / "report.json"
+    doc.write_text(render_document(A))
+    table = inspect.getattr_static(fields._RationalKernel, "table")
+    built = _counted(monkeypatch, table, "func", table.func)
+    assert main(["check", "--json", str(doc)]) == 1
+    report.write_text(capsys.readouterr().out)
+    assert main(["verify-cert", str(report)]) == 0
+    assert built == []
+    assert main(["identities", "--json", str(doc)]) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("name", ["Q", "F5", "GF4"])
